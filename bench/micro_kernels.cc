@@ -10,8 +10,14 @@
  *
  * Self-contained (no google-benchmark): each kernel runs in a
  * calibrated timing loop against both dispatch tables. Also keeps the
- * top-k and BVH traversal spot-checks of the original bench.
+ * top-k and BVH traversal spot-checks of the original bench, plus the
+ * packet-walk row (bvhPacket: 8-ray packets vs 8 single-ray walks).
+ *
+ *   --json <path>     dump the kernel rows (BENCH_adc.json)
+ *   --check-fastscan  exit 1 unless fast scan beats the legacy gather
+ *   --check-packet    exit 1 unless the packet walk beats single rays
  */
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -65,6 +71,9 @@ std::vector<RowRecord> g_rows;
 
 /** Dispatched fast-scan vs dispatched legacy gather (CI gate). */
 double g_fastscan_vs_gather = 0.0;
+
+/** Packet walk at the best level vs single-ray walks (CI gate). */
+double g_packet_vs_single = 0.0;
 
 void
 printRow(const std::string &kernel, const std::string &shape,
@@ -459,6 +468,74 @@ benchTopKAndBvh()
                 "spheres=4096", trav_ops * 1e-6, "Mray/s");
 }
 
+/**
+ * The selective-LUT access pattern: a JUNO-shaped scene (S planes of E
+ * radius-1 spheres at z = 4s + 1) and packets of 8 +z probe rays from
+ * one plane, each with its own tmax gate. Rays per second of the
+ * packet walk (best dispatch level) against the same rays walked one
+ * at a time.
+ */
+void
+benchBvhPacket()
+{
+    Rng rng(8);
+    const int subspaces = 16, entries = 256, packets = 64;
+    const int lanes = simd::kRayLanes;
+    std::vector<rt::Sphere> spheres;
+    for (int s = 0; s < subspaces; ++s)
+        for (int e = 0; e < entries; ++e) {
+            rt::Sphere sphere;
+            sphere.center = {rng.uniform(-0.8f, 0.8f),
+                             rng.uniform(-0.8f, 0.8f),
+                             4.0f * static_cast<float>(s) + 1.0f};
+            sphere.radius = 1.0f;
+            sphere.user_id = spheres.size();
+            spheres.push_back(sphere);
+        }
+    rt::Bvh bvh;
+    bvh.build(spheres);
+    std::vector<rt::Ray> rays(static_cast<std::size_t>(packets * lanes));
+    for (std::size_t i = 0; i < rays.size(); ++i) {
+        const int s = static_cast<int>(i / static_cast<std::size_t>(lanes)) %
+                      subspaces;
+        const float r = rng.uniform(0.2f, 0.5f); // gate radius
+        rays[i].origin = {rng.uniform(-0.8f, 0.8f), rng.uniform(-0.8f, 0.8f),
+                          4.0f * static_cast<float>(s)};
+        rays[i].tmin = -1e-4f;
+        rays[i].tmax = 1.0f - std::sqrt(1.0f - r * r);
+    }
+
+    rt::TraversalStats stats;
+    std::size_t hits = 0;
+    const double single = opsPerSecond(rays.size(), [&] {
+        for (const rt::Ray &ray : rays)
+            bvh.traverse(ray, spheres, stats, [&](const rt::Hit &) {
+                ++hits;
+                return true;
+            });
+    });
+    const simd::Level saved = simd::level();
+    simd::setLevel(simd::bestSupported());
+    const double packet = opsPerSecond(rays.size(), [&] {
+        for (int p = 0; p < packets; ++p)
+            bvh.traversePacket(rays.data() + p * lanes, lanes, spheres,
+                               stats, [&](int, const rt::Hit &) {
+                                   ++hits;
+                                   return true;
+                               });
+    });
+    simd::setLevel(saved);
+    volatile std::size_t sink = hits;
+    (void)sink;
+    const std::string shape = "S=" + std::to_string(subspaces) +
+                              ",E=" + std::to_string(entries) + ",lanes=" +
+                              std::to_string(lanes);
+    std::printf("%-18s %-20s %9.2f %-6s %9.2f %-6s %6.2fx\n", "bvhPacket",
+                shape.c_str(), single * 1e-6, "Mray/s", packet * 1e-6,
+                "Mray/s", packet / single);
+    g_packet_vs_single = packet / single;
+}
+
 } // namespace
 } // namespace juno
 
@@ -469,14 +546,19 @@ main(int argc, char **argv)
     // --json <path>: dump the measured rows (BENCH_adc.json is this
     // snapshot). --check-fastscan: exit nonzero unless the dispatched
     // 4-bit fast-scan beats the dispatched legacy gather (CI gate).
+    // --check-packet: exit nonzero unless the packet BVH walk beats the
+    // single-ray walk on the same rays (CI gate).
     std::string json_path;
     bool check_fastscan = false;
+    bool check_packet = false;
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
         if (arg == "--json" && a + 1 < argc)
             json_path = argv[++a];
         else if (arg == "--check-fastscan")
             check_fastscan = true;
+        else if (arg == "--check-packet")
+            check_packet = true;
     }
 
     const auto &scalar = simd::table(simd::Level::kScalar);
@@ -495,18 +577,20 @@ main(int argc, char **argv)
     benchCompact(scalar, best);
     std::printf("\n");
     benchTopKAndBvh();
+    benchBvhPacket();
 
     if (!json_path.empty())
         writeSnapshot(json_path);
+    if ((check_fastscan || check_packet) &&
+        simd::bestSupported() == simd::Level::kScalar) {
+        // The scalar fast-scan and packet kernels only restructure the
+        // same scalar work; the gates exist to pin the SIMD wins.
+        std::printf("SIMD gates skipped: host has no SIMD tier (scalar "
+                    "dispatch only)\n");
+        return 0;
+    }
+    int status = 0;
     if (check_fastscan) {
-        if (simd::bestSupported() == simd::Level::kScalar) {
-            // The scalar fast-scan trades float gathers for integer
-            // table walks — a wash without the in-register shuffles,
-            // and the gate exists to pin the SIMD win.
-            std::printf("fast-scan gate skipped: host has no SIMD "
-                        "tier (scalar dispatch only)\n");
-            return 0;
-        }
         std::printf("fast-scan vs legacy gather: %.2fx\n",
                     g_fastscan_vs_gather);
         if (g_fastscan_vs_gather <= 1.0) {
@@ -514,8 +598,19 @@ main(int argc, char **argv)
                          "FAIL: fast-scan (%.2fx) does not beat the "
                          "legacy gather on the same lists\n",
                          g_fastscan_vs_gather);
-            return 1;
+            status = 1;
         }
     }
-    return 0;
+    if (check_packet) {
+        std::printf("packet walk vs single-ray walks: %.2fx\n",
+                    g_packet_vs_single);
+        if (g_packet_vs_single <= 1.0) {
+            std::fprintf(stderr,
+                         "FAIL: the packet walk (%.2fx) does not beat "
+                         "single-ray walks on the same rays\n",
+                         g_packet_vs_single);
+            status = 1;
+        }
+    }
+    return status;
 }

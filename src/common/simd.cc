@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -197,6 +198,72 @@ compactCandidatesScalar(const float *acc, const std::int32_t *hits,
     }
 }
 
+/**
+ * One lane of the ray/box slab test: rt::Aabb::hitBy verbatim (same
+ * operations, order and early exits) on one axis at a time.
+ */
+bool
+slabAxis(float lo, float hi, float origin, float inv, float &t0, float &t1)
+{
+    float a0 = (lo - origin) * inv;
+    float a1 = (hi - origin) * inv;
+    if (a0 > a1)
+        std::swap(a0, a1);
+    // min/max with NaN-suppression: if a is NaN keep t.
+    t0 = a0 > t0 ? a0 : t0;
+    t1 = a1 < t1 ? a1 : t1;
+    return !(t0 > t1);
+}
+
+std::uint32_t
+rayBoxLanesScalar(const RayLanes &r, std::uint32_t active, float lo_x,
+                  float lo_y, float lo_z, float hi_x, float hi_y,
+                  float hi_z)
+{
+    std::uint32_t hit = 0;
+    for (int i = 0; i < kRayLanes; ++i) {
+        if ((active >> i & 1u) == 0)
+            continue;
+        float t0 = r.tmin[i], t1 = r.tmax[i];
+        if (slabAxis(lo_x, hi_x, r.ox[i], r.ix[i], t0, t1) &&
+            slabAxis(lo_y, hi_y, r.oy[i], r.iy[i], t0, t1) &&
+            slabAxis(lo_z, hi_z, r.oz[i], r.iz[i], t0, t1))
+            hit |= 1u << i;
+    }
+    return hit;
+}
+
+/** rt::intersectSphere verbatim, one lane at a time. */
+std::uint32_t
+raySphereLanesScalar(const RayLanes &r, std::uint32_t active, float cx,
+                     float cy, float cz, float radius, float *thit)
+{
+    std::uint32_t hit = 0;
+    for (int i = 0; i < kRayLanes; ++i) {
+        if ((active >> i & 1u) == 0)
+            continue;
+        const float ocx = r.ox[i] - cx, ocy = r.oy[i] - cy,
+                    ocz = r.oz[i] - cz;
+        const float a = r.dx[i] * r.dx[i] + r.dy[i] * r.dy[i] +
+                        r.dz[i] * r.dz[i];
+        const float half_b = ocx * r.dx[i] + ocy * r.dy[i] + ocz * r.dz[i];
+        const float c =
+            ocx * ocx + ocy * ocy + ocz * ocz - radius * radius;
+        const float disc = half_b * half_b - a * c;
+        if (disc < 0.0f)
+            continue;
+        const float sqrt_disc = std::sqrt(disc);
+        float t = (-half_b - sqrt_disc) / a;
+        if (t < r.tmin[i])
+            t = (-half_b + sqrt_disc) / a;
+        if (t < r.tmin[i] || t > r.tmax[i])
+            continue;
+        thit[i] = t;
+        hit |= 1u << i;
+    }
+    return hit;
+}
+
 const Kernels kScalarTable = {
     "scalar",
     &l2SqrScalar,
@@ -209,6 +276,8 @@ const Kernels kScalarTable = {
     &adcScanInterleavedScalar,
     &fastScanPq4Scalar,
     &compactCandidatesScalar,
+    &rayBoxLanesScalar,
+    &raySphereLanesScalar,
 };
 
 #if JUNO_SIMD_X86
@@ -853,6 +922,87 @@ compactCandidatesAvx2(const float *acc, const std::int32_t *hits,
     }
 }
 
+/**
+ * rt::Aabb::hitBy on eight lanes. max_ps(a, b) is `a > b ? a : b` and
+ * min_ps(a, b) is `a < b ? a : b`, operand for operand the scalar
+ * selects, so NaN slabs are suppressed exactly as in hitBy. The early
+ * exits of hitBy need no counterpart: t0 only grows and t1 only
+ * shrinks, so a lane that fails one axis fails the final compare.
+ */
+JUNO_TARGET_AVX2 inline void
+slabAxisAvx2(float lo, float hi, const float *origin, const float *inv,
+             __m256 &t0, __m256 &t1)
+{
+    const __m256 o = _mm256_load_ps(origin);
+    const __m256 v = _mm256_load_ps(inv);
+    const __m256 a0 = _mm256_mul_ps(_mm256_sub_ps(_mm256_set1_ps(lo), o), v);
+    const __m256 a1 = _mm256_mul_ps(_mm256_sub_ps(_mm256_set1_ps(hi), o), v);
+    // if (a0 > a1) swap(a0, a1): near = a1 < a0 ? a1 : a0.
+    const __m256 near = _mm256_min_ps(a1, a0);
+    const __m256 far = _mm256_max_ps(a0, a1);
+    t0 = _mm256_max_ps(near, t0);
+    t1 = _mm256_min_ps(far, t1);
+}
+
+JUNO_TARGET_AVX2 std::uint32_t
+rayBoxLanesAvx2(const RayLanes &r, std::uint32_t active, float lo_x,
+                float lo_y, float lo_z, float hi_x, float hi_y, float hi_z)
+{
+    __m256 t0 = _mm256_load_ps(r.tmin);
+    __m256 t1 = _mm256_load_ps(r.tmax);
+    slabAxisAvx2(lo_x, hi_x, r.ox, r.ix, t0, t1);
+    slabAxisAvx2(lo_y, hi_y, r.oy, r.iy, t0, t1);
+    slabAxisAvx2(lo_z, hi_z, r.oz, r.iz, t0, t1);
+    const int hit = _mm256_movemask_ps(_mm256_cmp_ps(t0, t1, _CMP_LE_OQ));
+    return static_cast<std::uint32_t>(hit) & active;
+}
+
+/**
+ * rt::intersectSphere on eight lanes with separate multiplies and adds
+ * (no FMA) in the scalar evaluation order. Ordered compares are false
+ * on NaN, so a NaN discriminant passes as it does in the scalar code.
+ */
+JUNO_TARGET_AVX2 std::uint32_t
+raySphereLanesAvx2(const RayLanes &r, std::uint32_t active, float cx,
+                   float cy, float cz, float radius, float *thit)
+{
+    const __m256 dx = _mm256_load_ps(r.dx);
+    const __m256 dy = _mm256_load_ps(r.dy);
+    const __m256 dz = _mm256_load_ps(r.dz);
+    const __m256 ocx = _mm256_sub_ps(_mm256_load_ps(r.ox), _mm256_set1_ps(cx));
+    const __m256 ocy = _mm256_sub_ps(_mm256_load_ps(r.oy), _mm256_set1_ps(cy));
+    const __m256 ocz = _mm256_sub_ps(_mm256_load_ps(r.oz), _mm256_set1_ps(cz));
+    const __m256 a = _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
+        _mm256_mul_ps(dz, dz));
+    const __m256 half_b = _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(ocx, dx), _mm256_mul_ps(ocy, dy)),
+        _mm256_mul_ps(ocz, dz));
+    const __m256 c = _mm256_sub_ps(
+        _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(ocx, ocx), _mm256_mul_ps(ocy, ocy)),
+            _mm256_mul_ps(ocz, ocz)),
+        _mm256_set1_ps(radius * radius));
+    const __m256 disc = _mm256_sub_ps(_mm256_mul_ps(half_b, half_b),
+                                      _mm256_mul_ps(a, c));
+    const __m256 sqrt_disc = _mm256_sqrt_ps(disc);
+    const __m256 neg_half_b = _mm256_xor_ps(half_b, _mm256_set1_ps(-0.0f));
+    const __m256 tmin = _mm256_load_ps(r.tmin);
+    const __m256 t_entry =
+        _mm256_div_ps(_mm256_sub_ps(neg_half_b, sqrt_disc), a);
+    const __m256 t_exit =
+        _mm256_div_ps(_mm256_add_ps(neg_half_b, sqrt_disc), a);
+    const __m256 t = _mm256_blendv_ps(
+        t_entry, t_exit, _mm256_cmp_ps(t_entry, tmin, _CMP_LT_OQ));
+    const __m256 miss = _mm256_or_ps(
+        _mm256_cmp_ps(disc, _mm256_setzero_ps(), _CMP_LT_OQ),
+        _mm256_or_ps(_mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
+                     _mm256_cmp_ps(t, _mm256_load_ps(r.tmax), _CMP_GT_OQ)));
+    _mm256_storeu_ps(thit, t);
+    const int hit = ~_mm256_movemask_ps(miss) & 0xFF;
+    return static_cast<std::uint32_t>(hit) & active;
+}
+
 const Kernels kAvx2Table = {
     "avx2",
     &l2SqrAvx2,
@@ -865,6 +1015,8 @@ const Kernels kAvx2Table = {
     &adcScanInterleavedAvx2,
     &fastScanPq4Avx2,
     &compactCandidatesAvx2,
+    &rayBoxLanesAvx2,
+    &raySphereLanesAvx2,
 };
 
 /**
@@ -1115,7 +1267,11 @@ fastScanPq4Avx512(const std::uint8_t *packed, int subspaces,
                         n - i, qsums + i);
 }
 
-/** AVX2 table with the wider ADC gather and scan kernels swapped in. */
+/**
+ * AVX2 table with the wider ADC gather and scan kernels swapped in; the
+ * ray-packet kernels keep their 8-lane AVX2 entries (a packet holds at
+ * most kRayLanes rays).
+ */
 const Kernels kAvx512Table = {
     "avx512",
     &l2SqrAvx2,
@@ -1128,6 +1284,8 @@ const Kernels kAvx512Table = {
     &adcScanInterleavedAvx512,
     &fastScanPq4Avx512,
     &compactCandidatesAvx2,
+    &rayBoxLanesAvx2,
+    &raySphereLanesAvx2,
 };
 #endif // JUNO_SIMD_X86
 

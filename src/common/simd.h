@@ -21,6 +21,9 @@
  *    accumulation order over subspaces is the same in every path.
  *  - Candidate compaction emits the same candidates in the same
  *    (ascending ordinal) order in every path.
+ *  - The ray-packet box and sphere kernels return the same hit masks
+ *    and hit-time bits in every table, and per lane they equal the
+ *    single-ray rt::Aabb::hitBy / rt::intersectSphere math.
  *
  * Override for testing: set `JUNO_SIMD=scalar`, `JUNO_SIMD=avx2` or
  * `JUNO_SIMD=avx512` in the environment before first use, or call
@@ -38,6 +41,22 @@
 
 namespace juno {
 namespace simd {
+
+/** Lane count of the ray-packet kernels (one AVX2 register). */
+constexpr int kRayLanes = 8;
+
+/**
+ * Structure-of-arrays ray packet for the packet BVH walk
+ * (rtcore/bvh.h): lane i is the ray origin o[i], direction d[i],
+ * inv[i] = 1 / d[i] per axis, valid interval [tmin[i], tmax[i]].
+ * Unused lanes may hold anything finite; the kernels mask them off.
+ */
+struct alignas(32) RayLanes {
+    float ox[kRayLanes], oy[kRayLanes], oz[kRayLanes];
+    float dx[kRayLanes], dy[kRayLanes], dz[kRayLanes];
+    float ix[kRayLanes], iy[kRayLanes], iz[kRayLanes];
+    float tmin[kRayLanes], tmax[kRayLanes];
+};
 
 /** Instruction-set tier of a dispatch table. */
 enum class Level {
@@ -133,6 +152,32 @@ struct Kernels {
     void (*compact_candidates)(const float *acc, const std::int32_t *hits,
                                const idx_t *list, std::size_t n,
                                float offset, std::vector<Neighbor> &out);
+
+    /**
+     * Ray/box slab test for every lane of @p rays set in @p active
+     * against the box [lo, hi]; returns the mask of lanes that hit.
+     * Per lane this is exactly rt::Aabb::hitBy (same operations in the
+     * same order, NaN slabs suppressed the same way), so every table
+     * returns the same mask.
+     */
+    std::uint32_t (*ray_box_lanes)(const RayLanes &rays,
+                                   std::uint32_t active, float lo_x,
+                                   float lo_y, float lo_z, float hi_x,
+                                   float hi_y, float hi_z);
+
+    /**
+     * Ray/sphere test for every lane set in @p active against the
+     * sphere (cx, cy, cz, radius); returns the mask of lanes that hit
+     * and writes their hit times to thit[lane] (@p thit holds
+     * kRayLanes floats; other lanes' slots are unspecified). Per lane
+     * this is exactly rt::intersectSphere (entry root, exit root when
+     * the entry is before tmin, no fused multiply-adds), so hit masks
+     * and thit bits agree across tables.
+     */
+    std::uint32_t (*ray_sphere_lanes)(const RayLanes &rays,
+                                      std::uint32_t active, float cx,
+                                      float cy, float cz, float radius,
+                                      float *thit);
 };
 
 /** True when this host can execute the @p level table natively. */

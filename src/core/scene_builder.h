@@ -108,29 +108,32 @@ class JunoScene {
      */
     float gateTmax(int s, float x, float y, double threshold) const;
 
-    /** L2^2(entry, projection) in original units from a hit time. */
+    /**
+     * L2^2(entry, projection) in original units from a hit time;
+     * @p kappa_sqr is coordScale(s) squared for the hit's subspace s,
+     * computed once per ray rather than once per hit.
+     */
     float
-    lutValueL2(int s, float thit) const
+    lutValueL2(float kappa_sqr, float thit) const
     {
-        const float k = coordScale(s);
         const float one_minus = 1.0f - thit;
         const float d2_scaled = radius_ * radius_ - one_minus * one_minus;
-        return d2_scaled / (k * k);
+        return d2_scaled / kappa_sqr;
     }
 
     /**
      * IP(entry, projection) in original units from a hit time;
-     * @p qnorm_scaled_sqr is ||(kx, ky)||^2 of the ray's origin.
+     * @p kappa_sqr is coordScale(s) squared and @p qnorm_scaled_sqr is
+     * ||(kx, ky)||^2 of the ray's origin.
      */
     float
-    lutValueIp(int s, float qnorm_scaled_sqr, float thit) const
+    lutValueIp(float kappa_sqr, float qnorm_scaled_sqr, float thit) const
     {
-        const float k = coordScale(s);
         const float one_minus = 1.0f - thit;
         const float ip_scaled = 0.5f * (qnorm_scaled_sqr -
                                         radius_ * radius_ +
                                         one_minus * one_minus);
-        return ip_scaled / (k * k);
+        return ip_scaled / kappa_sqr;
     }
 
   private:

@@ -64,19 +64,23 @@ SelectiveLutBuilder::buildInto(const float *query,
 
     // Assemble the ray batch: one ray per (probe, subspace) for L2
     // (projections are cluster residuals), one per subspace for IP.
+    // Subspace-major, so each subspace's probe rays (same direction,
+    // same origin plane) form one run the device traces as a packet.
     rays_.clear();
     ctxs_.clear();
-    residual_.resize(static_cast<std::size_t>(ivf_.dim()));
-    for (std::size_t p = 0; p < lut_probes; ++p) {
-        const float *proj_src;
-        if (metric == Metric::kL2) {
-            const cluster_t c = static_cast<cluster_t>(probes[p].id);
-            ivf_.residual(query, c, residual_.data());
-            proj_src = residual_.data();
-        } else {
-            proj_src = query;
-        }
-        for (int s = 0; s < subspaces; ++s) {
+    const auto dim = static_cast<std::size_t>(ivf_.dim());
+    if (metric == Metric::kL2) {
+        residual_.resize(lut_probes * dim);
+        for (std::size_t p = 0; p < lut_probes; ++p)
+            ivf_.residual(query, static_cast<cluster_t>(probes[p].id),
+                          residual_.data() + p * dim);
+    }
+    for (int s = 0; s < subspaces; ++s) {
+        const float k = scene_.coordScale(s);
+        for (std::size_t p = 0; p < lut_probes; ++p) {
+            const float *proj_src = metric == Metric::kL2
+                ? residual_.data() + p * dim
+                : query;
             const float x = proj_src[2 * s];
             const float y = proj_src[2 * s + 1];
             const double thr_raw = policy_.threshold(s, x, y);
@@ -101,7 +105,7 @@ SelectiveLutBuilder::buildInto(const float *query,
             RayCtx ctx;
             ctx.probe = static_cast<std::uint32_t>(p);
             ctx.subspace = s;
-            const float k = scene_.coordScale(s);
+            ctx.kappa_sqr = k * k;
             ctx.qnorm_scaled_sqr = (x * k) * (x * k) + (y * k) * (y * k);
             if (params.inner_gate) {
                 // Inner gate at half scale: the reward sphere of the
@@ -148,9 +152,9 @@ SelectiveLutBuilder::buildInto(const float *query,
         lh.thit = hit.thit;
         lh.inner = hit.thit <= ctx.tmax_inner;
         if (is_l2)
-            lh.value = scene_.lutValueL2(ctx.subspace, hit.thit);
+            lh.value = scene_.lutValueL2(ctx.kappa_sqr, hit.thit);
         else
-            lh.value = scene_.lutValueIp(ctx.subspace,
+            lh.value = scene_.lutValueIp(ctx.kappa_sqr,
                                          ctx.qnorm_scaled_sqr, hit.thit);
         lut.hits[ctx.probe][static_cast<std::size_t>(ctx.subspace)]
             .push_back(lh);

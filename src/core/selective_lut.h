@@ -103,6 +103,8 @@ class SelectiveLutBuilder {
     struct RayCtx {
         std::uint32_t probe = 0;
         std::int32_t subspace = 0;
+        /** kappa_s^2 of the ray's subspace (JunoScene::lutValue*). */
+        float kappa_sqr = 1.0f;
         /** ||scaled origin xy||^2; inverts thit into an IP. */
         float qnorm_scaled_sqr = 0.0f;
         /** Inner (half) gate in thit units (JUNO-M reward sphere). */

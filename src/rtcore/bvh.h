@@ -8,6 +8,12 @@
  * traversal is stack-based and counts node visits / primitive tests so
  * experiments can reason about traversal cost the way the paper
  * reasons about RT-core throughput (Fig. 14(b)).
+ *
+ * Two walks share one tree: traverse() traces one ray, traversePacket()
+ * traces up to simd::kRayLanes coherent rays in lockstep (the way an
+ * RT core keeps a warp's rays together) through the dispatched
+ * ray-packet kernels. Per ray, both report the same hits in the same
+ * order and the same counters.
  */
 #ifndef JUNO_RTCORE_BVH_H
 #define JUNO_RTCORE_BVH_H
@@ -15,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/simd.h"
 #include "common/types.h"
 #include "rtcore/geometry.h"
 
@@ -142,6 +149,88 @@ class Bvh {
     }
 
     /**
+     * Packet traversal of @p count rays (1..simd::kRayLanes): one
+     * depth-first walk in traverse()'s node order, carrying a mask of
+     * the lanes whose ray reached each node. Box and sphere tests run
+     * on all masked lanes at once through the active simd table.
+     * @p fn is called as fn(int lane, const Hit&) -> bool; returning
+     * false terminates that lane only.
+     *
+     * A lane visits exactly the nodes traverse() visits for its ray,
+     * in the same order, so per ray the hit sequence (prim_id and thit
+     * bits) and every counter equal traverse()'s. Hits of different
+     * lanes interleave (per leaf primitive, in ascending lane order).
+     */
+    template <typename AnyHitFn>
+    void
+    traversePacket(const Ray *rays, int count,
+                   const std::vector<Sphere> &spheres,
+                   TraversalStats &stats, AnyHitFn &&fn) const
+    {
+        stats.rays += static_cast<std::uint64_t>(count);
+        if (nodes_.empty())
+            return;
+        simd::RayLanes lanes;
+        loadLanes(rays, count, lanes);
+        const simd::Kernels &kernels = simd::active();
+        alignas(32) float thit[simd::kRayLanes];
+        // Lanes not yet terminated by the any-hit program.
+        std::uint32_t live = (1u << count) - 1u;
+        struct Entry {
+            std::int32_t node;
+            std::uint32_t mask;
+        };
+        Entry stack[64];
+        int top = 0;
+        stack[top++] = {0, live};
+        while (top > 0) {
+            const Entry entry = stack[--top];
+            const std::uint32_t mask = entry.mask & live;
+            if (mask == 0)
+                continue;
+            const Node &node = nodes_[static_cast<std::size_t>(entry.node)];
+            const auto active =
+                static_cast<std::uint64_t>(__builtin_popcount(mask));
+            stats.node_visits += active;
+            stats.aabb_tests += active;
+            std::uint32_t in_box = kernels.ray_box_lanes(
+                lanes, mask, node.bounds.lo.x, node.bounds.lo.y,
+                node.bounds.lo.z, node.bounds.hi.x, node.bounds.hi.y,
+                node.bounds.hi.z);
+            if (in_box == 0)
+                continue;
+            if (!node.isLeaf()) {
+                stack[top++] = {node.left, in_box};
+                stack[top++] = {node.right, in_box};
+                continue;
+            }
+            for (std::int32_t i = 0; i < node.count && in_box != 0; ++i) {
+                const std::uint32_t prim = prim_order_[
+                    static_cast<std::size_t>(node.first + i)];
+                const Sphere &sphere = spheres[prim];
+                stats.prim_tests +=
+                    static_cast<std::uint64_t>(__builtin_popcount(in_box));
+                std::uint32_t hit = kernels.ray_sphere_lanes(
+                    lanes, in_box, sphere.center.x, sphere.center.y,
+                    sphere.center.z, sphere.radius, thit);
+                while (hit != 0) {
+                    const int lane = __builtin_ctz(hit);
+                    hit &= hit - 1u;
+                    ++stats.hits;
+                    Hit h;
+                    h.prim_id = prim;
+                    h.user_id = sphere.user_id;
+                    h.thit = thit[lane];
+                    if (!fn(lane, static_cast<const Hit &>(h))) {
+                        live &= ~(1u << lane);
+                        in_box &= ~(1u << lane);
+                    }
+                }
+            }
+        }
+    }
+
+    /**
      * Reference traversal: brute-force linear scan over all spheres.
      * Models OptiX's CUDA-core fallback on GPUs without RT cores
      * (paper Fig. 14(a)) and serves as the correctness oracle.
@@ -168,6 +257,14 @@ class Bvh {
     }
 
   private:
+    /**
+     * Loads @p count (1..simd::kRayLanes) rays into packet lanes, with
+     * inv = 1 / dir as traverse() computes it. Unused lanes repeat
+     * ray 0.
+     */
+    static void loadLanes(const Ray *rays, int count,
+                          simd::RayLanes &lanes);
+
     std::int32_t buildRecursive(std::vector<Aabb> &prim_bounds,
                                 std::int32_t first, std::int32_t count,
                                 const BvhBuildParams &params);

@@ -1,7 +1,24 @@
 #include "rtcore/device.h"
 
+#include <algorithm>
+
 namespace juno {
 namespace rt {
+
+std::size_t
+RtDevice::coherentRun(const std::vector<Ray> &rays, std::size_t first)
+{
+    const Ray &head = rays[first];
+    const std::size_t end =
+        std::min(rays.size(),
+                 first + static_cast<std::size_t>(simd::kRayLanes));
+    std::size_t i = first + 1;
+    while (i < end && rays[i].dir.x == head.dir.x &&
+           rays[i].dir.y == head.dir.y && rays[i].dir.z == head.dir.z &&
+           rays[i].origin.z == head.origin.z)
+        ++i;
+    return i - first;
+}
 
 RtCostModel
 costModelRtx4090()

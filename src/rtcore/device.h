@@ -94,6 +94,13 @@ class RtDevice {
      * Traces every ray in @p rays against @p scene, invoking
      * fn(const Ray&, const Hit&) -> bool per intersection (false
      * terminates that ray). Returns per-launch counters and wall time.
+     *
+     * In kRtCore mode each run of consecutive rays that share a
+     * direction and an origin plane (coherentRun) is traced as packets
+     * of up to simd::kRayLanes lanes; a lone ray takes the single-ray
+     * walk. Either way each ray's hits arrive in Bvh::traverse order
+     * and the counters are per ray, independent of the packing; only
+     * hits of rays in one packet interleave.
      */
     template <typename AnyHitFn>
     LaunchResult
@@ -101,12 +108,28 @@ class RtDevice {
     {
         Timer timer;
         LaunchResult result;
-        for (const Ray &ray : rays) {
-            auto per_hit = [&](const Hit &hit) { return fn(ray, hit); };
-            if (mode_ == ExecMode::kRtCore)
-                scene.trace(ray, result.stats, per_hit);
-            else
-                scene.traceLinear(ray, result.stats, per_hit);
+        if (mode_ == ExecMode::kRtCore) {
+            for (std::size_t i = 0; i < rays.size();) {
+                const std::size_t n = coherentRun(rays, i);
+                const Ray *packet = rays.data() + i;
+                if (n == 1) {
+                    scene.trace(*packet, result.stats, [&](const Hit &hit) {
+                        return fn(*packet, hit);
+                    });
+                } else {
+                    scene.tracePacket(packet, static_cast<int>(n),
+                                      result.stats,
+                                      [&](int lane, const Hit &hit) {
+                                          return fn(packet[lane], hit);
+                                      });
+                }
+                i += n;
+            }
+        } else {
+            for (const Ray &ray : rays)
+                scene.traceLinear(ray, result.stats, [&](const Hit &hit) {
+                    return fn(ray, hit);
+                });
         }
         result.seconds = timer.seconds();
         total_.merge(result.stats);
@@ -114,6 +137,14 @@ class RtDevice {
     }
 
   private:
+    /**
+     * Length of the packet starting at rays[first]: the consecutive
+     * rays that share its direction and origin z (for JUNO's +z rays,
+     * its subspace plane), capped at simd::kRayLanes.
+     */
+    static std::size_t coherentRun(const std::vector<Ray> &rays,
+                                   std::size_t first);
+
     ExecMode mode_;
     TraversalStats total_;
 };

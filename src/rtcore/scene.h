@@ -42,6 +42,19 @@ class Scene {
         bvh_.traverse(ray, spheres_, stats, std::forward<AnyHitFn>(fn));
     }
 
+    /**
+     * Packet traversal of @p count coherent rays (see
+     * Bvh::traversePacket); fn(int lane, const Hit&) -> bool.
+     */
+    template <typename AnyHitFn>
+    void
+    tracePacket(const Ray *rays, int count, TraversalStats &stats,
+                AnyHitFn &&fn) const
+    {
+        bvh_.traversePacket(rays, count, spheres_, stats,
+                            std::forward<AnyHitFn>(fn));
+    }
+
     /** Linear-scan traversal (the "no RT core" CUDA fallback path). */
     template <typename AnyHitFn>
     void

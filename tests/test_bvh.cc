@@ -3,10 +3,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "rtcore/bvh.h"
 
 namespace juno {
@@ -73,6 +77,136 @@ TEST(Bvh, SinglePrimitive)
     EXPECT_EQ(hits, 1);
 }
 
+/** Per-ray hit sequence: (prim_id, thit bits) in delivery order. */
+using HitSeq = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+std::uint32_t
+bitsOf(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+void
+expectSameStats(const TraversalStats &want, const TraversalStats &got)
+{
+    EXPECT_EQ(want.rays, got.rays);
+    EXPECT_EQ(want.node_visits, got.node_visits);
+    EXPECT_EQ(want.aabb_tests, got.aabb_tests);
+    EXPECT_EQ(want.prim_tests, got.prim_tests);
+    EXPECT_EQ(want.hits, got.hits);
+}
+
+/** Every dispatch level this host can run. */
+std::vector<simd::Level>
+supportedLevels()
+{
+    std::vector<simd::Level> out;
+    for (simd::Level l : {simd::Level::kScalar, simd::Level::kAvx2,
+                          simd::Level::kAvx512})
+        if (simd::supported(l))
+            out.push_back(l);
+    return out;
+}
+
+/** Restores the active dispatch level when a test scope ends. */
+struct LevelGuard {
+    simd::Level saved = simd::level();
+    ~LevelGuard() { simd::setLevel(saved); }
+};
+
+/**
+ * Traces @p rays one at a time with traverse() and together with
+ * traversePacket(), at every supported dispatch level. Lane j's any-hit
+ * program returns false on its stop[j]-th hit (0: never), the same rule
+ * for both walks. Asserts equal per-ray hit sequences and counters.
+ */
+void
+expectPacketMatchesSingle(const Bvh &bvh, const std::vector<Sphere> &spheres,
+                          const std::vector<Ray> &rays,
+                          const std::vector<int> &stop = {})
+{
+    ASSERT_GE(rays.size(), 1u);
+    ASSERT_LE(rays.size(), static_cast<std::size_t>(simd::kRayLanes));
+    auto stopAt = [&](std::size_t lane) {
+        return lane < stop.size() ? static_cast<std::size_t>(stop[lane])
+                                  : 0u;
+    };
+    std::vector<HitSeq> want(rays.size());
+    TraversalStats want_stats;
+    for (std::size_t i = 0; i < rays.size(); ++i)
+        bvh.traverse(rays[i], spheres, want_stats, [&](const Hit &hit) {
+            want[i].push_back({hit.prim_id, bitsOf(hit.thit)});
+            return want[i].size() != stopAt(i);
+        });
+
+    LevelGuard guard;
+    for (simd::Level level : supportedLevels()) {
+        ASSERT_TRUE(simd::setLevel(level));
+        std::vector<HitSeq> got(rays.size());
+        TraversalStats got_stats;
+        bvh.traversePacket(rays.data(), static_cast<int>(rays.size()),
+                           spheres, got_stats,
+                           [&](int lane, const Hit &hit) {
+                               auto &seq =
+                                   got[static_cast<std::size_t>(lane)];
+                               seq.push_back({hit.prim_id,
+                                              bitsOf(hit.thit)});
+                               return seq.size() !=
+                                   stopAt(static_cast<std::size_t>(lane));
+                           });
+        for (std::size_t i = 0; i < rays.size(); ++i)
+            EXPECT_EQ(want[i], got[i])
+                << "ray " << i << " at " << simd::levelName(level);
+        expectSameStats(want_stats, got_stats);
+    }
+}
+
+/**
+ * A random ray: mixed-sign directions with zero components (infinite
+ * inverse direction), origins on node slab planes (0 * inf = NaN
+ * slabs), empty intervals (tmin > tmax) and rays beside the root box.
+ */
+Ray
+adversarialRay(Rng &rng, const Bvh &bvh)
+{
+    Ray ray;
+    ray.origin = {rng.uniform(-1.3f, 1.3f), rng.uniform(-1.3f, 1.3f),
+                  rng.uniform(-1.0f, 5.0f)};
+    ray.dir = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f),
+               rng.uniform(-1.0f, 1.0f)};
+    ray.tmin = rng.uniform(-1.0f, 0.5f);
+    ray.tmax = rng.uniform(0.5f, 8.0f);
+    switch (rng.below(8)) {
+      case 0: // axis-aligned: two zero components
+        ray.dir = {0.0f, 0.0f, rng.uniform() < 0.5 ? 1.0f : -1.0f};
+        break;
+      case 1: // one zero component, origin on a node's slab plane
+        ray.dir.x = 0.0f;
+        if (!bvh.empty()) {
+            const auto &nodes = bvh.nodes();
+            const auto &box = nodes[rng.below(nodes.size())].bounds;
+            ray.origin.x = rng.uniform() < 0.5 ? box.lo.x : box.hi.x;
+        }
+        break;
+      case 2: // empty interval
+        std::swap(ray.tmin, ray.tmax);
+        break;
+      case 3: // misses the root box
+        ray.origin.x = 50.0f;
+        ray.dir = {0.0f, 0.0f, 1.0f};
+        break;
+      case 4: // unbounded interval
+        ray.tmin = 0.0f;
+        ray.tmax = std::numeric_limits<float>::max();
+        break;
+      default:
+        break;
+    }
+    return ray;
+}
+
 /** Core property: BVH traversal finds exactly the brute-force hit set. */
 class BvhEquivalence
     : public ::testing::TestWithParam<std::tuple<int, SplitPolicy>> {};
@@ -105,6 +239,80 @@ TEST_P(BvhEquivalence, MatchesLinearScan)
         });
         EXPECT_EQ(bvh_hits, lin_hits) << "trial " << trial;
     }
+}
+
+/** Core property: a packet walk equals its rays' single-ray walks. */
+TEST_P(BvhEquivalence, PacketMatchesSingleRays)
+{
+    const int n = std::get<0>(GetParam());
+    const auto spheres =
+        randomSpheres(static_cast<std::size_t>(n), 200 + n, 0.3f);
+    Bvh bvh;
+    BvhBuildParams params;
+    params.policy = std::get<1>(GetParam());
+    bvh.build(spheres, params);
+
+    Rng rng(31 + static_cast<std::uint64_t>(n));
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto count = 1 + rng.below(simd::kRayLanes);
+        std::vector<Ray> rays;
+        for (std::uint64_t i = 0; i < count; ++i)
+            rays.push_back(adversarialRay(rng, bvh));
+        expectPacketMatchesSingle(bvh, spheres, rays);
+    }
+}
+
+/** JUNO-shaped packets: +z rays from one plane, per-lane tmax gates. */
+TEST_P(BvhEquivalence, CoherentPacketMatchesSingleRays)
+{
+    const int n = std::get<0>(GetParam());
+    const auto spheres =
+        randomSpheres(static_cast<std::size_t>(n), 300 + n, 0.4f);
+    Bvh bvh;
+    BvhBuildParams params;
+    params.policy = std::get<1>(GetParam());
+    bvh.build(spheres, params);
+
+    Rng rng(41 + static_cast<std::uint64_t>(n));
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<Ray> rays(simd::kRayLanes);
+        const float z = rng.uniform(-1.0f, 3.0f);
+        for (auto &ray : rays) {
+            ray.origin = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f),
+                          z};
+            ray.tmax = rng.uniform(0.2f, 2.0f);
+        }
+        expectPacketMatchesSingle(bvh, spheres, rays);
+    }
+}
+
+/** Lane j's any-hit program stopping on its k-th hit stops lane j only. */
+TEST_P(BvhEquivalence, PacketTerminationStopsOneLane)
+{
+    const int n = std::get<0>(GetParam());
+    const auto spheres =
+        randomSpheres(static_cast<std::size_t>(n), 400 + n, 0.5f);
+    Bvh bvh;
+    BvhBuildParams params;
+    params.policy = std::get<1>(GetParam());
+    bvh.build(spheres, params);
+
+    Rng rng(51 + static_cast<std::uint64_t>(n));
+    std::vector<Ray> rays(simd::kRayLanes);
+    for (auto &ray : rays) {
+        ray.origin = {rng.uniform(-0.5f, 0.5f), rng.uniform(-0.5f, 0.5f),
+                      -1.0f};
+        ray.tmax = 8.0f;
+    }
+    for (int lane = 0; lane < simd::kRayLanes; ++lane)
+        for (int k = 1; k <= 3; ++k) {
+            std::vector<int> stop(simd::kRayLanes, 0);
+            stop[static_cast<std::size_t>(lane)] = k;
+            expectPacketMatchesSingle(bvh, spheres, rays, stop);
+        }
+    // Every lane stopping on its first hit.
+    expectPacketMatchesSingle(bvh, spheres, rays,
+                              std::vector<int>(simd::kRayLanes, 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -230,6 +438,53 @@ TEST(Bvh, IdenticalCentersStillBuild)
         return true;
     });
     EXPECT_EQ(hits, 64);
+}
+
+TEST(BvhPacket, EmptyBvhCountsRaysOnly)
+{
+    Bvh bvh;
+    bvh.build({});
+    Rng rng(61);
+    std::vector<Ray> rays;
+    for (int i = 0; i < 5; ++i)
+        rays.push_back(adversarialRay(rng, bvh));
+    expectPacketMatchesSingle(bvh, {}, rays);
+    TraversalStats stats;
+    bvh.traversePacket(rays.data(), 5, {}, stats,
+                       [](int, const Hit &) { return true; });
+    EXPECT_EQ(stats.rays, 5u);
+    EXPECT_EQ(stats.node_visits, 0u);
+}
+
+TEST(BvhPacket, IdenticalCentresOversizedLeaf)
+{
+    // One degenerate 64-sphere leaf plus a few distinct spheres.
+    std::vector<Sphere> spheres(70);
+    for (std::size_t i = 0; i < spheres.size(); ++i) {
+        spheres[i].center = i < 64 ? Vec3{0.2f, -0.1f, 1.0f}
+                                   : Vec3{0.1f * static_cast<float>(i - 64),
+                                          0.3f, 2.0f};
+        spheres[i].radius = 0.25f;
+        spheres[i].user_id = i;
+    }
+    Bvh bvh;
+    bvh.build(spheres);
+    Rng rng(71);
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto count = 1 + rng.below(simd::kRayLanes);
+        std::vector<Ray> rays;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            Ray ray = adversarialRay(rng, bvh);
+            if (i % 2 == 0) { // aim at the shared centre
+                ray.origin = {0.2f + rng.uniform(-0.2f, 0.2f), -0.1f, 0.0f};
+                ray.dir = {0.0f, 0.0f, 1.0f};
+            }
+            rays.push_back(ray);
+        }
+        std::vector<int> stop(count, 0);
+        stop[0] = 7; // stop lane 0 inside the oversized leaf
+        expectPacketMatchesSingle(bvh, spheres, rays, stop);
+    }
 }
 
 } // namespace

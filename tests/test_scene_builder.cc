@@ -167,6 +167,7 @@ TEST(JunoScene, LutValueRecoversL2)
     const double thr = fx.policy.maxThreshold(s);
     rt::Ray ray;
     ASSERT_TRUE(fx.scene.makeRay(s, qx, qy, thr, ray));
+    const float k = fx.scene.coordScale(s);
     int checked = 0;
     device.launch(fx.scene.scene(), {ray},
                   [&](const rt::Ray &, const rt::Hit &hit) {
@@ -177,7 +178,7 @@ TEST(JunoScene, LutValueRecoversL2)
                           return true;
                       const float *ec = fx.pq.entry(s, he);
                       const float dx = ec[0] - qx, dy = ec[1] - qy;
-                      EXPECT_NEAR(fx.scene.lutValueL2(s, hit.thit),
+                      EXPECT_NEAR(fx.scene.lutValueL2(k * k, hit.thit),
                                   dx * dx + dy * dy, 2e-3f);
                       ++checked;
                       return true;
@@ -207,8 +208,8 @@ TEST(JunoScene, LutValueRecoversIp)
                           return true;
                       const float *ec = fx.pq.entry(s, he);
                       const float ip = ec[0] * qx + ec[1] * qy;
-                      EXPECT_NEAR(fx.scene.lutValueIp(s, qn2, hit.thit), ip,
-                                  5e-3f);
+                      EXPECT_NEAR(fx.scene.lutValueIp(k * k, qn2, hit.thit),
+                                  ip, 5e-3f);
                       ++checked;
                       return true;
                   });

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/distance.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/selective_lut.h"
 #include "dataset/synthetic.h"
 
@@ -250,6 +252,96 @@ TEST(SelectiveLut, SparsitySavesWorkVsDenseLut)
         }
     EXPECT_LT(static_cast<double>(selected) / static_cast<double>(cells),
               0.8);
+}
+
+std::uint32_t
+bitsOf(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+/**
+ * The L2 LUT at nprobe = 11 traces each subspace's rays as one full
+ * 8-lane packet plus a partial one; it must equal the LUT rebuilt by
+ * tracing each of its rays alone, list by list, bit for bit, in the
+ * same order, with the same traversal counters, at every SIMD level.
+ */
+TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
+{
+    Fixture fx(Metric::kL2);
+    SelectiveLutParams params;
+    const simd::Level saved = simd::level();
+    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                              simd::Level::kAvx512}) {
+        if (!simd::setLevel(level))
+            continue;
+        for (idx_t qi = 0; qi < fx.ds.queries.rows(); ++qi) {
+            const float *q = fx.ds.queries.row(qi);
+            const auto probes = fx.ivf.probe(Metric::kL2, q, 11);
+            ASSERT_EQ(probes.size(), 11u);
+            fx.device.resetStats();
+            const auto lut = fx.builder->build(q, probes, params);
+            const rt::TraversalStats packed = fx.device.totalStats();
+
+            rt::TraversalStats single;
+            std::vector<float> residual(8);
+            for (std::size_t p = 0; p < probes.size(); ++p) {
+                fx.ivf.residual(q, static_cast<cluster_t>(probes[p].id),
+                                residual.data());
+                for (int s = 0; s < 4; ++s) {
+                    const float x = residual[static_cast<std::size_t>(2 * s)];
+                    const float y =
+                        residual[static_cast<std::size_t>(2 * s + 1)];
+                    const double thr_raw = fx.policy.threshold(s, x, y);
+                    const double thr = fx.policy.scaled(
+                        s, thr_raw, params.threshold_scale);
+                    const float tmax_inner = fx.scene.gateTmax(
+                        s, x, y,
+                        fx.policy.scaled(s, thr_raw,
+                                         params.threshold_scale * 0.5));
+                    const float k = fx.scene.coordScale(s);
+                    std::vector<LutHit> want;
+                    rt::Ray ray;
+                    if (fx.scene.makeRay(s, x, y, thr, ray))
+                        fx.scene.scene().trace(
+                            ray, single, [&](const rt::Hit &hit) {
+                                int hs;
+                                entry_t e;
+                                JunoScene::unpackId(hit.user_id, hs, e);
+                                if (hs != s)
+                                    return true;
+                                LutHit lh;
+                                lh.entry = e;
+                                lh.thit = hit.thit;
+                                lh.inner = hit.thit <= tmax_inner;
+                                lh.value =
+                                    fx.scene.lutValueL2(k * k, hit.thit);
+                                want.push_back(lh);
+                                return true;
+                            });
+                    const auto &got =
+                        lut.hits[p][static_cast<std::size_t>(s)];
+                    ASSERT_EQ(want.size(), got.size())
+                        << simd::levelName(level) << " query " << qi
+                        << " probe " << p << " subspace " << s;
+                    for (std::size_t i = 0; i < want.size(); ++i) {
+                        EXPECT_EQ(want[i].entry, got[i].entry);
+                        EXPECT_EQ(bitsOf(want[i].value), bitsOf(got[i].value));
+                        EXPECT_EQ(bitsOf(want[i].thit), bitsOf(got[i].thit));
+                        EXPECT_EQ(want[i].inner, got[i].inner);
+                    }
+                }
+            }
+            EXPECT_EQ(single.rays, packed.rays);
+            EXPECT_EQ(single.node_visits, packed.node_visits);
+            EXPECT_EQ(single.aabb_tests, packed.aabb_tests);
+            EXPECT_EQ(single.prim_tests, packed.prim_tests);
+            EXPECT_EQ(single.hits, packed.hits);
+        }
+    }
+    simd::setLevel(saved);
 }
 
 } // namespace

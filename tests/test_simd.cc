@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "baseline/flat_index.h"
@@ -16,6 +18,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "dataset/synthetic.h"
+#include "rtcore/geometry.h"
 
 namespace juno {
 namespace {
@@ -206,6 +209,183 @@ TEST(Simd, CompactCandidatesBitwiseIdenticalAcrossTables)
     ASSERT_EQ(ref.size(), got.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         EXPECT_EQ(ref[i], got[i]) << "candidate " << i;
+}
+
+/** Every table this host can run. */
+std::vector<const simd::Kernels *>
+runnableTables()
+{
+    std::vector<const simd::Kernels *> out;
+    for (simd::Level l : {simd::Level::kScalar, simd::Level::kAvx2,
+                          simd::Level::kAvx512})
+        if (simd::supported(l))
+            out.push_back(&simd::table(l));
+    return out;
+}
+
+std::uint32_t
+bitsOf(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+simd::RayLanes
+lanesOf(const rt::Ray (&rays)[simd::kRayLanes])
+{
+    simd::RayLanes l;
+    for (int i = 0; i < simd::kRayLanes; ++i) {
+        l.ox[i] = rays[i].origin.x;
+        l.oy[i] = rays[i].origin.y;
+        l.oz[i] = rays[i].origin.z;
+        l.dx[i] = rays[i].dir.x;
+        l.dy[i] = rays[i].dir.y;
+        l.dz[i] = rays[i].dir.z;
+        l.ix[i] = 1.0f / rays[i].dir.x;
+        l.iy[i] = 1.0f / rays[i].dir.y;
+        l.iz[i] = 1.0f / rays[i].dir.z;
+        l.tmin[i] = rays[i].tmin;
+        l.tmax[i] = rays[i].tmax;
+    }
+    return l;
+}
+
+/**
+ * Checks both ray-packet kernels of every table against the
+ * single-ray geometry (Aabb::hitBy, intersectSphere) lane by lane:
+ * same masks, same thit bits, inactive lanes never reported.
+ */
+void
+expectRayKernelsMatchGeometry(const rt::Ray (&rays)[simd::kRayLanes],
+                              const rt::Aabb &box, const rt::Sphere &sphere,
+                              std::uint32_t active)
+{
+    const simd::RayLanes lanes = lanesOf(rays);
+    std::uint32_t want_box = 0, want_sphere = 0;
+    float want_t[simd::kRayLanes] = {};
+    for (int i = 0; i < simd::kRayLanes; ++i) {
+        if ((active >> i & 1u) == 0)
+            continue;
+        const rt::Vec3 inv{lanes.ix[i], lanes.iy[i], lanes.iz[i]};
+        if (box.hitBy(rays[i], inv))
+            want_box |= 1u << i;
+        if (rt::intersectSphere(rays[i], sphere, want_t[i]))
+            want_sphere |= 1u << i;
+    }
+    for (const simd::Kernels *k : runnableTables()) {
+        EXPECT_EQ(want_box,
+                  k->ray_box_lanes(lanes, active, box.lo.x, box.lo.y,
+                                   box.lo.z, box.hi.x, box.hi.y, box.hi.z))
+            << k->name;
+        float got_t[simd::kRayLanes];
+        EXPECT_EQ(want_sphere,
+                  k->ray_sphere_lanes(lanes, active, sphere.center.x,
+                                      sphere.center.y, sphere.center.z,
+                                      sphere.radius, got_t))
+            << k->name;
+        for (int i = 0; i < simd::kRayLanes; ++i) {
+            if ((want_sphere >> i & 1u) == 0)
+                continue;
+            EXPECT_EQ(bitsOf(want_t[i]), bitsOf(got_t[i]))
+                << k->name << " lane " << i;
+        }
+    }
+}
+
+TEST(Simd, RayKernelsAdversarialLanes)
+{
+    rt::Sphere sphere;
+    sphere.center = {0.0f, 0.0f, 1.0f};
+    sphere.radius = 0.5f;
+    const rt::Aabb box = rt::Aabb::of(sphere);
+    const float inf = std::numeric_limits<float>::infinity();
+
+    rt::Ray rays[simd::kRayLanes];
+    // Lane 0: plain entry-root hit at t = 0.5.
+    rays[0].origin = {0.1f, 0.0f, 0.0f};
+    rays[0].tmax = 10.0f;
+    // Lane 1: beside the sphere: disc < 0 (and outside the box).
+    rays[1].origin = {2.0f, 0.0f, 0.0f};
+    // Lane 2: infinite origin: half_b = inf * 0 = NaN, so disc is NaN
+    // and the ordered compares let it through with a NaN thit; the box
+    // sees NaN slabs.
+    rays[2].origin = {inf, 0.0f, 0.0f};
+    // Lane 3: entry root before tmin: falls back to the exit root.
+    rays[3].origin = {0.0f, 0.2f, 0.0f};
+    rays[3].tmin = 0.8f;
+    rays[3].tmax = 10.0f;
+    // Lane 4: entry root beyond tmax.
+    rays[4].origin = {0.0f, 0.0f, 0.0f};
+    rays[4].tmax = 0.3f;
+    // Lane 5: both roots before tmin.
+    rays[5].origin = {0.0f, 0.0f, 0.0f};
+    rays[5].tmin = 2.0f;
+    // Lane 6: oblique, non-unit direction with a negative component.
+    rays[6].origin = {-0.1f, 0.2f, -1.0f};
+    rays[6].dir = {0.05f, -0.1f, 2.0f};
+    // Lane 7: origin on the box's x slab with dir.x = 0 (0 * inf), and
+    // an empty interval.
+    rays[7].origin = {box.lo.x, 0.0f, 0.0f};
+    rays[7].tmin = 1.0f;
+    rays[7].tmax = 0.5f;
+
+    for (std::uint32_t active : {0xFFu, 0x55u, 0xAAu, 0x01u, 0x00u})
+        expectRayKernelsMatchGeometry(rays, box, sphere, active);
+
+    // Slab-plane origins with zero direction components: the NaN slab
+    // (0 * inf) must be suppressed, not turned into a miss.
+    rt::Ray slab[simd::kRayLanes];
+    for (int i = 0; i < simd::kRayLanes; ++i) {
+        slab[i].origin = {i % 2 == 0 ? box.lo.x : box.hi.x,
+                          i < 4 ? 0.0f : box.lo.y, 0.0f};
+        slab[i].tmax = 10.0f;
+    }
+    slab[6].dir = {0.0f, 1.0f, 0.0f};
+    slab[6].origin = {0.0f, -1.0f, box.hi.z};
+    slab[7].tmin = 3.0f; // box behind the interval
+    for (std::uint32_t active : {0xFFu, 0x0Fu})
+        expectRayKernelsMatchGeometry(slab, box, sphere, active);
+    const std::uint32_t in_box =
+        simd::table(simd::Level::kScalar)
+            .ray_box_lanes(lanesOf(slab), 0xFFu, box.lo.x, box.lo.y,
+                           box.lo.z, box.hi.x, box.hi.y, box.hi.z);
+    EXPECT_EQ(in_box, 0x7Fu);
+
+    // The adversarial outcomes are what the comments claim.
+    const simd::Kernels &scalar = simd::table(simd::Level::kScalar);
+    float t[simd::kRayLanes];
+    const std::uint32_t hit = scalar.ray_sphere_lanes(
+        lanesOf(rays), 0xFFu, 0.0f, 0.0f, 1.0f, 0.5f, t);
+    EXPECT_EQ(hit, 0x4Du); // lanes 0, 2, 3, 6
+    EXPECT_TRUE(std::isnan(t[2]));
+    EXPECT_GT(t[3], 1.0f); // exit root
+}
+
+TEST(Simd, RayKernelsRandomLanesMatchGeometry)
+{
+    Rng rng(16);
+    for (int trial = 0; trial < 300; ++trial) {
+        rt::Sphere sphere;
+        sphere.center = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f),
+                         rng.uniform(0.0f, 3.0f)};
+        sphere.radius = rng.uniform(0.05f, 1.0f);
+        const rt::Aabb box = rt::Aabb::of(sphere);
+        rt::Ray rays[simd::kRayLanes];
+        for (auto &ray : rays) {
+            ray.origin = {rng.uniform(-1.5f, 1.5f), rng.uniform(-1.5f, 1.5f),
+                          rng.uniform(-1.0f, 1.0f)};
+            ray.dir = {rng.uniform(-0.5f, 0.5f), rng.uniform(-0.5f, 0.5f),
+                       rng.uniform(-1.0f, 1.0f)};
+            if (rng.uniform() < 0.3) // JUNO's shape: +z, zero x/y
+                ray.dir = {0.0f, 0.0f, 1.0f};
+            ray.tmin = rng.uniform(-1.0f, 1.0f);
+            ray.tmax = rng.uniform(-0.5f, 4.0f);
+        }
+        expectRayKernelsMatchGeometry(
+            rays, box, sphere,
+            static_cast<std::uint32_t>(rng.below(256)));
+    }
 }
 
 TEST(Simd, LevelKnobsRoundTrip)
