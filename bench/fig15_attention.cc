@@ -146,7 +146,8 @@ main()
             }
 
             // ANN-retrieved top-k keys; softmax restricted to them.
-            const auto kept = index.searchOne(q, k);
+            const auto kept =
+                index.search(SearchRequest(FloatMatrixView(q, 1, d), k))[0];
             double kept_mass = 0.0, zk = 0.0;
             std::vector<double> approx_out(static_cast<std::size_t>(d),
                                            0.0);

@@ -77,7 +77,8 @@ main()
         }
 
         // ANN-retrieved sparse attention.
-        const auto top = index.searchOne(q.data(), kept);
+        const auto top = index.search(SearchRequest(
+            FloatMatrixView(q.data(), 1, head_dim), kept))[0];
         double mass = 0.0;
         for (const auto &nb : top)
             mass += w[static_cast<std::size_t>(nb.id)] / z;

@@ -33,21 +33,15 @@ DistanceCalculator::DistanceCalculator(const InvertedFileIndex &ivf,
     hit_count_.assign(scratch, 0);
     if (interleaved_ != nullptr && !interleaved_->built())
         interleaved_ = nullptr;
-    if (interleaved_ != nullptr) {
+    if (interleaved_ != nullptr)
         flag_acc_.assign(scratch, 0.0f);
-        const std::size_t lut_sz =
-            static_cast<std::size_t>(interest.numSubspaces()) *
-            static_cast<std::size_t>(interest.entries());
-        delta_lut_.assign(lut_sz, 0.0f);
-        flag_lut_.assign(lut_sz, 0.0f);
-    }
 }
 
 void
-DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
+DistanceCalculator::accumulateCluster(SearchMode mode,
                                       const std::vector<Neighbor> &probes,
                                       std::size_t probe_ordinal,
-                                      const SparseLut &lut,
+                                      const SelectiveLut &lut,
                                       std::vector<Neighbor> &out)
 {
     const cluster_t c =
@@ -56,78 +50,54 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
     if (list.empty())
         return;
     const int subspaces = interest_.numSubspaces();
-    const auto &hits = lut.forProbe(probe_ordinal);
+    const int entries = interest_.entries();
     const std::size_t n = list.size();
+    const std::size_t stride = lut.rowStride();
+    // The probe's subspace-0 rows; subspace s is s * stride further.
+    const std::size_t column = lut.cell(probe_ordinal, 0, 0);
+    const float *delta = lut.delta.data() + column;
+    const float *selected = lut.selected.data() + column;
+    const float *inner =
+        lut.inner.empty() ? nullptr : lut.inner.data() + column;
 
     const bool exact = mode == SearchMode::kExactDistance;
-    const auto deltaOf = [&](const LutHit &lh, float miss) {
-        if (exact) {
-            // Store value - miss so the final score is simply
-            // acc + sum_of_misses, regardless of which subspaces
-            // hit (misses vary per subspace).
-            return lh.value - miss;
-        }
-        if (mode == SearchMode::kHitCount)
-            return 1.0f;
-        // Reward/penalty: +1 inner, 0 outer-only, -1 miss,
-        // encoded as acc += (inner ? 2 : 1), final -= S.
-        return lh.inner ? 2.0f : 1.0f;
-    };
+    // Reward/penalty: +1 inner, 0 outer-only, -1 miss, encoded as
+    // acc += (inner ? 2 : 1), final -= S.
+    const bool reward = mode == SearchMode::kRewardPenalty && inner;
 
     // Dense regime detection: when most entries were selected, the
     // sparse interest-index walk degenerates into scattered writes
-    // over nearly every (point, subspace) pair; expanding the hits
-    // into a dense delta LUT and streaming the cluster's interleaved
-    // codes does the same adds sequentially and SIMD-wide.
-    std::size_t selected = 0;
-    for (int s = 0; s < subspaces; ++s)
-        selected += hits[static_cast<std::size_t>(s)].size();
-    const int entries = interest_.entries();
+    // over nearly every (point, subspace) pair; streaming the
+    // cluster's interleaved codes against the LUT rows does the same
+    // adds sequentially and SIMD-wide.
     const bool dense =
         interleaved_ != nullptr &&
-        static_cast<double>(selected) >=
+        static_cast<double>(lut.selected_count[lut.blockOf(probe_ordinal)]) >=
             dense_threshold_ * static_cast<double>(subspaces) *
                 static_cast<double>(entries);
 
     if (dense) {
-        // Expand the sparse hits into delta/flag LUTs, then stream the
-        // list-resident interleaved codes once per LUT. Per point this
-        // performs one add per subspace in subspace order — bitwise
-        // identical to the sparse walk (unselected entries contribute
-        // an exact 0.0f, which cannot change any partial sum).
-        // In hit-count mode every delta is 1.0f, so the delta scan IS
-        // the flag scan; skip the second pass.
-        const bool counts_equal_acc = mode == SearchMode::kHitCount;
-        const auto stride = static_cast<std::size_t>(entries);
-        std::fill_n(delta_lut_.begin(),
-                    static_cast<std::size_t>(subspaces) * stride, 0.0f);
-        if (!counts_equal_acc)
-            std::fill_n(flag_lut_.begin(),
-                        static_cast<std::size_t>(subspaces) * stride,
-                        0.0f);
-        for (int s = 0; s < subspaces; ++s) {
-            const float miss = lut.missFor(probe_ordinal, s);
-            for (const LutHit &lh : hits[static_cast<std::size_t>(s)]) {
-                const std::size_t cell =
-                    static_cast<std::size_t>(s) * stride + lh.entry;
-                delta_lut_[cell] = deltaOf(lh, miss);
-                if (!counts_equal_acc)
-                    flag_lut_[cell] = 1.0f;
-            }
-        }
+        // Per point this performs one add per subspace in subspace
+        // order — bitwise identical to the sparse walk (unselected
+        // cells contribute an exact 0.0f, which cannot change any
+        // partial sum). JUNO-H streams the delta rows, JUNO-L the
+        // selected rows, JUNO-M inner + selected (exact small
+        // integers, equal to the walk's sum of inner ? 2 : 1).
         const entry_t *blocks = interleaved_->listBlocks(c);
-        simd::adcScanInterleaved(delta_lut_.data(),
-                                 static_cast<idx_t>(entries), subspaces,
-                                 blocks, n, 0.0f, acc_.data());
-        if (!counts_equal_acc)
-            simd::adcScanInterleaved(flag_lut_.data(),
-                                     static_cast<idx_t>(entries),
-                                     subspaces, blocks, n, 0.0f,
-                                     flag_acc_.data());
-        const float *counts =
-            counts_equal_acc ? acc_.data() : flag_acc_.data();
-        for (std::size_t i = 0; i < n; ++i)
-            hit_count_[i] = static_cast<std::int32_t>(counts[i]);
+        const auto scan = [&](const float *rows, float *dst) {
+            simd::adcScanInterleaved(rows, static_cast<idx_t>(stride),
+                                     subspaces, blocks, n, 0.0f, dst);
+        };
+        scan(selected, flag_acc_.data());
+        if (exact)
+            scan(delta, acc_.data());
+        else if (reward)
+            scan(inner, acc_.data());
+        for (std::size_t i = 0; i < n; ++i) {
+            hit_count_[i] = static_cast<std::int32_t>(flag_acc_[i]);
+            if (!exact)
+                acc_[i] = reward ? acc_[i] + flag_acc_[i] : flag_acc_[i];
+        }
     } else {
         // Reset the per-ordinal scratch for this cluster; the dense
         // clear keeps the inner accumulation loop down to two
@@ -139,17 +109,24 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
         // Walk the selected entries subspace by subspace and
         // accumulate into the scratch (paper: "access the inverted
         // index to retrieve the search points whose entry is
-        // matched").
+        // matched"). Each point holds one entry per subspace, so the
+        // entry order within a subspace cannot change any sum.
         for (int s = 0; s < subspaces; ++s) {
-            const float miss = lut.missFor(probe_ordinal, s);
-            for (const LutHit &lh : hits[static_cast<std::size_t>(s)]) {
-                const auto range = interest_.lookup(c, s, lh.entry);
-                const float delta = deltaOf(lh, miss);
+            const std::size_t row = static_cast<std::size_t>(s) * stride;
+            for (int e = 0; e < entries; ++e) {
+                const std::size_t cell = row + static_cast<std::size_t>(e);
+                if (selected[cell] == 0.0f)
+                    continue;
+                const float d = exact    ? delta[cell]
+                                : reward ? 1.0f + inner[cell]
+                                         : 1.0f;
+                const auto range =
+                    interest_.lookup(c, s, static_cast<entry_t>(e));
                 for (const std::uint32_t *it = range.begin;
                      it != range.end; ++it) {
                     const std::uint32_t ord = *it;
                     ++hit_count_[ord];
-                    acc_[ord] += delta;
+                    acc_[ord] += d;
                 }
             }
         }
@@ -158,31 +135,27 @@ DistanceCalculator::accumulateCluster(Metric metric, SearchMode mode,
     // Finalise. Points never touched keep the paper's "large constant"
     // semantics by simply not becoming candidates.
     float offset = 0.0f;
-    if (exact) {
-        offset = lut.base[probe_ordinal];
-        for (int s = 0; s < subspaces; ++s)
-            offset += lut.missFor(probe_ordinal, s);
-    } else if (mode == SearchMode::kRewardPenalty) {
+    if (exact)
+        offset = lut.offset[probe_ordinal];
+    else if (mode == SearchMode::kRewardPenalty)
         offset = -static_cast<float>(subspaces);
-    }
 
     // Candidate compaction through the dispatch table: the AVX2 path
     // skips untouched ordinals eight at a time, which dominates under
     // the selective LUT's sparse hit pattern.
     simd::compactCandidates(acc_.data(), hit_count_.data(), list.data(), n,
                             offset, out);
-    (void)metric;
 }
 
 std::vector<Neighbor>
 DistanceCalculator::run(Metric metric, SearchMode mode,
                         const std::vector<Neighbor> &probes,
-                        const SparseLut &lut, idx_t k)
+                        const SelectiveLut &lut, idx_t k)
 {
     JUNO_REQUIRE(k > 0, "k must be positive");
     std::vector<Neighbor> candidates;
     for (std::size_t p = 0; p < probes.size(); ++p)
-        accumulateCluster(metric, mode, probes, p, lut, candidates);
+        accumulateCluster(mode, probes, p, lut, candidates);
 
     // Hit counts are higher-is-better under either metric.
     const Metric order = mode == SearchMode::kExactDistance
@@ -195,14 +168,14 @@ DistanceCalculator::run(Metric metric, SearchMode mode,
 }
 
 std::vector<Neighbor>
-DistanceCalculator::scoreCluster(Metric metric, SearchMode mode,
+DistanceCalculator::scoreCluster(Metric /*metric*/, SearchMode mode,
                                  const std::vector<Neighbor> &probes,
                                  std::size_t probe_ordinal,
-                                 const SparseLut &lut)
+                                 const SelectiveLut &lut)
 {
     JUNO_REQUIRE(probe_ordinal < probes.size(), "probe ordinal range");
     std::vector<Neighbor> out;
-    accumulateCluster(metric, mode, probes, probe_ordinal, lut, out);
+    accumulateCluster(mode, probes, probe_ordinal, lut, out);
     return out;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Distance-calculation stage over the sparse LUT (paper Sec. 5.3-5.4).
+ * Distance-calculation stage over the selective LUT (paper Sec. 5.3-5.4).
  *
  * Given the entries the RT pass selected, the calculator walks the
  * subspace-level inverted index and accumulates scores only for the
@@ -37,19 +37,19 @@ enum class SearchMode {
 /** Short preset name ("JUNO-H" etc.) for reports. */
 const char *searchModeName(SearchMode mode);
 
-/** Accumulates sparse-LUT scores into a top-k per query. */
+/** Accumulates selective-LUT scores into a top-k per query. */
 class DistanceCalculator {
   public:
     /**
      * @p ivf and @p interest must outlive the calculator. When an
      * @p interleaved layout is supplied (and built), clusters whose
      * selected-entry fraction exceeds the dense threshold are scored
-     * by streaming the list-resident interleaved codes against a
-     * dense delta LUT expanded from the sparse hits, instead of
-     * walking the interest-index ranges point by scattered point.
-     * Both paths produce bitwise-identical accumulators (one add per
-     * selected subspace, in subspace order; untouched subspaces add
-     * an exact 0.0f in the dense path).
+     * by streaming the list-resident interleaved codes against the
+     * LUT's rows, instead of walking the interest-index ranges of the
+     * selected entries point by scattered point. Both paths produce
+     * bitwise-identical accumulators (one add per selected subspace,
+     * in subspace order; unselected cells add an exact 0.0f in the
+     * dense path).
      */
     DistanceCalculator(const InvertedFileIndex &ivf,
                        const InterestIndex &interest,
@@ -76,7 +76,7 @@ class DistanceCalculator {
      */
     std::vector<Neighbor> run(Metric metric, SearchMode mode,
                               const std::vector<Neighbor> &probes,
-                              const SparseLut &lut, idx_t k);
+                              const SelectiveLut &lut, idx_t k);
 
     /**
      * Per-point scores of one cluster (for the Fig. 11(b) correlation
@@ -86,13 +86,13 @@ class DistanceCalculator {
     std::vector<Neighbor> scoreCluster(Metric metric, SearchMode mode,
                                        const std::vector<Neighbor> &probes,
                                        std::size_t probe_ordinal,
-                                       const SparseLut &lut);
+                                       const SelectiveLut &lut);
 
   private:
     /** Accumulates one cluster into scratch; appends to @p out. */
-    void accumulateCluster(Metric metric, SearchMode mode,
+    void accumulateCluster(SearchMode mode,
                            const std::vector<Neighbor> &probes,
-                           std::size_t probe_ordinal, const SparseLut &lut,
+                           std::size_t probe_ordinal, const SelectiveLut &lut,
                            std::vector<Neighbor> &out);
 
     const InvertedFileIndex &ivf_;
@@ -103,11 +103,7 @@ class DistanceCalculator {
     // Scratch sized to the largest cluster; densely reset per cluster.
     std::vector<float> acc_;
     std::vector<std::int32_t> hit_count_;
-    // Dense-path scratch: delta/flag LUTs (subspaces x entries) and a
-    // float hit-count buffer (the interleaved kernel accumulates
-    // floats; counts of 0/1 flags are exact).
-    std::vector<float> delta_lut_;
-    std::vector<float> flag_lut_;
+    // Dense-path hit counts (float sums of 0/1 flags are exact).
     std::vector<float> flag_acc_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/juno_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 
@@ -479,36 +480,18 @@ JunoIndex::prefetchProbedLists(const std::vector<Neighbor> &probes) const
     }
 }
 
-SparseLut
+SelectiveLut
 JunoIndex::buildLut(const float *query,
                     const std::vector<Neighbor> &probes) const
 {
     return lut_builder_->build(query, probes, lutParams());
 }
 
-std::vector<Neighbor>
-JunoIndex::searchOne(const float *query, idx_t k)
-{
-    std::vector<Neighbor> probes;
-    {
-        ScopedStageTimer t(timers_, Stage::kFilter);
-        probes = probe(query);
-        prefetchProbedLists(probes);
-    }
-    {
-        ScopedStageTimer t(timers_, Stage::kRtLut);
-        lut_builder_->buildInto(query, probes, lutParams(), lut_scratch_);
-    }
-    ScopedStageTimer t(timers_, Stage::kScan);
-    return calc_->run(metric_, params_.mode, probes, lut_scratch_,
-                      std::min(k, num_points_));
-}
-
 /**
  * Per-worker search state: a private RT device (so traversal counters
  * accumulate without contention), the RT-LUT builder and distance
- * calculator bound to it, and the reusable sparse-LUT buffers. Lives
- * in a SearchContext, so it persists across chunks and batches.
+ * calculator bound to it, and the reusable LUT buffers. Lives in a
+ * SearchContext, so it persists across chunks and batches.
  */
 struct JunoIndex::Worker {
     explicit Worker(JunoIndex &owner)
@@ -518,14 +501,20 @@ struct JunoIndex::Worker {
     {
     }
 
+    /** One query's stage-B output. */
+    struct Slot {
+        std::vector<Neighbor> probes;
+        SelectiveLut lut;
+    };
+
     rt::RtDevice device;
     SelectiveLutBuilder builder;
     DistanceCalculator calc;
-    /** Reused per-query sparse LUT. */
-    SparseLut lut;
-    /** Pipelined mode: per-query intermediates of the current chunk. */
-    std::vector<std::vector<Neighbor>> probes_buf;
-    std::vector<SparseLut> lut_buf;
+    /**
+     * Pipelined, query i uses slot i % size(): at most kPipelineDepth
+     * + 2 queries are live. The unpipelined path uses slot 0.
+     */
+    std::array<Slot, kPipelineDepth + 2> ring;
 };
 
 void
@@ -535,63 +524,59 @@ JunoIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
         [this] { return std::make_unique<Worker>(*this); });
     // Search-time knobs may have flipped since the worker was created.
     w.device.setMode(device_.mode());
+    w.calc.setDenseThreshold(calc_->denseThreshold());
     const idx_t k = std::min(chunk.k, num_points_);
 
+    // Stage A for query qi. JUNO scores all probed lists in one
+    // calculator run, so the cooperative deadline cuts in before the
+    // run: a query starting past its deadline keeps only the best
+    // cluster — still valid neighbours, just partial. Cold lists start
+    // paging in while the RT-LUT stage runs (out-of-core overlap).
+    const auto filter = [&](idx_t qi, std::vector<Neighbor> &probes) {
+        probes = probe(chunk.queries.row(qi),
+                       ctx.scaledNprobes(params_.nprobs));
+        if (probes.size() > 1 && ctx.pastDeadline()) {
+            probes.resize(1);
+            ctx.markDegraded(qi);
+        }
+        prefetchProbedLists(probes);
+    };
+
     if (!params_.pipelined) {
+        Worker::Slot &sl = w.ring[0];
         for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {
-            const float *q = chunk.queries.row(qi);
             {
                 StageScope t(ctx, Stage::kFilter);
-                ctx.probes = probe(q, ctx.scaledNprobes(params_.nprobs));
-                // JUNO scores all probed lists in one calculator run,
-                // so the cooperative deadline cuts in before the run:
-                // a query starting past its deadline keeps only the
-                // best cluster — still valid neighbours, just partial.
-                if (ctx.probes.size() > 1 && ctx.pastDeadline()) {
-                    ctx.probes.resize(1);
-                    ctx.markDegraded(qi);
-                }
-                // Cold lists start paging in while the RT-LUT stage
-                // below runs (out-of-core overlap).
-                prefetchProbedLists(ctx.probes);
+                filter(qi, sl.probes);
             }
             {
                 StageScope t(ctx, Stage::kRtLut);
-                w.builder.buildInto(q, ctx.probes, lutParams(), w.lut);
+                w.builder.buildInto(chunk.queries.row(qi), sl.probes,
+                                    lutParams(), sl.lut);
             }
             StageScope t(ctx, Stage::kScan);
             (*chunk.results)[static_cast<std::size_t>(qi)] =
-                w.calc.run(metric_, params_.mode, ctx.probes, w.lut, k);
+                w.calc.run(metric_, params_.mode, sl.probes, sl.lut, k);
         }
     } else {
         // Pipelined mode: stage 1 = filter + RT LUT (the paper's
         // RT-core side), stage 2 = distance calculation (the
         // Tensor-core side), overlapped across the queries of this
-        // chunk. Stages touch disjoint worker members.
-        const auto n = static_cast<std::size_t>(chunk.end - chunk.begin);
-        if (w.probes_buf.size() < n) {
-            w.probes_buf.resize(n);
-            w.lut_buf.resize(n);
-        }
+        // chunk. Stages touch disjoint ring slots, and only stage 1
+        // marks queries degraded.
+        const auto slot = [&w](idx_t i) -> Worker::Slot & {
+            return w.ring[static_cast<std::size_t>(i) % w.ring.size()];
+        };
         auto stage1 = [&](idx_t i) {
-            const float *q = chunk.queries.row(chunk.begin + i);
-            auto &probes = w.probes_buf[static_cast<std::size_t>(i)];
-            probes = probe(q, ctx.scaledNprobes(params_.nprobs));
-            // Same deadline cut as the unpipelined path; each degraded
-            // slot has this stage as its only writer.
-            if (probes.size() > 1 && ctx.pastDeadline()) {
-                probes.resize(1);
-                ctx.markDegraded(chunk.begin + i);
-            }
-            prefetchProbedLists(probes); // page-ins overlap stage 2
-            w.builder.buildInto(q, probes, lutParams(),
-                                w.lut_buf[static_cast<std::size_t>(i)]);
+            Worker::Slot &sl = slot(i);
+            filter(chunk.begin + i, sl.probes);
+            w.builder.buildInto(chunk.queries.row(chunk.begin + i),
+                                sl.probes, lutParams(), sl.lut);
         };
         auto stage2 = [&](idx_t i) {
+            const Worker::Slot &sl = slot(i);
             (*chunk.results)[static_cast<std::size_t>(chunk.begin + i)] =
-                w.calc.run(metric_, params_.mode,
-                           w.probes_buf[static_cast<std::size_t>(i)],
-                           w.lut_buf[static_cast<std::size_t>(i)], k);
+                w.calc.run(metric_, params_.mode, sl.probes, sl.lut, k);
         };
         const auto pipe = runTwoStagePipeline(
             chunk.end - chunk.begin, stage1, stage2, true);

@@ -98,12 +98,6 @@ class JunoIndex : public AnnIndex {
     idx_t size() const override { return num_points_; }
     idx_t dim() const override { return dim_; }
 
-    /**
-     * Single-query search (no pipelining). Uses the index-owned solo
-     * scratch; call from one thread at a time.
-     */
-    std::vector<Neighbor> searchOne(const float *query, idx_t k);
-
     // ---- Search-time knobs (no rebuild required) ----
     void setNprobs(idx_t nprobs);
     void setSearchMode(SearchMode mode) { params_.mode = mode; }
@@ -134,16 +128,16 @@ class JunoIndex : public AnnIndex {
     std::vector<Neighbor> probe(const float *query, idx_t nprobs) const;
 
     /** RT pass (stage B) for one query against given probes. */
-    SparseLut buildLut(const float *query,
-                       const std::vector<Neighbor> &probes) const;
+    SelectiveLut buildLut(const float *query,
+                          const std::vector<Neighbor> &probes) const;
 
-    /** Scoring stage (stage C); exposed for the analysis benches. */
+    /** Scoring stage (stage C); its dense threshold rules search(). */
     DistanceCalculator &calculator() { return *calc_; }
 
   protected:
     /**
      * Batched path: one Worker (RT device + LUT builder + calculator
-     * + sparse-LUT buffers) lives in each SearchContext, so the RT
+     * + LUT buffers) lives in each SearchContext, so the RT
      * pass and scoring run concurrently across chunks; traversal
      * counters merge into the canonical device under a mutex.
      */
@@ -195,14 +189,12 @@ class JunoIndex : public AnnIndex {
     mutable rt::RtDevice device_;
     std::unique_ptr<SelectiveLutBuilder> lut_builder_;
     std::unique_ptr<DistanceCalculator> calc_;
-    /** Reused per-query sparse LUT (hot-path allocation avoidance). */
-    SparseLut lut_scratch_;
     /**
      * Guards device_ stat merges from parallel search workers.
-     * device_ itself stays unannotated: the single-query legacy paths
-     * (probe()/buildLut()) drive it lock-free by documented contract
-     * (one caller), a conditional discipline the static analysis
-     * cannot express without false positives.
+     * device_ itself stays unannotated: the analysis-bench entry
+     * buildLut() drives it lock-free by documented contract (one
+     * caller), a conditional discipline the static analysis cannot
+     * express without false positives.
      */
     Mutex stats_mutex_;
 };

@@ -29,16 +29,15 @@ runTwoStagePipeline(idx_t n, const std::function<void(idx_t)> &stage1,
         return result;
     }
 
-    // Bounded hand-off queue of ready items (depth 2 keeps at most one
-    // batch in flight per stage, like the MPS co-run). Local state, so
-    // the capability analysis cannot attach guarded_by annotations;
-    // the explicit wait loops still keep every access inside a lock
-    // scope TSan can vouch for.
+    // Bounded hand-off queue of ready items (kPipelineDepth keeps at
+    // most one batch in flight per stage, like the MPS co-run). Local
+    // state, so the capability analysis cannot attach guarded_by
+    // annotations; the explicit wait loops still keep every access
+    // inside a lock scope TSan can vouch for.
     Mutex mutex;
     std::condition_variable cv;
     std::deque<idx_t> ready;
     bool done = false;
-    constexpr std::size_t kDepth = 2;
 
     double stage2_busy = 0.0;
     std::thread consumer([&] {
@@ -66,7 +65,7 @@ runTwoStagePipeline(idx_t n, const std::function<void(idx_t)> &stage1,
         result.stage1_seconds += t1.seconds();
         {
             CvLock lock(mutex);
-            while (ready.size() >= kDepth)
+            while (ready.size() >= kPipelineDepth)
                 cv.wait(lock.native());
             ready.push_back(i);
         }

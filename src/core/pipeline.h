@@ -41,13 +41,20 @@ struct PipelineResult {
 };
 
 /**
+ * Bound of the pipelined hand-off queue; with one item in each stage,
+ * at most kPipelineDepth + 2 items are live at once.
+ */
+constexpr std::size_t kPipelineDepth = 2;
+
+/**
  * Runs items [0, n) through stage1 then stage2.
  *
  * Pipelined mode executes stage1 on the caller thread and stage2 on a
- * worker, connected by a bounded queue (depth 2), so stage2(i) overlaps
- * stage1(i+1). Sequential mode interleaves them on one thread. Both
- * stages must be safe to run concurrently with each other (stage1(i)
- * never runs concurrently with stage1(j), likewise stage2).
+ * worker, connected by a queue bounded at kPipelineDepth, so
+ * stage2(i) overlaps stage1(i+1). Sequential mode interleaves them on
+ * one thread. Both stages must be safe to run concurrently with each
+ * other (stage1(i) never runs concurrently with stage1(j), likewise
+ * stage2).
  */
 PipelineResult runTwoStagePipeline(idx_t n,
                                    const std::function<void(idx_t)> &stage1,

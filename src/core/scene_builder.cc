@@ -27,6 +27,7 @@ JunoScene::build(Metric metric, const ProductQuantizer &pq,
 
     metric_ = metric;
     num_subspaces_ = pq.numSubspaces();
+    entries_ = pq.entries();
     radius_ = params.gate_radius;
     max_gate_fraction_ = params.max_gate_fraction;
     coord_scale_.assign(static_cast<std::size_t>(num_subspaces_), 1.0f);

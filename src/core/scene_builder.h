@@ -68,6 +68,8 @@ class JunoScene {
     bool built() const { return scene_.built(); }
     Metric metric() const { return metric_; }
     int numSubspaces() const { return num_subspaces_; }
+    /** Entry spheres per subspace (the codebook size E). */
+    int entries() const { return entries_; }
     float radius() const { return radius_; }
     const rt::Scene &scene() const { return scene_; }
 
@@ -139,6 +141,7 @@ class JunoScene {
   private:
     Metric metric_ = Metric::kL2;
     int num_subspaces_ = 0;
+    int entries_ = 0;
     float radius_ = 1.0f;
     float max_gate_fraction_ = 0.95f;
     std::vector<float> coord_scale_;

@@ -5,9 +5,10 @@
  *
  * For each probed cluster and each 2-D subspace, a ray is cast from
  * the query's (residual) projection towards the entry spheres of that
- * subspace; tmax encodes the dynamic threshold, and the any-hit shader
- * converts thit to the exact entry/projection score without touching
- * the sphere coordinates. The result is a *sparse* LUT: only entries
+ * subspace; tmax encodes the dynamic threshold, the any-hit shader
+ * records thit in the entry's LUT cell, and a finishing pass converts
+ * thit to the exact entry/projection score without touching the
+ * sphere coordinates. The result is a *selective* LUT: only entries
  * inside the region of interest carry values.
  */
 #ifndef JUNO_CORE_SELECTIVE_LUT_H
@@ -23,42 +24,60 @@
 
 namespace juno {
 
-/** One selected entry with its recovered score and hit metadata. */
-struct LutHit {
-    entry_t entry = 0;
-    /** L2^2 or IP score in original units, recovered from thit. */
-    float value = 0.0f;
-    /** Raw hit time (kept for analysis benches). */
-    float thit = 0.0f;
-    /** True when the hit also passes the inner (half) gate (JUNO-M). */
-    bool inner = false;
-};
-
-/** Sparse per-query LUT produced by the RT pass. */
-struct SparseLut {
+/**
+ * Per-query selective LUT produced by the RT pass: one dense block the
+ * any-hit shader writes in place and the distance stage streams.
+ *
+ * Cell (p, s, e) sits at (s * blocks + blockOf(p)) * entries + e:
+ * the rows are subspace-major [s][p][e], so the rows of one subspace's
+ * probe packet are adjacent and probe p's rows repeat at stride
+ * rowStride(). Unselected cells hold an exact 0 in every row. In
+ * inner-product mode the LUT does not depend on the probed cluster:
+ * one block is stored and every probe reads it.
+ */
+struct SelectiveLut {
+    std::size_t entries = 0; ///< cells per row (the codebook size E)
+    /** Probe blocks stored: nprobe for L2, 1 for IP. */
+    std::size_t blocks = 0;
+    bool shared_across_probes = false;
+    /** value - miss on selected cells (JUNO-H rows). */
+    std::vector<float> delta;
+    /** 1 on selected cells (JUNO-L rows; hit counts of every mode). */
+    std::vector<float> selected;
     /**
-     * hits[p][s]: selected entries of subspace s for probe ordinal p.
-     * When shared_across_probes (inner-product mode: the LUT does not
-     * depend on the probed cluster), only hits[0] is populated.
+     * 1 where the hit also passes the inner (half) gate (JUNO-M rows);
+     * empty when built without SelectiveLutParams::inner_gate.
      */
-    std::vector<std::vector<std::vector<LutHit>>> hits;
-    /** miss_value[p][s]: score assigned to a subspace with no hit. */
-    std::vector<std::vector<float>> miss_value;
+    std::vector<float> inner;
+    /** miss[s * blocks + b]: score charged to a subspace with no hit. */
+    std::vector<float> miss;
+    /** selected_count[b]: selected cells of block b. */
+    std::vector<std::size_t> selected_count;
     /** base[p]: cluster-level score offset (IP centroid term). */
     std::vector<float> base;
-    bool shared_across_probes = false;
+    /** offset[p]: base[p] plus missFor(p, s) summed in subspace order. */
+    std::vector<float> offset;
 
-    const std::vector<std::vector<LutHit>> &
-    forProbe(std::size_t p) const
+    std::size_t
+    blockOf(std::size_t p) const
     {
-        return hits[shared_across_probes ? 0 : p];
+        return shared_across_probes ? 0 : p;
+    }
+
+    /** Distance between consecutive subspace rows of one probe. */
+    std::size_t rowStride() const { return blocks * entries; }
+
+    std::size_t
+    cell(std::size_t p, int s, entry_t e) const
+    {
+        return (static_cast<std::size_t>(s) * blocks + blockOf(p)) * entries +
+               e;
     }
 
     float
     missFor(std::size_t p, int s) const
     {
-        return miss_value[shared_across_probes ? 0 : p]
-                         [static_cast<std::size_t>(s)];
+        return miss[static_cast<std::size_t>(s) * blocks + blockOf(p)];
     }
 };
 
@@ -75,7 +94,7 @@ struct SelectiveLutParams {
     bool inner_gate = true;
 };
 
-/** Builds sparse LUTs by launching rays on an RtDevice. */
+/** Builds selective LUTs by launching rays on an RtDevice. */
 class SelectiveLutBuilder {
   public:
     /** All referenced objects must outlive the builder. */
@@ -88,22 +107,22 @@ class SelectiveLutBuilder {
      * @param probes filtering-stage output (best-first clusters);
      * @param params scale/penalty knobs.
      */
-    SparseLut build(const float *query, const std::vector<Neighbor> &probes,
-                    const SelectiveLutParams &params) const;
+    SelectiveLut build(const float *query,
+                       const std::vector<Neighbor> &probes,
+                       const SelectiveLutParams &params) const;
 
     /**
-     * Allocation-free variant: fills @p out in place, reusing its
-     * nested buffers (the search hot path calls this once per query).
+     * Allocation-free variant: refills @p out in place, reusing its
+     * buffers (the search hot path calls this once per query).
      */
     void buildInto(const float *query, const std::vector<Neighbor> &probes,
-                   const SelectiveLutParams &params, SparseLut &out) const;
+                   const SelectiveLutParams &params,
+                   SelectiveLut &out) const;
 
   private:
-    /** Per-ray context addressed by the ray payload. */
-    struct RayCtx {
-        std::uint32_t probe = 0;
-        std::int32_t subspace = 0;
-        /** kappa_s^2 of the ray's subspace (JunoScene::lutValue*). */
+    /** Per-row parameters of the finishing pass (row s * blocks + b). */
+    struct RowCtx {
+        /** kappa_s^2 of the row's subspace (JunoScene::lutValue*). */
         float kappa_sqr = 1.0f;
         /** ||scaled origin xy||^2; inverts thit into an IP. */
         float qnorm_scaled_sqr = 0.0f;
@@ -117,7 +136,7 @@ class SelectiveLutBuilder {
     rt::RtDevice &device_;
     // Scratch reused across queries (single-threaded hot path).
     mutable std::vector<rt::Ray> rays_;
-    mutable std::vector<RayCtx> ctxs_;
+    mutable std::vector<RowCtx> row_ctx_;
     mutable std::vector<float> residual_;
 };
 

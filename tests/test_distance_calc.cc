@@ -1,4 +1,4 @@
-/** @file Tests for the sparse distance-calculation stage. */
+/** @file Tests for the selective distance-calculation stage. */
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -84,7 +84,7 @@ TEST(DistanceCalc, ExactModeScoresMatchSparseAccumulation)
                                      probes, lut, 20);
     ASSERT_FALSE(result.empty());
 
-    // Recompute one result's score by hand from the sparse LUT.
+    // Recompute one result's score by hand from the LUT rows.
     const idx_t pid = result[0].id;
     const cluster_t c = fx.ivf.label(pid);
     std::size_t probe_ord = probes.size();
@@ -96,17 +96,10 @@ TEST(DistanceCalc, ExactModeScoresMatchSparseAccumulation)
     float expect = 0.0f;
     for (int s = 0; s < 4; ++s) {
         const entry_t code = fx.codes.at(pid, s);
-        bool found = false;
-        for (const auto &hit :
-             lut.hits[probe_ord][static_cast<std::size_t>(s)]) {
-            if (hit.entry == code) {
-                expect += hit.value;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            expect += lut.missFor(probe_ord, s);
+        // A selected cell holds value - miss; a miss is charged miss.
+        expect += lut.missFor(probe_ord, s);
+        if (lut.selected[lut.cell(probe_ord, s, code)] != 0.0f)
+            expect += lut.delta[lut.cell(probe_ord, s, code)];
     }
     EXPECT_NEAR(result[0].score, expect, 1e-3f * (1.0f + expect));
 }
@@ -210,10 +203,10 @@ TEST(DistanceCalc, ScoreClusterExposesPerClusterScores)
 
 TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
 {
-    // The dense path expands the sparse hits into a delta LUT and
-    // streams the interleaved codes; it must reproduce the sparse
-    // interest-index walk bit for bit (same candidates, same scores,
-    // same order) in every mode, at every dispatch level.
+    // The dense path streams the interleaved codes against the LUT
+    // rows; it must reproduce the sparse interest-index walk bit for
+    // bit (same candidates, same scores, same order) in every mode, at
+    // every dispatch level and at the default threshold between them.
     Fixture fx;
     struct LevelGuard {
         simd::Level saved = simd::level();
@@ -239,17 +232,20 @@ TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
                 fx.calc->run(Metric::kL2, mode, probes, lut, 40);
             for (simd::Level level : levels) {
                 ASSERT_TRUE(simd::setLevel(level));
-                fx.calc->setDenseThreshold(0.0); // always dense
-                const auto dense =
-                    fx.calc->run(Metric::kL2, mode, probes, lut, 40);
-                ASSERT_EQ(sparse.size(), dense.size())
-                    << "mode=" << searchModeName(mode) << " level="
-                    << simd::levelName(level);
-                for (std::size_t i = 0; i < sparse.size(); ++i)
-                    EXPECT_EQ(sparse[i], dense[i])
-                        << "mode=" << searchModeName(mode)
-                        << " level=" << simd::levelName(level)
-                        << " i=" << i;
+                for (double threshold : {0.0 /* always dense */, 0.5}) {
+                    fx.calc->setDenseThreshold(threshold);
+                    const auto dense =
+                        fx.calc->run(Metric::kL2, mode, probes, lut, 40);
+                    ASSERT_EQ(sparse.size(), dense.size())
+                        << "mode=" << searchModeName(mode) << " level="
+                        << simd::levelName(level)
+                        << " threshold=" << threshold;
+                    for (std::size_t i = 0; i < sparse.size(); ++i)
+                        EXPECT_EQ(sparse[i], dense[i])
+                            << "mode=" << searchModeName(mode)
+                            << " level=" << simd::levelName(level)
+                            << " threshold=" << threshold << " i=" << i;
+                }
             }
             fx.calc->setDenseThreshold(0.5);
         }

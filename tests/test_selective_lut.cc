@@ -72,7 +72,7 @@ TEST(SelectiveLut, L2HitsMatchBruteForceSelection)
     const auto probes = fx.ivf.probe(Metric::kL2, q, 4);
     const auto lut = fx.builder->build(q, probes, params);
 
-    ASSERT_EQ(lut.hits.size(), 4u);
+    ASSERT_EQ(lut.blocks, 4u);
     EXPECT_FALSE(lut.shared_across_probes);
 
     std::vector<float> residual(8);
@@ -92,8 +92,9 @@ TEST(SelectiveLut, L2HitsMatchBruteForceSelection)
                     expected.insert(e);
             }
             std::set<entry_t> got;
-            for (const auto &hit : lut.hits[p][static_cast<std::size_t>(s)])
-                got.insert(hit.entry);
+            for (entry_t e = 0; e < 16; ++e)
+                if (lut.selected[lut.cell(p, s, e)] != 0.0f)
+                    got.insert(e);
             // All strictly-inside entries must appear; boundary entries
             // may differ by FP rounding.
             for (entry_t e : expected)
@@ -115,14 +116,17 @@ TEST(SelectiveLut, L2ValuesAreSquaredSubspaceDistances)
         fx.ivf.residual(q, static_cast<cluster_t>(probes[p].id),
                         residual.data());
         for (int s = 0; s < 4; ++s) {
-            for (const auto &hit :
-                 lut.hits[p][static_cast<std::size_t>(s)]) {
-                const float *ec = fx.pq.entry(s, hit.entry);
+            for (entry_t e = 0; e < 16; ++e) {
+                if (lut.selected[lut.cell(p, s, e)] == 0.0f)
+                    continue;
+                const float value =
+                    lut.delta[lut.cell(p, s, e)] + lut.missFor(p, s);
+                const float *ec = fx.pq.entry(s, e);
                 const float dx =
                     ec[0] - residual[static_cast<std::size_t>(2 * s)];
                 const float dy =
                     ec[1] - residual[static_cast<std::size_t>(2 * s + 1)];
-                EXPECT_NEAR(hit.value, dx * dx + dy * dy,
+                EXPECT_NEAR(value, dx * dx + dy * dy,
                             5e-3f * (1.0f + dx * dx + dy * dy));
             }
         }
@@ -136,7 +140,7 @@ TEST(SelectiveLut, IpSharesLutAcrossProbes)
     const auto probes = fx.ivf.probe(Metric::kInnerProduct, q, 4);
     const auto lut = fx.builder->build(q, probes, {});
     EXPECT_TRUE(lut.shared_across_probes);
-    EXPECT_EQ(lut.hits.size(), 1u);
+    EXPECT_EQ(lut.blocks, 1u);
     EXPECT_EQ(lut.base.size(), 4u);
     // The base term must equal IP(q, centroid).
     for (std::size_t p = 0; p < probes.size(); ++p)
@@ -155,10 +159,14 @@ TEST(SelectiveLut, IpValuesAreSubspaceInnerProducts)
     const auto probes = fx.ivf.probe(Metric::kInnerProduct, q, 2);
     const auto lut = fx.builder->build(q, probes, {});
     for (int s = 0; s < 4; ++s) {
-        for (const auto &hit : lut.hits[0][static_cast<std::size_t>(s)]) {
-            const float *ec = fx.pq.entry(s, hit.entry);
+        for (entry_t e = 0; e < 16; ++e) {
+            if (lut.selected[lut.cell(0, s, e)] == 0.0f)
+                continue;
+            const float value =
+                lut.delta[lut.cell(0, s, e)] + lut.missFor(0, s);
+            const float *ec = fx.pq.entry(s, e);
             const float ip = ec[0] * q[2 * s] + ec[1] * q[2 * s + 1];
-            EXPECT_NEAR(hit.value, ip, 5e-2f * (1.0f + std::abs(ip)));
+            EXPECT_NEAR(value, ip, 5e-2f * (1.0f + std::abs(ip)));
         }
     }
 }
@@ -176,12 +184,12 @@ TEST(SelectiveLut, SmallerScaleNeverAddsHits)
     for (std::size_t p = 0; p < probes.size(); ++p) {
         for (int s = 0; s < 4; ++s) {
             std::set<entry_t> full_set, half_set;
-            for (const auto &h :
-                 lut_full.hits[p][static_cast<std::size_t>(s)])
-                full_set.insert(h.entry);
-            for (const auto &h :
-                 lut_half.hits[p][static_cast<std::size_t>(s)])
-                half_set.insert(h.entry);
+            for (entry_t e = 0; e < 16; ++e) {
+                if (lut_full.selected[lut_full.cell(p, s, e)] != 0.0f)
+                    full_set.insert(e);
+                if (lut_half.selected[lut_half.cell(p, s, e)] != 0.0f)
+                    half_set.insert(e);
+            }
             for (entry_t e : half_set)
                 EXPECT_TRUE(full_set.count(e));
             EXPECT_LE(half_set.size(), full_set.size());
@@ -200,12 +208,18 @@ TEST(SelectiveLut, InnerFlagImpliesTighterDistance)
     for (std::size_t p = 0; p < probes.size(); ++p) {
         for (int s = 0; s < 4; ++s) {
             float max_inner = -1.0f, min_outer = 1e30f;
-            for (const auto &h :
-                 lut.hits[p][static_cast<std::size_t>(s)]) {
-                if (h.inner)
-                    max_inner = std::max(max_inner, h.value);
+            for (entry_t e = 0; e < 16; ++e) {
+                const std::size_t cell = lut.cell(p, s, e);
+                if (lut.selected[lut.cell(p, s, e)] == 0.0f) {
+                    // The inner gate lies inside the outer one.
+                    EXPECT_EQ(lut.inner[cell], 0.0f);
+                    continue;
+                }
+                const float value = lut.delta[cell] + lut.missFor(p, s);
+                if (lut.inner[cell] != 0.0f)
+                    max_inner = std::max(max_inner, value);
                 else
-                    min_outer = std::min(min_outer, h.value);
+                    min_outer = std::min(min_outer, value);
             }
             // Inner hits are all at most as far as any outer-only hit.
             if (max_inner >= 0.0f && min_outer < 1e30f) {
@@ -245,11 +259,16 @@ TEST(SelectiveLut, SparsitySavesWorkVsDenseLut)
     const auto probes = fx.ivf.probe(Metric::kL2, q, 4);
     const auto lut = fx.builder->build(q, probes, {});
     std::size_t selected = 0, cells = 0;
-    for (std::size_t p = 0; p < lut.hits.size(); ++p)
+    for (std::size_t p = 0; p < lut.blocks; ++p) {
+        std::size_t flags = 0;
         for (int s = 0; s < 4; ++s) {
-            selected += lut.hits[p][static_cast<std::size_t>(s)].size();
+            for (entry_t e = 0; e < 16; ++e)
+                flags += lut.selected[lut.cell(p, s, e)] != 0.0f ? 1 : 0;
             cells += 16;
         }
+        EXPECT_EQ(lut.selected_count[p], flags);
+        selected += flags;
+    }
     EXPECT_LT(static_cast<double>(selected) / static_cast<double>(cells),
               0.8);
 }
@@ -265,8 +284,8 @@ bitsOf(float f)
 /**
  * The L2 LUT at nprobe = 11 traces each subspace's rays as one full
  * 8-lane packet plus a partial one; it must equal the LUT rebuilt by
- * tracing each of its rays alone, list by list, bit for bit, in the
- * same order, with the same traversal counters, at every SIMD level.
+ * tracing each of its rays alone, row by row, bit for bit, with the
+ * same traversal counters, at every SIMD level.
  */
 TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
 {
@@ -290,6 +309,7 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
             for (std::size_t p = 0; p < probes.size(); ++p) {
                 fx.ivf.residual(q, static_cast<cluster_t>(probes[p].id),
                                 residual.data());
+                std::size_t selected = 0;
                 for (int s = 0; s < 4; ++s) {
                     const float x = residual[static_cast<std::size_t>(2 * s)];
                     const float y =
@@ -297,12 +317,15 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
                     const double thr_raw = fx.policy.threshold(s, x, y);
                     const double thr = fx.policy.scaled(
                         s, thr_raw, params.threshold_scale);
+                    const double m = thr * params.miss_penalty;
+                    const auto miss = static_cast<float>(m * m);
                     const float tmax_inner = fx.scene.gateTmax(
                         s, x, y,
                         fx.policy.scaled(s, thr_raw,
                                          params.threshold_scale * 0.5));
                     const float k = fx.scene.coordScale(s);
-                    std::vector<LutHit> want;
+                    std::vector<float> delta(16, 0.0f), flag(16, 0.0f),
+                        inner(16, 0.0f);
                     rt::Ray ray;
                     if (fx.scene.makeRay(s, x, y, thr, ray))
                         fx.scene.scene().trace(
@@ -312,27 +335,28 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
                                 JunoScene::unpackId(hit.user_id, hs, e);
                                 if (hs != s)
                                     return true;
-                                LutHit lh;
-                                lh.entry = e;
-                                lh.thit = hit.thit;
-                                lh.inner = hit.thit <= tmax_inner;
-                                lh.value =
-                                    fx.scene.lutValueL2(k * k, hit.thit);
-                                want.push_back(lh);
+                                delta[e] =
+                                    fx.scene.lutValueL2(k * k, hit.thit) -
+                                    miss;
+                                flag[e] = 1.0f;
+                                if (hit.thit <= tmax_inner)
+                                    inner[e] = 1.0f;
+                                ++selected;
                                 return true;
                             });
-                    const auto &got =
-                        lut.hits[p][static_cast<std::size_t>(s)];
-                    ASSERT_EQ(want.size(), got.size())
-                        << simd::levelName(level) << " query " << qi
-                        << " probe " << p << " subspace " << s;
-                    for (std::size_t i = 0; i < want.size(); ++i) {
-                        EXPECT_EQ(want[i].entry, got[i].entry);
-                        EXPECT_EQ(bitsOf(want[i].value), bitsOf(got[i].value));
-                        EXPECT_EQ(bitsOf(want[i].thit), bitsOf(got[i].thit));
-                        EXPECT_EQ(want[i].inner, got[i].inner);
+                    EXPECT_EQ(bitsOf(miss), bitsOf(lut.missFor(p, s)));
+                    for (entry_t e = 0; e < 16; ++e) {
+                        const std::size_t cell = lut.cell(p, s, e);
+                        EXPECT_EQ(bitsOf(delta[e]), bitsOf(lut.delta[cell]))
+                            << simd::levelName(level) << " query " << qi
+                            << " probe " << p << " subspace " << s
+                            << " entry " << e;
+                        EXPECT_EQ(bitsOf(flag[e]),
+                                  bitsOf(lut.selected[cell]));
+                        EXPECT_EQ(bitsOf(inner[e]), bitsOf(lut.inner[cell]));
                     }
                 }
+                EXPECT_EQ(selected, lut.selected_count[p]);
             }
             EXPECT_EQ(single.rays, packed.rays);
             EXPECT_EQ(single.node_visits, packed.node_visits);
