@@ -471,9 +471,13 @@ benchTopKAndBvh()
 /**
  * The selective-LUT access pattern: a JUNO-shaped scene (S planes of E
  * radius-1 spheres at z = 4s + 1) and packets of 8 +z probe rays from
- * one plane, each with its own tmax gate. Rays per second of the
- * packet walk (best dispatch level) against the same rays walked one
- * at a time.
+ * one plane, each with its own tmax gate. Both walks deliver hits the
+ * way the LUT builder does: the single-ray walk stores each hit's thit
+ * in its ray's row of E cells, the packet walk stores each delivery's
+ * lanes with one masked store into the packet's [e][lane] tile. Rays
+ * per second of the packet walk against the same rays walked one at a
+ * time. The packet walk runs at the active dispatch level, or at the
+ * best one when that is scalar (the gate pins the SIMD win).
  */
 void
 benchBvhPacket()
@@ -504,35 +508,47 @@ benchBvhPacket()
         rays[i].tmin = -1e-4f;
         rays[i].tmax = 1.0f - std::sqrt(1.0f - r * r);
     }
+    const auto row = static_cast<std::size_t>(entries);
+    std::vector<float> cells(rays.size() * row);
 
     rt::TraversalStats stats;
-    std::size_t hits = 0;
     const double single = opsPerSecond(rays.size(), [&] {
-        for (const rt::Ray &ray : rays)
-            bvh.traverse(ray, spheres, stats, [&](const rt::Hit &) {
-                ++hits;
+        for (std::size_t i = 0; i < rays.size(); ++i)
+            bvh.traverse(rays[i], spheres, stats, [&](const rt::Hit &hit) {
+                cells[i * row + hit.user_id % row] = hit.thit;
                 return true;
             });
     });
     const simd::Level saved = simd::level();
-    simd::setLevel(simd::bestSupported());
+    if (saved == simd::Level::kScalar)
+        simd::setLevel(simd::bestSupported());
+    const simd::Kernels &kernels = simd::active();
     const double packet = opsPerSecond(rays.size(), [&] {
-        for (int p = 0; p < packets; ++p)
-            bvh.traversePacket(rays.data() + p * lanes, lanes, spheres,
-                               stats, [&](int, const rt::Hit &) {
-                                   ++hits;
-                                   return true;
-                               });
+        for (int p = 0; p < packets; ++p) {
+            float *tile = cells.data() + static_cast<std::size_t>(p) *
+                                             static_cast<std::size_t>(
+                                                 lanes) * row;
+            bvh.traversePacket(
+                rays.data() + p * lanes, lanes, spheres, stats,
+                [&](const rt::PacketHit &hit) {
+                    kernels.store_lanes(
+                        hit.thit, hit.mask,
+                        tile + hit.user_id % row *
+                                   static_cast<std::size_t>(lanes));
+                    return 0u;
+                });
+        }
     });
+    const char *level = kernels.name;
     simd::setLevel(saved);
-    volatile std::size_t sink = hits;
+    volatile float sink = cells[cells.size() / 2];
     (void)sink;
     const std::string shape = "S=" + std::to_string(subspaces) +
                               ",E=" + std::to_string(entries) + ",lanes=" +
                               std::to_string(lanes);
-    std::printf("%-18s %-20s %9.2f %-6s %9.2f %-6s %6.2fx\n", "bvhPacket",
-                shape.c_str(), single * 1e-6, "Mray/s", packet * 1e-6,
-                "Mray/s", packet / single);
+    std::printf("%-18s %-20s %9.2f %-6s %9.2f %-6s %6.2fx (%s)\n",
+                "bvhPacket", shape.c_str(), single * 1e-6, "Mray/s",
+                packet * 1e-6, "Mray/s", packet / single, level);
     g_packet_vs_single = packet / single;
 }
 

@@ -264,6 +264,15 @@ raySphereLanesScalar(const RayLanes &r, std::uint32_t active, float cx,
     return hit;
 }
 
+void
+storeLanesScalar(const float *src, std::uint32_t mask, float *dst)
+{
+    for (; mask != 0; mask &= mask - 1u) {
+        const int i = __builtin_ctz(mask);
+        dst[i] = src[i];
+    }
+}
+
 const Kernels kScalarTable = {
     "scalar",
     &l2SqrScalar,
@@ -278,6 +287,7 @@ const Kernels kScalarTable = {
     &compactCandidatesScalar,
     &rayBoxLanesScalar,
     &raySphereLanesScalar,
+    &storeLanesScalar,
 };
 
 #if JUNO_SIMD_X86
@@ -1003,6 +1013,20 @@ raySphereLanesAvx2(const RayLanes &r, std::uint32_t active, float cx,
     return static_cast<std::uint32_t>(hit) & active;
 }
 
+/**
+ * Masked lane store: vmaskmovps writes only the selected lanes and
+ * does not fault on the others.
+ */
+JUNO_TARGET_AVX2 void
+storeLanesAvx2(const float *src, std::uint32_t mask, float *dst)
+{
+    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i sel = _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(mask)), bit),
+        bit);
+    _mm256_maskstore_ps(dst, sel, _mm256_loadu_ps(src));
+}
+
 const Kernels kAvx2Table = {
     "avx2",
     &l2SqrAvx2,
@@ -1017,6 +1041,7 @@ const Kernels kAvx2Table = {
     &compactCandidatesAvx2,
     &rayBoxLanesAvx2,
     &raySphereLanesAvx2,
+    &storeLanesAvx2,
 };
 
 /**
@@ -1267,10 +1292,18 @@ fastScanPq4Avx512(const std::uint8_t *packed, int subspaces,
                         n - i, qsums + i);
 }
 
+/** Masked lane store straight from the mask register (k-mask). */
+JUNO_TARGET_AVX512 void
+storeLanesAvx512(const float *src, std::uint32_t mask, float *dst)
+{
+    _mm256_mask_storeu_ps(dst, static_cast<__mmask8>(mask),
+                          _mm256_loadu_ps(src));
+}
+
 /**
- * AVX2 table with the wider ADC gather and scan kernels swapped in; the
- * ray-packet kernels keep their 8-lane AVX2 entries (a packet holds at
- * most kRayLanes rays).
+ * AVX2 table with the wider ADC gather and scan kernels and the k-mask
+ * lane store swapped in; the ray-packet kernels keep their 8-lane AVX2
+ * entries (a packet holds at most kRayLanes rays).
  */
 const Kernels kAvx512Table = {
     "avx512",
@@ -1286,6 +1319,7 @@ const Kernels kAvx512Table = {
     &compactCandidatesAvx2,
     &rayBoxLanesAvx2,
     &raySphereLanesAvx2,
+    &storeLanesAvx512,
 };
 #endif // JUNO_SIMD_X86
 

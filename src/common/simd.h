@@ -23,7 +23,8 @@
  *    (ascending ordinal) order in every path.
  *  - The ray-packet box and sphere kernels return the same hit masks
  *    and hit-time bits in every table, and per lane they equal the
- *    single-ray rt::Aabb::hitBy / rt::intersectSphere math.
+ *    single-ray rt::Aabb::hitBy / rt::intersectSphere math; the masked
+ *    lane store writes the same slots in every table.
  *
  * Override for testing: set `JUNO_SIMD=scalar`, `JUNO_SIMD=avx2` or
  * `JUNO_SIMD=avx512` in the environment before first use, or call
@@ -178,6 +179,15 @@ struct Kernels {
                                       std::uint32_t active, float cx,
                                       float cy, float cz, float radius,
                                       float *thit);
+
+    /**
+     * Masked lane store (the selective-LUT any-hit program's tile
+     * write): dst[i] = src[i] for every lane i set in @p mask, which
+     * holds only bits below kRayLanes. @p src holds kRayLanes floats;
+     * dst slots of unset lanes are neither read nor written, so @p dst
+     * needs only the slots up to the highest set lane.
+     */
+    void (*store_lanes)(const float *src, std::uint32_t mask, float *dst);
 };
 
 /** True when this host can execute the @p level table natively. */

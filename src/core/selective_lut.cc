@@ -1,7 +1,10 @@
 #include "core/selective_lut.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <type_traits>
 
 #include "common/distance.h"
 #include "common/logging.h"
@@ -45,13 +48,12 @@ SelectiveLutBuilder::buildInto(const float *query,
     lut.entries = static_cast<std::size_t>(scene_.entries());
     lut.blocks = lut_probes;
 
-    // The shader leaves each hit's thit in its delta cell; NaN marks
-    // the cells no ray reached until the finishing pass.
+    const std::size_t entries = lut.entries;
     const std::size_t rows = static_cast<std::size_t>(subspaces) * lut_probes;
-    const std::size_t cells = rows * lut.entries;
-    JUNO_REQUIRE(cells <= 0xFFFFFFFFu, "LUT of " << cells
-                                           << " cells overflows a ray payload");
-    lut.delta.assign(cells, std::numeric_limits<float>::quiet_NaN());
+    const std::size_t cells = rows * entries;
+    JUNO_REQUIRE(rows <= 0xFFFFFFFFu, "LUT of " << rows
+                                          << " rows overflows a ray payload");
+    lut.delta.resize(cells);
     lut.selected.resize(cells);
     lut.inner.resize(params.inner_gate ? cells : 0);
     lut.miss.resize(rows);
@@ -98,8 +100,15 @@ SelectiveLutBuilder::buildInto(const float *query,
             lut.miss[row] = miss;
 
             rt::Ray ray;
-            if (!scene_.makeRay(s, x, y, thr, ray))
-                continue; // empty gate: every entry misses
+            if (!scene_.makeRay(s, x, y, thr, ray)) {
+                // Empty gate: every entry misses.
+                const std::size_t cell0 = row * entries;
+                std::fill_n(lut.delta.data() + cell0, entries, 0.0f);
+                std::fill_n(lut.selected.data() + cell0, entries, 0.0f);
+                if (params.inner_gate)
+                    std::fill_n(lut.inner.data() + cell0, entries, 0.0f);
+                continue;
+            }
             RowCtx &rc = row_ctx_[row];
             rc.kappa_sqr = k * k;
             rc.qnorm_scaled_sqr = (x * k) * (x * k) + (y * k) * (y * k);
@@ -111,8 +120,8 @@ SelectiveLutBuilder::buildInto(const float *query,
                 rc.tmax_inner = scene_.gateTmax(s, x, y, thr_inner);
             }
             // The payload packs the subspace (high word, as in the
-            // sphere ids) and the row's first cell (low word).
-            ray.payload = JunoScene::packId(s, 0) | lut.cell(p, s, 0);
+            // sphere ids) and the row (low word).
+            ray.payload = JunoScene::packId(s, 0) | row;
             rays_.push_back(ray);
         }
     }
@@ -132,30 +141,49 @@ SelectiveLutBuilder::buildInto(const float *query,
         lut.offset[p] = offset;
     }
 
-    // The any-hit shader (paper Alg. 2 RT_HitShader): record thit in
-    // the entry's cell. Always returns true: JUNO wants every in-gate
-    // entry, not the closest hit.
-    float *thit_cells = lut.delta.data();
-    device_.launch(scene_.scene(), rays_, [&](const rt::Ray &ray,
-                                              const rt::Hit &hit) {
+    // The any-hit shader (paper Alg. 2 RT_HitShader) runs once per
+    // (packet, sphere) and stores the hit lanes' thit with one masked
+    // store into a rays x E tile: packet rays[first, first + n) owns
+    // tile[first * E, (first + n) * E), laid out [e][lane]. NaN marks
+    // the cells no ray reached. It always returns "stop no lane":
+    // JUNO wants every in-gate entry, not the closest hit.
+    tile_.assign(rays_.size() * entries,
+                 std::numeric_limits<float>::quiet_NaN());
+    packet_lanes_.assign(rays_.size(), 0);
+    const simd::Kernels &kernels = simd::active();
+    float *tile = tile_.data();
+    device_.launch(scene_.scene(), rays_, [&](std::size_t first, int n,
+                                              const rt::PacketHit &hit) {
         int sphere_s;
         entry_t e;
         JunoScene::unpackId(hit.user_id, sphere_s, e);
-        // Geometric isolation makes cross-subspace hits impossible;
-        // verify anyway (cheap) and drop any that would appear.
-        if (sphere_s != static_cast<int>(ray.payload >> 32))
-            return true;
-        thit_cells[(ray.payload & 0xFFFFFFFFu) + e] = hit.thit;
-        return true;
+        // A packet's rays share their origin plane, hence their
+        // subspace. Geometric isolation makes cross-subspace hits
+        // impossible; verify anyway (cheap) and drop any that would
+        // appear.
+        if (sphere_s != static_cast<int>(rays_[first].payload >> 32))
+            return 0u;
+        float *dst = tile + first * entries +
+                     static_cast<std::size_t>(e) * static_cast<std::size_t>(n);
+        if (n == 1) {
+            // A lone ray: one scalar store (its thit slot was just
+            // written as a scalar, which a vector reload would stall on).
+            *dst = hit.thit[0];
+        } else {
+            packet_lanes_[first] = static_cast<std::uint8_t>(n);
+            kernels.store_lanes(hit.thit, hit.mask, dst);
+        }
+        return 0u;
     });
 
-    // Finish every row in one vectorisable pass: recover each hit's
-    // score from thit with the same float ops as a per-hit conversion
-    // (so the same bits), and write value - miss, the selected flag
-    // and the inner flag; cells without a hit get exact zeros.
-    const std::size_t entries = lut.entries;
+    // Finish every traced row in one vectorisable pass per ray: read
+    // the ray's tile column (stride n), recover each hit's score from
+    // thit with the same float ops as a per-hit conversion (so the same
+    // bits), and write value - miss, the selected flag and the inner
+    // flag; cells without a hit get exact zeros.
     const auto finish = [&](auto value_of) {
-        for (std::size_t r = 0; r < rows; ++r) {
+        const auto finishRow = [&](std::size_t r, const float *col,
+                                   auto stride) {
             const RowCtx &rc = row_ctx_[r];
             const float miss = lut.miss[r];
             float *delta = lut.delta.data() + r * entries;
@@ -163,10 +191,10 @@ SelectiveLutBuilder::buildInto(const float *query,
             if (params.inner_gate)
                 for (std::size_t e = 0; e < entries; ++e)
                     lut.inner[r * entries + e] =
-                        delta[e] <= rc.tmax_inner ? 1.0f : 0.0f;
+                        col[e * stride] <= rc.tmax_inner ? 1.0f : 0.0f;
             std::size_t count = 0;
             for (std::size_t e = 0; e < entries; ++e) {
-                const float t = delta[e];
+                const float t = col[e * stride];
                 // Converted unconditionally: the loop stays branch-free.
                 const float d = value_of(rc, t) - miss;
                 const bool hit = !std::isnan(t);
@@ -175,6 +203,25 @@ SelectiveLutBuilder::buildInto(const float *query,
                 count += hit ? 1 : 0;
             }
             lut.selected_count[r % lut_probes] += count;
+        };
+        for (std::size_t first = 0; first < rays_.size();) {
+            // A packet with no delivery left only NaN in its region,
+            // which reads the same at stride 1 ray by ray.
+            const std::size_t n =
+                std::max<std::size_t>(packet_lanes_[first], 1);
+            for (std::size_t lane = 0; lane < n; ++lane) {
+                const float *col = tile + first * entries + lane;
+                const std::size_t r =
+                    rays_[first + lane].payload & 0xFFFFFFFFu;
+                // Lone rays (every inner-product ray) read a contiguous
+                // column; a compile-time stride keeps their loads packed.
+                if (n == 1)
+                    finishRow(r, col,
+                              std::integral_constant<std::size_t, 1>());
+                else
+                    finishRow(r, col, n);
+            }
+            first += n;
         }
     };
     if (metric == Metric::kL2)

@@ -6,14 +6,16 @@
  * For each probed cluster and each 2-D subspace, a ray is cast from
  * the query's (residual) projection towards the entry spheres of that
  * subspace; tmax encodes the dynamic threshold, the any-hit shader
- * records thit in the entry's LUT cell, and a finishing pass converts
- * thit to the exact entry/projection score without touching the
+ * stores a packet's hit times with one masked store into a scratch
+ * tile, and a finishing pass converts each ray's thit column to the
+ * exact entry/projection scores of its LUT row without touching the
  * sphere coordinates. The result is a *selective* LUT: only entries
  * inside the region of interest carry values.
  */
 #ifndef JUNO_CORE_SELECTIVE_LUT_H
 #define JUNO_CORE_SELECTIVE_LUT_H
 
+#include <cstdint>
 #include <vector>
 
 #include "common/topk.h"
@@ -138,6 +140,10 @@ class SelectiveLutBuilder {
     mutable std::vector<rt::Ray> rays_;
     mutable std::vector<RowCtx> row_ctx_;
     mutable std::vector<float> residual_;
+    /** Hit times of the RT pass, rays x E (layout in buildInto). */
+    mutable std::vector<float> tile_;
+    /** packet_lanes_[first]: lanes of a delivering packet at rays_[first]. */
+    mutable std::vector<std::uint8_t> packet_lanes_;
 };
 
 } // namespace juno

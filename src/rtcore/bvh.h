@@ -12,8 +12,9 @@
  * Two walks share one tree: traverse() traces one ray, traversePacket()
  * traces up to simd::kRayLanes coherent rays in lockstep (the way an
  * RT core keeps a warp's rays together) through the dispatched
- * ray-packet kernels. Per ray, both report the same hits in the same
- * order and the same counters.
+ * ray-packet kernels, and runs the any-hit program once per sphere
+ * with the mask of lanes that hit it. Per ray, both report the same
+ * hits in the same order and the same counters.
  */
 #ifndef JUNO_RTCORE_BVH_H
 #define JUNO_RTCORE_BVH_H
@@ -47,6 +48,25 @@ struct TraversalStats {
     }
 
     void reset() { *this = TraversalStats{}; }
+};
+
+/**
+ * One any-hit delivery of the packet walk: a sphere and the lanes of
+ * the packet whose rays hit it (an RT core runs the any-hit program
+ * for a warp's rays in SIMT the same way).
+ */
+struct PacketHit {
+    /** Index of the sphere in the scene. */
+    std::uint32_t prim_id = 0;
+    /** The sphere's user_id. */
+    std::uint64_t user_id = 0;
+    /** Lanes that hit (bit i = lane i); never 0. */
+    std::uint32_t mask = 0;
+    /**
+     * simd::kRayLanes hit times; thit[i] is lane i's for every i in
+     * mask, other slots are unspecified.
+     */
+    const float *thit = nullptr;
 };
 
 /** How the BVH builder splits nodes. */
@@ -153,13 +173,14 @@ class Bvh {
      * depth-first walk in traverse()'s node order, carrying a mask of
      * the lanes whose ray reached each node. Box and sphere tests run
      * on all masked lanes at once through the active simd table.
-     * @p fn is called as fn(int lane, const Hit&) -> bool; returning
-     * false terminates that lane only.
+     *
+     * The any-hit program runs once per sphere that any lane hits, as
+     * fn(const PacketHit&) -> std::uint32_t, and returns the mask of
+     * lanes to terminate; only lanes in PacketHit::mask can stop.
      *
      * A lane visits exactly the nodes traverse() visits for its ray,
      * in the same order, so per ray the hit sequence (prim_id and thit
-     * bits) and every counter equal traverse()'s. Hits of different
-     * lanes interleave (per leaf primitive, in ascending lane order).
+     * bits) and every counter equal traverse()'s.
      */
     template <typename AnyHitFn>
     void
@@ -173,7 +194,7 @@ class Bvh {
         simd::RayLanes lanes;
         loadLanes(rays, count, lanes);
         const simd::Kernels &kernels = simd::active();
-        alignas(32) float thit[simd::kRayLanes];
+        alignas(32) float thit[simd::kRayLanes] = {};
         // Lanes not yet terminated by the any-hit program.
         std::uint32_t live = (1u << count) - 1u;
         struct Entry {
@@ -210,22 +231,24 @@ class Bvh {
                 const Sphere &sphere = spheres[prim];
                 stats.prim_tests +=
                     static_cast<std::uint64_t>(__builtin_popcount(in_box));
-                std::uint32_t hit = kernels.ray_sphere_lanes(
+                const std::uint32_t hit = kernels.ray_sphere_lanes(
                     lanes, in_box, sphere.center.x, sphere.center.y,
                     sphere.center.z, sphere.radius, thit);
-                while (hit != 0) {
-                    const int lane = __builtin_ctz(hit);
-                    hit &= hit - 1u;
-                    ++stats.hits;
-                    Hit h;
-                    h.prim_id = prim;
-                    h.user_id = sphere.user_id;
-                    h.thit = thit[lane];
-                    if (!fn(lane, static_cast<const Hit &>(h))) {
-                        live &= ~(1u << lane);
-                        in_box &= ~(1u << lane);
-                    }
-                }
+                if (hit == 0)
+                    continue;
+                stats.hits +=
+                    static_cast<std::uint64_t>(__builtin_popcount(hit));
+                PacketHit h;
+                h.prim_id = prim;
+                h.user_id = sphere.user_id;
+                h.mask = hit;
+                h.thit = thit;
+                const std::uint32_t stop =
+                    static_cast<std::uint32_t>(
+                        fn(static_cast<const PacketHit &>(h))) &
+                    hit;
+                live &= ~stop;
+                in_box &= ~stop;
             }
         }
     }

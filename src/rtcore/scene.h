@@ -44,7 +44,8 @@ class Scene {
 
     /**
      * Packet traversal of @p count coherent rays (see
-     * Bvh::traversePacket); fn(int lane, const Hit&) -> bool.
+     * Bvh::traversePacket); fn(const PacketHit&) -> std::uint32_t,
+     * the mask of lanes to terminate.
      */
     template <typename AnyHitFn>
     void

@@ -117,6 +117,51 @@ struct LevelGuard {
 };
 
 /**
+ * Adapts per-lane any-hit programs fn(int lane, const Hit&) -> bool to
+ * the packet walk's signature, lanes in ascending order; also checks
+ * that every delivery is a non-empty subset of the packet's lanes.
+ */
+template <typename LaneFn>
+auto
+eachLane(int count, LaneFn &&fn)
+{
+    return [count, &fn](const PacketHit &hit) {
+        EXPECT_NE(hit.mask, 0u);
+        EXPECT_EQ(hit.mask >> count, 0u);
+        std::uint32_t stop = 0;
+        for (int lane = 0; lane < count; ++lane) {
+            if ((hit.mask >> lane & 1u) == 0)
+                continue;
+            Hit h;
+            h.prim_id = hit.prim_id;
+            h.user_id = hit.user_id;
+            h.thit = hit.thit[lane];
+            if (!fn(lane, static_cast<const Hit &>(h)))
+                stop |= 1u << lane;
+        }
+        return stop;
+    };
+}
+
+/** Per-ray reference: each ray alone through traverse(). */
+std::vector<HitSeq>
+singleRayHits(const Bvh &bvh, const std::vector<Sphere> &spheres,
+              const std::vector<Ray> &rays, const std::vector<int> &stop,
+              TraversalStats &stats)
+{
+    std::vector<HitSeq> out(rays.size());
+    for (std::size_t i = 0; i < rays.size(); ++i) {
+        const std::size_t stop_at =
+            i < stop.size() ? static_cast<std::size_t>(stop[i]) : 0u;
+        bvh.traverse(rays[i], spheres, stats, [&](const Hit &hit) {
+            out[i].push_back({hit.prim_id, bitsOf(hit.thit)});
+            return out[i].size() != stop_at;
+        });
+    }
+    return out;
+}
+
+/**
  * Traces @p rays one at a time with traverse() and together with
  * traversePacket(), at every supported dispatch level. Lane j's any-hit
  * program returns false on its stop[j]-th hit (0: never), the same rule
@@ -133,29 +178,23 @@ expectPacketMatchesSingle(const Bvh &bvh, const std::vector<Sphere> &spheres,
         return lane < stop.size() ? static_cast<std::size_t>(stop[lane])
                                   : 0u;
     };
-    std::vector<HitSeq> want(rays.size());
     TraversalStats want_stats;
-    for (std::size_t i = 0; i < rays.size(); ++i)
-        bvh.traverse(rays[i], spheres, want_stats, [&](const Hit &hit) {
-            want[i].push_back({hit.prim_id, bitsOf(hit.thit)});
-            return want[i].size() != stopAt(i);
-        });
+    const std::vector<HitSeq> want =
+        singleRayHits(bvh, spheres, rays, stop, want_stats);
 
     LevelGuard guard;
     for (simd::Level level : supportedLevels()) {
         ASSERT_TRUE(simd::setLevel(level));
         std::vector<HitSeq> got(rays.size());
         TraversalStats got_stats;
-        bvh.traversePacket(rays.data(), static_cast<int>(rays.size()),
-                           spheres, got_stats,
-                           [&](int lane, const Hit &hit) {
-                               auto &seq =
-                                   got[static_cast<std::size_t>(lane)];
-                               seq.push_back({hit.prim_id,
-                                              bitsOf(hit.thit)});
-                               return seq.size() !=
-                                   stopAt(static_cast<std::size_t>(lane));
-                           });
+        const int count = static_cast<int>(rays.size());
+        bvh.traversePacket(
+            rays.data(), count, spheres, got_stats,
+            eachLane(count, [&](int lane, const Hit &hit) {
+                auto &seq = got[static_cast<std::size_t>(lane)];
+                seq.push_back({hit.prim_id, bitsOf(hit.thit)});
+                return seq.size() != stopAt(static_cast<std::size_t>(lane));
+            }));
         for (std::size_t i = 0; i < rays.size(); ++i)
             EXPECT_EQ(want[i], got[i])
                 << "ray " << i << " at " << simd::levelName(level);
@@ -315,6 +354,67 @@ TEST_P(BvhEquivalence, PacketTerminationStopsOneLane)
                               std::vector<int>(simd::kRayLanes, 1));
 }
 
+/**
+ * One returned mask stops two hit lanes at once and also names a lane
+ * that did not hit the sphere: the two stop as their single-ray walks
+ * stopping on that hit would, and the undelivered lane runs to the end.
+ */
+TEST(BvhPacket, MaskTerminatesOnlyDeliveredLanes)
+{
+    const auto spheres = randomSpheres(500, 450, 0.5f);
+    Bvh bvh;
+    bvh.build(spheres);
+    Rng rng(57);
+    std::vector<Ray> rays(simd::kRayLanes);
+    for (auto &ray : rays) {
+        ray.origin = {rng.uniform(-0.5f, 0.5f), rng.uniform(-0.5f, 0.5f),
+                      -1.0f};
+        ray.tmax = 8.0f;
+    }
+    const std::uint32_t all = (1u << simd::kRayLanes) - 1u;
+
+    LevelGuard guard;
+    for (simd::Level level : supportedLevels()) {
+        ASSERT_TRUE(simd::setLevel(level));
+        std::vector<HitSeq> got(rays.size());
+        std::vector<int> stop(rays.size(), 0);
+        int bystander = -1;
+        std::size_t bystander_hits = 0;
+        TraversalStats got_stats;
+        bvh.traversePacket(
+            rays.data(), simd::kRayLanes, spheres, got_stats,
+            [&](const PacketHit &hit) {
+                for (std::uint32_t m = hit.mask; m != 0; m &= m - 1u) {
+                    const int lane = __builtin_ctz(m);
+                    got[static_cast<std::size_t>(lane)].push_back(
+                        {hit.prim_id, bitsOf(hit.thit[lane])});
+                }
+                if (bystander >= 0 || __builtin_popcount(hit.mask) < 2 ||
+                    hit.mask == all)
+                    return 0u;
+                const int a = __builtin_ctz(hit.mask);
+                const int b = __builtin_ctz(hit.mask & (hit.mask - 1u));
+                bystander = __builtin_ctz(~hit.mask & all);
+                for (int lane : {a, b})
+                    stop[static_cast<std::size_t>(lane)] = static_cast<int>(
+                        got[static_cast<std::size_t>(lane)].size());
+                bystander_hits =
+                    got[static_cast<std::size_t>(bystander)].size();
+                return (1u << a) | (1u << b) | (1u << bystander);
+            });
+        ASSERT_GE(bystander, 0) << "no partial multi-lane delivery";
+        EXPECT_GT(got[static_cast<std::size_t>(bystander)].size(),
+                  bystander_hits)
+            << "the undelivered lane stopped";
+        TraversalStats want_stats;
+        const auto want = singleRayHits(bvh, spheres, rays, stop, want_stats);
+        for (std::size_t i = 0; i < rays.size(); ++i)
+            EXPECT_EQ(want[i], got[i])
+                << "ray " << i << " at " << simd::levelName(level);
+        expectSameStats(want_stats, got_stats);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SizesAndPolicies, BvhEquivalence,
     ::testing::Combine(::testing::Values(1, 2, 7, 64, 500, 2000),
@@ -451,7 +551,7 @@ TEST(BvhPacket, EmptyBvhCountsRaysOnly)
     expectPacketMatchesSingle(bvh, {}, rays);
     TraversalStats stats;
     bvh.traversePacket(rays.data(), 5, {}, stats,
-                       [](int, const Hit &) { return true; });
+                       [](const PacketHit &) { return 0u; });
     EXPECT_EQ(stats.rays, 5u);
     EXPECT_EQ(stats.node_visits, 0u);
 }

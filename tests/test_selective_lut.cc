@@ -7,6 +7,7 @@
 
 #include "common/distance.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "common/simd.h"
 #include "core/selective_lut.h"
 #include "dataset/synthetic.h"
@@ -282,30 +283,37 @@ bitsOf(float f)
 }
 
 /**
- * The L2 LUT at nprobe = 11 traces each subspace's rays as one full
- * 8-lane packet plus a partial one; it must equal the LUT rebuilt by
- * tracing each of its rays alone, row by row, bit for bit, with the
- * same traversal counters, at every SIMD level.
+ * Builds the L2 LUT of every fixture query at nprobe = 11 (each
+ * subspace's rays traced as one full 8-lane packet plus a partial one)
+ * at every SIMD level, and checks it against the LUT rebuilt by tracing
+ * each of its rays alone, row by row, bit for bit, with the same
+ * traversal counters. Returns how many (query, subspace) runs had a
+ * refused ray (empty gate) before a traced one, so that lane and probe
+ * positions differ.
  */
-TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
+int
+expectPacketLutEqualsSingleRayLut(Fixture &fx)
 {
-    Fixture fx(Metric::kL2);
     SelectiveLutParams params;
+    int shifted_runs = 0;
     const simd::Level saved = simd::level();
     for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
                               simd::Level::kAvx512}) {
         if (!simd::setLevel(level))
             continue;
+        shifted_runs = 0;
         for (idx_t qi = 0; qi < fx.ds.queries.rows(); ++qi) {
             const float *q = fx.ds.queries.row(qi);
             const auto probes = fx.ivf.probe(Metric::kL2, q, 11);
-            ASSERT_EQ(probes.size(), 11u);
+            EXPECT_EQ(probes.size(), 11u);
             fx.device.resetStats();
             const auto lut = fx.builder->build(q, probes, params);
             const rt::TraversalStats packed = fx.device.totalStats();
 
             rt::TraversalStats single;
             std::vector<float> residual(8);
+            std::vector<bool> refused_before(4, false);
+            std::vector<bool> shifted(4, false);
             for (std::size_t p = 0; p < probes.size(); ++p) {
                 fx.ivf.residual(q, static_cast<cluster_t>(probes[p].id),
                                 residual.data());
@@ -327,7 +335,10 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
                     std::vector<float> delta(16, 0.0f), flag(16, 0.0f),
                         inner(16, 0.0f);
                     rt::Ray ray;
-                    if (fx.scene.makeRay(s, x, y, thr, ray))
+                    const auto si = static_cast<std::size_t>(s);
+                    if (fx.scene.makeRay(s, x, y, thr, ray)) {
+                        if (refused_before[si])
+                            shifted[si] = true;
                         fx.scene.scene().trace(
                             ray, single, [&](const rt::Hit &hit) {
                                 int hs;
@@ -344,6 +355,9 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
                                 ++selected;
                                 return true;
                             });
+                    } else {
+                        refused_before[si] = true;
+                    }
                     EXPECT_EQ(bitsOf(miss), bitsOf(lut.missFor(p, s)));
                     for (entry_t e = 0; e < 16; ++e) {
                         const std::size_t cell = lut.cell(p, s, e);
@@ -358,6 +372,8 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
                 }
                 EXPECT_EQ(selected, lut.selected_count[p]);
             }
+            for (bool b : shifted)
+                shifted_runs += b ? 1 : 0;
             EXPECT_EQ(single.rays, packed.rays);
             EXPECT_EQ(single.node_visits, packed.node_visits);
             EXPECT_EQ(single.aabb_tests, packed.aabb_tests);
@@ -366,6 +382,48 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
         }
     }
     simd::setLevel(saved);
+    return shifted_runs;
+}
+
+TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
+{
+    Fixture fx(Metric::kL2);
+    expectPacketLutEqualsSingleRayLut(fx);
+}
+
+/**
+ * Some but not all probe rays of a subspace have an empty gate, so a
+ * packet's lanes are not its probes' positions: the LUT must still
+ * equal the single-ray one cell for cell. The fixture's policy is
+ * replaced by one whose threshold is 0 (makeRay refuses) wherever the
+ * residual lands in an empty density cell and positive elsewhere.
+ */
+TEST(SelectiveLut, PartlyEmptyGatesKeepRaysInTheirRows)
+{
+    Fixture fx(Metric::kL2);
+    BufferWriter writer;
+    writer.writePod<std::int32_t>(0); // L2
+    writer.writePod<std::int32_t>(
+        static_cast<std::int32_t>(ThresholdMode::kDynamic));
+    writer.writePod<std::int32_t>(4);
+    std::vector<double> lo, hi;
+    for (int s = 0; s < 4; ++s) {
+        // threshold = c * log1p(density), clamped to [0, max].
+        const double max_thr = fx.policy.maxThreshold(s);
+        writer.writeVector(std::vector<double>{0.0, max_thr / 6.0});
+        writer.writePod(0.0);
+        writer.writePod(max_thr);
+        lo.push_back(0.0);
+        hi.push_back(max_thr);
+    }
+    writer.writeVector(lo);
+    writer.writeVector(hi);
+    BoundedMemReader reader(writer.buffer().data(), writer.buffer().size(),
+                            "hand-built policy");
+    fx.policy.load(reader, fx.density);
+
+    EXPECT_GT(expectPacketLutEqualsSingleRayLut(fx), 0)
+        << "no subspace had a refused ray before a traced one";
 }
 
 } // namespace

@@ -388,6 +388,39 @@ TEST(Simd, RayKernelsRandomLanesMatchGeometry)
     }
 }
 
+/**
+ * The masked lane store writes exactly the masked slots, with src's
+ * bits, in every table; dst is sized to the highest set lane, so a
+ * write past it would leave the buffer.
+ */
+TEST(Simd, StoreLanesWritesOnlyMaskedLanes)
+{
+    const float src[simd::kRayLanes] = {1.5f, -2.0f, 0.25f, 8.0f,
+                                        -0.0f, 3.0f, 1e-30f, -7.5f};
+    const float sentinel = std::numeric_limits<float>::quiet_NaN();
+    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                              simd::Level::kAvx512}) {
+        if (!simd::supported(level))
+            continue;
+        const simd::Kernels &k = simd::table(level);
+        for (std::uint32_t mask = 1; mask < (1u << simd::kRayLanes);
+             ++mask) {
+            const int top = 31 - __builtin_clz(mask);
+            std::vector<float> dst(static_cast<std::size_t>(top) + 1,
+                                   sentinel);
+            k.store_lanes(src, mask, dst.data());
+            for (int i = 0; i <= top; ++i) {
+                std::uint32_t got, want;
+                const float expect = (mask >> i & 1u) ? src[i] : sentinel;
+                std::memcpy(&got, &dst[static_cast<std::size_t>(i)], 4);
+                std::memcpy(&want, &expect, 4);
+                EXPECT_EQ(got, want) << k.name << " mask " << mask
+                                     << " lane " << i;
+            }
+        }
+    }
+}
+
 TEST(Simd, LevelKnobsRoundTrip)
 {
     LevelGuard guard;
