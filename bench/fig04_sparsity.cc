@@ -54,11 +54,21 @@ analyze(Workload &workload, int pq_subspaces, int entries)
     const idx_t q_count = std::min<idx_t>(workload.queries().rows(), 32);
     FloatMatrix lut;
     for (idx_t qi = 0; qi < q_count; ++qi) {
-        std::vector<std::vector<std::uint32_t>> per_entry_usage;
-        index.searchOneRecordingUsage(workload.queries().row(qi), 100,
-                                      &per_entry_usage);
-        index.pq().computeLut(workload.metric(),
-                              workload.queries().row(qi), lut);
+        const float *query = workload.queries().row(qi);
+        const auto top = index.search(SearchRequest(
+            FloatMatrixView(query, 1, index.dim()), 100))[0];
+        // Per subspace, how often each entry encodes a returned
+        // neighbour (the Fig. 3(b) heatmap row for this query).
+        std::vector<std::vector<std::uint32_t>> per_entry_usage(
+            static_cast<std::size_t>(subspaces),
+            std::vector<std::uint32_t>(
+                static_cast<std::size_t>(index.pq().entries()), 0));
+        for (const Neighbor &nb : top) {
+            const entry_t *pc = index.codes().row(nb.id);
+            for (int s = 0; s < subspaces; ++s)
+                ++per_entry_usage[static_cast<std::size_t>(s)][pc[s]];
+        }
+        index.pq().computeLut(workload.metric(), query, lut);
 
         for (int s = 0; s < subspaces; ++s) {
             const auto &row = per_entry_usage[static_cast<std::size_t>(s)];

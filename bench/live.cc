@@ -19,29 +19,25 @@
  * latency (inserts are visible to the very next search), so the lag
  * distribution should track the read path's, not the merge cadence.
  *
- * Gates (exit nonzero, `--smoke` is the CI leg): every probe must
- * become visible (a missed probe is a freshness bug, not noise), and
- * the mixed leg must publish at least one generation so the numbers
- * cover a reader swap. `--json <path>` dumps the measured points
- * (BENCH_live.json).
+ * Load comes from src/harness/loadgen: runClosedLoop for the read
+ * clients of both legs, a PacedWriter with freshness probes for the
+ * writes. Gates (exit nonzero, `--smoke` is the CI leg): each leg
+ * passes checkConservation() (the probes' queries included), every
+ * probe must become visible (a missed probe is a freshness bug, not
+ * noise), and the mixed leg must publish at least one generation so
+ * the numbers cover a reader swap. `--json <path>` dumps the measured
+ * points (BENCH_live.json).
  */
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <deque>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench_common.h"
 #include "common/build_info.h"
-#include "common/stats.h"
-#include "common/timer.h"
 #include "dataset/synthetic.h"
+#include "harness/loadgen.h"
 #include "harness/reporter.h"
 #include "live/live_index.h"
 #include "registry/index_factory.h"
@@ -119,96 +115,27 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-struct LegResult {
-    double qps = 0.0;
-    std::uint64_t completed = 0;
-    LatencySummary total_us;
-};
-
-/**
- * Closed-loop read clients against a running service for a fixed
- * wall-clock window (duration-based so the two legs are comparable
- * whatever their throughput). A full queue is backpressure, retried;
- * typed sheds are counted out of the completion tally by reap().
- */
-LegResult
-runReadClients(SearchService &service, FloatMatrixView queries,
-               const Options &opt)
-{
-    std::atomic<std::uint64_t> completed{0};
-    std::vector<std::thread> threads;
-    Timer leg_timer;
-    for (int c = 0; c < opt.clients; ++c)
-        threads.emplace_back([&, c] {
-            std::deque<std::future<ResultList>> inflight;
-            auto reap = [&](std::future<ResultList> &f) {
-                try {
-                    f.get();
-                    completed.fetch_add(1);
-                } catch (const RejectedError &) {
-                }
-            };
-            idx_t qi = static_cast<idx_t>(c) % queries.rows();
-            Timer timer;
-            while (timer.seconds() < opt.seconds) {
-                if (inflight.size() >=
-                    static_cast<std::size_t>(opt.window)) {
-                    reap(inflight.front());
-                    inflight.pop_front();
-                }
-                RejectReason reason = RejectReason::kNone;
-                auto f = service.submit(queries.row(qi), opt.k,
-                                        &reason);
-                while (reason == RejectReason::kQueueFull &&
-                       service.running()) {
-                    std::this_thread::yield();
-                    f = service.submit(queries.row(qi), opt.k,
-                                       &reason);
-                }
-                inflight.push_back(std::move(f));
-                qi = (qi + 1) % queries.rows();
-            }
-            while (!inflight.empty()) {
-                reap(inflight.front());
-                inflight.pop_front();
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    LegResult result;
-    result.completed = completed.load();
-    result.qps = static_cast<double>(result.completed) /
-                 leg_timer.seconds();
-    result.total_us = service.snapshot().total_us;
-    return result;
-}
-
-/** Writer-side tallies of the mixed leg. */
-struct WriterResult {
-    std::uint64_t inserts = 0;
-    std::uint64_t removes = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t probes_missed = 0;
-    QuantileSketch lag_us;
+/** One leg: what its read clients saw and the drained service. */
+struct Leg {
+    LoadTally reads;
+    ServiceStats::Snapshot snap;
 };
 
 void
-writeJson(const std::string &path, const Options &opt,
-          const LegResult &base, const LegResult &mixed,
-          const WriterResult &w, const LiveStats &live)
+writeJson(const std::string &path, const Options &opt, const Leg &base,
+          const Leg &mixed, const WriterResult &w, const LiveStats &live)
 {
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return;
     }
-    auto leg = [&](const char *name, const LegResult &r) {
-        out << "  \"" << name << "\": {\"qps\": " << r.qps
-            << ", \"completed\": " << r.completed
-            << ", \"p50_us\": " << r.total_us.p50
-            << ", \"p95_us\": " << r.total_us.p95
-            << ", \"p99_us\": " << r.total_us.p99 << "}";
+    auto leg = [&](const char *name, const Leg &r) {
+        out << "  \"" << name << "\": {\"qps\": " << r.reads.qps()
+            << ", \"completed\": " << r.reads.completed
+            << ", \"p50_us\": " << r.snap.total_us.p50
+            << ", \"p95_us\": " << r.snap.total_us.p95
+            << ", \"p99_us\": " << r.snap.total_us.p99 << "}";
     };
     out << "{\n  \"bench\": \"live\",\n  \"build\": "
         << buildInfoJson() << ",\n  \"points\": " << opt.num_points
@@ -218,7 +145,8 @@ writeJson(const std::string &path, const Options &opt,
     out << ",\n";
     leg("mixed", mixed);
     out << ",\n  \"read_overhead\": "
-        << (base.qps > 0.0 ? mixed.qps / base.qps : 0.0)
+        << (base.reads.qps() > 0.0 ? mixed.reads.qps() / base.reads.qps()
+                                   : 0.0)
         << ",\n  \"writer\": {\"inserts\": " << w.inserts
         << ", \"removes\": " << w.removes
         << ", \"rejected\": " << w.rejected << "},\n"
@@ -260,20 +188,39 @@ main(int argc, char **argv)
                 opt.clients, opt.seconds, opt.insert_rate,
                 opt.delete_rate);
 
+    // Both legs: closed-loop read clients for a fixed wall-clock
+    // window (duration-based so the legs are comparable whatever
+    // their throughput).
+    LoadConfig reads;
+    reads.queries = ds.queries.view();
+    reads.k = opt.k;
+    reads.clients = opt.clients;
+    reads.window = opt.window;
+    reads.seconds = opt.seconds;
+    int failures = 0;
+    auto conserve = [&](const char *leg, const ServiceStats::Snapshot &snap,
+                        const LoadTally &tally) {
+        const Conservation c = checkConservation(snap, tally);
+        std::printf("%s: %s\n", leg, c.line.c_str());
+        if (!c.ok)
+            ++failures;
+    };
+
     // Leg 1: read-only baseline over the frozen index.
-    LegResult base;
+    Leg base;
     {
         SearchService service(
             buildIndex(ds.metric, ds.base.view(), index_spec), config);
         service.start();
-        base = runReadClients(service, ds.queries.view(), opt);
+        base.reads = runClosedLoop(service, reads);
         service.stop();
+        base.snap = service.snapshot();
     }
+    conserve("read-only", base.snap, base.reads);
 
     // Leg 2: the same read traffic over a LiveIndex with a paced
-    // writer. Deletes only touch writer-inserted ids so the read
-    // workload's ground set never shrinks.
-    LegResult mixed;
+    // writer whose every probe_every-th insert is a freshness probe.
+    Leg mixed;
     WriterResult wr;
     LiveStats live;
     {
@@ -286,96 +233,41 @@ main(int argc, char **argv)
                                         index_spec, std::move(lcfg)),
             config);
         service.start();
-
-        std::atomic<bool> stop{false};
-        std::thread writer([&] {
-            std::deque<idx_t> mine;
-            idx_t next_id = ds.base.rows() + 1000000;
-            idx_t probe_qi = 0;
-            using Clock = std::chrono::steady_clock;
-            const auto start = Clock::now();
-            double ins_due = 0.0, del_due = 0.0;
-            while (!stop.load()) {
-                const double t =
-                    std::chrono::duration<double>(Clock::now() - start)
-                        .count();
-                bool worked = false;
-                if (t >= ins_due) {
-                    const bool probe =
-                        wr.inserts % opt.probe_every == 0;
-                    // Probe vectors come from the query set: the
-                    // inserted copy is its own unique nearest
-                    // neighbour, so visibility == membership in the
-                    // top-k for that query.
-                    const float *vec =
-                        probe ? ds.queries.view().row(probe_qi)
-                              : ds.base.row(next_id % ds.base.rows());
-                    Timer lag;
-                    if (service.insert(vec, next_id) ==
-                        MutateStatus::kOk) {
-                        mine.push_back(next_id);
-                        ++wr.inserts;
-                        if (probe) {
-                            ++wr.probes;
-                            bool seen = false;
-                            for (int tries = 0;
-                                 tries < 200 && !seen; ++tries) {
-                                const ResultList r =
-                                    service.submit(vec, opt.k).get();
-                                for (const Neighbor &n : r)
-                                    if (n.id == next_id)
-                                        seen = true;
-                            }
-                            if (seen)
-                                wr.lag_us.add(lag.micros());
-                            else
-                                ++wr.probes_missed;
-                            probe_qi = (probe_qi + 1) %
-                                       ds.queries.rows();
-                        }
-                    } else {
-                        ++wr.rejected;
-                    }
-                    ++next_id;
-                    ins_due += 1.0 / opt.insert_rate;
-                    worked = true;
-                }
-                if (opt.delete_rate > 0.0 && t >= del_due) {
-                    if (!mine.empty()) {
-                        if (service.remove(mine.front()) ==
-                            MutateStatus::kOk)
-                            ++wr.removes;
-                        mine.pop_front();
-                        worked = true;
-                    }
-                    del_due += 1.0 / opt.delete_rate;
-                }
-                if (!worked)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(200));
-            }
-        });
-        mixed = runReadClients(service, ds.queries.view(), opt);
-        stop.store(true);
-        writer.join();
+        WriterConfig wcfg;
+        wcfg.insert_rate = opt.insert_rate;
+        wcfg.delete_rate = opt.delete_rate;
+        wcfg.probe_every = opt.probe_every;
+        // Probe vectors come from the query set: the inserted copy is
+        // its own unique nearest neighbour, so visibility == membership
+        // in the top-k for that query.
+        wcfg.probes = ds.queries.view();
+        wcfg.k = opt.k;
+        PacedWriter writer(service, ds.base.view(), wcfg);
+        mixed.reads = runClosedLoop(service, reads);
+        wr = writer.finish();
         live = service.liveStats();
         service.stop();
+        mixed.snap = service.snapshot();
     }
+    LoadTally mixed_all = mixed.reads;
+    mixed_all += wr.reads;
+    conserve("mixed r/w", mixed.snap, mixed_all);
 
     printBanner("Serving under live mutation");
     TablePrinter table({"leg", "read_QPS", "vs_read_only", "p50_us",
                         "p95_us", "p99_us"});
-    table.addRow({"read-only", TablePrinter::num(base.qps), "1.00",
-                  TablePrinter::num(base.total_us.p50),
-                  TablePrinter::num(base.total_us.p95),
-                  TablePrinter::num(base.total_us.p99)});
-    table.addRow({"mixed r/w", TablePrinter::num(mixed.qps),
-                  TablePrinter::num(base.qps > 0.0
-                                        ? mixed.qps / base.qps
-                                        : 0.0),
-                  TablePrinter::num(mixed.total_us.p50),
-                  TablePrinter::num(mixed.total_us.p95),
-                  TablePrinter::num(mixed.total_us.p99)});
+    const double base_qps = base.reads.qps();
+    const double mixed_qps = mixed.reads.qps();
+    table.addRow({"read-only", TablePrinter::num(base_qps), "1.00",
+                  TablePrinter::num(base.snap.total_us.p50),
+                  TablePrinter::num(base.snap.total_us.p95),
+                  TablePrinter::num(base.snap.total_us.p99)});
+    table.addRow({"mixed r/w", TablePrinter::num(mixed_qps),
+                  TablePrinter::num(base_qps > 0.0 ? mixed_qps / base_qps
+                                                   : 0.0),
+                  TablePrinter::num(mixed.snap.total_us.p50),
+                  TablePrinter::num(mixed.snap.total_us.p95),
+                  TablePrinter::num(mixed.snap.total_us.p99)});
     table.print();
     std::printf("freshness lag (insert -> first visible query): "
                 "%llu probes, p50 %.0fus p95 %.0fus p99 %.0fus "
@@ -398,7 +290,6 @@ main(int argc, char **argv)
     if (!opt.json_path.empty())
         writeJson(opt.json_path, opt, base, mixed, wr, live);
 
-    int failures = 0;
     if (wr.probes == 0 || wr.probes_missed != 0) {
         std::fprintf(stderr,
                      "FRESHNESS FAIL: %llu of %llu probes never "

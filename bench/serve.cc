@@ -26,33 +26,29 @@
  * deadline while the baseline's collapses; `--overload-json <path>`
  * dumps that comparison (BENCH_overload.json).
  *
- * `--smoke` runs a seconds-scale pass asserting the service invariants
- * (completed == submitted, zero sheds in the closed loop, result and
- * recall parity with direct batch search) and exits nonzero on any
- * violation — the CI leg. `--json <path>` dumps the measured points
- * like the fig12 snapshot.
+ * Every run drives load through src/harness/loadgen (runClosedLoop
+ * for capacity and the observability A/B, runOpenLoop for the open
+ * loop and the overload leg) and must pass its checkConservation()
+ * gate. `--smoke` runs a seconds-scale pass of those gates plus
+ * result and recall parity with direct batch search, and exits
+ * nonzero on any violation — the CI leg. `--json <path>` dumps the
+ * measured points like the fig12 snapshot.
  */
-#include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <deque>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include "common/timer.h"
 
 #include "baseline/ivfflat_index.h"
 #include "bench_common.h"
 #include "common/build_info.h"
-#include "common/rng.h"
+#include "common/timer.h"
 #include "dataset/ground_truth.h"
 #include "dataset/recall.h"
 #include "dataset/synthetic.h"
+#include "harness/loadgen.h"
 #include "harness/reporter.h"
 #include "registry/index_factory.h"
 #include "serve/hot_list_cache.h"
@@ -61,8 +57,6 @@
 using namespace juno;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 struct BatchSetting {
     std::string label;
@@ -97,14 +91,6 @@ struct Options {
     double open_duration_s = 1.0;
 };
 
-struct RunResult {
-    double qps = 0.0;
-    double offered = 0.0; ///< open loop only
-    std::uint64_t attempted = 0;
-    std::uint64_t client_errors = 0; ///< exceptions out of future.get()
-    ServiceStats::Snapshot snap;
-};
-
 /** Out-of-core budget forwarded to every service in the sweep. */
 std::int64_t g_mem_budget = -1;
 
@@ -119,310 +105,38 @@ serviceConfig(const BatchSetting &setting)
     return config;
 }
 
-/**
- * Closed loop: each client keeps @p window requests in flight and
- * replenishes as they complete; total throughput is the service's
- * sustainable capacity under this setting.
- */
-RunResult
-runClosedLoop(AnnIndex &index, FloatMatrixView queries, idx_t k,
-              const BatchSetting &setting, int clients, int window,
-              std::uint64_t total_requests,
-              const ServiceConfig *config_override = nullptr)
-{
-    SearchService service(index, config_override != nullptr
-                                     ? *config_override
-                                     : serviceConfig(setting));
-    service.start();
-    const std::uint64_t per_client =
-        total_requests / static_cast<std::uint64_t>(clients);
-    std::atomic<std::uint64_t> errors{0};
-
-    const auto t0 = Clock::now();
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c)
-        threads.emplace_back([&, c] {
-            // get() rethrows engine failures; an escape from a
-            // std::thread body would terminate the bench instead of
-            // failing it.
-            try {
-                const idx_t nq = queries.rows();
-                idx_t qi = static_cast<idx_t>(c) % nq;
-                std::deque<std::future<ResultList>> inflight;
-                for (std::uint64_t i = 0; i < per_client; ++i) {
-                    if (inflight.size() >=
-                        static_cast<std::size_t>(window)) {
-                        inflight.front().get();
-                        inflight.pop_front();
-                    }
-                    RejectReason reason = RejectReason::kNone;
-                    auto f =
-                        service.submit(queries.row(qi), k, &reason);
-                    qi = (qi + 1) % nq;
-                    if (reason == RejectReason::kNone)
-                        inflight.push_back(std::move(f));
-                    // else: shed — the dropped future already holds
-                    // its RejectedError; the service's per-reason
-                    // counter is reconciled by the caller's
-                    // conservation gate.
-                }
-                while (!inflight.empty()) {
-                    inflight.front().get();
-                    inflight.pop_front();
-                }
-            } catch (const std::exception &err) {
-                std::fprintf(stderr, "client %d: %s\n", c, err.what());
-                errors.fetch_add(1);
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    service.stop();
-
-    RunResult result;
-    result.snap = service.snapshot();
-    result.attempted =
-        per_client * static_cast<std::uint64_t>(clients);
-    result.client_errors = errors.load();
-    result.qps = static_cast<double>(result.snap.completed) / secs;
-    return result;
-}
-
-/**
- * Open loop: Poisson arrivals at @p offered_qps split across clients;
- * clients never block on completions, so latency reflects the
- * service, not client pacing. Sheds (queue full) are counted, not
- * retried.
- */
-RunResult
-runOpenLoop(AnnIndex &index, FloatMatrixView queries, idx_t k,
-            const BatchSetting &setting, int clients,
-            double offered_qps, double duration_s)
-{
-    SearchService service(index, serviceConfig(setting));
-    service.start();
-    const double per_client_rate =
-        offered_qps / static_cast<double>(clients);
-    std::atomic<std::uint64_t> attempted{0};
-    std::atomic<std::uint64_t> errors{0};
-
-    const auto t0 = Clock::now();
-    const auto deadline =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(duration_s));
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c)
-        threads.emplace_back([&, c] {
-            try {
-                Rng rng(0xC0FFEE + static_cast<std::uint64_t>(c));
-                const idx_t nq = queries.rows();
-                idx_t qi = static_cast<idx_t>(c) % nq;
-                std::vector<std::future<ResultList>> futures;
-                futures.reserve(4096);
-                auto next = Clock::now();
-                std::uint64_t sent = 0;
-                while (true) {
-                    // Exponential inter-arrival: a Poisson process
-                    // per client; the superposition is Poisson at the
-                    // target.
-                    const double gap_s =
-                        -std::log(1.0 - rng.uniform()) /
-                        per_client_rate;
-                    next +=
-                        std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(gap_s));
-                    if (next >= deadline)
-                        break;
-                    std::this_thread::sleep_until(next);
-                    RejectReason reason = RejectReason::kNone;
-                    auto f =
-                        service.submit(queries.row(qi), k, &reason);
-                    qi = (qi + 1) % nq;
-                    ++sent;
-                    if (reason == RejectReason::kNone)
-                        futures.push_back(std::move(f));
-                }
-                attempted.fetch_add(sent);
-                for (auto &f : futures)
-                    f.get();
-            } catch (const std::exception &err) {
-                std::fprintf(stderr, "client %d: %s\n", c, err.what());
-                errors.fetch_add(1);
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    service.stop();
-
-    RunResult result;
-    result.snap = service.snapshot();
-    result.offered = offered_qps;
-    result.attempted = attempted.load();
-    result.client_errors = errors.load();
-    result.qps = static_cast<double>(result.snap.completed) / secs;
-    return result;
-}
-
-/** One overload-leg run: open loop far past capacity, resilience
- * mechanisms on or off, with client-side shed/degraded accounting. */
-struct OverloadResult {
-    double offered = 0.0;
-    double qps = 0.0;
-    std::uint64_t attempted = 0;
-    /** submit() refusals, by reason (client view of the door). */
-    std::uint64_t shed_submit_full = 0;
-    std::uint64_t shed_submit_expired = 0;
-    /** Accepted but shed at dequeue: future threw RejectedError. */
-    std::uint64_t shed_queue_expired = 0;
-    std::uint64_t completed_seen = 0;
-    std::uint64_t degraded_seen = 0;
-    /**
-     * Completions observed past their deadline (plus a reap-lag
-     * grace) whose result was NOT flagged degraded. The resilience
-     * contract says this is always zero: a late completion is a
-     * degraded completion.
-     */
-    std::uint64_t late_unmarked = 0;
-    std::uint64_t client_errors = 0;
+/** One load run: what the clients saw and the drained service's
+ * counters. */
+struct Run {
+    double offered = 0.0; ///< open loop only
+    LoadTally tally;
     ServiceStats::Snapshot snap;
 };
 
 /**
- * Open-loop arrivals at @p offered_qps (far past capacity by
- * construction of the caller) against a service configured with
- * @p deadline_us (0 = none) and @p degrade. Futures are reaped
- * promptly — polled as arrivals proceed — so the client can check the
- * late-implies-degraded contract with a small grace for reap lag.
+ * Drives a fresh service over @p index with @p loop, drains it, and
+ * gates the run on conservation: a violation prints @p what with the
+ * reconciliation line and bumps @p failures.
  */
-OverloadResult
-runOverloadLoop(AnnIndex &index, FloatMatrixView queries, idx_t k,
-                const BatchSetting &setting, int clients,
-                double offered_qps, double duration_s,
-                double deadline_us, bool degrade)
+Run
+serveRun(AnnIndex &index, const ServiceConfig &config,
+         LoadTally (*loop)(SearchService &, const LoadConfig &),
+         const LoadConfig &load, const std::string &what, int &failures)
 {
-    ServiceConfig config = serviceConfig(setting);
-    config.default_deadline_ms = deadline_us / 1000.0;
-    config.degradation.enabled = degrade;
-    // Deadline shedding keeps the standing queue short, so depth alone
-    // would never trip the policy; arm the lagging signal with half
-    // the deadline as the queue-wait budget (waits run right up to the
-    // deadline under sustained overload).
-    if (degrade && deadline_us > 0.0)
-        config.degradation.queue_p95_budget_us = deadline_us / 2.0;
     SearchService service(index, config);
     service.start();
-    const double per_client_rate =
-        offered_qps / static_cast<double>(clients);
-    const bool deadlined = deadline_us > 0.0;
-    const auto budget = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::micro>(deadline_us));
-    // Absorbs the gap between the service fulfilling a future and the
-    // client's poll observing it; the service-side marking itself is
-    // exact, so the grace only avoids false positives.
-    constexpr std::chrono::milliseconds kReapGrace{20};
-
-    std::atomic<std::uint64_t> attempted{0}, shed_full{0},
-        shed_submit_expired{0}, shed_queue_expired{0}, completed{0},
-        degraded{0}, late_unmarked{0}, errors{0};
-
-    const auto t0 = Clock::now();
-    const auto t_end =
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(duration_s));
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c)
-        threads.emplace_back([&, c] {
-            Rng rng(0xBADCAB1E + static_cast<std::uint64_t>(c));
-            const idx_t nq = queries.rows();
-            idx_t qi = static_cast<idx_t>(c) % nq;
-            struct Pending {
-                std::future<ResultList> f;
-                Clock::time_point deadline;
-            };
-            std::deque<Pending> pending;
-            auto reapOne = [&](Pending &p, Clock::time_point t_ready) {
-                try {
-                    const ResultList r = p.f.get();
-                    completed.fetch_add(1);
-                    if (r.degraded)
-                        degraded.fetch_add(1);
-                    else if (deadlined &&
-                             t_ready > p.deadline + kReapGrace)
-                        late_unmarked.fetch_add(1);
-                } catch (const RejectedError &) {
-                    shed_queue_expired.fetch_add(1);
-                } catch (const std::exception &err) {
-                    std::fprintf(stderr, "client %d: %s\n", c,
-                                 err.what());
-                    errors.fetch_add(1);
-                }
-            };
-            auto next = Clock::now();
-            std::uint64_t sent = 0;
-            while (true) {
-                const double gap_s = -std::log(1.0 - rng.uniform()) /
-                                     per_client_rate;
-                next += std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(gap_s));
-                if (next >= t_end)
-                    break;
-                std::this_thread::sleep_until(next);
-                RejectReason reason = RejectReason::kNone;
-                auto f = service.submit(queries.row(qi), k, &reason);
-                qi = (qi + 1) % nq;
-                ++sent;
-                if (reason == RejectReason::kNone)
-                    pending.push_back(
-                        {std::move(f), Clock::now() + budget});
-                else if (reason == RejectReason::kQueueFull)
-                    shed_full.fetch_add(1);
-                else
-                    shed_submit_expired.fetch_add(1);
-                // Prompt reap: drain whatever already resolved so the
-                // observed completion time tracks the real one.
-                while (!pending.empty() &&
-                       pending.front().f.wait_for(
-                           std::chrono::seconds(0)) ==
-                           std::future_status::ready) {
-                    reapOne(pending.front(), Clock::now());
-                    pending.pop_front();
-                }
-            }
-            attempted.fetch_add(sent);
-            // Final drain: poll at 1ms so even the tail's observed
-            // ready times stay well inside the grace.
-            while (!pending.empty()) {
-                while (pending.front().f.wait_for(
-                           std::chrono::milliseconds(1)) !=
-                       std::future_status::ready) {
-                }
-                reapOne(pending.front(), Clock::now());
-                pending.pop_front();
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    Run run;
+    run.offered = load.rate;
+    run.tally = loop(service, load);
     service.stop();
-
-    OverloadResult result;
-    result.snap = service.snapshot();
-    result.offered = offered_qps;
-    result.qps = static_cast<double>(result.snap.completed) / secs;
-    result.attempted = attempted.load();
-    result.shed_submit_full = shed_full.load();
-    result.shed_submit_expired = shed_submit_expired.load();
-    result.shed_queue_expired = shed_queue_expired.load();
-    result.completed_seen = completed.load();
-    result.degraded_seen = degraded.load();
-    result.late_unmarked = late_unmarked.load();
-    result.client_errors = errors.load();
-    return result;
+    run.snap = service.snapshot();
+    const Conservation c = checkConservation(run.snap, run.tally);
+    if (!c.ok) {
+        std::fprintf(stderr, "SMOKE FAIL: %s: %s\n", what.c_str(),
+                     c.line.c_str());
+        ++failures;
+    }
+    return run;
 }
 
 /**
@@ -616,8 +330,8 @@ struct ObsOverhead {
 void
 writeJson(const std::string &path,
           const std::vector<BatchSetting> &settings,
-          const std::vector<RunResult> &capacity,
-          const std::vector<std::vector<RunResult>> &open_loop,
+          const std::vector<Run> &capacity,
+          const std::vector<std::vector<Run>> &open_loop,
           double baseline_qps, const ObsOverhead &obs)
 {
     std::ofstream out(path);
@@ -635,9 +349,9 @@ writeJson(const std::string &path,
         out << "    {\"label\": \"" << settings[s].label
             << "\", \"max_batch\": " << settings[s].max_batch
             << ", \"linger_us\": " << settings[s].linger.count()
-            << ",\n     \"closed_loop_qps\": " << cap.qps
+            << ",\n     \"closed_loop_qps\": " << cap.tally.qps()
             << ", \"speedup_vs_no_batching\": "
-            << cap.qps / baseline_qps
+            << cap.tally.qps() / baseline_qps
             << ", \"mean_batch\": " << cap.snap.mean_batch
             << ",\n     \"total_us\": {\"p50\": "
             << cap.snap.total_us.p50
@@ -657,7 +371,7 @@ writeJson(const std::string &path,
         for (std::size_t p = 0; p < open_loop[s].size(); ++p) {
             const auto &r = open_loop[s][p];
             out << "       {\"offered_qps\": " << r.offered
-                << ", \"achieved_qps\": " << r.qps
+                << ", \"achieved_qps\": " << r.tally.qps()
                 << ", \"rejected\": " << r.snap.rejected_full
                 << ", \"queue_p99_us\": " << r.snap.queue_us.p99
                 << ", \"search_p99_us\": " << r.snap.search_us.p99
@@ -676,21 +390,21 @@ void
 writeOverloadJson(const std::string &path, const BatchSetting &setting,
                   double capacity_qps, double capacity_p99_us,
                   double offered, double load_factor,
-                  double deadline_us, const OverloadResult &base,
-                  const OverloadResult &resilient)
+                  double deadline_us, const Run &base,
+                  const Run &resilient)
 {
     std::ofstream out(path);
     if (!out) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return;
     }
-    auto run = [&](const char *label, const OverloadResult &r,
+    auto run = [&](const char *label, const Run &r,
                    double run_deadline_us, bool degrade) {
         out << "    {\"label\": \"" << label
             << "\", \"deadline_us\": " << run_deadline_us
             << ", \"degradation\": " << (degrade ? "true" : "false")
-            << ",\n     \"achieved_qps\": " << r.qps
-            << ", \"attempted\": " << r.attempted
+            << ",\n     \"achieved_qps\": " << r.tally.qps()
+            << ", \"attempted\": " << r.tally.attempts()
             << ",\n     \"total_us\": {\"p50\": " << r.snap.total_us.p50
             << ", \"p95\": " << r.snap.total_us.p95
             << ", \"p99\": " << r.snap.total_us.p99
@@ -705,12 +419,12 @@ writeOverloadJson(const std::string &path, const BatchSetting &setting,
             << ", \"degraded_batches\": " << r.snap.degraded_batches
             << ", \"final_tier\": " << r.snap.degradation_tier
             << ",\n     \"client\": {\"shed_submit_full\": "
-            << r.shed_submit_full
-            << ", \"shed_submit_expired\": " << r.shed_submit_expired
-            << ", \"shed_queue_expired\": " << r.shed_queue_expired
-            << ", \"degraded_seen\": " << r.degraded_seen
-            << ", \"late_unmarked\": " << r.late_unmarked
-            << ", \"errors\": " << r.client_errors << "}}";
+            << r.tally.refused_full
+            << ", \"shed_submit_expired\": " << r.tally.refused_expired
+            << ", \"shed_queue_expired\": " << r.tally.shed_in_queue
+            << ", \"degraded_seen\": " << r.tally.degraded
+            << ", \"late_unmarked\": " << r.tally.late_unmarked
+            << ", \"errors\": " << r.tally.errors << "}}";
     };
     out << "{\n  \"bench\": \"serve_overload\",\n  \"build\": "
         << buildInfoJson() << ",\n  \"setting\": {\"label\": \""
@@ -728,7 +442,7 @@ writeOverloadJson(const std::string &path, const BatchSetting &setting,
         << base.snap.total_us.p99 /
                std::max(resilient.snap.total_us.p99, 1e-9)
         << ",\n  \"late_unmarked_completions\": "
-        << resilient.late_unmarked << "\n}\n";
+        << resilient.tally.late_unmarked << "\n}\n";
     std::printf("overload snapshot written to %s\n", path.c_str());
 }
 
@@ -804,22 +518,28 @@ main(int argc, char **argv)
 
     // ---- Closed-loop capacity per batch-window setting ----
     printBanner("Capacity (closed loop, windowed clients)");
-    std::vector<RunResult> capacity;
+    LoadConfig closed;
+    closed.queries = ds.queries.view();
+    closed.k = opt.k;
+    closed.clients = opt.clients;
+    closed.window = opt.window;
+    closed.requests = opt.closed_requests;
+    std::vector<Run> capacity;
     const int repeats = opt.smoke ? 1 : 2;
     for (const auto &setting : settings) {
         // Best of N probes: capacity is a property of the service,
         // not of whichever run the scheduler disturbed least.
-        RunResult best;
+        Run best;
         for (int rep = 0; rep < repeats; ++rep) {
-            auto r = runClosedLoop(index, ds.queries.view(), opt.k,
-                                   setting, opt.clients, opt.window,
-                                   opt.closed_requests);
-            if (rep == 0 || r.qps > best.qps)
+            auto r = serveRun(index, serviceConfig(setting), runClosedLoop,
+                              closed, "closed loop " + setting.label,
+                              failures);
+            if (rep == 0 || r.tally.qps() > best.tally.qps())
                 best = std::move(r);
         }
         capacity.push_back(std::move(best));
     }
-    const double baseline_qps = capacity.front().qps;
+    const double baseline_qps = capacity.front().tally.qps();
 
     TablePrinter cap_table({"setting", "QPS", "speedup", "mean_batch",
                             "total_p50_us", "total_p99_us",
@@ -827,46 +547,23 @@ main(int argc, char **argv)
     for (std::size_t s = 0; s < settings.size(); ++s) {
         const auto &r = capacity[s];
         cap_table.addRow(
-            {settings[s].label, TablePrinter::num(r.qps),
-             TablePrinter::num(r.qps / baseline_qps),
+            {settings[s].label, TablePrinter::num(r.tally.qps()),
+             TablePrinter::num(r.tally.qps() / baseline_qps),
              TablePrinter::num(r.snap.mean_batch),
              TablePrinter::num(r.snap.total_us.p50),
              TablePrinter::num(r.snap.total_us.p99),
              std::to_string(r.snap.completed)});
-        // Conservation over all submit attempts: each was either
-        // accepted (and then completed with a value, an engine
-        // exception, or kExpired) or shed at the door for a typed
-        // reason. Engine failures and client exceptions fail the gate
-        // too.
-        if (r.snap.completed + r.snap.failed + r.snap.expired +
-                    r.snap.rejected_full + r.snap.rejected_expired +
-                    r.snap.rejected_stopped !=
-                r.attempted ||
-            r.snap.failed != 0 || r.client_errors != 0) {
-            std::fprintf(
-                stderr,
-                "SMOKE FAIL: closed loop %s: %llu attempted = %llu "
-                "completed + %llu failed + %llu shed? (%llu client "
-                "errors)\n",
-                settings[s].label.c_str(),
-                static_cast<unsigned long long>(r.attempted),
-                static_cast<unsigned long long>(r.snap.completed),
-                static_cast<unsigned long long>(r.snap.failed),
-                static_cast<unsigned long long>(r.snap.rejected_full),
-                static_cast<unsigned long long>(r.client_errors));
-            ++failures;
-        }
     }
     cap_table.print();
 
     std::size_t best_setting = 0;
     for (std::size_t s = 1; s < settings.size(); ++s)
-        if (capacity[s].qps > capacity[best_setting].qps)
+        if (capacity[s].tally.qps() > capacity[best_setting].tally.qps())
             best_setting = s;
     std::printf("\nclosed-loop capacity speedup (%s vs no batching): "
                 "%.2fx\n",
                 settings[best_setting].label.c_str(),
-                capacity[best_setting].qps /
+                capacity[best_setting].tally.qps() /
                     std::max(baseline_qps, 1e-9));
     const auto &mem = capacity[best_setting].snap;
     std::printf("memory at %s: rss %.1f MiB, faults major %llu minor "
@@ -904,14 +601,14 @@ main(int argc, char **argv)
         obs_cfg.trace_sample = 0.0;
         obs_cfg.slow_trace_us = 1e12;
         for (int rep = 0; rep < repeats; ++rep) {
-            const auto plain = runClosedLoop(
-                index, ds.queries.view(), opt.k, setting, opt.clients,
-                opt.window, opt.closed_requests, &plain_cfg);
-            const auto traced = runClosedLoop(
-                index, ds.queries.view(), opt.k, setting, opt.clients,
-                opt.window, opt.closed_requests, &obs_cfg);
-            obs.plain_qps = std::max(obs.plain_qps, plain.qps);
-            obs.obs_qps = std::max(obs.obs_qps, traced.qps);
+            const auto plain =
+                serveRun(index, plain_cfg, runClosedLoop, closed,
+                         "observability off", failures);
+            const auto traced =
+                serveRun(index, obs_cfg, runClosedLoop, closed,
+                         "observability on", failures);
+            obs.plain_qps = std::max(obs.plain_qps, plain.tally.qps());
+            obs.obs_qps = std::max(obs.obs_qps, traced.tally.qps());
         }
         obs.overhead_pct =
             100.0 * (1.0 - obs.obs_qps / std::max(obs.plain_qps, 1e-9));
@@ -939,44 +636,27 @@ main(int argc, char **argv)
     TablePrinter open_table({"setting", "offered", "achieved", "shed%",
                              "queue_p99_us", "search_p99_us",
                              "total_p50_us", "total_p99_us"});
-    std::vector<std::vector<RunResult>> open_results(settings.size());
+    std::vector<std::vector<Run>> open_results(settings.size());
+    LoadConfig open = closed;
+    open.seconds = opt.open_duration_s;
     for (std::size_t s = 0; s < settings.size(); ++s) {
         for (double f : load_factors) {
-            const double offered = f * baseline_qps;
-            auto r = runOpenLoop(index, ds.queries.view(), opt.k,
-                                 settings[s], opt.clients, offered,
-                                 opt.open_duration_s);
+            open.rate = f * baseline_qps;
+            auto r = serveRun(index, serviceConfig(settings[s]),
+                              runOpenLoop, open,
+                              "open loop " + settings[s].label, failures);
             const double shed =
-                r.attempted == 0
+                r.tally.attempts() == 0
                     ? 0.0
-                    : 100.0 *
-                          static_cast<double>(r.snap.rejected_full) /
-                          static_cast<double>(r.attempted);
+                    : 100.0 * static_cast<double>(r.tally.refused_full) /
+                          static_cast<double>(r.tally.attempts());
             open_table.addRow(
-                {settings[s].label, TablePrinter::num(offered),
-                 TablePrinter::num(r.qps), TablePrinter::num(shed),
+                {settings[s].label, TablePrinter::num(r.offered),
+                 TablePrinter::num(r.tally.qps()), TablePrinter::num(shed),
                  TablePrinter::num(r.snap.queue_us.p99),
                  TablePrinter::num(r.snap.search_us.p99),
                  TablePrinter::num(r.snap.total_us.p50),
                  TablePrinter::num(r.snap.total_us.p99)});
-            // Conservation holds under shedding too: accepted ==
-            // completed + failed + expired once stop() has drained.
-            if (r.snap.completed + r.snap.failed + r.snap.expired !=
-                    r.snap.submitted ||
-                r.snap.failed != 0 || r.client_errors != 0) {
-                std::fprintf(stderr,
-                             "SMOKE FAIL: open loop %s lost requests "
-                             "(submitted %llu, completed %llu, %llu "
-                             "client errors)\n",
-                             settings[s].label.c_str(),
-                             static_cast<unsigned long long>(
-                                 r.snap.submitted),
-                             static_cast<unsigned long long>(
-                                 r.snap.completed),
-                             static_cast<unsigned long long>(
-                                 r.client_errors));
-                ++failures;
-            }
             open_results[s].push_back(std::move(r));
         }
     }
@@ -988,11 +668,11 @@ main(int argc, char **argv)
     double best_overload = 0.0;
     std::string best_overload_label;
     for (std::size_t s = 1; s < settings.size(); ++s)
-        if (open_results[s].back().qps > best_overload) {
-            best_overload = open_results[s].back().qps;
+        if (open_results[s].back().tally.qps() > best_overload) {
+            best_overload = open_results[s].back().tally.qps();
             best_overload_label = settings[s].label;
         }
-    const double baseline_overload = open_results[0].back().qps;
+    const double baseline_overload = open_results[0].back().tally.qps();
     if (!opt.smoke && settings.size() > 1) {
         std::printf("\nsustained QPS at %.0f offered (%.1fx the "
                     "no-batching capacity), equal recall:\n"
@@ -1014,27 +694,37 @@ main(int argc, char **argv)
         printBanner("Overload (2.5x capacity): baseline vs "
                     "deadline + degradation");
         const BatchSetting &setting = settings[best_setting];
-        const double cap_qps = capacity[best_setting].qps;
+        const double cap_qps = capacity[best_setting].tally.qps();
         const double cap_p99 = capacity[best_setting].snap.total_us.p99;
         const double load_factor = 2.5;
         const double offered = load_factor * cap_qps;
         // Generous relative to healthy latency, tiny relative to the
         // collapse: a shed-or-degrade budget, not a stretch target.
         const double deadline_us = std::max(5000.0, 4.0 * cap_p99);
-        const auto base = runOverloadLoop(
-            index, ds.queries.view(), opt.k, setting, opt.clients,
-            offered, opt.open_duration_s, 0.0, false);
-        const auto resil = runOverloadLoop(
-            index, ds.queries.view(), opt.k, setting, opt.clients,
-            offered, opt.open_duration_s, deadline_us, true);
+        LoadConfig overload = open;
+        overload.rate = offered;
+        const auto base = serveRun(index, serviceConfig(setting),
+                                   runOpenLoop, overload,
+                                   "overload baseline", failures);
+        ServiceConfig resil_cfg = serviceConfig(setting);
+        resil_cfg.default_deadline_ms = deadline_us / 1000.0;
+        resil_cfg.degradation.enabled = true;
+        // Deadline shedding keeps the standing queue short, so depth
+        // alone would never trip the policy; arm the lagging signal
+        // with half the deadline as the queue-wait budget (waits run
+        // right up to the deadline under sustained overload).
+        resil_cfg.degradation.queue_p95_budget_us = deadline_us / 2.0;
+        const auto resil =
+            serveRun(index, resil_cfg, runOpenLoop, overload,
+                     "overload deadline+degradation", failures);
 
         TablePrinter overload_table(
             {"run", "offered", "achieved", "total_p50_us",
              "total_p99_us", "shed", "expired", "degraded", "tier"});
-        auto addRow = [&](const char *label, const OverloadResult &r) {
+        auto addRow = [&](const char *label, const Run &r) {
             overload_table.addRow(
                 {label, TablePrinter::num(r.offered),
-                 TablePrinter::num(r.qps),
+                 TablePrinter::num(r.tally.qps()),
                  TablePrinter::num(r.snap.total_us.p50),
                  TablePrinter::num(r.snap.total_us.p99),
                  std::to_string(r.snap.rejected_full +
@@ -1047,53 +737,12 @@ main(int argc, char **argv)
         addRow("deadline+degradation", resil);
         overload_table.print();
 
-        auto conserve = [&](const char *label,
-                            const OverloadResult &r) {
-            if (r.snap.completed + r.snap.failed + r.snap.expired !=
-                    r.snap.submitted ||
-                r.snap.failed != 0 || r.client_errors != 0) {
-                std::fprintf(
-                    stderr,
-                    "OVERLOAD FAIL: %s lost requests (submitted "
-                    "%llu, completed %llu, failed %llu, expired "
-                    "%llu, %llu client errors)\n",
-                    label,
-                    static_cast<unsigned long long>(r.snap.submitted),
-                    static_cast<unsigned long long>(r.snap.completed),
-                    static_cast<unsigned long long>(r.snap.failed),
-                    static_cast<unsigned long long>(r.snap.expired),
-                    static_cast<unsigned long long>(r.client_errors));
-                ++failures;
-            }
-            // Client-side reconciliation: every value-completed future
-            // is reaped exactly once, so the counters the clients
-            // observed must equal the service's. The degraded half is
-            // what catches a degraded flag dropped anywhere between
-            // the engine's per-query marking and the fulfilled future
-            // (e.g. a top-k merge that rebuilds the ResultList).
-            if (r.snap.completed != r.completed_seen ||
-                r.snap.degraded != r.degraded_seen) {
-                std::fprintf(
-                    stderr,
-                    "OVERLOAD FAIL: %s service/client mismatch "
-                    "(completed %llu vs seen %llu, degraded %llu vs "
-                    "seen %llu)\n",
-                    label,
-                    static_cast<unsigned long long>(r.snap.completed),
-                    static_cast<unsigned long long>(r.completed_seen),
-                    static_cast<unsigned long long>(r.snap.degraded),
-                    static_cast<unsigned long long>(r.degraded_seen));
-                ++failures;
-            }
-        };
-        conserve("baseline", base);
-        conserve("deadline+degradation", resil);
-        if (resil.late_unmarked != 0) {
+        if (resil.tally.late_unmarked != 0) {
             std::fprintf(stderr,
                          "OVERLOAD FAIL: %llu completions past their "
                          "deadline were not flagged degraded\n",
                          static_cast<unsigned long long>(
-                             resil.late_unmarked));
+                             resil.tally.late_unmarked));
             ++failures;
         }
         // A completed request can legitimately carry deadline-epsilon
@@ -1122,7 +771,7 @@ main(int argc, char **argv)
                 resil.snap.rejected_expired + resil.snap.rejected_full),
             static_cast<unsigned long long>(resil.snap.expired),
             static_cast<unsigned long long>(resil.snap.degraded),
-            static_cast<unsigned long long>(resil.late_unmarked));
+            static_cast<unsigned long long>(resil.tally.late_unmarked));
 
         if (!opt.overload_json_path.empty())
             writeOverloadJson(opt.overload_json_path, setting, cap_qps,

@@ -481,41 +481,4 @@ IvfPqIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
     }
 }
 
-std::vector<Neighbor>
-IvfPqIndex::searchOneRecordingUsage(
-    const float *query, idx_t k,
-    std::vector<std::vector<std::uint32_t>> *entry_usage) const
-{
-    const int subspaces = pq_.numSubspaces();
-    if (entry_usage != nullptr) {
-        entry_usage->assign(
-            static_cast<std::size_t>(subspaces),
-            std::vector<std::uint32_t>(
-                static_cast<std::size_t>(pq_.entries()), 0));
-    }
-
-    auto probes = probe(query, nprobs_);
-    TopK top(std::min(k, num_points_), metric_);
-    FloatMatrix lut;
-    std::vector<float> residual;
-    ScanScratch scratch;
-    for (const auto &pr : probes) {
-        const cluster_t c = static_cast<cluster_t>(pr.id);
-        float base = 0.0f;
-        buildLut(query, c, lut, base, residual);
-        scanList(c, lut, base, scratch, top);
-    }
-    auto result = top.take();
-    if (entry_usage != nullptr) {
-        // Count, per subspace, how often each entry encodes a returned
-        // neighbour (the Fig. 3(b) heatmap row for this query).
-        for (const auto &nb : result) {
-            const entry_t *pc = codes_.row(nb.id);
-            for (int s = 0; s < subspaces; ++s)
-                ++(*entry_usage)[static_cast<std::size_t>(s)][pc[s]];
-        }
-    }
-    return result;
-}
-
 } // namespace juno

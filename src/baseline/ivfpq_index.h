@@ -104,15 +104,6 @@ class IvfPqIndex : public AnnIndex {
     std::vector<Neighbor> probe(const float *query, idx_t nprobs,
                                 VisitedSet &visited) const;
 
-    /**
-     * Searches a single query and optionally reports which (cluster,
-     * subspace, entry) cells the returned top-k actually addressed.
-     * Used by the Fig. 3(b)/4/5 sparsity characterisation benches.
-     */
-    std::vector<Neighbor> searchOneRecordingUsage(
-        const float *query, idx_t k,
-        std::vector<std::vector<std::uint32_t>> *entry_usage) const;
-
   protected:
     void searchChunk(const SearchChunk &chunk, SearchContext &ctx) override;
     void saveSections(SnapshotWriter &writer) const override;
@@ -129,7 +120,7 @@ class IvfPqIndex : public AnnIndex {
     void buildLut(const float *query, cluster_t cluster, FloatMatrix &lut,
                   float &base, std::vector<float> &residual) const;
 
-    /** Caller-owned scan scratch (per search worker / legacy call). */
+    /** Per-worker scan scratch (a SearchContext slot). */
     struct ScanScratch {
         std::vector<float> scores;
         QuantizedLut qlut;
@@ -170,22 +161,19 @@ class IvfPqIndex : public AnnIndex {
      *  - streaming float scan over the interleaved blocks (bitwise
      *    identical to the legacy gather) otherwise;
      *  - the legacy id-gather kernel when use_interleaved is off.
-     * Both the batched searchChunk() path and the legacy
-     * searchOneRecordingUsage() path funnel through this one helper.
-     */
-    /**
+     * searchChunk() is the only caller.
+     *
      * @p pinned substitutes the list's cached heap copy for the
-     * mapped planes (bitwise-identical bytes); @p cache, when set,
-     * receives an offer of the payload after a cold interleaved scan.
-     * @p tighten > 0 widens the fast-scan block skip margin by that
-     * fraction of the heap threshold (degraded serving); 0 keeps the
-     * exact skip rule.
+     * mapped planes (bitwise-identical bytes; null scans the
+     * mapping); @p cache, when set, receives an offer of the payload
+     * after a cold interleaved scan. @p tighten > 0 widens the
+     * fast-scan block skip margin by that fraction of the heap
+     * threshold (degraded serving); 0 keeps the exact skip rule.
      */
     void scanList(cluster_t cluster, const FloatMatrix &lut, float base,
                   ScanScratch &scratch, TopK &top,
-                  const CachedList *pinned = nullptr,
-                  HotListCache *cache = nullptr,
-                  float tighten = 0.0f) const;
+                  const CachedList *pinned, HotListCache *cache,
+                  float tighten) const;
 
     Metric metric_ = Metric::kL2;
     idx_t num_points_ = 0;

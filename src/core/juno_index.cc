@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
-#include <fstream>
 
 #include "common/logging.h"
 #include "common/mmap_blob.h"
@@ -114,8 +112,6 @@ JunoIndex::finishConstruction()
 }
 
 namespace {
-constexpr char kLegacyMagic[8] = {'J', 'U', 'N', 'O', 'I', 'D', 'X', '1'};
-constexpr std::uint32_t kLegacyVersion = 1;
 /** Snapshot meta-section format of this index type. */
 constexpr std::uint32_t kFormatVersion = 1;
 
@@ -321,75 +317,12 @@ JunoIndex::open(SnapshotReader &reader)
 std::unique_ptr<JunoIndex>
 JunoIndex::load(const std::string &path)
 {
-    // Sniff the magic: the unified snapshot container and the legacy
-    // single-stream format start with different 8-byte tags.
-    char magic[8] = {};
-    {
-        std::ifstream probe(path, std::ios::binary);
-        if (!probe)
-            fatal("cannot open " + path);
-        probe.read(magic, 8);
-        if (!probe)
-            fatal(path + ": not a JUNO index file (too small)");
-    }
-    if (std::memcmp(magic, kLegacyMagic, 8) == 0) {
-        warn(path + ": legacy JUNO index format; re-save to upgrade "
-                    "to the snapshot container (legacy support will "
-                    "be removed)");
-        return loadLegacy(path);
-    }
     SnapshotReader reader(path);
     const IndexSpec spec = IndexSpec::parse(reader.spec());
     JUNO_REQUIRE(spec.type == "juno",
                  path << " holds a '" << spec.type
                       << "' index, not a JUNO index (use openIndex)");
     return open(reader);
-}
-
-std::unique_ptr<JunoIndex>
-JunoIndex::loadLegacy(const std::string &path)
-{
-    BinaryReader reader(path, kLegacyMagic, kLegacyVersion);
-    std::unique_ptr<JunoIndex> index(new JunoIndex());
-    index->metric_ = reader.readPod<std::int32_t>() == 0
-                         ? Metric::kL2
-                         : Metric::kInnerProduct;
-    index->num_points_ = reader.readPod<std::int64_t>();
-    index->dim_ = reader.readPod<std::int64_t>();
-    JUNO_REQUIRE(index->num_points_ > 0 && index->dim_ > 0 &&
-                     index->dim_ % 2 == 0,
-                 "corrupt index header");
-
-    index->params_.clusters = reader.readPod<std::int32_t>();
-    index->params_.pq_entries = reader.readPod<std::int32_t>();
-    index->params_.nprobs = reader.readPod<std::int64_t>();
-    index->params_.mode =
-        static_cast<SearchMode>(reader.readPod<std::int32_t>());
-    index->params_.threshold_scale = reader.readPod<double>();
-    index->params_.threshold_mode =
-        static_cast<ThresholdMode>(reader.readPod<std::int32_t>());
-    index->params_.miss_penalty = reader.readPod<double>();
-    index->params_.use_rt_core = reader.readPod<std::uint8_t>() != 0;
-    index->params_.density_grid = reader.readPod<std::int32_t>();
-    index->params_.scene.gate_radius = reader.readPod<float>();
-    index->params_.scene.max_gate_fraction = reader.readPod<float>();
-
-    index->ivf_.load(reader);
-    index->pq_.load(reader);
-    index->codes_.num_points = reader.readPod<std::int64_t>();
-    index->codes_.num_subspaces = reader.readPod<std::int32_t>();
-    index->codes_.codes = reader.readVector<entry_t>();
-    JUNO_REQUIRE(index->codes_.codes.size() ==
-                     static_cast<std::size_t>(index->codes_.num_points) *
-                         static_cast<std::size_t>(
-                             index->codes_.num_subspaces),
-                 "corrupt PQ codes payload");
-    index->density_.load(reader);
-    index->policy_.load(reader, index->density_);
-    index->policy_.setMode(index->params_.threshold_mode);
-
-    index->finishConstruction();
-    return index;
 }
 
 std::string

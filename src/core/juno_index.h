@@ -77,11 +77,9 @@ class JunoIndex : public AnnIndex {
               const JunoParams &params);
 
     /**
-     * Restores an index from @p path. Accepts both the unified
-     * snapshot container (AnnIndex::save()/openIndex()) and, as a
-     * deprecated migration shim, the legacy "JUNOIDX1" format earlier
-     * releases wrote (loads with a one-time warning; re-save to
-     * upgrade).
+     * Restores an index from a snapshot container at @p path
+     * (AnnIndex::save()/openIndex()); any other file, or a snapshot
+     * of another index type, is a ConfigError.
      */
     static std::unique_ptr<JunoIndex> load(const std::string &path);
 
@@ -149,9 +147,6 @@ class JunoIndex : public AnnIndex {
 
     /** For load(): members are filled by the loader. */
     JunoIndex() : metric_(Metric::kL2) {}
-
-    /** Legacy "JUNOIDX1" single-stream loader (migration shim). */
-    static std::unique_ptr<JunoIndex> loadLegacy(const std::string &path);
 
     /** Rebuilds the derived structures (interest index, scene, ...). */
     void finishConstruction();

@@ -1,8 +1,6 @@
 #include "registry/index_factory.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 
 #include "baseline/flat_index.h"
 #include "baseline/hnsw.h"
@@ -230,17 +228,6 @@ buildIndex(Metric metric, FloatMatrixView points, const std::string &spec)
 std::unique_ptr<AnnIndex>
 openIndex(const std::string &path, const SnapshotOptions &options)
 {
-    // Legacy single-stream JUNO files predate the container; route
-    // them through the migration shim so every caller keeps working.
-    char magic[8] = {};
-    {
-        std::ifstream probe(path, std::ios::binary);
-        if (!probe)
-            fatal("cannot open " + path);
-        probe.read(magic, 8);
-    }
-    if (std::memcmp(magic, "JUNOIDX1", 8) == 0)
-        return JunoIndex::load(path);
     SnapshotReader reader(path, options);
     return IndexFactory::instance().open(reader);
 }

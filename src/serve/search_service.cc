@@ -105,8 +105,8 @@ toHistogramSummary(const LatencySummary &s)
 } // namespace
 
 SearchService::SearchService(AnnIndex &index, ServiceConfig config)
-    : index_(index), config_(config), queue_(config.queue_capacity),
-      tracer_(tracerConfig(config))
+    : tracer_(tracerConfig(config)), index_(index), config_(config),
+      queue_(config.queue_capacity)
 {
     validateConfig(config_);
     if (config_.degradation.enabled)
@@ -119,9 +119,10 @@ SearchService::SearchService(AnnIndex &index, ServiceConfig config)
 
 SearchService::SearchService(std::unique_ptr<AnnIndex> index,
                              ServiceConfig config)
-    : owned_index_(requireIndex(std::move(index))),
+    : tracer_(tracerConfig(config)),
+      owned_index_(requireIndex(std::move(index))),
       index_(*owned_index_), config_(config),
-      queue_(config.queue_capacity), tracer_(tracerConfig(config))
+      queue_(config.queue_capacity)
 {
     validateConfig(config_);
     if (config_.degradation.enabled)

@@ -371,6 +371,12 @@ class SearchService {
     /** One recorder tick: summary line + optional JSONL append. */
     void recorderTick(bool final_tick) JUNO_EXCLUDES(lifecycle_mutex_);
 
+    /**
+     * Declared before owned_index_ so it is destroyed after it: an
+     * owned LiveIndex's merge thread records generation traces here
+     * until the index's destructor joins it.
+     */
+    Tracer tracer_;
     /** Set by the warm-start constructors; null when borrowing. */
     std::unique_ptr<AnnIndex> owned_index_;
     AnnIndex &index_;
@@ -395,7 +401,6 @@ class SearchService {
     /** Usage at start(); snapshots report fault deltas against it. */
     ResourceUsage base_usage_ JUNO_GUARDED_BY(lifecycle_mutex_);
 
-    Tracer tracer_;
     /** Set by start() before any reader thread exists. */
     Clock::time_point start_time_;
 

@@ -25,6 +25,29 @@ clusteredData(Metric metric = Metric::kL2, idx_t n = 1500, idx_t dim = 16)
     return makeDataset(spec);
 }
 
+/**
+ * Searches @p query through the engine and counts, per subspace, how
+ * often each codebook entry encodes a returned neighbour (the
+ * Fig. 3(b) heatmap row of that query).
+ */
+std::vector<Neighbor>
+searchCountingUsage(IvfPqIndex &index, const float *query, idx_t k,
+                    std::vector<std::vector<std::uint32_t>> &usage)
+{
+    auto result = index.search(
+        SearchRequest(FloatMatrixView(query, 1, index.dim()), k))[0];
+    const int subspaces = index.pq().numSubspaces();
+    usage.assign(static_cast<std::size_t>(subspaces),
+                 std::vector<std::uint32_t>(
+                     static_cast<std::size_t>(index.pq().entries()), 0));
+    for (const Neighbor &nb : result) {
+        const entry_t *pc = index.codes().row(nb.id);
+        for (int s = 0; s < subspaces; ++s)
+            ++usage[static_cast<std::size_t>(s)][pc[s]];
+    }
+    return result;
+}
+
 IvfPqIndex::Params
 smallParams()
 {
@@ -121,7 +144,7 @@ TEST(IvfPq, UsageRecordingCountsTopKEncodings)
     IvfPqIndex index(Metric::kL2, ds.base.view(), params);
     std::vector<std::vector<std::uint32_t>> usage;
     const auto result =
-        index.searchOneRecordingUsage(ds.queries.row(0), 50, &usage);
+        searchCountingUsage(index, ds.queries.row(0), 50, usage);
     ASSERT_EQ(usage.size(), 8u);
 
     // Total usage per subspace equals the number of returned points.
@@ -143,7 +166,7 @@ TEST(IvfPq, UsageIsSparse)
     params.nprobs = 24;
     IvfPqIndex index(Metric::kL2, ds.base.view(), params);
     std::vector<std::vector<std::uint32_t>> usage;
-    index.searchOneRecordingUsage(ds.queries.row(0), 100, &usage);
+    searchCountingUsage(index, ds.queries.row(0), 100, usage);
     double used_fraction = 0.0;
     for (const auto &row : usage) {
         int used = 0;
@@ -154,16 +177,6 @@ TEST(IvfPq, UsageIsSparse)
     }
     used_fraction /= static_cast<double>(usage.size());
     EXPECT_LT(used_fraction, 0.6);
-}
-
-TEST(IvfPq, SearchOneMatchesBatchSearch)
-{
-    const auto ds = clusteredData();
-    IvfPqIndex index(Metric::kL2, ds.base.view(), smallParams());
-    const auto batch = index.search(ds.queries.view(), 10);
-    const auto one = index.searchOneRecordingUsage(ds.queries.row(0), 10,
-                                                   nullptr);
-    EXPECT_EQ(batch[0], one);
 }
 
 TEST(IvfPq, RejectsBadConfigs)

@@ -237,14 +237,14 @@ TEST_F(JunoIndexPersistence, IpIndexRoundTrips)
     std::remove(path.c_str());
 }
 
-TEST_F(JunoIndexPersistence, LegacyFormatLoadsThroughShim)
+TEST_F(JunoIndexPersistence, LegacyFormatRejected)
 {
     const auto ds = makeData();
     JunoIndex original(Metric::kL2, ds.base.view(), makeParams());
     const auto path = tempPath("juno_legacy.bin");
-    // Hand-write the pre-container "JUNOIDX1" stream out of the
-    // index's public components, exactly as the old save() laid it
-    // out, so the migration shim has a real legacy file to chew on.
+    // The pre-container "JUNOIDX1" stream, hand-written from the
+    // index's public components: a complete file in a format that is
+    // no longer read, which must fail as a typed error, not a crash.
     {
         constexpr char magic[8] = {'J', 'U', 'N', 'O', 'I', 'D', 'X', '1'};
         BinaryWriter writer(path, magic, 1);
@@ -255,33 +255,13 @@ TEST_F(JunoIndexPersistence, LegacyFormatLoadsThroughShim)
         writer.writePod<std::int32_t>(p.clusters);
         writer.writePod<std::int32_t>(p.pq_entries);
         writer.writePod<std::int64_t>(p.nprobs);
-        writer.writePod<std::int32_t>(
-            static_cast<std::int32_t>(p.mode));
-        writer.writePod(p.threshold_scale);
-        writer.writePod<std::int32_t>(
-            static_cast<std::int32_t>(p.threshold_mode));
-        writer.writePod(p.miss_penalty);
-        writer.writePod<std::uint8_t>(p.use_rt_core ? 1 : 0);
-        writer.writePod<std::int32_t>(p.density_grid);
-        writer.writePod(p.scene.gate_radius);
-        writer.writePod(p.scene.max_gate_fraction);
         original.ivf().save(writer);
         original.pq().save(writer);
-        writer.writePod<std::int64_t>(original.codes().num_points);
-        writer.writePod<std::int32_t>(original.codes().num_subspaces);
         writer.writeArray(original.codes().data(),
                           original.codes().count());
-        original.densityMap().save(writer);
-        original.thresholdPolicy().save(writer);
     }
-
-    auto loaded = JunoIndex::load(path);
-    EXPECT_EQ(original.search(ds.queries.view(), 20),
-              loaded->search(ds.queries.view(), 20));
-    // openIndex() routes legacy files through the same shim.
-    auto via_factory = openIndex(path);
-    EXPECT_EQ(original.search(ds.queries.view(), 20),
-              via_factory->search(ds.queries.view(), 20));
+    EXPECT_THROW(JunoIndex::load(path), ConfigError);
+    EXPECT_THROW(openIndex(path), ConfigError);
     std::remove(path.c_str());
 }
 

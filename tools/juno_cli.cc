@@ -71,13 +71,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <future>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline/hnsw.h"
@@ -89,6 +86,7 @@
 #include "dataset/io.h"
 #include "dataset/recall.h"
 #include "dataset/synthetic.h"
+#include "harness/loadgen.h"
 #include "obs/metrics.h"
 #include "live/live_index.h"
 #include "registry/index_factory.h"
@@ -655,134 +653,23 @@ cmdServe(const Args &args)
     std::signal(SIGINT, handleStopSignal);
     std::signal(SIGTERM, handleStopSignal);
     service->start();
-    Timer timer;
-    // Synthetic write traffic: one writer paces inserts and deletes
-    // at the requested rates, recycling base vectors under fresh ids.
-    // It only ever deletes ids it inserted itself, so the readers'
-    // ground set never shrinks and every removed id is known-dead.
-    // kBufferFull is backpressure by design (a merge is behind), so
-    // it is counted, not fatal.
-    std::atomic<bool> writer_stop{false};
-    std::atomic<long long> writer_inserts{0};
-    std::atomic<long long> writer_removes{0};
-    std::atomic<long long> writer_rejected{0};
-    std::thread writer;
-    if (insert_rate > 0.0 || delete_rate > 0.0)
-        writer = std::thread([&] {
-            std::deque<idx_t> mine;
-            idx_t next_id = data.base.rows() + 1000000;
-            using Clock = std::chrono::steady_clock;
-            const auto start = Clock::now();
-            double ins_due = 0.0, del_due = 0.0;
-            while (!writer_stop.load()) {
-                const double t =
-                    std::chrono::duration<double>(Clock::now() - start)
-                        .count();
-                bool worked = false;
-                if (insert_rate > 0.0 && t >= ins_due) {
-                    const float *src = data.base.row(
-                        next_id % data.base.rows());
-                    if (service->insert(src, next_id) ==
-                        MutateStatus::kOk) {
-                        mine.push_back(next_id);
-                        writer_inserts.fetch_add(1);
-                    } else {
-                        writer_rejected.fetch_add(1);
-                    }
-                    ++next_id;
-                    ins_due += 1.0 / insert_rate;
-                    worked = true;
-                }
-                if (delete_rate > 0.0 && t >= del_due) {
-                    if (!mine.empty()) {
-                        if (service->remove(mine.front()) ==
-                            MutateStatus::kOk)
-                            writer_removes.fetch_add(1);
-                        mine.pop_front();
-                        worked = true;
-                    }
-                    // An empty backlog still consumes the tick, or a
-                    // delete burst would fire the moment inserts land.
-                    del_due += 1.0 / delete_rate;
-                }
-                if (!worked)
-                    std::this_thread::sleep_for(
-                        std::chrono::microseconds(200));
-            }
-        });
-    std::atomic<int> client_failures{0};
-    std::atomic<long long> client_shed{0};
-    std::atomic<long long> client_degraded{0};
-    std::vector<std::thread> threads;
-    for (int c = 0; c < clients; ++c)
-        threads.emplace_back([&, c] {
-            // An engine failure surfaces through future.get(); catch
-            // it here — an exception escaping a std::thread would
-            // std::terminate past main()'s exit-code handling.
-            try {
-                std::deque<std::future<ResultList>> inflight;
-                // Typed shedding (expired in queue, stopped during an
-                // interrupt drain) is overload behaving as designed,
-                // not a client failure.
-                auto reap = [&](std::future<ResultList> &f) {
-                    try {
-                        if (f.get().degraded)
-                            client_degraded.fetch_add(1);
-                    } catch (const RejectedError &) {
-                        client_shed.fetch_add(1);
-                    }
-                };
-                idx_t qi = static_cast<idx_t>(c) % queries.rows();
-                // Spread the remainder so exactly --requests are
-                // served (integer division alone would drop
-                // total % clients, or everything when
-                // requests < clients).
-                const long mine =
-                    total / clients + (c < total % clients ? 1 : 0);
-                for (long i = 0; i < mine; ++i) {
-                    if (g_interrupted.load())
-                        break;
-                    if (inflight.size() >=
-                        static_cast<std::size_t>(window)) {
-                        reap(inflight.front());
-                        inflight.pop_front();
-                    }
-                    RejectReason reason = RejectReason::kNone;
-                    auto f = service->submit(queries.row(qi), k,
-                                             &reason);
-                    // Closed-loop backpressure: a full queue means
-                    // the dispatcher is behind — yield and retry so
-                    // exactly --requests get served instead of
-                    // silently shrinking the run. Other reject
-                    // reasons (stopped, expired) are terminal for
-                    // this request; its future carries the typed
-                    // error and reap() accounts it.
-                    while (reason == RejectReason::kQueueFull &&
-                           service->running() &&
-                           !g_interrupted.load()) {
-                        std::this_thread::yield();
-                        f = service->submit(queries.row(qi), k,
-                                            &reason);
-                    }
-                    qi = (qi + 1) % queries.rows();
-                    inflight.push_back(std::move(f));
-                }
-                while (!inflight.empty()) {
-                    reap(inflight.front());
-                    inflight.pop_front();
-                }
-            } catch (const std::exception &err) {
-                std::fprintf(stderr, "juno_cli: client %d: %s\n", c,
-                             err.what());
-                client_failures.fetch_add(1);
-            }
-        });
-    for (auto &t : threads)
-        t.join();
-    const double secs = timer.seconds();
-    writer_stop.store(true);
-    if (writer.joinable())
-        writer.join();
+    // Synthetic write traffic alongside the readers (no writer thread
+    // when both rates are 0). kBufferFull is backpressure by design (a
+    // merge is behind), so the writer counts it instead of failing.
+    WriterConfig writes;
+    writes.insert_rate = insert_rate;
+    writes.delete_rate = delete_rate;
+    PacedWriter writer(*service, data.base.view(), writes);
+    LoadConfig reads;
+    reads.queries = queries;
+    reads.k = k;
+    reads.clients = clients;
+    reads.window = window;
+    reads.requests = static_cast<std::uint64_t>(total);
+    reads.stop = &g_interrupted;
+    LoadTally tally = runClosedLoop(*service, reads);
+    const double secs = tally.seconds;
+    const WriterResult wr = writer.finish();
     if (g_interrupted.load())
         std::printf("interrupted: draining accepted requests, final "
                     "snapshots still written\n");
@@ -814,8 +701,8 @@ cmdServe(const Args &args)
             st = service->insert(probe, probe_id);
         }
         auto sees = [&](idx_t id) {
-            const ResultList r = service->submit(probe, 10).get();
-            for (const Neighbor &n : r)
+            for (const Neighbor &n :
+                 submitAndWait(*service, probe, 10, tally))
                 if (n.id == id)
                     return true;
             return false;
@@ -844,8 +731,6 @@ cmdServe(const Args &args)
     service->stop();
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
-    JUNO_REQUIRE(client_failures.load() == 0,
-                 client_failures.load() << " serving clients failed");
 
     const auto snap = service->snapshot();
     std::printf("served %llu requests in %.2fs: %.0f QPS, mean batch "
@@ -856,28 +741,18 @@ cmdServe(const Args &args)
                 static_cast<unsigned long long>(snap.rejected_full));
     std::printf("overload: shed %lld (client view), degraded %llu "
                 "(%lld seen), degraded batches %llu, tier %d\n",
-                client_shed.load(),
+                static_cast<long long>(tally.refused_expired +
+                                       tally.refused_stopped +
+                                       tally.shed_in_queue),
                 static_cast<unsigned long long>(snap.degraded),
-                client_degraded.load(),
+                static_cast<long long>(tally.degraded),
                 static_cast<unsigned long long>(snap.degraded_batches),
                 snap.degradation_tier);
-    // Conservation gate: every accepted request settled exactly once —
-    // completed with a value, failed with the engine's exception, or
-    // expired at dequeue. A violation is a lost or double-counted
-    // future; the chaos CI leg greps for the trailing OK.
-    const bool conserved =
-        snap.submitted == snap.completed + snap.failed + snap.expired;
-    std::printf("conservation: submitted=%llu completed=%llu "
-                "failed=%llu expired=%llu rejected_full=%llu "
-                "rejected_expired=%llu rejected_stopped=%llu %s\n",
-                static_cast<unsigned long long>(snap.submitted),
-                static_cast<unsigned long long>(snap.completed),
-                static_cast<unsigned long long>(snap.failed),
-                static_cast<unsigned long long>(snap.expired),
-                static_cast<unsigned long long>(snap.rejected_full),
-                static_cast<unsigned long long>(snap.rejected_expired),
-                static_cast<unsigned long long>(snap.rejected_stopped),
-                conserved ? "OK" : "VIOLATION");
+    // Conservation gate (the chaos CI leg greps the trailing OK):
+    // every accepted request settled exactly once, every submit is
+    // accounted for, and the clients saw what the service counted.
+    const Conservation conservation = checkConservation(snap, tally);
+    std::printf("%s\n", conservation.line.c_str());
     const struct {
         const char *name;
         const LatencySummary &lat;
@@ -930,13 +805,14 @@ cmdServe(const Args &args)
             static_cast<long long>(snap.live.live_count));
         std::printf(
             "live ops: inserts %llu removes %llu upserts %llu "
-            "rejected %llu (writer: +%lld -%lld, %lld refused)\n",
+            "rejected %llu (writer: +%llu -%llu, %llu refused)\n",
             static_cast<unsigned long long>(snap.live_inserts),
             static_cast<unsigned long long>(snap.live_removes),
             static_cast<unsigned long long>(snap.live_upserts),
             static_cast<unsigned long long>(snap.live_rejected),
-            writer_inserts.load(), writer_removes.load(),
-            writer_rejected.load());
+            static_cast<unsigned long long>(wr.inserts),
+            static_cast<unsigned long long>(wr.removes),
+            static_cast<unsigned long long>(wr.rejected));
     }
 
     // Final observability dumps: the service is still alive, so its
@@ -978,7 +854,7 @@ cmdServe(const Args &args)
                          trace_out.c_str());
         }
     }
-    return conserved && freshness_ok ? 0 : 1;
+    return conservation.ok && freshness_ok ? 0 : 1;
 }
 
 void
