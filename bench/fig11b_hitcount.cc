@@ -78,9 +78,12 @@ main()
 
         // Hit-count scores of every touched point, both modes.
         auto collect = [&](SearchMode mode, RunningStat *sink) {
+            std::vector<Neighbor> scores;
             for (std::size_t p = 0; p < probes.size(); ++p) {
-                const auto scores = index.calculator().scoreCluster(
-                    workload.metric(), mode, probes, p, lut);
+                scores.clear();
+                index.calculator().accumulateList(
+                    mode, static_cast<cluster_t>(probes[p].id), p, lut,
+                    scores);
                 for (const auto &nb : scores) {
                     const auto it = bucket_of.find(nb.id);
                     if (it != bucket_of.end())

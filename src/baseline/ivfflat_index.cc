@@ -148,24 +148,6 @@ IvfFlatIndex::open(SnapshotReader &reader)
     return index;
 }
 
-bool
-IvfFlatIndex::setMemoryBudget(std::int64_t bytes)
-{
-    JUNO_REQUIRE(bytes >= 0, "negative memory budget");
-    std::shared_ptr<HotListCache> next;
-    if (bytes > 0)
-        next = std::make_shared<HotListCache>(
-            static_cast<std::size_t>(bytes), ivf_.numClusters());
-    std::atomic_store(&hot_cache_, next);
-    return true;
-}
-
-std::shared_ptr<const HotListCache>
-IvfFlatIndex::hotListCache() const
-{
-    return std::atomic_load(&hot_cache_);
-}
-
 namespace {
 /**
  * Queries scored per GEMM call. The tile's cross-query amortisation
@@ -242,10 +224,10 @@ IvfFlatIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
     const idx_t d = points_.cols();
     const idx_t C = ivf_.numClusters();
     const auto &kernels = simd::active();
-    auto cache_sp = std::atomic_load(&hot_cache_);
-    HotListCache *cache =
-        cache_sp != nullptr && cache_sp->enabled() ? cache_sp.get()
-                                                   : nullptr;
+    ProbeLoop loop(ctx, &cache_slot_);
+    HotListCache *cache = loop.cache();
+    ProbePlan &plan = ctx.scratch<ProbePlan>(
+        [] { return std::make_unique<ProbePlan>(); });
     FlatOocScratch *ooc =
         cache != nullptr
             ? &ctx.scratch<FlatOocScratch>(
@@ -270,14 +252,19 @@ IvfFlatIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
                     ctx.scores.data() +
                     static_cast<std::size_t>(qi - block) *
                         static_cast<std::size_t>(C);
-                // Degraded batches shrink the probe budget here; at
-                // scale 1.0 this is exactly min(nprobs_, C).
-                ctx.probes = selectTopK(
-                    metric_, scores, C,
-                    std::min(ctx.scaledNprobes(nprobs_), C));
+                loop.plan(qi, nprobs_, plan,
+                          [&](idx_t n, std::vector<Neighbor> &probes) {
+                              probes = selectTopK(metric_, scores, C,
+                                                  std::min(n, C));
+                          });
             }
             StageScope t(ctx, Stage::kScan);
             TopK top(std::min(chunk.k, points_.rows()), metric_);
+            const auto push = [&](idx_t id, const float *row) {
+                top.push(id, metric_ == Metric::kL2
+                                 ? kernels.l2_sqr(q, row, d)
+                                 : kernels.inner_product(q, row, d));
+            };
             // Inverted lists hold scattered ids, so the contiguous
             // batch kernel does not apply; the single-row kernel
             // still runs through the dispatched table. Each row fetch
@@ -291,67 +278,34 @@ IvfFlatIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
             // scans that, and offers it for admission — same bytes
             // through the same kernel in the same push order, so
             // results are bitwise identical to the plain path.
-            const std::size_t n_probes = ctx.probes.size();
-            for (std::size_t p = 0; p < n_probes; ++p) {
-                // Cooperative deadline: checked between list
-                // iterations (never before the first, so results stay
-                // non-empty). A cut-off scan returns the valid top-k
-                // of the lists completed so far, flagged degraded.
-                if (p > 0 && ctx.pastDeadline()) {
-                    ctx.markDegraded(qi);
-                    break;
+            loop.scan(qi, plan, [&](const PlannedProbe &pp) {
+                const auto &ids = ivf_.list(pp.list);
+                const std::size_t ln = ids.size();
+                const std::size_t row = static_cast<std::size_t>(d);
+                if (pp.pinned != nullptr) {
+                    const float *rows = pp.pinned->primaryAs<float>();
+                    for (std::size_t pi = 0; pi < ln; ++pi)
+                        push(ids[pi], rows + pi * row);
+                    return;
                 }
-                const auto &probe = ctx.probes[p];
-                const cluster_t c = static_cast<cluster_t>(probe.id);
-                const auto &plist = ivf_.list(c);
-                const std::size_t ln = plist.size();
+                float *gather = nullptr;
                 if (cache != nullptr) {
-                    const float *rows = nullptr;
-                    HotListCache::EntryPtr entry = cache->find(c);
-                    if (entry != nullptr) {
-                        rows = entry->primaryAs<float>();
-                    } else {
-                        auto &gather = ooc->gather;
-                        gather.resize(ln * static_cast<std::size_t>(d));
-                        for (std::size_t pi = 0; pi < ln; ++pi) {
-                            if (pi + 2 < ln)
-                                __builtin_prefetch(
-                                    points_.row(plist[pi + 2]));
-                            std::copy_n(
-                                points_.row(plist[pi]),
-                                static_cast<std::size_t>(d),
-                                gather.begin() +
-                                    pi * static_cast<std::size_t>(d));
-                        }
-                        rows = gather.data();
-                        cache->offer(c, gather.data(),
-                                     gather.size() * sizeof(float),
-                                     nullptr, 0);
-                    }
-                    for (std::size_t pi = 0; pi < ln; ++pi) {
-                        const float *row =
-                            rows + pi * static_cast<std::size_t>(d);
-                        const float s =
-                            metric_ == Metric::kL2
-                                ? kernels.l2_sqr(q, row, d)
-                                : kernels.inner_product(q, row, d);
-                        top.push(plist[pi], s);
-                    }
-                    continue;
+                    ooc->gather.resize(ln * row);
+                    gather = ooc->gather.data();
                 }
                 for (std::size_t pi = 0; pi < ln; ++pi) {
                     if (pi + 2 < ln)
-                        __builtin_prefetch(
-                            points_.row(plist[pi + 2]));
-                    const idx_t pid = plist[pi];
-                    const float s =
-                        metric_ == Metric::kL2
-                            ? kernels.l2_sqr(q, points_.row(pid), d)
-                            : kernels.inner_product(q, points_.row(pid),
-                                                    d);
-                    top.push(pid, s);
+                        __builtin_prefetch(points_.row(ids[pi + 2]));
+                    const float *src = points_.row(ids[pi]);
+                    if (gather != nullptr)
+                        src = std::copy_n(src, row, gather + pi * row) -
+                              row;
+                    push(ids[pi], src);
                 }
-            }
+                if (gather != nullptr)
+                    cache->offer(pp.list, gather, ln * row * sizeof(float),
+                                 nullptr, 0);
+            });
             (*chunk.results)[static_cast<std::size_t>(qi)] = top.take();
         }
     }

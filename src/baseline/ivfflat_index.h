@@ -23,8 +23,8 @@
 
 #include "baseline/index.h"
 #include "common/mmap_blob.h"
+#include "engine/probe_loop.h"
 #include "ivf/ivf.h"
-#include "serve/hot_list_cache.h"
 
 namespace juno {
 
@@ -85,8 +85,16 @@ class IvfFlatIndex : public AnnIndex {
      * bitwise identical either way (same kernel, same bytes, same
      * push order).
      */
-    bool setMemoryBudget(std::int64_t bytes) override;
-    std::shared_ptr<const HotListCache> hotListCache() const override;
+    bool
+    setMemoryBudget(std::int64_t bytes) override
+    {
+        return cache_slot_.set(bytes, ivf_.numClusters());
+    }
+    std::shared_ptr<const HotListCache>
+    hotListCache() const override
+    {
+        return cache_slot_.get();
+    }
 
   protected:
     void searchChunk(const SearchChunk &chunk, SearchContext &ctx) override;
@@ -120,8 +128,8 @@ class IvfFlatIndex : public AnnIndex {
     FloatMatrix centroids_t_;
     /** |c|^2 per centroid (L2 probe scoring; empty under IP). */
     std::vector<float> centroid_norms_;
-    /** Out-of-core hot-list cache; null when no budget is set. */
-    std::shared_ptr<HotListCache> hot_cache_;
+    /** Out-of-core hot-list cache; empty when no budget is set. */
+    HotListSlot cache_slot_;
 };
 
 } // namespace juno

@@ -6,7 +6,6 @@
 
 #include "common/distance.h"
 #include "common/logging.h"
-#include "common/mmap_blob.h"
 #include "common/simd.h"
 #include "registry/index_spec.h"
 #include "registry/snapshot.h"
@@ -49,8 +48,7 @@ IvfPqIndex::IvfPqIndex(Metric metric, FloatMatrixView points,
     // inverted list's codes in the interleaved fast-scan layout so the
     // online scan streams instead of gathering rows through ids.
     codes_ = pq_.encode(residuals.view());
-    if (params.use_interleaved)
-        interleaved_.build(ivf_.lists(), codes_, pq_.entries());
+    interleaved_.build(ivf_.lists(), codes_, pq_.entries());
 
     if (params.use_hnsw_router) {
         router_ = std::make_unique<Hnsw>();
@@ -86,7 +84,6 @@ IvfPqIndex::spec() const
     spec.setInt("ef", hnsw_ef_search_);
     spec.setInt("seed", static_cast<long>(params_.seed));
     spec.setInt("train", params_.max_training_points);
-    spec.setBool("interleaved", params_.use_interleaved);
     return spec.toString();
 }
 
@@ -107,7 +104,7 @@ IvfPqIndex::saveSections(SnapshotWriter &writer) const
     meta.writePod<std::uint64_t>(params_.seed);
     meta.writePod<std::int64_t>(params_.max_training_points);
     meta.writePod<std::uint8_t>(router_ != nullptr ? 1 : 0);
-    meta.writePod<std::uint8_t>(interleaved_.built() ? 1 : 0);
+    meta.writePod<std::uint8_t>(1); // interleaved layout present
     meta.writePod<std::int64_t>(codes_.num_points);
     meta.writePod<std::int32_t>(codes_.num_subspaces);
 
@@ -115,8 +112,7 @@ IvfPqIndex::saveSections(SnapshotWriter &writer) const
     pq_.save(writer.section("pq"));
     writer.addBlob("codes", codes_.data(),
                    codes_.count() * sizeof(entry_t));
-    if (interleaved_.built())
-        interleaved_.save(writer, "ileav.");
+    interleaved_.save(writer, "ileav.");
     if (router_ != nullptr)
         router_->saveGraph(writer, "router.");
 }
@@ -140,7 +136,11 @@ IvfPqIndex::open(SnapshotReader &reader)
     index->params_.seed = meta.readPod<std::uint64_t>();
     index->params_.max_training_points = meta.readPod<std::int64_t>();
     const bool has_router = meta.readPod<std::uint8_t>() != 0;
-    const bool has_interleaved = meta.readPod<std::uint8_t>() != 0;
+    // Every scan tier reads the interleaved layout, so a snapshot
+    // written without it (interleaved=0) cannot be searched.
+    JUNO_REQUIRE(meta.readPod<std::uint8_t>() != 0,
+                 what << ": snapshot lacks the interleaved code layout "
+                         "(written with interleaved=0); rebuild it");
     index->codes_.num_points = meta.readPod<std::int64_t>();
     index->codes_.num_subspaces = meta.readPod<std::int32_t>();
     JUNO_REQUIRE(index->num_points_ > 0 && index->dim_ > 0 &&
@@ -159,7 +159,6 @@ IvfPqIndex::open(SnapshotReader &reader)
                  what << ": implausible code plane (corrupt file)");
     index->params_.nprobs = index->nprobs_;
     index->params_.use_hnsw_router = has_router;
-    index->params_.use_interleaved = has_interleaved;
     index->params_.hnsw_ef_search = index->hnsw_ef_search_;
 
     auto ivf_stream = reader.stream("ivf");
@@ -179,14 +178,12 @@ IvfPqIndex::open(SnapshotReader &reader)
         reinterpret_cast<const entry_t *>(codes_blob.data),
         codes_blob.keepalive);
 
-    if (has_interleaved) {
-        index->interleaved_.load(reader, "ileav.");
-        JUNO_REQUIRE(index->interleaved_.numLists() ==
-                             index->ivf_.numClusters() &&
-                         index->interleaved_.subspaces() ==
-                             index->codes_.num_subspaces,
-                     what << ": interleaved layout shape mismatch");
-    }
+    index->interleaved_.load(reader, "ileav.");
+    JUNO_REQUIRE(index->interleaved_.numLists() ==
+                         index->ivf_.numClusters() &&
+                     index->interleaved_.subspaces() ==
+                         index->codes_.num_subspaces,
+                 what << ": interleaved layout shape mismatch");
     if (has_router) {
         index->router_ = std::make_unique<Hnsw>();
         index->router_->loadGraph(reader, "router.");
@@ -194,35 +191,6 @@ IvfPqIndex::open(SnapshotReader &reader)
                      what << ": router/centroid count mismatch");
     }
     return index;
-}
-
-bool
-IvfPqIndex::setMemoryBudget(std::int64_t bytes)
-{
-    JUNO_REQUIRE(bytes >= 0, "negative memory budget");
-    std::shared_ptr<HotListCache> next;
-    if (bytes > 0)
-        next = std::make_shared<HotListCache>(
-            static_cast<std::size_t>(bytes), ivf_.numClusters());
-    std::atomic_store(&hot_cache_, next);
-    return true;
-}
-
-std::shared_ptr<const HotListCache>
-IvfPqIndex::hotListCache() const
-{
-    return std::atomic_load(&hot_cache_);
-}
-
-std::vector<Neighbor>
-IvfPqIndex::probe(const float *query, idx_t nprobs) const
-{
-    if (router_) {
-        return router_->search(query, std::min(nprobs, ivf_.numClusters()),
-                               std::max<int>(hnsw_ef_search_,
-                                             static_cast<int>(nprobs)));
-    }
-    return ivf_.probe(metric_, query, nprobs);
 }
 
 std::vector<Neighbor>
@@ -257,53 +225,6 @@ IvfPqIndex::buildLut(const float *query, cluster_t cluster, FloatMatrix &lut,
 }
 
 void
-IvfPqIndex::orderProbesResidentFirst(const std::vector<Neighbor> &probes,
-                                     HotListCache &cache,
-                                     ScanScratch &scratch) const
-{
-    auto &order = scratch.order;
-    auto &cold = scratch.cold;
-    auto &deferred = scratch.deferred;
-    order.clear();
-    cold.clear();
-    deferred.clear();
-    // Pass 1: pinned lists scan first, straight out of heap copies.
-    for (const auto &pr : probes) {
-        const cluster_t c = static_cast<cluster_t>(pr.id);
-        if (auto entry = cache.find(c))
-            order.push_back({c, std::move(entry)});
-        else
-            cold.push_back(c);
-    }
-    // Pass 2: split the misses. A miss whose pages the OS still holds
-    // scans next (fault-free anyway); a truly cold miss gets its
-    // WILLNEED issued *now* and scans last, so its page-ins proceed
-    // while the resident scans run.
-    const bool mapped = interleaved_.planesMapped();
-    for (const cluster_t c : cold) {
-        // One-page mincore probe: a list's extent pages in and out
-        // together (sequential access), so the first page is a cheap
-        // proxy for the whole extent. Unknown (-1) counts as cold.
-        const bool resident =
-            !mapped ||
-            memResidentFraction(interleaved_.listBlocks(c), 1) >= 1.0;
-        if (resident) {
-            order.push_back({c, nullptr});
-            continue;
-        }
-        memAdvise(interleaved_.listBlocks(c),
-                  interleaved_.listBlocksBytes(c), MemAdvice::kWillNeed);
-        if (interleaved_.packed4())
-            memAdvise(interleaved_.listPacked(c),
-                      interleaved_.listPackedBytes(c),
-                      MemAdvice::kWillNeed);
-        deferred.push_back(c);
-    }
-    for (const cluster_t c : deferred)
-        order.push_back({c, nullptr});
-}
-
-void
 IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
                      ScanScratch &scratch, TopK &top,
                      const CachedList *pinned, HotListCache *cache,
@@ -315,10 +236,10 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
         return;
     const int subspaces = pq_.numSubspaces();
 
-    // A cold interleaved scan offers its payload for admission; the
-    // cache copies it out of the mapping only when the list has
-    // earned residency (and the budget can take it).
-    if (cache != nullptr && pinned == nullptr && interleaved_.built())
+    // A cold scan offers its payload for admission; the cache copies
+    // it out of the mapping only when the list has earned residency
+    // (and the budget can take it).
+    if (cache != nullptr && pinned == nullptr)
         cache->offer(cluster, interleaved_.listBlocks(cluster),
                      interleaved_.listBlocksBytes(cluster),
                      interleaved_.packed4()
@@ -326,8 +247,7 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
                          : nullptr,
                      interleaved_.listPackedBytes(cluster));
 
-    if (interleaved_.built() && interleaved_.packed4() &&
-        simd::level() != simd::Level::kScalar) {
+    if (interleaved_.packed4() && simd::level() != simd::Level::kScalar) {
         // 4-bit fast scan: quantise the float LUT once per (query,
         // probe), scan the nibble plane with in-register shuffles,
         // then reconstruct float scores only for blocks whose best
@@ -387,22 +307,15 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
 
     if (scratch.scores.size() < n)
         scratch.scores.resize(n);
-    if (interleaved_.built()) {
-        // Streaming float scan over the interleaved blocks; bitwise
-        // identical to the legacy gather (same per-point accumulation
-        // order), minus the per-point random code-row load.
-        const entry_t *blocks =
-            pinned != nullptr ? pinned->primaryAs<entry_t>()
-                              : interleaved_.listBlocks(cluster);
-        simd::adcScanInterleaved(lut.data(), lut.cols(), subspaces,
-                                 blocks, n, base,
-                                 scratch.scores.data());
-    } else {
-        simd::adcScan(lut.data(), lut.cols(), subspaces,
-                      codes_.data(),
-                      static_cast<std::size_t>(codes_.num_subspaces),
-                      list.data(), n, base, scratch.scores.data());
-    }
+    // Streaming float scan over the interleaved blocks; bitwise
+    // identical to the kernel table's id-gather adc_scan (same
+    // per-point accumulation order), minus the per-point random
+    // code-row load.
+    const entry_t *blocks = pinned != nullptr
+                                ? pinned->primaryAs<entry_t>()
+                                : interleaved_.listBlocks(cluster);
+    simd::adcScanInterleaved(lut.data(), lut.cols(), subspaces, blocks, n,
+                             base, scratch.scores.data());
     for (std::size_t i = 0; i < n; ++i)
         top.push(list[i], scratch.scores[i]);
 }
@@ -414,69 +327,30 @@ IvfPqIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
     // across queries and batches alongside the other context buffers.
     ScanScratch &scan = ctx.scratch<ScanScratch>(
         [] { return std::make_unique<ScanScratch>(); });
-    // IO-aware probing engages only with a cache attached and the
-    // interleaved layout built (the legacy gather has no per-list
-    // payload to pin or prefetch). The shared_ptr keeps the cache
-    // alive across the chunk even if the budget changes mid-batch.
-    auto cache_sp = std::atomic_load(&hot_cache_);
-    HotListCache *cache = cache_sp != nullptr && cache_sp->enabled() &&
-                                  interleaved_.built()
-                              ? cache_sp.get()
-                              : nullptr;
+    ProbePlan &plan = ctx.scratch<ProbePlan>(
+        [] { return std::make_unique<ProbePlan>(); });
+    ProbeLoop loop(ctx, &cache_slot_, &interleaved_);
+    const float tighten = static_cast<float>(ctx.scan_tighten);
     for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {
         const float *q = chunk.queries.row(qi);
-
         {
             StageScope t(ctx, Stage::kFilter);
-            // Degraded batches shrink the probe budget at the source;
-            // scale 1.0 probes exactly nprobs_ clusters.
-            ctx.probes =
-                probe(q, ctx.scaledNprobes(nprobs_), ctx.visited);
-            if (cache != nullptr) {
-                orderProbesResidentFirst(ctx.probes, *cache, scan);
-            } else {
-                scan.order.clear();
-                for (const auto &pr : ctx.probes)
-                    scan.order.push_back(
-                        {static_cast<cluster_t>(pr.id), nullptr});
-            }
+            loop.plan(qi, nprobs_, plan,
+                      [&](idx_t n, std::vector<Neighbor> &probes) {
+                          probes = probe(q, n, ctx.visited);
+                      });
         }
-
-        // Traced batches record the IO picture of each query's probe
-        // set: pinned-list hits vs misses, and how many misses were
-        // mincore-cold (pages not resident — the WILLNEED-deferred
-        // tail). Off the traced path this is a single pointer test.
-        if (ctx.trace != nullptr && cache != nullptr) {
-            const auto misses = static_cast<double>(scan.cold.size());
-            ctx.trace->instant(
-                "hot_cache", "hits",
-                static_cast<double>(ctx.probes.size()) - misses, "misses",
-                misses);
-            ctx.trace->instant("cold_probes", "mincore_cold",
-                               static_cast<double>(scan.deferred.size()));
-        }
-
         TopK top(std::min(chunk.k, num_points_), metric_);
-        const float tighten = static_cast<float>(ctx.scan_tighten);
-        const std::size_t n_order = scan.order.size();
-        for (std::size_t p = 0; p < n_order; ++p) {
-            // Cooperative deadline between probe lists: a cut-off
-            // query keeps the valid top-k of the lists it finished
-            // (the first list always runs) and is flagged degraded.
-            if (p > 0 && ctx.pastDeadline()) {
-                ctx.markDegraded(qi);
-                break;
-            }
-            const auto &op = scan.order[p];
+        loop.scan(qi, plan, [&](const PlannedProbe &pp) {
             float base = 0.0f;
             {
                 StageScope t(ctx, Stage::kLut);
-                buildLut(q, op.cluster, ctx.lut, base, ctx.residual);
+                buildLut(q, pp.list, ctx.lut, base, ctx.residual);
             }
             StageScope t(ctx, Stage::kScan);
-            scanList(op.cluster, ctx.lut, base, scan, top,
-                     op.entry.get(), cache, tighten);
-        }
+            scanList(pp.list, ctx.lut, base, scan, top, pp.pinned.get(),
+                     loop.cache(), tighten);
+        });
         (*chunk.results)[static_cast<std::size_t>(qi)] = top.take();
     }
 }

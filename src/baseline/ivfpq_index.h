@@ -20,14 +20,13 @@
 #define JUNO_BASELINE_IVFPQ_INDEX_H
 
 #include <memory>
-#include <optional>
 
 #include "baseline/hnsw.h"
 #include "baseline/index.h"
+#include "engine/probe_loop.h"
 #include "ivf/ivf.h"
 #include "quant/interleaved_codes.h"
 #include "quant/product_quantizer.h"
-#include "serve/hot_list_cache.h"
 
 namespace juno {
 
@@ -44,13 +43,6 @@ class IvfPqIndex : public AnnIndex {
         int hnsw_ef_search = 64;
         std::uint64_t seed = 31;
         idx_t max_training_points = 0;
-        /**
-         * Build the list-resident interleaved code layout (and, for
-         * pq_entries <= 16, the nibble-packed fast-scan plane). Off
-         * reverts the scan stage to the legacy id-gather path — the
-         * bit-exact reference the parity tests compare against.
-         */
-        bool use_interleaved = true;
     };
 
     /** Trains IVF + PQ offline and encodes every point. */
@@ -73,16 +65,21 @@ class IvfPqIndex : public AnnIndex {
     void setNprobs(idx_t nprobs) { nprobs_ = nprobs; }
 
     /**
-     * Attaches an admission-controlled HotListCache of @p bytes and
-     * switches the batched scan loop to IO-aware probing: pinned
-     * lists scan first out of heap copies, cold lists get a WILLNEED
-     * prefetch up front and scan last (resident ones before truly
-     * cold ones, classified with a one-page mincore probe). 0 detaches
-     * the cache and restores the plain probe order. Results are
-     * bitwise identical either way.
+     * Attaches an admission-controlled HotListCache of @p bytes, which
+     * switches the probe loop to IO-aware order (engine/probe_loop.h)
+     * over the interleaved planes; 0 detaches the cache and restores
+     * the filter's order. Results are bitwise identical either way.
      */
-    bool setMemoryBudget(std::int64_t bytes) override;
-    std::shared_ptr<const HotListCache> hotListCache() const override;
+    bool
+    setMemoryBudget(std::int64_t bytes) override
+    {
+        return cache_slot_.set(bytes, ivf_.numClusters());
+    }
+    std::shared_ptr<const HotListCache>
+    hotListCache() const override
+    {
+        return cache_slot_.get();
+    }
 
     const InvertedFileIndex &ivf() const { return ivf_; }
     const ProductQuantizer &pq() const { return pq_; }
@@ -91,15 +88,9 @@ class IvfPqIndex : public AnnIndex {
     bool hasHnswRouter() const { return router_ != nullptr; }
 
     /**
-     * Filtering stage only (public so JUNO and the motivation benches
-     * can reuse the identical stage-A implementation).
-     */
-    std::vector<Neighbor> probe(const float *query, idx_t nprobs) const;
-
-    /**
-     * Filtering against caller-owned router scratch; the batched path
-     * passes the worker context's visited set to keep the HNSW-routed
-     * stage A allocation-free.
+     * Filtering stage only, against caller-owned router scratch (the
+     * batched path passes the worker context's visited set to keep
+     * the HNSW-routed stage A allocation-free).
      */
     std::vector<Neighbor> probe(const float *query, idx_t nprobs,
                                 VisitedSet &visited) const;
@@ -125,48 +116,25 @@ class IvfPqIndex : public AnnIndex {
         std::vector<float> scores;
         QuantizedLut qlut;
         std::vector<std::uint16_t> qsums;
-        /** One probe in scan order, with its pinned copy when cached. */
-        struct OrderedProbe {
-            cluster_t cluster;
-            HotListCache::EntryPtr entry; ///< null when not pinned
-        };
-        std::vector<OrderedProbe> order;
-        std::vector<cluster_t> cold;     ///< cache misses (reorder pass)
-        std::vector<cluster_t> deferred; ///< truly cold tail
     };
 
     /**
-     * Reorders @p probes resident-first into scratch.order: cache
-     * hits (pinned heap copies, fault-free), then cache misses whose
-     * first mapped page mincore reports resident, then truly cold
-     * lists — which get their interleaved extents WILLNEED-prefetched
-     * *before* the warm scans run, so page-ins overlap useful work.
-     * Pure reordering: the scanned set is exactly @p probes, and the
-     * top-k is scan-order independent (TopK tie-breaks by id; the
-     * fast-scan block bound skips only strictly-worse blocks).
-     */
-    void orderProbesResidentFirst(const std::vector<Neighbor> &probes,
-                                  HotListCache &cache,
-                                  ScanScratch &scratch) const;
-
-    /**
      * ADC-scans one inverted list against a dense LUT (paper stage D)
-     * and offers every surviving point to @p top. Three tiers, chosen
+     * and offers every surviving point to @p top. Two tiers, chosen
      * per list:
      *  - 4-bit fast scan (interleaved nibble plane + quantised u8 LUT
      *    + in-register shuffles) when pq_entries <= 16 and a SIMD
      *    dispatch level is active; a per-32-block bound on the
      *    quantised sums skips blocks that cannot beat the current
      *    heap minimum before any float work;
-     *  - streaming float scan over the interleaved blocks (bitwise
-     *    identical to the legacy gather) otherwise;
-     *  - the legacy id-gather kernel when use_interleaved is off.
-     * searchChunk() is the only caller.
+     *  - streaming float scan over the interleaved blocks otherwise
+     *    (bitwise identical to the kernel table's id-gather adc_scan).
+     * searchChunk()'s probe loop is the only caller.
      *
      * @p pinned substitutes the list's cached heap copy for the
      * mapped planes (bitwise-identical bytes; null scans the
      * mapping); @p cache, when set, receives an offer of the payload
-     * after a cold interleaved scan. @p tighten > 0 widens the
+     * after a cold scan. @p tighten > 0 widens the
      * fast-scan block skip margin by that fraction of the heap
      * threshold (degraded serving); 0 keeps the exact skip rule.
      */
@@ -182,17 +150,13 @@ class IvfPqIndex : public AnnIndex {
     InvertedFileIndex ivf_;
     ProductQuantizer pq_;
     PQCodes codes_;
-    /** List-resident interleaved layout (empty when disabled). */
+    /** List-resident interleaved layout the scan streams. */
     InterleavedLists interleaved_;
     idx_t nprobs_ = 8;
     std::unique_ptr<Hnsw> router_;
     int hnsw_ef_search_ = 64;
-    /**
-     * Out-of-core hot-list cache; null when no budget is set. Read
-     * with atomic_load so setMemoryBudget() can swap it under
-     * concurrent searches (in-flight scans keep their shared_ptr).
-     */
-    std::shared_ptr<HotListCache> hot_cache_;
+    /** Out-of-core hot-list cache; empty when no budget is set. */
+    HotListSlot cache_slot_;
 };
 
 } // namespace juno

@@ -106,6 +106,8 @@ struct Kernels {
      * where code_row(p) = codes + p*code_stride. The AVX2 path
      * gathers LUT entries for 8 codes at a time; accumulation order
      * per point is identical to scalar, so results are bitwise equal.
+     * No search path runs it: it is the id-gather reference the
+     * interleaved scan is tested and benchmarked against.
      */
     void (*adc_scan)(const float *lut, idx_t lut_stride, int subspaces,
                      const entry_t *codes, std::size_t code_stride,
@@ -262,15 +264,6 @@ scoreBatch(Metric metric, const float *q, const float *rows, idx_t n,
         active().l2_sqr_batch(q, rows, n, d, out);
     else
         active().inner_product_batch(q, rows, n, d, out);
-}
-
-inline void
-adcScan(const float *lut, idx_t lut_stride, int subspaces,
-        const entry_t *codes, std::size_t code_stride, const idx_t *ids,
-        std::size_t n, float base, float *out)
-{
-    active().adc_scan(lut, lut_stride, subspaces, codes, code_stride, ids,
-                      n, base, out);
 }
 
 inline void

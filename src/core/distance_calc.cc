@@ -21,6 +21,13 @@ searchModeName(SearchMode mode)
     return "JUNO-?";
 }
 
+Metric
+rankingMetric(Metric metric, SearchMode mode)
+{
+    return mode == SearchMode::kExactDistance ? metric
+                                              : Metric::kInnerProduct;
+}
+
 DistanceCalculator::DistanceCalculator(const InvertedFileIndex &ivf,
                                        const InterestIndex &interest,
                                        const InterleavedLists *interleaved)
@@ -38,14 +45,11 @@ DistanceCalculator::DistanceCalculator(const InvertedFileIndex &ivf,
 }
 
 void
-DistanceCalculator::accumulateCluster(SearchMode mode,
-                                      const std::vector<Neighbor> &probes,
-                                      std::size_t probe_ordinal,
-                                      const SelectiveLut &lut,
-                                      std::vector<Neighbor> &out)
+DistanceCalculator::accumulateList(SearchMode mode, cluster_t c,
+                                   std::size_t probe,
+                                   const SelectiveLut &lut,
+                                   std::vector<Neighbor> &out)
 {
-    const cluster_t c =
-        static_cast<cluster_t>(probes[probe_ordinal].id);
     const auto &list = ivf_.list(c);
     if (list.empty())
         return;
@@ -54,7 +58,7 @@ DistanceCalculator::accumulateCluster(SearchMode mode,
     const std::size_t n = list.size();
     const std::size_t stride = lut.rowStride();
     // The probe's subspace-0 rows; subspace s is s * stride further.
-    const std::size_t column = lut.cell(probe_ordinal, 0, 0);
+    const std::size_t column = lut.cell(probe, 0, 0);
     const float *delta = lut.delta.data() + column;
     const float *selected = lut.selected.data() + column;
     const float *inner =
@@ -72,7 +76,7 @@ DistanceCalculator::accumulateCluster(SearchMode mode,
     // adds sequentially and SIMD-wide.
     const bool dense =
         interleaved_ != nullptr &&
-        static_cast<double>(lut.selected_count[lut.blockOf(probe_ordinal)]) >=
+        static_cast<double>(lut.selected_count[lut.blockOf(probe)]) >=
             dense_threshold_ * static_cast<double>(subspaces) *
                 static_cast<double>(entries);
 
@@ -136,7 +140,7 @@ DistanceCalculator::accumulateCluster(SearchMode mode,
     // semantics by simply not becoming candidates.
     float offset = 0.0f;
     if (exact)
-        offset = lut.offset[probe_ordinal];
+        offset = lut.offset[probe];
     else if (mode == SearchMode::kRewardPenalty)
         offset = -static_cast<float>(subspaces);
 
@@ -153,30 +157,16 @@ DistanceCalculator::run(Metric metric, SearchMode mode,
                         const SelectiveLut &lut, idx_t k)
 {
     JUNO_REQUIRE(k > 0, "k must be positive");
+    TopK top(k, rankingMetric(metric, mode));
     std::vector<Neighbor> candidates;
-    for (std::size_t p = 0; p < probes.size(); ++p)
-        accumulateCluster(mode, probes, p, lut, candidates);
-
-    // Hit counts are higher-is-better under either metric.
-    const Metric order = mode == SearchMode::kExactDistance
-                             ? metric
-                             : Metric::kInnerProduct;
-    TopK top(k, order);
-    for (const auto &cand : candidates)
-        top.push(cand.id, cand.score);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        candidates.clear();
+        accumulateList(mode, static_cast<cluster_t>(probes[p].id), p, lut,
+                       candidates);
+        for (const auto &cand : candidates)
+            top.push(cand.id, cand.score);
+    }
     return top.take();
-}
-
-std::vector<Neighbor>
-DistanceCalculator::scoreCluster(Metric /*metric*/, SearchMode mode,
-                                 const std::vector<Neighbor> &probes,
-                                 std::size_t probe_ordinal,
-                                 const SelectiveLut &lut)
-{
-    JUNO_REQUIRE(probe_ordinal < probes.size(), "probe ordinal range");
-    std::vector<Neighbor> out;
-    accumulateCluster(mode, probes, probe_ordinal, lut, out);
-    return out;
 }
 
 } // namespace juno

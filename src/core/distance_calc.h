@@ -37,6 +37,13 @@ enum class SearchMode {
 /** Short preset name ("JUNO-H" etc.) for reports. */
 const char *searchModeName(SearchMode mode);
 
+/**
+ * The ordering a top-k over @p mode's scores uses: @p metric for
+ * JUNO-H distances; hit counts are higher-is-better under either
+ * metric.
+ */
+Metric rankingMetric(Metric metric, SearchMode mode);
+
 /** Accumulates selective-LUT scores into a top-k per query. */
 class DistanceCalculator {
   public:
@@ -68,32 +75,26 @@ class DistanceCalculator {
     double denseThreshold() const { return dense_threshold_; }
 
     /**
-     * Scores the points of the probed clusters and returns the best-k.
-     *
-     * In kExactDistance mode results carry approximate distances under
-     * @p metric; in the hit-count modes results carry counts (higher
-     * is better regardless of metric).
+     * Scores one probed list (the per-list step of JUNO's probe
+     * loop): appends (point id, score) to @p out for every point of
+     * @p list touched at least once, reading the LUT rows of probe
+     * @p probe (the list's rank in the filter's output). In
+     * kExactDistance mode scores are approximate distances under the
+     * LUT's metric; in the hit-count modes they are counts, ranked by
+     * rankingMetric().
+     */
+    void accumulateList(SearchMode mode, cluster_t list, std::size_t probe,
+                        const SelectiveLut &lut, std::vector<Neighbor> &out);
+
+    /**
+     * Scores every probed list into one top-k (a reference loop over
+     * accumulateList() for tests; searches run the probe loop).
      */
     std::vector<Neighbor> run(Metric metric, SearchMode mode,
                               const std::vector<Neighbor> &probes,
                               const SelectiveLut &lut, idx_t k);
 
-    /**
-     * Per-point scores of one cluster (for the Fig. 11(b) correlation
-     * bench): returns pairs of (point id, score) for every point of
-     * @p probe_ordinal's cluster that was touched at least once.
-     */
-    std::vector<Neighbor> scoreCluster(Metric metric, SearchMode mode,
-                                       const std::vector<Neighbor> &probes,
-                                       std::size_t probe_ordinal,
-                                       const SelectiveLut &lut);
-
   private:
-    /** Accumulates one cluster into scratch; appends to @p out. */
-    void accumulateCluster(SearchMode mode,
-                           const std::vector<Neighbor> &probes,
-                           std::size_t probe_ordinal, const SelectiveLut &lut,
-                           std::vector<Neighbor> &out);
 
     const InvertedFileIndex &ivf_;
     const InterestIndex &interest_;

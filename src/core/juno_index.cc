@@ -4,7 +4,7 @@
 #include <array>
 
 #include "common/logging.h"
-#include "common/mmap_blob.h"
+#include "engine/probe_loop.h"
 #include "registry/index_spec.h"
 #include "registry/snapshot.h"
 
@@ -94,7 +94,7 @@ JunoIndex::finishConstruction()
     // scene (Alg. 1, 10-11); both derive deterministically from the
     // trained state, so load() rebuilds them instead of storing them.
     interest_.build(ivf_, codes_, params_.pq_entries);
-    if (params_.use_interleaved && !interleaved_.built()) {
+    if (!interleaved_.built()) {
         // Float-scan plane only: JUNO's dense regime never runs the
         // 4-bit fast scan, so the nibble plane would be dead weight.
         // A snapshot open() restores the plane instead (fast-scan
@@ -129,7 +129,7 @@ writeParams(Writer &meta, const JunoParams &params)
     meta.writePod(params.miss_penalty);
     meta.writePod<std::uint8_t>(params.use_rt_core ? 1 : 0);
     meta.writePod<std::uint8_t>(params.pipelined ? 1 : 0);
-    meta.writePod<std::uint8_t>(params.use_interleaved ? 1 : 0);
+    meta.writePod<std::uint8_t>(1); // retired interleaved knob, always on
     meta.writePod<std::int32_t>(params.density_grid);
     meta.writePod<std::int64_t>(params.policy.train_samples);
     meta.writePod<std::int64_t>(params.policy.ref_samples);
@@ -160,7 +160,7 @@ readParams(Reader &meta)
     params.miss_penalty = meta.readPod<double>();
     params.use_rt_core = meta.readPod<std::uint8_t>() != 0;
     params.pipelined = meta.readPod<std::uint8_t>() != 0;
-    params.use_interleaved = meta.readPod<std::uint8_t>() != 0;
+    meta.readPod<std::uint8_t>(); // retired interleaved knob
     params.density_grid = meta.readPod<std::int32_t>();
     params.policy.train_samples = meta.readPod<std::int64_t>();
     params.policy.ref_samples = meta.readPod<std::int64_t>();
@@ -218,7 +218,6 @@ JunoIndex::spec() const
     spec.setDouble("penalty", params_.miss_penalty);
     spec.setBool("rt", params_.use_rt_core);
     spec.setBool("pipelined", params_.pipelined);
-    spec.setBool("interleaved", params_.use_interleaved);
     spec.setInt("grid", params_.density_grid);
     spec.setInt("psamples", params_.policy.train_samples);
     spec.setInt("prefs", params_.policy.ref_samples);
@@ -244,7 +243,7 @@ JunoIndex::saveSections(SnapshotWriter &writer) const
     writeParams(meta, params_);
     meta.writePod<std::int64_t>(codes_.num_points);
     meta.writePod<std::int32_t>(codes_.num_subspaces);
-    meta.writePod<std::uint8_t>(interleaved_.built() ? 1 : 0);
+    meta.writePod<std::uint8_t>(1); // interleaved plane present
 
     ivf_.save(writer.section("ivf"));
     pq_.save(writer.section("pq"));
@@ -252,8 +251,7 @@ JunoIndex::saveSections(SnapshotWriter &writer) const
                    codes_.count() * sizeof(entry_t));
     density_.save(writer.section("density"));
     policy_.save(writer.section("policy"));
-    if (interleaved_.built())
-        interleaved_.save(writer, "ileav.");
+    interleaved_.save(writer, "ileav.");
 }
 
 std::unique_ptr<JunoIndex>
@@ -391,28 +389,6 @@ JunoIndex::probe(const float *query) const
     return ivf_.probe(metric_, query, params_.nprobs);
 }
 
-std::vector<Neighbor>
-JunoIndex::probe(const float *query, idx_t nprobs) const
-{
-    return ivf_.probe(metric_, query, nprobs);
-}
-
-void
-JunoIndex::prefetchProbedLists(const std::vector<Neighbor> &probes) const
-{
-    if (!interleaved_.built() || !interleaved_.planesMapped())
-        return;
-    for (const auto &pr : probes) {
-        const auto c = static_cast<cluster_t>(pr.id);
-        memAdvise(interleaved_.listBlocks(c),
-                  interleaved_.listBlocksBytes(c), MemAdvice::kWillNeed);
-        if (interleaved_.packed4())
-            memAdvise(interleaved_.listPacked(c),
-                      interleaved_.listPackedBytes(c),
-                      MemAdvice::kWillNeed);
-    }
-}
-
 SelectiveLut
 JunoIndex::buildLut(const float *query,
                     const std::vector<Neighbor> &probes) const
@@ -434,15 +410,17 @@ struct JunoIndex::Worker {
     {
     }
 
-    /** One query's stage-B output. */
+    /** One query's plan and its stage-B output. */
     struct Slot {
-        std::vector<Neighbor> probes;
+        ProbePlan plan;
         SelectiveLut lut;
     };
 
     rt::RtDevice device;
     SelectiveLutBuilder builder;
     DistanceCalculator calc;
+    /** One list's scored points (scan side only). */
+    std::vector<Neighbor> candidates;
     /**
      * Pipelined, query i uses slot i % size(): at most kPipelineDepth
      * + 2 queries are live. The unpipelined path uses slot 0.
@@ -459,20 +437,32 @@ JunoIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
     w.device.setMode(device_.mode());
     w.calc.setDenseThreshold(calc_->denseThreshold());
     const idx_t k = std::min(chunk.k, num_points_);
+    const Metric ranking = rankingMetric(metric_, params_.mode);
+    ProbeLoop loop(ctx);
 
-    // Stage A for query qi. JUNO scores all probed lists in one
-    // calculator run, so the cooperative deadline cuts in before the
-    // run: a query starting past its deadline keeps only the best
-    // cluster — still valid neighbours, just partial. Cold lists start
-    // paging in while the RT-LUT stage runs (out-of-core overlap).
-    const auto filter = [&](idx_t qi, std::vector<Neighbor> &probes) {
-        probes = probe(chunk.queries.row(qi),
-                       ctx.scaledNprobes(params_.nprobs));
-        if (probes.size() > 1 && ctx.pastDeadline()) {
-            probes.resize(1);
-            ctx.markDegraded(qi);
-        }
-        prefetchProbedLists(probes);
+    // The three per-query steps; only the thread that runs each
+    // differs between the unpipelined and pipelined paths.
+    const auto plan = [&](idx_t qi, Worker::Slot &sl) {
+        loop.plan(qi, params_.nprobs, sl.plan,
+                  [&](idx_t n, std::vector<Neighbor> &probes) {
+                      probes =
+                          ivf_.probe(metric_, chunk.queries.row(qi), n);
+                  });
+    };
+    const auto rtLut = [&](idx_t qi, Worker::Slot &sl) {
+        w.builder.buildInto(chunk.queries.row(qi), sl.plan.probes,
+                            lutParams(), sl.lut);
+    };
+    const auto scan = [&](idx_t qi, const Worker::Slot &sl) {
+        TopK top(k, ranking);
+        loop.scan(qi, sl.plan, [&](const PlannedProbe &pp) {
+            w.candidates.clear();
+            w.calc.accumulateList(params_.mode, pp.list, pp.rank, sl.lut,
+                                  w.candidates);
+            for (const auto &cand : w.candidates)
+                top.push(cand.id, cand.score);
+        });
+        (*chunk.results)[static_cast<std::size_t>(qi)] = top.take();
     };
 
     if (!params_.pipelined) {
@@ -480,37 +470,30 @@ JunoIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
         for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {
             {
                 StageScope t(ctx, Stage::kFilter);
-                filter(qi, sl.probes);
+                plan(qi, sl);
             }
             {
                 StageScope t(ctx, Stage::kRtLut);
-                w.builder.buildInto(chunk.queries.row(qi), sl.probes,
-                                    lutParams(), sl.lut);
+                rtLut(qi, sl);
             }
             StageScope t(ctx, Stage::kScan);
-            (*chunk.results)[static_cast<std::size_t>(qi)] =
-                w.calc.run(metric_, params_.mode, sl.probes, sl.lut, k);
+            scan(qi, sl);
         }
     } else {
-        // Pipelined mode: stage 1 = filter + RT LUT (the paper's
-        // RT-core side), stage 2 = distance calculation (the
-        // Tensor-core side), overlapped across the queries of this
-        // chunk. Stages touch disjoint ring slots, and only stage 1
-        // marks queries degraded.
+        // Pipelined mode: stage 1 = plan + RT LUT (the paper's
+        // RT-core side), stage 2 = the list scans (the Tensor-core
+        // side), overlapped across the queries of this chunk. Stages
+        // touch disjoint ring slots. Either may mark a query degraded,
+        // but never the same one: a plan-time cut leaves one probe, so
+        // its scan has no between-list cut.
         const auto slot = [&w](idx_t i) -> Worker::Slot & {
             return w.ring[static_cast<std::size_t>(i) % w.ring.size()];
         };
         auto stage1 = [&](idx_t i) {
-            Worker::Slot &sl = slot(i);
-            filter(chunk.begin + i, sl.probes);
-            w.builder.buildInto(chunk.queries.row(chunk.begin + i),
-                                sl.probes, lutParams(), sl.lut);
+            plan(chunk.begin + i, slot(i));
+            rtLut(chunk.begin + i, slot(i));
         };
-        auto stage2 = [&](idx_t i) {
-            const Worker::Slot &sl = slot(i);
-            (*chunk.results)[static_cast<std::size_t>(chunk.begin + i)] =
-                w.calc.run(metric_, params_.mode, sl.probes, sl.lut, k);
-        };
+        auto stage2 = [&](idx_t i) { scan(chunk.begin + i, slot(i)); };
         const auto pipe = runTwoStagePipeline(
             chunk.end - chunk.begin, stage1, stage2, true);
         ctx.timers().add(Stage::kRtLut, pipe.stage1_seconds);

@@ -52,12 +52,6 @@ struct JunoParams {
     double miss_penalty = 1.0;             ///< miss-score multiplier
     bool use_rt_core = true;               ///< false = linear fallback
     bool pipelined = false;                ///< overlap LUT and scan
-    /**
-     * Keep a list-resident interleaved copy of the codes so the
-     * distance calculator can stream dense-regime clusters; costs one
-     * extra codes-sized allocation. Off = always the sparse walk.
-     */
-    bool use_interleaved = true;
     int density_grid = 100;                ///< density map resolution
     ThresholdPolicy::Params policy;        ///< regressor training
     JunoScene::Params scene;               ///< sphere radius / BVH
@@ -121,10 +115,6 @@ class JunoIndex : public AnnIndex {
     /** Filtering stage (stage A) for one query. */
     std::vector<Neighbor> probe(const float *query) const;
 
-    /** Same with an explicit probe budget (degraded serving scales
-     * the configured nprobs down per batch). */
-    std::vector<Neighbor> probe(const float *query, idx_t nprobs) const;
-
     /** RT pass (stage B) for one query against given probes. */
     SelectiveLut buildLut(const float *query,
                           const std::vector<Neighbor> &probes) const;
@@ -137,7 +127,10 @@ class JunoIndex : public AnnIndex {
      * Batched path: one Worker (RT device + LUT builder + calculator
      * + LUT buffers) lives in each SearchContext, so the RT
      * pass and scoring run concurrently across chunks; traversal
-     * counters merge into the canonical device under a mutex.
+     * counters merge into the canonical device under a mutex. Every
+     * query runs the IVF family's probe loop (engine/probe_loop.h):
+     * plan, then the RT LUT for the planned probes, then one
+     * DistanceCalculator::accumulateList per list.
      */
     void searchChunk(const SearchChunk &chunk, SearchContext &ctx) override;
     void saveSections(SnapshotWriter &writer) const override;
@@ -152,15 +145,6 @@ class JunoIndex : public AnnIndex {
     void finishConstruction();
 
     SelectiveLutParams lutParams() const;
-
-    /**
-     * Issues WILLNEED madvise hints for the probed clusters'
-     * interleaved extents when they view a memory-mapped snapshot, so
-     * an out-of-core scan's page-ins overlap the RT-LUT stage that
-     * runs between probe and scan. Pure IO hint: no-op on heap-built
-     * planes, never affects results.
-     */
-    void prefetchProbedLists(const std::vector<Neighbor> &probes) const;
 
     Metric metric_;
     idx_t num_points_ = 0;

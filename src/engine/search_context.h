@@ -148,8 +148,6 @@ class SearchContext {
 
     // -- Common scratch buffers shared by several index types --
 
-    /** Filtering-stage output (probed clusters). */
-    std::vector<Neighbor> probes;
     /** Residual / projection buffer (D floats). */
     std::vector<float> residual;
     /** Dense per-candidate score buffer for the batched SIMD kernels. */

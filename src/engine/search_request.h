@@ -72,14 +72,16 @@ struct SearchOptions {
     // ---- Overload resilience (DESIGN.md "Overload resilience") ----
 
     /**
-     * Cooperative deadline: IVF-family scan loops check it between
-     * probe-list iterations and cut the remaining probes off once it
-     * passes, returning the partial-but-valid top-k accumulated so far
-     * (every returned neighbour was exactly scored; the list is just
-     * drawn from fewer lists) and flagging the query in @ref degraded.
-     * At least the first probe list is always scanned, so results stay
-     * non-empty. time_point::max() (the default) means no deadline and
-     * costs zero clock reads on the scan path.
+     * Cooperative deadline, enforced by the IVF family's probe loop
+     * (engine/probe_loop.h) at two points: a query planned past it
+     * keeps only its best probe, and a scan that passes it between
+     * probe lists stops there. Either cut returns the
+     * partial-but-valid top-k of the lists scanned (every returned
+     * neighbour was exactly scored; the list is just drawn from fewer
+     * lists) and flags the query in @ref degraded. At least the first
+     * probe list is always scanned, so results stay non-empty.
+     * time_point::max() (the default) means no deadline and costs zero
+     * clock reads on the scan path.
      */
     std::chrono::steady_clock::time_point deadline =
         std::chrono::steady_clock::time_point::max();
@@ -100,8 +102,8 @@ struct SearchOptions {
     double scan_tighten = 0.0;
     /**
      * Per-query degradation flags, sized/zeroed by the engine to the
-     * batch's row count when non-null: scan loops set slot qi when
-     * query qi's scan was cut short by @ref deadline. Not owned; must
+     * batch's row count when non-null: the probe loop sets slot qi
+     * when query qi's scan was cut short by @ref deadline. Not owned; must
      * outlive the search call.
      */
     std::vector<std::uint8_t> *degraded = nullptr;

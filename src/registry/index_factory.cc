@@ -62,7 +62,7 @@ std::unique_ptr<AnnIndex>
 buildIvfPq(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
     spec.requireKnown({"nlist", "m", "entries", "nprobe", "hnsw",
-                       "hnsw_m", "ef", "seed", "train", "interleaved"});
+                       "hnsw_m", "ef", "seed", "train"});
     IvfPqIndex::Params params;
     params.clusters = static_cast<int>(spec.getInt("nlist", 256));
     params.pq_subspaces = static_cast<int>(spec.getInt("m", 48));
@@ -73,7 +73,6 @@ buildIvfPq(Metric metric, FloatMatrixView points, const IndexSpec &spec)
     params.hnsw_ef_search = static_cast<int>(spec.getInt("ef", 64));
     params.seed = static_cast<std::uint64_t>(spec.getInt("seed", 31));
     params.max_training_points = spec.getInt("train", 0);
-    params.use_interleaved = spec.getBool("interleaved", true);
     return std::make_unique<IvfPqIndex>(metric, points, params);
 }
 
@@ -95,10 +94,9 @@ std::unique_ptr<AnnIndex>
 buildJuno(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
     spec.requireKnown({"nlist", "entries", "nprobe", "mode", "scale",
-                       "tmode", "penalty", "rt", "pipelined",
-                       "interleaved", "grid", "psamples", "prefs",
-                       "ptopk", "pdeg", "radius", "gatefrac", "seed",
-                       "train"});
+                       "tmode", "penalty", "rt", "pipelined", "grid",
+                       "psamples", "prefs", "ptopk", "pdeg", "radius",
+                       "gatefrac", "seed", "train"});
     JunoParams params;
     params.clusters = static_cast<int>(spec.getInt("nlist", 256));
     params.pq_entries = static_cast<int>(spec.getInt("entries", 256));
@@ -109,7 +107,6 @@ buildJuno(Metric metric, FloatMatrixView points, const IndexSpec &spec)
     params.miss_penalty = spec.getDouble("penalty", 1.0);
     params.use_rt_core = spec.getBool("rt", true);
     params.pipelined = spec.getBool("pipelined", false);
-    params.use_interleaved = spec.getBool("interleaved", true);
     params.density_grid = static_cast<int>(spec.getInt("grid", 100));
     params.policy.train_samples = spec.getInt("psamples", 200);
     params.policy.ref_samples = spec.getInt("prefs", 4000);

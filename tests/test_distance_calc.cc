@@ -188,15 +188,16 @@ TEST(DistanceCalc, TrueNearestNeighborRanksHighOnHitCount)
     EXPECT_GE(static_cast<double>(wins) / trials, 0.5);
 }
 
-TEST(DistanceCalc, ScoreClusterExposesPerClusterScores)
+TEST(DistanceCalc, AccumulateListExposesPerClusterScores)
 {
     Fixture fx;
     const float *q = fx.ds.queries.row(4);
     const auto probes = fx.ivf.probe(Metric::kL2, q, 2);
     const auto lut = fx.builder->build(q, probes, {});
-    const auto scores = fx.calc->scoreCluster(
-        Metric::kL2, SearchMode::kExactDistance, probes, 0, lut);
+    std::vector<Neighbor> scores;
     const cluster_t c = static_cast<cluster_t>(probes[0].id);
+    fx.calc->accumulateList(SearchMode::kExactDistance, c, 0, lut, scores);
+    EXPECT_FALSE(scores.empty());
     for (const auto &nb : scores)
         EXPECT_EQ(fx.ivf.label(nb.id), c);
 }

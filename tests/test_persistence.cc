@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "baseline/ivfflat_index.h"
+#include "common/logging.h"
 #include "dataset/synthetic.h"
 #include "registry/index_factory.h"
+#include "registry/snapshot.h"
 #include "serve/search_service.h"
 
 namespace juno {
@@ -116,11 +118,49 @@ TEST(Persistence, IvfPqFastScanAndRouterRoundTrip)
         "ivfpq:nlist=16,m=6,entries=16,nprobe=4,hnsw=1,hnsw_m=8");
 }
 
-TEST(Persistence, IvfPqLegacyGatherRoundTrips)
+TEST(Persistence, RetiredInterleavedKeyIsAConfigError)
 {
-    expectRoundTrip(
-        Metric::kL2,
-        "ivfpq:nlist=16,m=6,entries=32,nprobe=4,interleaved=0");
+    // The interleaved layout is the only scan layout of ivfpq and
+    // juno; the key that switched it off is gone.
+    const auto ds = makeData(Metric::kL2);
+    for (const char *spec :
+         {"ivfpq:nlist=16,m=6,entries=32,nprobe=4,interleaved=0",
+          "juno:nlist=16,entries=32,nprobe=6,interleaved=1"})
+        EXPECT_THROW(buildIndex(Metric::kL2, ds.base.view(), spec),
+                     ConfigError)
+            << spec;
+}
+
+TEST(Persistence, IvfPqSnapshotWithoutInterleavedLayoutIsRejected)
+{
+    // Files written with interleaved=0 carry a 0 layout flag in the
+    // meta header; every scan tier now reads the interleaved layout.
+    const auto path = tempPath("no_interleaved.juno");
+    {
+        SnapshotWriter writer(path, "ivfpq:nlist=16,m=6,entries=32");
+        Writer &meta = writer.section("meta");
+        meta.writePod<std::uint32_t>(1); // format version
+        writeMetricTag(meta, Metric::kL2);
+        for (const std::int64_t v : {1200, 12, 4}) // points, dim, nprobe
+            meta.writePod<std::int64_t>(v);
+        // nlist, m, entries, hnsw_m, ef
+        for (const std::int32_t v : {16, 6, 32, 16, 64})
+            meta.writePod<std::int32_t>(v);
+        meta.writePod<std::uint64_t>(31); // seed
+        meta.writePod<std::int64_t>(0);   // train
+        meta.writePod<std::uint8_t>(0);   // no router
+        meta.writePod<std::uint8_t>(0);   // no interleaved layout
+        writer.finish();
+    }
+    try {
+        openIndex(path);
+        ADD_FAILURE() << "opened a snapshot without the interleaved layout";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("interleaved code layout"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Persistence, HnswRoundTrips)
