@@ -39,6 +39,13 @@ main()
     params.max_training_points = 10000;
     params.policy.ref_samples = 4000;
     JunoIndex index(workload.metric(), workload.base(), params);
+    // JUNO-M's LUT: it records the inner gate reward/penalty scores.
+    JunoParams m_params = params;
+    m_params.mode = SearchMode::kRewardPenalty;
+    const SelectiveLutParams lut_params = m_params.lutParams();
+    SelectiveLutBuilder builder(index.junoScene(), index.thresholdPolicy(),
+                                index.ivf(), index.device());
+    SelectiveLut lut;
 
     // Percentile buckets of the true distance within the probed pool.
     const char *bucket_names[4] = {"top 0.1%", "top 1%", "top 10%",
@@ -49,8 +56,7 @@ main()
     for (idx_t qi = 0; qi < workload.queries().rows(); ++qi) {
         const float *q = workload.queries().row(qi);
         const auto probes = index.probe(q);
-        index.setSearchMode(SearchMode::kRewardPenalty);
-        const auto lut = index.buildLut(q, probes);
+        builder.buildInto(q, probes, lut_params, lut);
 
         // Exact distances of every point in the probed clusters.
         std::vector<Neighbor> exact;

@@ -14,14 +14,38 @@ namespace juno {
 
 namespace {
 /** Snapshot meta-section format of this index type. */
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
+
+/** Range checks shared by build(), loadGraph() and fromSpec(). */
+void
+checkParams(const Hnsw::Params &params)
+{
+    JUNO_REQUIRE(params.m >= 2, "HNSW m must be >= 2");
+    JUNO_REQUIRE(params.ef_construction >= params.m,
+                 "ef_construction must be >= m");
+}
 } // namespace
+
+Hnsw::Params
+Hnsw::fromSpec(const IndexSpec &spec)
+{
+    spec.requireKnown({"m", "efc", "ef", "seed"});
+    Params p;
+    p.m = static_cast<int>(spec.getInt("m", p.m));
+    p.ef_construction =
+        static_cast<int>(spec.getInt("efc", p.ef_construction));
+    p.ef_search = static_cast<int>(spec.getInt("ef", p.ef_search));
+    p.seed = static_cast<std::uint64_t>(
+        spec.getInt("seed", static_cast<long>(p.seed)));
+    checkParams(p);
+    return p;
+}
 
 std::string
 Hnsw::name() const
 {
     return "HNSW(m=" + std::to_string(params_.m) +
-           ",ef=" + std::to_string(ef_search_) + ")";
+           ",ef=" + std::to_string(params_.ef_search) + ")";
 }
 
 std::string
@@ -31,7 +55,7 @@ Hnsw::spec() const
     spec.type = "hnsw";
     spec.setInt("m", params_.m);
     spec.setInt("efc", params_.ef_construction);
-    spec.setInt("ef", ef_search_);
+    spec.setInt("ef", params_.ef_search);
     spec.setInt("seed", static_cast<long>(params_.seed));
     return spec.toString();
 }
@@ -45,10 +69,6 @@ Hnsw::saveGraph(SnapshotWriter &writer, const std::string &prefix) const
     writeMetricTag(meta, metric_);
     meta.writePod<std::int64_t>(points_.rows());
     meta.writePod<std::int64_t>(points_.cols());
-    meta.writePod<std::int32_t>(params_.m);
-    meta.writePod<std::int32_t>(params_.ef_construction);
-    meta.writePod<std::uint64_t>(params_.seed);
-    meta.writePod<std::int32_t>(ef_search_);
     meta.writePod<std::int64_t>(entry_point_);
     meta.writePod<std::int32_t>(max_level_);
 
@@ -76,22 +96,21 @@ Hnsw::saveGraph(SnapshotWriter &writer, const std::string &prefix) const
 }
 
 void
-Hnsw::loadGraph(SnapshotReader &reader, const std::string &prefix)
+Hnsw::loadGraph(SnapshotReader &reader, const std::string &prefix,
+                const Params &params)
 {
     const std::string what = reader.path() + " [" + prefix + "hnsw]";
     auto meta = reader.stream(prefix + "meta");
     checkFormatVersion(meta, kFormatVersion, what);
+    checkParams(params);
+    params_ = params;
     metric_ = readMetricTag(meta);
     const auto rows = meta.readPod<std::int64_t>();
     const auto cols = meta.readPod<std::int64_t>();
-    params_.m = meta.readPod<std::int32_t>();
-    params_.ef_construction = meta.readPod<std::int32_t>();
-    params_.seed = meta.readPod<std::uint64_t>();
-    ef_search_ = meta.readPod<std::int32_t>();
     entry_point_ = meta.readPod<std::int64_t>();
     max_level_ = meta.readPod<std::int32_t>();
-    JUNO_REQUIRE(rows > 0 && cols > 0 && params_.m >= 2 &&
-                     entry_point_ >= 0 && entry_point_ < rows &&
+    JUNO_REQUIRE(rows > 0 && cols > 0 && entry_point_ >= 0 &&
+                     entry_point_ < rows &&
                      max_level_ >= 0,
                  what << ": corrupt graph header");
 
@@ -140,7 +159,8 @@ std::unique_ptr<Hnsw>
 Hnsw::open(SnapshotReader &reader)
 {
     auto index = std::make_unique<Hnsw>();
-    index->loadGraph(reader, "");
+    index->loadGraph(reader, "",
+                     fromSpec(IndexSpec::parse(reader.spec())));
     return index;
 }
 
@@ -154,9 +174,7 @@ void
 Hnsw::build(Metric metric, FloatMatrixView points, const Params &params)
 {
     JUNO_REQUIRE(points.rows() > 0, "empty point set");
-    JUNO_REQUIRE(params.m >= 2, "HNSW m must be >= 2");
-    JUNO_REQUIRE(params.ef_construction >= params.m,
-                 "ef_construction must be >= m");
+    checkParams(params);
 
     metric_ = metric;
     params_ = params;
@@ -422,7 +440,7 @@ Hnsw::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
     StageScope t(ctx, Stage::kGraph);
     for (idx_t qi = chunk.begin; qi < chunk.end; ++qi)
         (*chunk.results)[static_cast<std::size_t>(qi)] = searchImpl(
-            chunk.queries.row(qi), chunk.k, ef_search_, ctx.visited);
+            chunk.queries.row(qi), chunk.k, params_.ef_search, ctx.visited);
 }
 
 const std::vector<idx_t> &

@@ -40,7 +40,15 @@ class Hnsw : public AnnIndex {
         /** Beam width during construction. */
         int ef_construction = 100;
         std::uint64_t seed = 97;
+        /** Beam width of the batched AnnIndex search path. */
+        int ef_search = 64;
     };
+
+    /**
+     * Parses the knobs spec() prints; absent keys keep the Params
+     * defaults. ConfigError on an unknown key, m < 2 or efc < m.
+     */
+    static Params fromSpec(const IndexSpec &spec);
 
     /**
      * Builds the graph over @p points (copied). @p metric governs both
@@ -63,8 +71,13 @@ class Hnsw : public AnnIndex {
     void saveGraph(SnapshotWriter &writer,
                    const std::string &prefix) const;
 
-    /** Restores what saveGraph() wrote (replaces current state). */
-    void loadGraph(SnapshotReader &reader, const std::string &prefix);
+    /**
+     * Restores what saveGraph() wrote (replaces current state); the
+     * caller supplies the knobs (the standalone index from its spec,
+     * IVFPQ's router from the ivfpq knobs).
+     */
+    void loadGraph(SnapshotReader &reader, const std::string &prefix,
+                   const Params &params);
 
     std::string name() const override;
     std::string spec() const override;
@@ -73,8 +86,8 @@ class Hnsw : public AnnIndex {
     idx_t dim() const override { return points_.cols(); }
 
     /** Beam width of the batched AnnIndex search path. */
-    int efSearch() const { return ef_search_; }
-    void setEfSearch(int ef) { ef_search_ = ef; }
+    int efSearch() const { return params_.ef_search; }
+    void setEfSearch(int ef) { params_.ef_search = ef; }
 
     /** Batched search entry points (hidden otherwise by search() below). */
     using AnnIndex::search;
@@ -136,7 +149,6 @@ class Hnsw : public AnnIndex {
     Metric metric_ = Metric::kL2;
     PinnedMatrix points_;
     Params params_;
-    int ef_search_ = 64;
     /** layers_[l][node] = adjacency list (empty if node absent). */
     std::vector<std::vector<std::vector<idx_t>>> layers_;
     std::vector<int> node_level_;

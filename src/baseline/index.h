@@ -29,6 +29,7 @@
 namespace juno {
 
 class SnapshotWriter;
+struct IndexSpec;
 class HotListCache;
 
 /** Common interface of every searchable index in this repository. */

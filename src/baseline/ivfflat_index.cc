@@ -12,12 +12,27 @@ namespace juno {
 
 namespace {
 /** Snapshot meta-section format of this index type. */
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 } // namespace
+
+IvfFlatIndex::Params
+IvfFlatIndex::fromSpec(const IndexSpec &spec)
+{
+    spec.requireKnown({"nlist", "nprobe", "seed", "iters", "train"});
+    Params p;
+    p.clusters = static_cast<int>(spec.getInt("nlist", p.clusters));
+    p.nprobs = spec.getInt("nprobe", p.nprobs);
+    p.seed = static_cast<std::uint64_t>(
+        spec.getInt("seed", static_cast<long>(p.seed)));
+    p.max_iters = static_cast<int>(spec.getInt("iters", p.max_iters));
+    p.max_training_points = spec.getInt("train", p.max_training_points);
+    JUNO_REQUIRE(p.nprobs > 0, "nprobs must be positive");
+    return p;
+}
 
 IvfFlatIndex::IvfFlatIndex(Metric metric, FloatMatrixView points,
                            const Params &params)
-    : metric_(metric), params_(params), nprobs_(params.nprobs)
+    : metric_(metric), params_(params)
 {
     JUNO_REQUIRE(params.nprobs > 0, "nprobs must be positive");
     FloatMatrix copy(points.rows(), points.cols());
@@ -38,7 +53,7 @@ IvfFlatIndex::IvfFlatIndex(Metric metric, FloatMatrixView points,
 IvfFlatIndex::IvfFlatIndex(Metric metric, FloatMatrixView points,
                            const Params &params,
                            const FloatMatrix &centroids)
-    : metric_(metric), params_(params), nprobs_(params.nprobs)
+    : metric_(metric), params_(params)
 {
     JUNO_REQUIRE(params.nprobs > 0, "nprobs must be positive");
     JUNO_REQUIRE(centroids.rows() == params.clusters,
@@ -91,7 +106,7 @@ IvfFlatIndex::spec() const
     IndexSpec spec;
     spec.type = "ivfflat";
     spec.setInt("nlist", params_.clusters);
-    spec.setInt("nprobe", nprobs_);
+    spec.setInt("nprobe", params_.nprobs);
     spec.setInt("seed", static_cast<long>(params_.seed));
     spec.setInt("iters", params_.max_iters);
     spec.setInt("train", params_.max_training_points);
@@ -106,11 +121,6 @@ IvfFlatIndex::saveSections(SnapshotWriter &writer) const
     writeMetricTag(meta, metric_);
     meta.writePod<std::int64_t>(points_.rows());
     meta.writePod<std::int64_t>(points_.cols());
-    meta.writePod<std::int64_t>(nprobs_);
-    meta.writePod<std::int32_t>(params_.clusters);
-    meta.writePod<std::uint64_t>(params_.seed);
-    meta.writePod<std::int32_t>(params_.max_iters);
-    meta.writePod<std::int64_t>(params_.max_training_points);
     ivf_.save(writer.section("ivf"));
     writer.addBlob("points", points_.data(),
                    static_cast<std::size_t>(points_.rows()) *
@@ -125,22 +135,19 @@ IvfFlatIndex::open(SnapshotReader &reader)
     checkFormatVersion(meta, kFormatVersion,
                        reader.path() + " [ivfflat]");
     std::unique_ptr<IvfFlatIndex> index(new IvfFlatIndex());
+    index->params_ = fromSpec(IndexSpec::parse(reader.spec()));
     index->metric_ = readMetricTag(meta);
     const auto rows = meta.readPod<std::int64_t>();
     const auto cols = meta.readPod<std::int64_t>();
-    index->nprobs_ = meta.readPod<std::int64_t>();
-    index->params_.clusters = meta.readPod<std::int32_t>();
-    index->params_.seed = meta.readPod<std::uint64_t>();
-    index->params_.max_iters = meta.readPod<std::int32_t>();
-    index->params_.max_training_points = meta.readPod<std::int64_t>();
-    index->params_.nprobs = index->nprobs_;
-    JUNO_REQUIRE(rows > 0 && cols > 0 && index->nprobs_ > 0,
+    JUNO_REQUIRE(rows > 0 && cols > 0,
                  reader.path() << ": corrupt ivfflat index header");
 
     auto ivf_stream = reader.stream("ivf");
     index->ivf_.load(ivf_stream);
-    JUNO_REQUIRE(index->ivf_.dim() == cols,
-                 reader.path() << ": IVF/point dimension mismatch");
+    JUNO_REQUIRE(index->ivf_.dim() == cols &&
+                     index->ivf_.numClusters() == index->params_.clusters,
+                 reader.path() << ": IVF disagrees with the point "
+                                  "dimension or the spec's nlist");
     index->points_ =
         reader.blob("points").matrix(rows, cols,
                                      reader.path() + " [points]");
@@ -252,7 +259,7 @@ IvfFlatIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
                     ctx.scores.data() +
                     static_cast<std::size_t>(qi - block) *
                         static_cast<std::size_t>(C);
-                loop.plan(qi, nprobs_, plan,
+                loop.plan(qi, params_.nprobs, plan,
                           [&](idx_t n, std::vector<Neighbor> &probes) {
                               probes = selectTopK(metric_, scores, C,
                                                   std::min(n, C));

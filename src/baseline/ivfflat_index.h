@@ -46,6 +46,12 @@ class IvfFlatIndex : public AnnIndex {
     IvfFlatIndex(Metric metric, FloatMatrixView points, const Params &params);
 
     /**
+     * Parses the knobs spec() prints; absent keys keep the Params
+     * defaults. ConfigError on an unknown key or nprobe <= 0.
+     */
+    static Params fromSpec(const IndexSpec &spec);
+
+    /**
      * Incremental-merge constructor: reuses pre-trained @p centroids
      * (typically the previous generation's) and only re-assigns
      * @p points to inverted lists — no k-means. The coarse
@@ -58,7 +64,8 @@ class IvfFlatIndex : public AnnIndex {
 
     /**
      * Loader for openIndex(): the trained IVF is restored (no
-     * k-means re-run); the GEMM operands (transposed centroid table,
+     * k-means re-run) and the knobs come from the spec section
+     * (fromSpec); the GEMM operands (transposed centroid table,
      * centroid norms) re-derive deterministically. In mmap mode the
      * point matrix views the mapping (zero-copy).
      */
@@ -70,8 +77,8 @@ class IvfFlatIndex : public AnnIndex {
     idx_t size() const override { return points_.rows(); }
     idx_t dim() const override { return points_.cols(); }
 
-    idx_t nprobs() const { return nprobs_; }
-    void setNprobs(idx_t nprobs) { nprobs_ = nprobs; }
+    idx_t nprobs() const { return params_.nprobs; }
+    void setNprobs(idx_t nprobs) { params_.nprobs = nprobs; }
     const InvertedFileIndex &ivf() const { return ivf_; }
 
     /**
@@ -123,7 +130,6 @@ class IvfFlatIndex : public AnnIndex {
     Params params_;
     PinnedMatrix points_;
     InvertedFileIndex ivf_;
-    idx_t nprobs_ = 8;
     /** Centroid table transposed to d x C (the GEMM's B operand). */
     FloatMatrix centroids_t_;
     /** |c|^2 per centroid (L2 probe scoring; empty under IP). */

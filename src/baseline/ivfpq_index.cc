@@ -14,13 +14,44 @@ namespace juno {
 
 namespace {
 /** Snapshot meta-section format of this index type. */
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
+
+/** The centroid router's graph knobs, derived from the ivfpq knobs. */
+Hnsw::Params
+routerParams(const IvfPqIndex::Params &params)
+{
+    Hnsw::Params hp;
+    hp.m = params.hnsw_m;
+    hp.seed = params.seed + 2;
+    hp.ef_search = params.hnsw_ef_search;
+    return hp;
+}
 } // namespace
+
+IvfPqIndex::Params
+IvfPqIndex::fromSpec(const IndexSpec &spec)
+{
+    spec.requireKnown({"nlist", "m", "entries", "nprobe", "hnsw",
+                       "hnsw_m", "ef", "seed", "train"});
+    Params p;
+    p.clusters = static_cast<int>(spec.getInt("nlist", p.clusters));
+    p.pq_subspaces = static_cast<int>(spec.getInt("m", p.pq_subspaces));
+    p.pq_entries = static_cast<int>(spec.getInt("entries", p.pq_entries));
+    p.nprobs = spec.getInt("nprobe", p.nprobs);
+    p.use_hnsw_router = spec.getBool("hnsw", p.use_hnsw_router);
+    p.hnsw_m = static_cast<int>(spec.getInt("hnsw_m", p.hnsw_m));
+    p.hnsw_ef_search = static_cast<int>(spec.getInt("ef", p.hnsw_ef_search));
+    p.seed = static_cast<std::uint64_t>(
+        spec.getInt("seed", static_cast<long>(p.seed)));
+    p.max_training_points = spec.getInt("train", p.max_training_points);
+    JUNO_REQUIRE(p.nprobs > 0, "nprobs must be positive");
+    return p;
+}
 
 IvfPqIndex::IvfPqIndex(Metric metric, FloatMatrixView points,
                        const Params &params)
     : metric_(metric), num_points_(points.rows()), dim_(points.cols()),
-      params_(params), nprobs_(params.nprobs)
+      params_(params)
 {
     JUNO_REQUIRE(params.nprobs > 0, "nprobs must be positive");
 
@@ -52,11 +83,8 @@ IvfPqIndex::IvfPqIndex(Metric metric, FloatMatrixView points,
 
     if (params.use_hnsw_router) {
         router_ = std::make_unique<Hnsw>();
-        Hnsw::Params hp;
-        hp.m = params.hnsw_m;
-        hp.seed = params.seed + 2;
-        router_->build(metric_, ivf_.centroids().view(), hp);
-        hnsw_ef_search_ = params.hnsw_ef_search;
+        router_->build(metric_, ivf_.centroids().view(),
+                       routerParams(params));
     }
 }
 
@@ -78,10 +106,10 @@ IvfPqIndex::spec() const
     spec.setInt("nlist", params_.clusters);
     spec.setInt("m", params_.pq_subspaces);
     spec.setInt("entries", params_.pq_entries);
-    spec.setInt("nprobe", nprobs_);
-    spec.setBool("hnsw", router_ != nullptr);
+    spec.setInt("nprobe", params_.nprobs);
+    spec.setBool("hnsw", params_.use_hnsw_router);
     spec.setInt("hnsw_m", params_.hnsw_m);
-    spec.setInt("ef", hnsw_ef_search_);
+    spec.setInt("ef", params_.hnsw_ef_search);
     spec.setInt("seed", static_cast<long>(params_.seed));
     spec.setInt("train", params_.max_training_points);
     return spec.toString();
@@ -95,16 +123,6 @@ IvfPqIndex::saveSections(SnapshotWriter &writer) const
     writeMetricTag(meta, metric_);
     meta.writePod<std::int64_t>(num_points_);
     meta.writePod<std::int64_t>(dim_);
-    meta.writePod<std::int64_t>(nprobs_);
-    meta.writePod<std::int32_t>(params_.clusters);
-    meta.writePod<std::int32_t>(params_.pq_subspaces);
-    meta.writePod<std::int32_t>(params_.pq_entries);
-    meta.writePod<std::int32_t>(params_.hnsw_m);
-    meta.writePod<std::int32_t>(hnsw_ef_search_);
-    meta.writePod<std::uint64_t>(params_.seed);
-    meta.writePod<std::int64_t>(params_.max_training_points);
-    meta.writePod<std::uint8_t>(router_ != nullptr ? 1 : 0);
-    meta.writePod<std::uint8_t>(1); // interleaved layout present
     meta.writePod<std::int64_t>(codes_.num_points);
     meta.writePod<std::int32_t>(codes_.num_subspaces);
 
@@ -124,32 +142,18 @@ IvfPqIndex::open(SnapshotReader &reader)
     auto meta = reader.stream("meta");
     checkFormatVersion(meta, kFormatVersion, what);
     std::unique_ptr<IvfPqIndex> index(new IvfPqIndex());
+    index->params_ = fromSpec(IndexSpec::parse(reader.spec()));
     index->metric_ = readMetricTag(meta);
     index->num_points_ = meta.readPod<std::int64_t>();
     index->dim_ = meta.readPod<std::int64_t>();
-    index->nprobs_ = meta.readPod<std::int64_t>();
-    index->params_.clusters = meta.readPod<std::int32_t>();
-    index->params_.pq_subspaces = meta.readPod<std::int32_t>();
-    index->params_.pq_entries = meta.readPod<std::int32_t>();
-    index->params_.hnsw_m = meta.readPod<std::int32_t>();
-    index->hnsw_ef_search_ = meta.readPod<std::int32_t>();
-    index->params_.seed = meta.readPod<std::uint64_t>();
-    index->params_.max_training_points = meta.readPod<std::int64_t>();
-    const bool has_router = meta.readPod<std::uint8_t>() != 0;
-    // Every scan tier reads the interleaved layout, so a snapshot
-    // written without it (interleaved=0) cannot be searched.
-    JUNO_REQUIRE(meta.readPod<std::uint8_t>() != 0,
-                 what << ": snapshot lacks the interleaved code layout "
-                         "(written with interleaved=0); rebuild it");
     index->codes_.num_points = meta.readPod<std::int64_t>();
     index->codes_.num_subspaces = meta.readPod<std::int32_t>();
     JUNO_REQUIRE(index->num_points_ > 0 && index->dim_ > 0 &&
-                     index->nprobs_ > 0 &&
                      index->codes_.num_points == index->num_points_ &&
                      index->codes_.num_subspaces > 0 &&
                      index->codes_.num_subspaces ==
                          index->params_.pq_subspaces,
-                 what << ": corrupt index header");
+                 what << ": corrupt index header or spec");
     // Overflow guard: a forged point count whose code-plane product
     // wraps to a tiny value must not match a tiny blob below.
     JUNO_REQUIRE(static_cast<std::uint64_t>(index->codes_.num_points) <=
@@ -157,9 +161,6 @@ IvfPqIndex::open(SnapshotReader &reader)
                          static_cast<std::uint64_t>(
                              index->codes_.num_subspaces),
                  what << ": implausible code plane (corrupt file)");
-    index->params_.nprobs = index->nprobs_;
-    index->params_.use_hnsw_router = has_router;
-    index->params_.hnsw_ef_search = index->hnsw_ef_search_;
 
     auto ivf_stream = reader.stream("ivf");
     index->ivf_.load(ivf_stream);
@@ -167,8 +168,10 @@ IvfPqIndex::open(SnapshotReader &reader)
     index->pq_.load(pq_stream);
     JUNO_REQUIRE(index->pq_.dim() == index->dim_ &&
                      index->pq_.numSubspaces() ==
-                         index->codes_.num_subspaces,
-                 what << ": quantizer/codes shape mismatch");
+                         index->codes_.num_subspaces &&
+                     index->pq_.entries() == index->params_.pq_entries &&
+                     index->ivf_.numClusters() == index->params_.clusters,
+                 what << ": quantizer/codes/spec shape mismatch");
 
     const auto codes_blob = reader.blob("codes");
     const auto codes_count = index->codes_.count();
@@ -184,9 +187,10 @@ IvfPqIndex::open(SnapshotReader &reader)
                      index->interleaved_.subspaces() ==
                          index->codes_.num_subspaces,
                  what << ": interleaved layout shape mismatch");
-    if (has_router) {
+    if (index->params_.use_hnsw_router) {
         index->router_ = std::make_unique<Hnsw>();
-        index->router_->loadGraph(reader, "router.");
+        index->router_->loadGraph(reader, "router.",
+                                  routerParams(index->params_));
         JUNO_REQUIRE(index->router_->size() == index->ivf_.numClusters(),
                      what << ": router/centroid count mismatch");
     }
@@ -199,7 +203,7 @@ IvfPqIndex::probe(const float *query, idx_t nprobs,
 {
     if (router_) {
         return router_->search(query, std::min(nprobs, ivf_.numClusters()),
-                               std::max<int>(hnsw_ef_search_,
+                               std::max<int>(params_.hnsw_ef_search,
                                              static_cast<int>(nprobs)),
                                visited);
     }
@@ -335,7 +339,7 @@ IvfPqIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
         const float *q = chunk.queries.row(qi);
         {
             StageScope t(ctx, Stage::kFilter);
-            loop.plan(qi, nprobs_, plan,
+            loop.plan(qi, params_.nprobs, plan,
                       [&](idx_t n, std::vector<Neighbor> &probes) {
                           probes = probe(q, n, ctx.visited);
                       });

@@ -49,9 +49,16 @@ class IvfPqIndex : public AnnIndex {
     IvfPqIndex(Metric metric, FloatMatrixView points, const Params &params);
 
     /**
+     * Parses the knobs spec() prints; absent keys keep the Params
+     * defaults. ConfigError on an unknown key or nprobe <= 0.
+     */
+    static Params fromSpec(const IndexSpec &spec);
+
+    /**
      * Loader for openIndex(): restores the trained IVF, codebooks,
      * codes and the interleaved/fast-scan planes (no re-training, no
-     * re-layout). In mmap mode the code planes view the mapping.
+     * re-layout); the knobs come from the spec section (fromSpec). In
+     * mmap mode the code planes view the mapping.
      */
     static std::unique_ptr<IvfPqIndex> open(SnapshotReader &reader);
 
@@ -61,8 +68,8 @@ class IvfPqIndex : public AnnIndex {
     idx_t size() const override { return num_points_; }
     idx_t dim() const override { return dim_; }
 
-    idx_t nprobs() const { return nprobs_; }
-    void setNprobs(idx_t nprobs) { nprobs_ = nprobs; }
+    idx_t nprobs() const { return params_.nprobs; }
+    void setNprobs(idx_t nprobs) { params_.nprobs = nprobs; }
 
     /**
      * Attaches an admission-controlled HotListCache of @p bytes, which
@@ -152,9 +159,7 @@ class IvfPqIndex : public AnnIndex {
     PQCodes codes_;
     /** List-resident interleaved layout the scan streams. */
     InterleavedLists interleaved_;
-    idx_t nprobs_ = 8;
     std::unique_ptr<Hnsw> router_;
-    int hnsw_ef_search_ = 64;
     /** Out-of-core hot-list cache; empty when no budget is set. */
     HotListSlot cache_slot_;
 };

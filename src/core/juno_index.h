@@ -57,6 +57,12 @@ struct JunoParams {
     JunoScene::Params scene;               ///< sphere radius / BVH
     std::uint64_t seed = 31;
     idx_t max_training_points = 0;         ///< k-means subsampling
+
+    /**
+     * The RT pass's knobs: scale and penalty, plus the inner gate,
+     * which only JUNO-M scores (so only JUNO-M records it).
+     */
+    SelectiveLutParams lutParams() const;
 };
 
 /** Convenience presets matching the paper's three configurations. */
@@ -71,6 +77,13 @@ class JunoIndex : public AnnIndex {
               const JunoParams &params);
 
     /**
+     * Parses the knobs spec() prints; absent keys keep the JunoParams
+     * defaults. ConfigError on an unknown key, an unknown mode/tmode
+     * spelling or an out-of-range value.
+     */
+    static JunoParams fromSpec(const IndexSpec &spec);
+
+    /**
      * Restores an index from a snapshot container at @p path
      * (AnnIndex::save()/openIndex()); any other file, or a snapshot
      * of another index type, is a ConfigError.
@@ -79,8 +92,9 @@ class JunoIndex : public AnnIndex {
 
     /**
      * Loader for openIndex(): restores IVF, codebooks, codes, density
-     * maps, regressors, the interleaved plane and search parameters.
-     * The RT scene and interest index rebuild deterministically.
+     * maps, regressors and the interleaved plane; the knobs come from
+     * the snapshot's spec section (fromSpec). The RT scene and
+     * interest index rebuild deterministically.
      */
     static std::unique_ptr<JunoIndex> open(SnapshotReader &reader);
 
@@ -115,10 +129,6 @@ class JunoIndex : public AnnIndex {
     /** Filtering stage (stage A) for one query. */
     std::vector<Neighbor> probe(const float *query) const;
 
-    /** RT pass (stage B) for one query against given probes. */
-    SelectiveLut buildLut(const float *query,
-                          const std::vector<Neighbor> &probes) const;
-
     /** Scoring stage (stage C); its dense threshold rules search(). */
     DistanceCalculator &calculator() { return *calc_; }
 
@@ -144,8 +154,6 @@ class JunoIndex : public AnnIndex {
     /** Rebuilds the derived structures (interest index, scene, ...). */
     void finishConstruction();
 
-    SelectiveLutParams lutParams() const;
-
     Metric metric_;
     idx_t num_points_ = 0;
     idx_t dim_ = 0;
@@ -165,15 +173,13 @@ class JunoIndex : public AnnIndex {
     DensityMap density_;
     ThresholdPolicy policy_;
     JunoScene scene_;
-    mutable rt::RtDevice device_;
-    std::unique_ptr<SelectiveLutBuilder> lut_builder_;
+    rt::RtDevice device_;
     std::unique_ptr<DistanceCalculator> calc_;
     /**
      * Guards device_ stat merges from parallel search workers.
-     * device_ itself stays unannotated: the analysis-bench entry
-     * buildLut() drives it lock-free by documented contract (one
-     * caller), a conditional discipline the static analysis cannot
-     * express without false positives.
+     * device_ stays unannotated: device() and rtStats() read it
+     * lock-free between searches, a conditional discipline the
+     * static analysis cannot express.
      */
     Mutex stats_mutex_;
 };

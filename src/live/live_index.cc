@@ -405,18 +405,9 @@ LiveIndex::mergeOnce()
                 job.gen->index.get());
             const IndexSpec spec = IndexSpec::parse(base_spec_);
             if (old != nullptr && spec.type == "ivfflat") {
-                IvfFlatIndex::Params params;
-                params.clusters =
-                    static_cast<int>(spec.getInt("nlist", 256));
-                params.nprobs = spec.getInt("nprobe", 8);
-                params.seed = static_cast<std::uint64_t>(
-                    spec.getInt("seed", 31));
-                params.max_iters =
-                    static_cast<int>(spec.getInt("iters", 20));
-                params.max_training_points = spec.getInt("train", 0);
                 merged = std::make_unique<IvfFlatIndex>(
-                    metric_, union_points.view(), params,
-                    old->ivf().centroids());
+                    metric_, union_points.view(),
+                    IvfFlatIndex::fromSpec(spec), old->ivf().centroids());
                 incremental = true;
             }
         }

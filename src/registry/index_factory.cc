@@ -13,31 +13,6 @@
 namespace juno {
 namespace {
 
-SearchMode
-parseSearchMode(const std::string &key)
-{
-    if (key == "h")
-        return SearchMode::kExactDistance;
-    if (key == "m")
-        return SearchMode::kRewardPenalty;
-    if (key == "l")
-        return SearchMode::kHitCount;
-    fatal("unknown JUNO mode '" + key + "' (use h, m or l)");
-}
-
-ThresholdMode
-parseThresholdMode(const std::string &key)
-{
-    if (key == "dyn")
-        return ThresholdMode::kDynamic;
-    if (key == "small")
-        return ThresholdMode::kStaticSmall;
-    if (key == "large")
-        return ThresholdMode::kStaticLarge;
-    fatal("unknown threshold mode '" + key +
-          "' (use dyn, small or large)");
-}
-
 std::unique_ptr<AnnIndex>
 buildFlat(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
@@ -48,77 +23,30 @@ buildFlat(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 std::unique_ptr<AnnIndex>
 buildIvfFlat(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
-    spec.requireKnown({"nlist", "nprobe", "seed", "iters", "train"});
-    IvfFlatIndex::Params params;
-    params.clusters = static_cast<int>(spec.getInt("nlist", 256));
-    params.nprobs = spec.getInt("nprobe", 8);
-    params.seed = static_cast<std::uint64_t>(spec.getInt("seed", 31));
-    params.max_iters = static_cast<int>(spec.getInt("iters", 20));
-    params.max_training_points = spec.getInt("train", 0);
-    return std::make_unique<IvfFlatIndex>(metric, points, params);
+    return std::make_unique<IvfFlatIndex>(metric, points,
+                                          IvfFlatIndex::fromSpec(spec));
 }
 
 std::unique_ptr<AnnIndex>
 buildIvfPq(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
-    spec.requireKnown({"nlist", "m", "entries", "nprobe", "hnsw",
-                       "hnsw_m", "ef", "seed", "train"});
-    IvfPqIndex::Params params;
-    params.clusters = static_cast<int>(spec.getInt("nlist", 256));
-    params.pq_subspaces = static_cast<int>(spec.getInt("m", 48));
-    params.pq_entries = static_cast<int>(spec.getInt("entries", 256));
-    params.nprobs = spec.getInt("nprobe", 8);
-    params.use_hnsw_router = spec.getBool("hnsw", false);
-    params.hnsw_m = static_cast<int>(spec.getInt("hnsw_m", 16));
-    params.hnsw_ef_search = static_cast<int>(spec.getInt("ef", 64));
-    params.seed = static_cast<std::uint64_t>(spec.getInt("seed", 31));
-    params.max_training_points = spec.getInt("train", 0);
-    return std::make_unique<IvfPqIndex>(metric, points, params);
+    return std::make_unique<IvfPqIndex>(metric, points,
+                                        IvfPqIndex::fromSpec(spec));
 }
 
 std::unique_ptr<AnnIndex>
 buildHnsw(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
-    spec.requireKnown({"m", "efc", "ef", "seed"});
-    Hnsw::Params params;
-    params.m = static_cast<int>(spec.getInt("m", 16));
-    params.ef_construction = static_cast<int>(spec.getInt("efc", 100));
-    params.seed = static_cast<std::uint64_t>(spec.getInt("seed", 97));
     auto index = std::make_unique<Hnsw>();
-    index->build(metric, points, params);
-    index->setEfSearch(static_cast<int>(spec.getInt("ef", 64)));
+    index->build(metric, points, Hnsw::fromSpec(spec));
     return index;
 }
 
 std::unique_ptr<AnnIndex>
 buildJuno(Metric metric, FloatMatrixView points, const IndexSpec &spec)
 {
-    spec.requireKnown({"nlist", "entries", "nprobe", "mode", "scale",
-                       "tmode", "penalty", "rt", "pipelined", "grid",
-                       "psamples", "prefs", "ptopk", "pdeg", "radius",
-                       "gatefrac", "seed", "train"});
-    JunoParams params;
-    params.clusters = static_cast<int>(spec.getInt("nlist", 256));
-    params.pq_entries = static_cast<int>(spec.getInt("entries", 256));
-    params.nprobs = spec.getInt("nprobe", 8);
-    params.mode = parseSearchMode(spec.get("mode", "h"));
-    params.threshold_scale = spec.getDouble("scale", 1.0);
-    params.threshold_mode = parseThresholdMode(spec.get("tmode", "dyn"));
-    params.miss_penalty = spec.getDouble("penalty", 1.0);
-    params.use_rt_core = spec.getBool("rt", true);
-    params.pipelined = spec.getBool("pipelined", false);
-    params.density_grid = static_cast<int>(spec.getInt("grid", 100));
-    params.policy.train_samples = spec.getInt("psamples", 200);
-    params.policy.ref_samples = spec.getInt("prefs", 4000);
-    params.policy.contain_topk = spec.getInt("ptopk", 100);
-    params.policy.poly_degree = static_cast<int>(spec.getInt("pdeg", 3));
-    params.scene.gate_radius = static_cast<float>(
-        spec.getDouble("radius", params.scene.gate_radius));
-    params.scene.max_gate_fraction = static_cast<float>(
-        spec.getDouble("gatefrac", params.scene.max_gate_fraction));
-    params.seed = static_cast<std::uint64_t>(spec.getInt("seed", 31));
-    params.max_training_points = spec.getInt("train", 0);
-    return std::make_unique<JunoIndex>(metric, points, params);
+    return std::make_unique<JunoIndex>(metric, points,
+                                       JunoIndex::fromSpec(spec));
 }
 
 std::unique_ptr<AnnIndex>

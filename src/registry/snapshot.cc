@@ -294,6 +294,15 @@ SnapshotReader::has(const std::string &name) const
     return false;
 }
 
+std::vector<std::string>
+SnapshotReader::sections() const
+{
+    std::vector<std::string> names;
+    for (const auto &e : toc_)
+        names.push_back(e.name);
+    return names;
+}
+
 const SnapshotReader::Entry &
 SnapshotReader::find(const std::string &name) const
 {

@@ -136,6 +136,8 @@ class SnapshotReader {
     bool mapped() const { return blob_ != nullptr; }
 
     bool has(const std::string &name) const;
+    /** Section names in file order ("spec" first). */
+    std::vector<std::string> sections() const;
 
     /**
      * Typed stream over section @p name. The payload is crc-verified;

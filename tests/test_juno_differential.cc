@@ -273,19 +273,29 @@ TEST(JunoDifferential, EmptyGatesChargeTheMissScore)
 
 TEST(JunoDifferential, InnerGateDoesNotChangeHitCountScores)
 {
-    // buildLut() records the inner gate only for JUNO-M; scoring
-    // JUNO-L from a LUT with the inner rows must equal scoring it from
-    // one without them, on both scan paths.
+    // JunoParams::lutParams() records the inner gate only for JUNO-M;
+    // scoring JUNO-L from a LUT with the inner rows must equal scoring
+    // it from one without them, on both scan paths.
     for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
         const Dataset ds = makeData(metric);
         JunoIndex index(metric, ds.base.view(), smallParams());
+        const SelectiveLutBuilder builder(index.junoScene(),
+                                          index.thresholdPolicy(),
+                                          index.ivf(), index.device());
+        const auto lutParamsIn = [&](SearchMode mode) {
+            JunoParams p = index.params();
+            p.mode = mode;
+            return p.lutParams();
+        };
         for (idx_t qi = 0; qi < ds.queries.rows(); ++qi) {
             const float *q = ds.queries.row(qi);
             const auto probes = index.probe(q);
-            index.setSearchMode(SearchMode::kRewardPenalty);
-            const SelectiveLut with_inner = index.buildLut(q, probes);
-            index.setSearchMode(SearchMode::kHitCount);
-            const SelectiveLut without = index.buildLut(q, probes);
+            SelectiveLut with_inner, without;
+            builder.buildInto(q, probes,
+                              lutParamsIn(SearchMode::kRewardPenalty),
+                              with_inner);
+            builder.buildInto(q, probes, lutParamsIn(SearchMode::kHitCount),
+                              without);
             ASSERT_FALSE(with_inner.inner.empty());
             ASSERT_TRUE(without.inner.empty());
             for (double threshold : {0.0, 2.0}) {

@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "baseline/hnsw.h"
 #include "baseline/ivfflat_index.h"
+#include "baseline/ivfpq_index.h"
 #include "common/logging.h"
+#include "core/juno_index.h"
 #include "dataset/synthetic.h"
 #include "registry/index_factory.h"
 #include "registry/snapshot.h"
@@ -51,19 +56,38 @@ searchWith(AnnIndex &index, FloatMatrixView queries, idx_t k,
     return index.search(request);
 }
 
-/** Build from @p spec, snapshot, re-open both ways, demand parity. */
+/**
+ * Build from @p spec, apply @p tweak (search-time knob changes), then
+ * snapshot, re-open both ways and demand parity.
+ */
 void
-expectRoundTrip(Metric metric, const std::string &spec)
+expectRoundTrip(Metric metric, const std::string &spec,
+                const std::function<void(AnnIndex &)> &tweak = {})
 {
     SCOPED_TRACE(spec);
     const auto ds = makeData(metric);
     auto built = buildIndex(metric, ds.base.view(), spec);
-    const auto path = tempPath("roundtrip.juno");
-    built->save(path);
 
-    // Canonical spec round-trips as text and describes the rebuild.
+    // Canonical spec round-trips as text and carries every input knob
+    // (numbers compared at float precision: spec() prints them
+    // round-trip exact).
     const auto canonical = IndexSpec::parse(built->spec());
     EXPECT_EQ(IndexSpec::parse(canonical.toString()), canonical);
+    for (const auto &kv : IndexSpec::parse(spec).params) {
+        const std::string got = canonical.get(kv.first);
+        char *end = nullptr;
+        const float want = std::strtof(kv.second.c_str(), &end);
+        if (*end == '\0')
+            EXPECT_EQ(std::strtof(got.c_str(), nullptr), want) << kv.first;
+        else
+            EXPECT_EQ(got, kv.second) << kv.first;
+    }
+    if (tweak) {
+        tweak(*built);
+        EXPECT_NE(built->spec(), canonical.toString());
+    }
+    const auto path = tempPath("roundtrip.juno");
+    built->save(path);
 
     const auto expected_t1 = searchWith(*built, ds.queries.view(), 20, 1);
     const auto expected_t4 = searchWith(*built, ds.queries.view(), 20, 4);
@@ -98,6 +122,7 @@ TEST(Persistence, FlatRoundTrips)
 TEST(Persistence, IvfFlatRoundTrips)
 {
     expectRoundTrip(Metric::kL2, "ivfflat:nlist=16,nprobe=4");
+    expectRoundTrip(Metric::kL2, "ivfflat:nlist=16,nprobe=4,iters=5,seed=7");
 }
 
 TEST(Persistence, IvfPqRoundTrips)
@@ -116,6 +141,8 @@ TEST(Persistence, IvfPqFastScanAndRouterRoundTrip)
     expectRoundTrip(
         Metric::kL2,
         "ivfpq:nlist=16,m=6,entries=16,nprobe=4,hnsw=1,hnsw_m=8");
+    expectRoundTrip(Metric::kL2, "ivfpq:nlist=16,m=6,entries=32,nprobe=4,"
+                                 "hnsw=1,hnsw_m=8,ef=32,seed=7");
 }
 
 TEST(Persistence, RetiredInterleavedKeyIsAConfigError)
@@ -131,42 +158,11 @@ TEST(Persistence, RetiredInterleavedKeyIsAConfigError)
             << spec;
 }
 
-TEST(Persistence, IvfPqSnapshotWithoutInterleavedLayoutIsRejected)
-{
-    // Files written with interleaved=0 carry a 0 layout flag in the
-    // meta header; every scan tier now reads the interleaved layout.
-    const auto path = tempPath("no_interleaved.juno");
-    {
-        SnapshotWriter writer(path, "ivfpq:nlist=16,m=6,entries=32");
-        Writer &meta = writer.section("meta");
-        meta.writePod<std::uint32_t>(1); // format version
-        writeMetricTag(meta, Metric::kL2);
-        for (const std::int64_t v : {1200, 12, 4}) // points, dim, nprobe
-            meta.writePod<std::int64_t>(v);
-        // nlist, m, entries, hnsw_m, ef
-        for (const std::int32_t v : {16, 6, 32, 16, 64})
-            meta.writePod<std::int32_t>(v);
-        meta.writePod<std::uint64_t>(31); // seed
-        meta.writePod<std::int64_t>(0);   // train
-        meta.writePod<std::uint8_t>(0);   // no router
-        meta.writePod<std::uint8_t>(0);   // no interleaved layout
-        writer.finish();
-    }
-    try {
-        openIndex(path);
-        ADD_FAILURE() << "opened a snapshot without the interleaved layout";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("interleaved code layout"),
-                  std::string::npos)
-            << e.what();
-    }
-    std::remove(path.c_str());
-}
-
 TEST(Persistence, HnswRoundTrips)
 {
     expectRoundTrip(Metric::kL2, "hnsw:m=8,efc=40,ef=32");
     expectRoundTrip(Metric::kInnerProduct, "hnsw:m=8,efc=40,ef=32");
+    expectRoundTrip(Metric::kL2, "hnsw:m=8,efc=40,ef=32,seed=5");
 }
 
 TEST(Persistence, JunoRoundTrips)
@@ -177,6 +173,129 @@ TEST(Persistence, JunoRoundTrips)
     expectRoundTrip(Metric::kInnerProduct,
                     "juno:nlist=16,entries=32,nprobe=6,mode=m,"
                     "grid=30,psamples=60,prefs=800,ptopk=40");
+    expectRoundTrip(Metric::kL2,
+                    "juno:nlist=16,entries=32,nprobe=6,mode=l,scale=0.8,"
+                    "tmode=small,penalty=0.5,rt=0,pipelined=1,radius=0.8,"
+                    "gatefrac=0.9,grid=30,psamples=60,prefs=800,ptopk=40");
+}
+
+TEST(Persistence, KnobsChangedAfterBuildRoundTrip)
+{
+    // save() records the knobs as they are at save time.
+    expectRoundTrip(Metric::kL2, "ivfflat:nlist=16,nprobe=4",
+                    [](AnnIndex &index) {
+                        dynamic_cast<IvfFlatIndex &>(index).setNprobs(9);
+                    });
+    expectRoundTrip(Metric::kL2, "ivfpq:nlist=16,m=6,entries=32,nprobe=4",
+                    [](AnnIndex &index) {
+                        dynamic_cast<IvfPqIndex &>(index).setNprobs(9);
+                    });
+    expectRoundTrip(Metric::kL2, "hnsw:m=8,efc=40,ef=32",
+                    [](AnnIndex &index) {
+                        dynamic_cast<Hnsw &>(index).setEfSearch(50);
+                    });
+    expectRoundTrip(Metric::kL2,
+                    "juno:nlist=16,entries=32,nprobe=6,grid=30,"
+                    "psamples=60,prefs=800,ptopk=40",
+                    [](AnnIndex &index) {
+                        auto &juno = dynamic_cast<JunoIndex &>(index);
+                        juno.setNprobs(9);
+                        juno.setThresholdMode(ThresholdMode::kStaticLarge);
+                        juno.setMissPenalty(0.25);
+                    });
+}
+
+/** Copies snapshot @p from to @p to with @p spec as its spec section. */
+void
+respec(const std::string &from, const std::string &to,
+       const std::string &spec)
+{
+    SnapshotReader reader(from);
+    SnapshotWriter writer(to, spec);
+    for (const auto &name : reader.sections())
+        if (name != "spec") {
+            const auto blob = reader.blob(name);
+            writer.addBlob(name, blob.data, blob.bytes);
+        }
+    writer.finish();
+}
+
+TEST(Persistence, TamperedSpecIsAConfigError)
+{
+    // The spec section is the only stored copy of the knobs and is
+    // read from a file, so open() checks every knob it parses.
+    struct Case {
+        const char *spec;
+        std::vector<const char *> forged;
+    };
+    const std::string juno =
+        "juno:nlist=16,entries=32,nprobe=6,grid=30,psamples=60,"
+        "prefs=800,ptopk=40";
+    const Case cases[] = {
+        {"ivfflat:nlist=16,nprobe=4",
+         {"ivfflat:nlist=16,nprobe=0", "ivfflat:nlist=16,nprobe=4,bogus=1",
+          "ivfflat:nlist=8,nprobe=4"}},
+        {"ivfpq:nlist=16,m=6,entries=32,nprobe=4",
+         {"ivfpq:nlist=16,m=6,entries=32,nprobe=0",
+          "ivfpq:nlist=16,m=3,entries=32,nprobe=4",
+          "ivfpq:nlist=16,m=6,entries=16,nprobe=4",
+          "ivfpq:nlist=16,m=6,entries=32,nprobe=4,hnsw=1"}},
+        {"hnsw:m=8,efc=40,ef=32", {"hnsw:m=1,efc=40", "hnsw:m=8,bogus=1"}},
+        {juno.c_str(),
+         {"juno:nlist=16,entries=32,nprobe=0",
+          "juno:nlist=16,entries=32,mode=x",
+          "juno:nlist=16,entries=32,tmode=x",
+          "juno:nlist=16,entries=32,scale=1.5",
+          "juno:nlist=16,entries=32,penalty=-1",
+          "juno:nlist=16,entries=64", "juno:nlist=16,entries=32,bogus=1"}},
+    };
+    const auto ds = makeData(Metric::kL2);
+    const auto original = tempPath("untampered.juno");
+    const auto tampered = tempPath("tampered.juno");
+    for (const auto &c : cases) {
+        buildIndex(Metric::kL2, ds.base.view(), c.spec)->save(original);
+        respec(original, tampered, c.spec); // control: the copy opens
+        EXPECT_NO_THROW(openIndex(tampered)) << c.spec;
+        for (const char *forged : c.forged) {
+            respec(original, tampered, forged);
+            for (const bool use_mmap : {false, true}) {
+                SnapshotOptions options;
+                options.use_mmap = use_mmap;
+                EXPECT_THROW(openIndex(tampered, options), ConfigError)
+                    << forged << (use_mmap ? " (mmap)" : " (buffered)");
+            }
+        }
+    }
+    std::remove(original.c_str());
+    std::remove(tampered.c_str());
+}
+
+TEST(Persistence, FormatOneSnapshotIsRejectedNamingTheVersion)
+{
+    // Format 1 kept a second, binary copy of the knobs in "meta";
+    // format 2 keeps them only in the spec section.
+    const auto path = tempPath("format1.juno");
+    for (const char *spec : {"ivfflat:nlist=16", "ivfpq:nlist=16,m=6",
+                             "hnsw:m=8", "juno:nlist=16"}) {
+        {
+            SnapshotWriter writer(path, spec);
+            writer.section("meta").writePod<std::uint32_t>(1);
+            writer.finish();
+        }
+        for (const bool use_mmap : {false, true}) {
+            SnapshotOptions options;
+            options.use_mmap = use_mmap;
+            try {
+                openIndex(path, options);
+                ADD_FAILURE() << spec << ": opened a format-1 snapshot";
+            } catch (const ConfigError &e) {
+                EXPECT_NE(std::string(e.what()).find("format version 1"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Persistence, RtExactRoundTrips)

@@ -292,21 +292,19 @@ void
 applyKnobs(AnnIndex &index, const Args &args)
 {
     if (auto *j = dynamic_cast<JunoIndex *>(&index)) {
+        // Overlay the flags on the index's own spec and parse it with
+        // JUNO's codec, so the flags take the spec's spellings.
+        IndexSpec spec = IndexSpec::parse(j->spec());
         if (args.has("nprobs"))
-            j->setNprobs(args.getInt("nprobs", 32, 1, 10000000));
-        if (args.has("mode")) {
-            const std::string m = args.get("mode", "h");
-            if (m == "h")
-                j->setSearchMode(SearchMode::kExactDistance);
-            else if (m == "m")
-                j->setSearchMode(SearchMode::kRewardPenalty);
-            else if (m == "l")
-                j->setSearchMode(SearchMode::kHitCount);
-            else
-                fatal("unknown mode '" + m + "' (use h, m or l)");
-        }
+            spec.setInt("nprobe", args.getInt("nprobs", 32, 1, 10000000));
+        if (args.has("mode"))
+            spec.set("mode", args.get("mode", "h"));
         if (args.has("scale"))
-            j->setThresholdScale(args.getDouble("scale", 1.0));
+            spec.setDouble("scale", args.getDouble("scale", 1.0));
+        const JunoParams knobs = JunoIndex::fromSpec(spec);
+        j->setNprobs(knobs.nprobs);
+        j->setSearchMode(knobs.mode);
+        j->setThresholdScale(knobs.threshold_scale);
         return;
     }
     if (auto *f = dynamic_cast<IvfFlatIndex *>(&index)) {
