@@ -49,6 +49,7 @@ rtAccel4090()
 struct NamedPoint {
     std::string config;
     double recall1 = 0.0;
+    WilsonInterval recall1_ci; ///< 95% interval over the queries
     double qps_cpu = 0.0;
     double qps_rt = 0.0; ///< RT stage re-priced under the 4090 model
 };
@@ -62,9 +63,19 @@ struct DatasetResult {
 
 std::vector<DatasetResult> g_snapshot;
 
+/** "[lo, hi]" of a recall interval. */
+std::string
+intervalJson(const WilsonInterval &ci)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "[%.4f, %.4f]", ci.lo, ci.hi);
+    return buf;
+}
+
 /**
  * Writes the collected operating points as JSON (BENCH_fig12.json):
- * the perf trajectory future PRs diff against.
+ * the perf trajectory future PRs diff against, stamped with the build
+ * and the host, each recall with its 95% Wilson interval.
  */
 void
 writeSnapshot(const std::string &path)
@@ -75,7 +86,8 @@ writeSnapshot(const std::string &path)
         return;
     }
     out << "{\n  \"bench\": \"fig12_qps_recall\",\n  \"build\": "
-        << buildInfoJson() << ",\n  \"scale\": \""
+        << buildInfoJson() << ",\n  \"host\": " << hostInfoJson()
+        << ",\n  \"scale\": \""
         << (bench::largeScale() ? "large" : "default")
         << "\",\n  \"datasets\": [\n";
     for (std::size_t d = 0; d < g_snapshot.size(); ++d) {
@@ -86,6 +98,7 @@ writeSnapshot(const std::string &path)
             const auto &p = ds.rows[i];
             out << "        {\"config\": \"" << p.config
                 << "\", \"recall1_at_100\": " << p.recall1
+                << ", \"recall1_ci95\": " << intervalJson(p.recall1_ci)
                 << ", \"qps_cpu\": " << p.qps_cpu
                 << ", \"qps_rt4090\": " << p.qps_rt << "}"
                 << (i + 1 < ds.rows.size() ? "," : "") << "\n";
@@ -95,7 +108,9 @@ writeSnapshot(const std::string &path)
             const auto &p = ds.thread_scaling[i];
             out << "        {\"threads\": " << p.threads
                 << ", \"qps\": " << p.qps
-                << ", \"recall1_at_100\": " << p.recall1_at_k << "}"
+                << ", \"recall1_at_100\": " << p.recall1_at_k
+                << ", \"recall1_ci95\": " << intervalJson(p.recall1_ci)
+                << "}"
                 << (i + 1 < ds.thread_scaling.size() ? "," : "") << "\n";
         }
         out << "      ]\n    }" << (d + 1 < g_snapshot.size() ? "," : "")
@@ -131,6 +146,7 @@ sweepIndex(Workload &workload, IndexT &index, const std::string &prefix,
         NamedPoint named;
         named.config = prefix + ",np=" + std::to_string(np);
         named.recall1 = point.recall1_at_k;
+        named.recall1_ci = point.recall1_ci;
         named.qps_cpu = point.qps;
         // Re-price the RT stage (zero for the baselines, whose LUT
         // stage runs on CUDA/Tensor cores in the paper and stays at

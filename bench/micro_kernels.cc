@@ -11,15 +11,21 @@
  * Self-contained (no google-benchmark): each kernel runs in a
  * calibrated timing loop against both dispatch tables. Also keeps the
  * top-k and BVH traversal spot-checks of the original bench, plus the
- * packet-walk row (bvhPacket: 8-ray packets vs 8 single-ray walks).
+ * packet-walk rows (bvhPacket: one query's 8-ray packets and two
+ * queries' kRayLanes-ray packets vs the same rays walked one by one).
  *
  *   --json <path>     dump the kernel rows (BENCH_adc.json)
  *   --check-fastscan  exit 1 unless fast scan beats the legacy gather
- *   --check-packet    exit 1 unless the packet walk beats single rays
+ *   --check-packet    exit 1 unless the kRayLanes packet walk beats
+ *                     single rays and every packing's tile equals the
+ *                     single-ray cells bit for bit
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -74,6 +80,9 @@ double g_fastscan_vs_gather = 0.0;
 
 /** Packet walk at the best level vs single-ray walks (CI gate). */
 double g_packet_vs_single = 0.0;
+
+/** Tile cells of any packing that differ from the single-ray cells. */
+std::size_t g_packet_mismatches = 0;
 
 void
 printRow(const std::string &kernel, const std::string &shape,
@@ -469,22 +478,49 @@ benchTopKAndBvh()
 }
 
 /**
+ * Traces @p rays as packets of @p lanes consecutive rays and stores
+ * each delivery's lanes with one masked store into the packet's
+ * [e][lane] tile of @p row cells per ray, the way the LUT builder does.
+ */
+void
+tracePackets(const rt::Bvh &bvh, const std::vector<rt::Sphere> &spheres,
+             const std::vector<rt::Ray> &rays, int lanes, std::size_t row,
+             const simd::Kernels &kernels, rt::TraversalStats &stats,
+             float *cells)
+{
+    const auto width = static_cast<std::size_t>(lanes);
+    for (std::size_t first = 0; first < rays.size(); first += width) {
+        float *tile = cells + first * row;
+        bvh.traversePacket(rays.data() + first, lanes, spheres, stats,
+                           [&](const rt::PacketHit &hit) {
+                               kernels.store_lanes(
+                                   hit.thit, hit.mask,
+                                   tile + hit.user_id % row * width);
+                               return 0u;
+                           });
+    }
+}
+
+/**
  * The selective-LUT access pattern: a JUNO-shaped scene (S planes of E
- * radius-1 spheres at z = 4s + 1) and packets of 8 +z probe rays from
- * one plane, each with its own tmax gate. Both walks deliver hits the
- * way the LUT builder does: the single-ray walk stores each hit's thit
- * in its ray's row of E cells, the packet walk stores each delivery's
- * lanes with one masked store into the packet's [e][lane] tile. Rays
- * per second of the packet walk against the same rays walked one at a
- * time. The packet walk runs at the active dispatch level, or at the
- * best one when that is scalar (the gate pins the SIMD win).
+ * radius-1 spheres at z = 4s + 1) and groups of kRayLanes +z probe
+ * rays from one plane, each with its own tmax gate. The single-ray
+ * walk stores each hit's thit in its ray's row of E cells; the packet
+ * walks store each delivery's lanes into the packet's [e][lane] tile.
+ * Two packings of the same rays: one query's 8 probe rays per packet,
+ * and two queries' rays in one kRayLanes packet (the cross-query
+ * group). Rays per second of each against the same rays walked one at
+ * a time, at the active dispatch level, or at the best one when that
+ * is scalar (the gate pins the SIMD win). Every packing's tile must
+ * equal the single-ray cells bit for bit.
  */
 void
 benchBvhPacket()
 {
     Rng rng(8);
-    const int subspaces = 16, entries = 256, packets = 64;
+    const int subspaces = 16, entries = 256, groups = 32;
     const int lanes = simd::kRayLanes;
+    const int query_lanes = 8; // one query's nprobe = 8 probe rays
     std::vector<rt::Sphere> spheres;
     for (int s = 0; s < subspaces; ++s)
         for (int e = 0; e < entries; ++e) {
@@ -498,7 +534,7 @@ benchBvhPacket()
         }
     rt::Bvh bvh;
     bvh.build(spheres);
-    std::vector<rt::Ray> rays(static_cast<std::size_t>(packets * lanes));
+    std::vector<rt::Ray> rays(static_cast<std::size_t>(groups * lanes));
     for (std::size_t i = 0; i < rays.size(); ++i) {
         const int s = static_cast<int>(i / static_cast<std::size_t>(lanes)) %
                       subspaces;
@@ -509,47 +545,56 @@ benchBvhPacket()
         rays[i].tmax = 1.0f - std::sqrt(1.0f - r * r);
     }
     const auto row = static_cast<std::size_t>(entries);
-    std::vector<float> cells(rays.size() * row);
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> cells(rays.size() * row, nan);
 
     rt::TraversalStats stats;
-    const double single = opsPerSecond(rays.size(), [&] {
+    const auto traceSingle = [&] {
         for (std::size_t i = 0; i < rays.size(); ++i)
             bvh.traverse(rays[i], spheres, stats, [&](const rt::Hit &hit) {
                 cells[i * row + hit.user_id % row] = hit.thit;
                 return true;
             });
-    });
+    };
+    traceSingle();
+    const std::vector<float> want = cells;
+    const double single = opsPerSecond(rays.size(), traceSingle);
+
     const simd::Level saved = simd::level();
     if (saved == simd::Level::kScalar)
         simd::setLevel(simd::bestSupported());
     const simd::Kernels &kernels = simd::active();
-    const double packet = opsPerSecond(rays.size(), [&] {
-        for (int p = 0; p < packets; ++p) {
-            float *tile = cells.data() + static_cast<std::size_t>(p) *
-                                             static_cast<std::size_t>(
-                                                 lanes) * row;
-            bvh.traversePacket(
-                rays.data() + p * lanes, lanes, spheres, stats,
-                [&](const rt::PacketHit &hit) {
-                    kernels.store_lanes(
-                        hit.thit, hit.mask,
-                        tile + hit.user_id % row *
-                                   static_cast<std::size_t>(lanes));
-                    return 0u;
-                });
+    for (int width : {query_lanes, lanes}) {
+        // Bit-for-bit check of one untimed pass from a NaN tile: lane
+        // `lane` of the packet at `first` owns tile column
+        // first * row + e * width + lane.
+        std::fill(cells.begin(), cells.end(), nan);
+        tracePackets(bvh, spheres, rays, width, row, kernels, stats,
+                     cells.data());
+        const auto w = static_cast<std::size_t>(width);
+        for (std::size_t i = 0; i < rays.size(); ++i) {
+            const std::size_t first = i / w * w;
+            for (std::size_t e = 0; e < row; ++e) {
+                const float got = cells[first * row + e * w + (i - first)];
+                if (std::memcmp(&got, &want[i * row + e], sizeof got) != 0)
+                    ++g_packet_mismatches;
+            }
         }
-    });
-    const char *level = kernels.name;
+        const double packet = opsPerSecond(rays.size(), [&] {
+            tracePackets(bvh, spheres, rays, width, row, kernels, stats,
+                         cells.data());
+        });
+        const std::string shape = "S=" + std::to_string(subspaces) +
+                                  ",E=" + std::to_string(entries) +
+                                  ",lanes=" + std::to_string(width);
+        std::printf("%-18s %-20s %9.2f %-6s %9.2f %-6s %6.2fx (%s)\n",
+                    "bvhPacket", shape.c_str(), single * 1e-6, "Mray/s",
+                    packet * 1e-6, "Mray/s", packet / single,
+                    kernels.name);
+        if (width == lanes)
+            g_packet_vs_single = packet / single;
+    }
     simd::setLevel(saved);
-    volatile float sink = cells[cells.size() / 2];
-    (void)sink;
-    const std::string shape = "S=" + std::to_string(subspaces) +
-                              ",E=" + std::to_string(entries) + ",lanes=" +
-                              std::to_string(lanes);
-    std::printf("%-18s %-20s %9.2f %-6s %9.2f %-6s %6.2fx (%s)\n",
-                "bvhPacket", shape.c_str(), single * 1e-6, "Mray/s",
-                packet * 1e-6, "Mray/s", packet / single, level);
-    g_packet_vs_single = packet / single;
 }
 
 } // namespace
@@ -563,7 +608,8 @@ main(int argc, char **argv)
     // snapshot). --check-fastscan: exit nonzero unless the dispatched
     // 4-bit fast-scan beats the dispatched legacy gather (CI gate).
     // --check-packet: exit nonzero unless the packet BVH walk beats the
-    // single-ray walk on the same rays (CI gate).
+    // single-ray walk on the same rays and stores the same bits (CI
+    // gate).
     std::string json_path;
     bool check_fastscan = false;
     bool check_packet = false;
@@ -597,15 +643,27 @@ main(int argc, char **argv)
 
     if (!json_path.empty())
         writeSnapshot(json_path);
+    int status = 0;
+    if (check_packet) {
+        // Bit-for-bit on every host: a tile that differs is a bug.
+        std::printf("packet tiles vs single-ray cells: %zu cells differ\n",
+                    g_packet_mismatches);
+        if (g_packet_mismatches != 0) {
+            std::fprintf(stderr,
+                         "FAIL: %zu packet tile cells differ from the "
+                         "single-ray cells\n",
+                         g_packet_mismatches);
+            status = 1;
+        }
+    }
     if ((check_fastscan || check_packet) &&
         simd::bestSupported() == simd::Level::kScalar) {
         // The scalar fast-scan and packet kernels only restructure the
-        // same scalar work; the gates exist to pin the SIMD wins.
-        std::printf("SIMD gates skipped: host has no SIMD tier (scalar "
-                    "dispatch only)\n");
-        return 0;
+        // same scalar work; the speed gates exist to pin the SIMD wins.
+        std::printf("SIMD speed gates skipped: host has no SIMD tier "
+                    "(scalar dispatch only)\n");
+        return status;
     }
-    int status = 0;
     if (check_fastscan) {
         std::printf("fast-scan vs legacy gather: %.2fx\n",
                     g_fastscan_vs_gather);

@@ -1,5 +1,11 @@
 #include "common/build_info.h"
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <thread>
+
 #include "common/simd.h"
 
 // CMake stamps these as per-file compile definitions (see the
@@ -42,6 +48,47 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+std::string
+firstLine(const std::string &path)
+{
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    return line;
+}
+
+/** Value of the first "key : value" line of a /proc file, or "". */
+std::string
+procField(const std::string &path, const std::string &key)
+{
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.compare(0, key.size(), key) != 0)
+            continue;
+        const auto colon = line.find(':');
+        if (colon == std::string::npos)
+            return "";
+        const auto start = line.find_first_not_of(" \t", colon + 1);
+        return start == std::string::npos ? "" : line.substr(start);
+    }
+    return "";
+}
+
+/** Size of the cpu0 data/unified cache at @p level, or "". */
+std::string
+cacheSize(const std::string &level)
+{
+    for (int i = 0; i < 8; ++i) {
+        const std::string dir =
+            "/sys/devices/system/cpu/cpu0/cache/index" + std::to_string(i);
+        if (firstLine(dir + "/level") == level &&
+            firstLine(dir + "/type") != "Instruction")
+            return firstLine(dir + "/size");
+    }
+    return "";
+}
+
 } // namespace
 
 BuildInfo
@@ -65,6 +112,28 @@ buildInfoJson()
     out += "\"build_type\": \"" + jsonEscape(info.build_type) + "\", ";
     out += "\"simd_level\": \"" + jsonEscape(info.simd_level) + "\"";
     out += "}";
+    return out;
+}
+
+std::string
+hostInfoJson()
+{
+    const long pages = ::sysconf(_SC_PHYS_PAGES);
+    const long page_size = ::sysconf(_SC_PAGESIZE);
+    const double ram_gib =
+        pages > 0 && page_size > 0
+            ? static_cast<double>(pages) * static_cast<double>(page_size) /
+                  (1024.0 * 1024.0 * 1024.0)
+            : 0.0;
+    char ram[32];
+    std::snprintf(ram, sizeof ram, "%.3f", ram_gib);
+    std::string out = "{\"nproc\": " +
+                      std::to_string(std::thread::hardware_concurrency());
+    out += ", \"cpu\": \"" +
+           jsonEscape(procField("/proc/cpuinfo", "model name")) + "\"";
+    out += ", \"l2\": \"" + jsonEscape(cacheSize("2")) + "\"";
+    out += ", \"l3\": \"" + jsonEscape(cacheSize("3")) + "\"";
+    out += std::string(", \"ram_gib\": ") + ram + "}";
     return out;
 }
 

@@ -28,6 +28,13 @@ BuildInfo buildInfo();
 /** The same info as a JSON object string (for bench snapshots). */
 std::string buildInfoJson();
 
+/**
+ * The host a measurement ran on, as a JSON object: hardware threads,
+ * CPU model, L2/L3 sizes and RAM, with benchsuite's field names
+ * (benchsuite/suite/stamp.h) so the stamps diff.
+ */
+std::string hostInfoJson();
+
 /** The same info as Prometheus-style info labels. */
 std::vector<std::pair<std::string, std::string>> buildInfoLabels();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -14,7 +15,7 @@
 #include <immintrin.h>
 /** Compiles one function for AVX2+FMA without -mavx2 on the whole TU. */
 #define JUNO_TARGET_AVX2 __attribute__((target("avx2,fma")))
-/** Same for the AVX-512 subset the 16-wide ADC gather needs. */
+/** Same for the AVX-512 subset the 16-wide kernels need. */
 #define JUNO_TARGET_AVX512                                                  \
     __attribute__((target("avx512f,avx512bw,avx512vl,avx2,fma")))
 #else
@@ -200,7 +201,8 @@ compactCandidatesScalar(const float *acc, const std::int32_t *hits,
 
 /**
  * One lane of the ray/box slab test: rt::Aabb::hitBy verbatim (same
- * operations, order and early exits) on one axis at a time.
+ * operations, order and early exits) on one axis at a time. The scalar
+ * kernels visit only the active lanes, so an empty half costs nothing.
  */
 bool
 slabAxis(float lo, float hi, float origin, float inv, float &t0, float &t1)
@@ -221,9 +223,8 @@ rayBoxLanesScalar(const RayLanes &r, std::uint32_t active, float lo_x,
                   float hi_z)
 {
     std::uint32_t hit = 0;
-    for (int i = 0; i < kRayLanes; ++i) {
-        if ((active >> i & 1u) == 0)
-            continue;
+    for (std::uint32_t m = active; m != 0; m &= m - 1u) {
+        const int i = __builtin_ctz(m);
         float t0 = r.tmin[i], t1 = r.tmax[i];
         if (slabAxis(lo_x, hi_x, r.ox[i], r.ix[i], t0, t1) &&
             slabAxis(lo_y, hi_y, r.oy[i], r.iy[i], t0, t1) &&
@@ -233,15 +234,14 @@ rayBoxLanesScalar(const RayLanes &r, std::uint32_t active, float lo_x,
     return hit;
 }
 
-/** rt::intersectSphere verbatim, one lane at a time. */
+/** rt::intersectSphere verbatim, one active lane at a time. */
 std::uint32_t
 raySphereLanesScalar(const RayLanes &r, std::uint32_t active, float cx,
                      float cy, float cz, float radius, float *thit)
 {
     std::uint32_t hit = 0;
-    for (int i = 0; i < kRayLanes; ++i) {
-        if ((active >> i & 1u) == 0)
-            continue;
+    for (std::uint32_t m = active; m != 0; m &= m - 1u) {
+        const int i = __builtin_ctz(m);
         const float ocx = r.ox[i] - cx, ocy = r.oy[i] - cy,
                     ocz = r.oz[i] - cz;
         const float a = r.dx[i] * r.dx[i] + r.dy[i] * r.dy[i] +
@@ -954,34 +954,64 @@ slabAxisAvx2(float lo, float hi, const float *origin, const float *inv,
     t1 = _mm256_min_ps(far, t1);
 }
 
+/** Lane i all-ones where bit i of @p mask (eight lanes) is set. */
+JUNO_TARGET_AVX2 inline __m256i
+laneMaskAvx2(std::uint32_t mask)
+{
+    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    return _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(mask)), bit),
+        bit);
+}
+
+/** rayBoxLanesAvx2 on the eight lanes from @p lane0. */
+JUNO_TARGET_AVX2 inline std::uint32_t
+rayBoxHalfAvx2(const RayLanes &r, int lane0, float lo_x, float lo_y,
+               float lo_z, float hi_x, float hi_y, float hi_z)
+{
+    __m256 t0 = _mm256_load_ps(r.tmin + lane0);
+    __m256 t1 = _mm256_load_ps(r.tmax + lane0);
+    slabAxisAvx2(lo_x, hi_x, r.ox + lane0, r.ix + lane0, t0, t1);
+    slabAxisAvx2(lo_y, hi_y, r.oy + lane0, r.iy + lane0, t0, t1);
+    slabAxisAvx2(lo_z, hi_z, r.oz + lane0, r.iz + lane0, t0, t1);
+    return static_cast<std::uint32_t>(
+        _mm256_movemask_ps(_mm256_cmp_ps(t0, t1, _CMP_LE_OQ)));
+}
+
+/** Two eight-lane halves; a half with no active lane is skipped. */
 JUNO_TARGET_AVX2 std::uint32_t
 rayBoxLanesAvx2(const RayLanes &r, std::uint32_t active, float lo_x,
                 float lo_y, float lo_z, float hi_x, float hi_y, float hi_z)
 {
-    __m256 t0 = _mm256_load_ps(r.tmin);
-    __m256 t1 = _mm256_load_ps(r.tmax);
-    slabAxisAvx2(lo_x, hi_x, r.ox, r.ix, t0, t1);
-    slabAxisAvx2(lo_y, hi_y, r.oy, r.iy, t0, t1);
-    slabAxisAvx2(lo_z, hi_z, r.oz, r.iz, t0, t1);
-    const int hit = _mm256_movemask_ps(_mm256_cmp_ps(t0, t1, _CMP_LE_OQ));
-    return static_cast<std::uint32_t>(hit) & active;
+    std::uint32_t hit = 0;
+    for (int lane0 = 0; lane0 < kRayLanes; lane0 += kRayHalfLanes)
+        if ((active >> lane0 & 0xFFu) != 0)
+            hit |= rayBoxHalfAvx2(r, lane0, lo_x, lo_y, lo_z, hi_x, hi_y,
+                                  hi_z)
+                   << lane0;
+    return hit & active;
 }
 
 /**
- * rt::intersectSphere on eight lanes with separate multiplies and adds
- * (no FMA) in the scalar evaluation order. Ordered compares are false
- * on NaN, so a NaN discriminant passes as it does in the scalar code.
+ * rt::intersectSphere on the eight lanes from @p lane0 (@p active: the
+ * half's lane mask) with separate multiplies and adds (no FMA) in the
+ * scalar evaluation order. Ordered compares are false on NaN, so a NaN
+ * discriminant passes as it does in the scalar code. Returns the hit
+ * mask of the eight lanes.
  */
-JUNO_TARGET_AVX2 std::uint32_t
-raySphereLanesAvx2(const RayLanes &r, std::uint32_t active, float cx,
-                   float cy, float cz, float radius, float *thit)
+JUNO_TARGET_AVX2 inline std::uint32_t
+raySphereHalfAvx2(const RayLanes &r, int lane0, std::uint32_t active,
+                  float cx, float cy, float cz, float radius, float *thit)
 {
-    const __m256 dx = _mm256_load_ps(r.dx);
-    const __m256 dy = _mm256_load_ps(r.dy);
-    const __m256 dz = _mm256_load_ps(r.dz);
-    const __m256 ocx = _mm256_sub_ps(_mm256_load_ps(r.ox), _mm256_set1_ps(cx));
-    const __m256 ocy = _mm256_sub_ps(_mm256_load_ps(r.oy), _mm256_set1_ps(cy));
-    const __m256 ocz = _mm256_sub_ps(_mm256_load_ps(r.oz), _mm256_set1_ps(cz));
+    const __m256 dx = _mm256_load_ps(r.dx + lane0);
+    const __m256 dy = _mm256_load_ps(r.dy + lane0);
+    const __m256 dz = _mm256_load_ps(r.dz + lane0);
+    const __m256 ocx =
+        _mm256_sub_ps(_mm256_load_ps(r.ox + lane0), _mm256_set1_ps(cx));
+    const __m256 ocy =
+        _mm256_sub_ps(_mm256_load_ps(r.oy + lane0), _mm256_set1_ps(cy));
+    const __m256 ocz =
+        _mm256_sub_ps(_mm256_load_ps(r.oz + lane0), _mm256_set1_ps(cz));
     const __m256 a = _mm256_add_ps(
         _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
         _mm256_mul_ps(dz, dz));
@@ -997,34 +1027,66 @@ raySphereLanesAvx2(const RayLanes &r, std::uint32_t active, float cx,
                                       _mm256_mul_ps(a, c));
     const __m256 sqrt_disc = _mm256_sqrt_ps(disc);
     const __m256 neg_half_b = _mm256_xor_ps(half_b, _mm256_set1_ps(-0.0f));
-    const __m256 tmin = _mm256_load_ps(r.tmin);
-    const __m256 t_entry =
-        _mm256_div_ps(_mm256_sub_ps(neg_half_b, sqrt_disc), a);
-    const __m256 t_exit =
-        _mm256_div_ps(_mm256_add_ps(neg_half_b, sqrt_disc), a);
-    const __m256 t = _mm256_blendv_ps(
-        t_entry, t_exit, _mm256_cmp_ps(t_entry, tmin, _CMP_LT_OQ));
+    const __m256 tmin = _mm256_load_ps(r.tmin + lane0);
+    // Two skips that keep every active lane's bits. x / 1.0f is x
+    // exactly (a quiet NaN passes through unchanged), so the divisions
+    // by |d|^2 are skipped when every active lane's is 1, as for
+    // JUNO's unit +z rays; and the exit root is computed only when an
+    // active lane's entry root lies before tmin. Inactive lanes' thit
+    // is unspecified.
+    const __m256 act = _mm256_castsi256_ps(laneMaskAvx2(active));
+    const bool unit = _mm256_testz_ps(
+        act, _mm256_cmp_ps(a, _mm256_set1_ps(1.0f), _CMP_NEQ_UQ));
+    __m256 t = _mm256_sub_ps(neg_half_b, sqrt_disc);
+    if (!unit)
+        t = _mm256_div_ps(t, a);
+    const __m256 exit_lanes =
+        _mm256_and_ps(act, _mm256_cmp_ps(t, tmin, _CMP_LT_OQ));
+    if (!_mm256_testz_ps(exit_lanes, exit_lanes)) {
+        __m256 t_exit = _mm256_add_ps(neg_half_b, sqrt_disc);
+        if (!unit)
+            t_exit = _mm256_div_ps(t_exit, a);
+        t = _mm256_blendv_ps(t, t_exit, exit_lanes);
+    }
     const __m256 miss = _mm256_or_ps(
         _mm256_cmp_ps(disc, _mm256_setzero_ps(), _CMP_LT_OQ),
-        _mm256_or_ps(_mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
-                     _mm256_cmp_ps(t, _mm256_load_ps(r.tmax), _CMP_GT_OQ)));
-    _mm256_storeu_ps(thit, t);
-    const int hit = ~_mm256_movemask_ps(miss) & 0xFF;
-    return static_cast<std::uint32_t>(hit) & active;
+        _mm256_or_ps(
+            _mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
+            _mm256_cmp_ps(t, _mm256_load_ps(r.tmax + lane0), _CMP_GT_OQ)));
+    _mm256_storeu_ps(thit + lane0, t);
+    return static_cast<std::uint32_t>(~_mm256_movemask_ps(miss) & 0xFF);
+}
+
+/** Two eight-lane halves; a half with no active lane is skipped. */
+JUNO_TARGET_AVX2 std::uint32_t
+raySphereLanesAvx2(const RayLanes &r, std::uint32_t active, float cx,
+                   float cy, float cz, float radius, float *thit)
+{
+    std::uint32_t hit = 0;
+    for (int lane0 = 0; lane0 < kRayLanes; lane0 += kRayHalfLanes) {
+        const std::uint32_t half = active >> lane0 & 0xFFu;
+        if (half != 0)
+            hit |= raySphereHalfAvx2(r, lane0, half, cx, cy, cz, radius,
+                                     thit)
+                   << lane0;
+    }
+    return hit & active;
 }
 
 /**
  * Masked lane store: vmaskmovps writes only the selected lanes and
- * does not fault on the others.
+ * does not fault on the others; a half with no selected lane is not
+ * touched at all.
  */
 JUNO_TARGET_AVX2 void
 storeLanesAvx2(const float *src, std::uint32_t mask, float *dst)
 {
-    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    const __m256i sel = _mm256_cmpeq_epi32(
-        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(mask)), bit),
-        bit);
-    _mm256_maskstore_ps(dst, sel, _mm256_loadu_ps(src));
+    for (int lane0 = 0; lane0 < kRayLanes; lane0 += kRayHalfLanes) {
+        const std::uint32_t half = mask >> lane0 & 0xFFu;
+        if (half != 0)
+            _mm256_maskstore_ps(dst + lane0, laneMaskAvx2(half),
+                                _mm256_loadu_ps(src + lane0));
+    }
 }
 
 const Kernels kAvx2Table = {
@@ -1296,14 +1358,109 @@ fastScanPq4Avx512(const std::uint8_t *packed, int subspaces,
 JUNO_TARGET_AVX512 void
 storeLanesAvx512(const float *src, std::uint32_t mask, float *dst)
 {
-    _mm256_mask_storeu_ps(dst, static_cast<__mmask8>(mask),
-                          _mm256_loadu_ps(src));
+    _mm512_mask_storeu_ps(dst, static_cast<__mmask16>(mask),
+                          _mm512_loadu_ps(src));
+}
+
+/** All sixteen lanes; the zero-masking forms with a full mask (as
+ * elsewhere in this file) avoid GCC 12's -Wuninitialized false positive
+ * on the unmasked 512-bit min/max/sqrt intrinsics. */
+constexpr __mmask16 kAllLanes16 = 0xFFFF;
+
+/**
+ * rt::Aabb::hitBy on all sixteen lanes in one zmm register; the same
+ * operand order as slabAxisAvx2, whose min/max select rules vminps /
+ * vmaxps keep at 512 bits.
+ */
+JUNO_TARGET_AVX512 inline void
+slabAxisAvx512(float lo, float hi, const float *origin, const float *inv,
+               __m512 &t0, __m512 &t1)
+{
+    const __m512 o = _mm512_load_ps(origin);
+    const __m512 v = _mm512_load_ps(inv);
+    const __m512 a0 = _mm512_mul_ps(_mm512_sub_ps(_mm512_set1_ps(lo), o), v);
+    const __m512 a1 = _mm512_mul_ps(_mm512_sub_ps(_mm512_set1_ps(hi), o), v);
+    const __m512 near = _mm512_maskz_min_ps(kAllLanes16, a1, a0);
+    const __m512 far = _mm512_maskz_max_ps(kAllLanes16, a0, a1);
+    t0 = _mm512_maskz_max_ps(kAllLanes16, near, t0);
+    t1 = _mm512_maskz_min_ps(kAllLanes16, far, t1);
+}
+
+JUNO_TARGET_AVX512 std::uint32_t
+rayBoxLanesAvx512(const RayLanes &r, std::uint32_t active, float lo_x,
+                  float lo_y, float lo_z, float hi_x, float hi_y,
+                  float hi_z)
+{
+    __m512 t0 = _mm512_load_ps(r.tmin);
+    __m512 t1 = _mm512_load_ps(r.tmax);
+    slabAxisAvx512(lo_x, hi_x, r.ox, r.ix, t0, t1);
+    slabAxisAvx512(lo_y, hi_y, r.oy, r.iy, t0, t1);
+    slabAxisAvx512(lo_z, hi_z, r.oz, r.iz, t0, t1);
+    return _mm512_mask_cmp_ps_mask(static_cast<__mmask16>(active), t0, t1,
+                                   _CMP_LE_OQ);
 }
 
 /**
- * AVX2 table with the wider ADC gather and scan kernels and the k-mask
- * lane store swapped in; the ray-packet kernels keep their 8-lane AVX2
- * entries (a packet holds at most kRayLanes rays).
+ * rt::intersectSphere on sixteen lanes: raySphereHalfAvx2's operations
+ * in the same order (explicit multiplies and adds, no FMA), with the
+ * compares producing k-masks.
+ */
+JUNO_TARGET_AVX512 std::uint32_t
+raySphereLanesAvx512(const RayLanes &r, std::uint32_t active, float cx,
+                     float cy, float cz, float radius, float *thit)
+{
+    const __m512 dx = _mm512_load_ps(r.dx);
+    const __m512 dy = _mm512_load_ps(r.dy);
+    const __m512 dz = _mm512_load_ps(r.dz);
+    const __m512 ocx = _mm512_sub_ps(_mm512_load_ps(r.ox), _mm512_set1_ps(cx));
+    const __m512 ocy = _mm512_sub_ps(_mm512_load_ps(r.oy), _mm512_set1_ps(cy));
+    const __m512 ocz = _mm512_sub_ps(_mm512_load_ps(r.oz), _mm512_set1_ps(cz));
+    const __m512 a = _mm512_add_ps(
+        _mm512_add_ps(_mm512_mul_ps(dx, dx), _mm512_mul_ps(dy, dy)),
+        _mm512_mul_ps(dz, dz));
+    const __m512 half_b = _mm512_add_ps(
+        _mm512_add_ps(_mm512_mul_ps(ocx, dx), _mm512_mul_ps(ocy, dy)),
+        _mm512_mul_ps(ocz, dz));
+    const __m512 c = _mm512_sub_ps(
+        _mm512_add_ps(
+            _mm512_add_ps(_mm512_mul_ps(ocx, ocx), _mm512_mul_ps(ocy, ocy)),
+            _mm512_mul_ps(ocz, ocz)),
+        _mm512_set1_ps(radius * radius));
+    const __m512 disc = _mm512_sub_ps(_mm512_mul_ps(half_b, half_b),
+                                      _mm512_mul_ps(a, c));
+    const __m512 sqrt_disc = _mm512_maskz_sqrt_ps(kAllLanes16, disc);
+    // Sign flip by integer xor: vxorps on zmm needs AVX512DQ.
+    const __m512 neg_half_b = _mm512_castsi512_ps(_mm512_xor_si512(
+        _mm512_castps_si512(half_b), _mm512_set1_epi32(INT32_MIN)));
+    const __m512 tmin = _mm512_load_ps(r.tmin);
+    const auto act = static_cast<__mmask16>(active);
+    // Skips (see raySphereHalfAvx2): the divisions by a unit |d|^2 and
+    // the exit root no active lane takes.
+    const bool unit = _mm512_mask_cmp_ps_mask(act, a, _mm512_set1_ps(1.0f),
+                                              _CMP_NEQ_UQ) == 0;
+    __m512 t = _mm512_sub_ps(neg_half_b, sqrt_disc);
+    if (!unit)
+        t = _mm512_div_ps(t, a);
+    const __mmask16 exit_lanes =
+        _mm512_mask_cmp_ps_mask(act, t, tmin, _CMP_LT_OQ);
+    if (exit_lanes != 0) {
+        __m512 t_exit = _mm512_add_ps(neg_half_b, sqrt_disc);
+        if (!unit)
+            t_exit = _mm512_div_ps(t_exit, a);
+        t = _mm512_mask_blend_ps(exit_lanes, t, t_exit);
+    }
+    const __mmask16 miss =
+        _mm512_cmp_ps_mask(disc, _mm512_setzero_ps(), _CMP_LT_OQ) |
+        _mm512_cmp_ps_mask(t, tmin, _CMP_LT_OQ) |
+        _mm512_cmp_ps_mask(t, _mm512_load_ps(r.tmax), _CMP_GT_OQ);
+    _mm512_storeu_ps(thit, t);
+    return static_cast<std::uint32_t>(static_cast<__mmask16>(~miss)) &
+           active;
+}
+
+/**
+ * AVX2 table with the wider ADC gather and scan kernels, the
+ * sixteen-lane ray-packet kernels and the k-mask lane store swapped in.
  */
 const Kernels kAvx512Table = {
     "avx512",
@@ -1317,8 +1474,8 @@ const Kernels kAvx512Table = {
     &adcScanInterleavedAvx512,
     &fastScanPq4Avx512,
     &compactCandidatesAvx2,
-    &rayBoxLanesAvx2,
-    &raySphereLanesAvx2,
+    &rayBoxLanesAvx512,
+    &raySphereLanesAvx512,
     &storeLanesAvx512,
 };
 #endif // JUNO_SIMD_X86

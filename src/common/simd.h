@@ -24,7 +24,10 @@
  *  - The ray-packet box and sphere kernels return the same hit masks
  *    and hit-time bits in every table, and per lane they equal the
  *    single-ray rt::Aabb::hitBy / rt::intersectSphere math; the masked
- *    lane store writes the same slots in every table.
+ *    lane store writes the same slots in every table. The AVX-512
+ *    table runs all kRayLanes lanes in one register, the AVX2 table
+ *    runs two kRayHalfLanes halves and skips a half whose mask is
+ *    empty, and the scalar table visits only the active lanes.
  *
  * Override for testing: set `JUNO_SIMD=scalar`, `JUNO_SIMD=avx2` or
  * `JUNO_SIMD=avx512` in the environment before first use, or call
@@ -43,8 +46,15 @@
 namespace juno {
 namespace simd {
 
-/** Lane count of the ray-packet kernels (one AVX2 register). */
-constexpr int kRayLanes = 8;
+/**
+ * Lane count of the ray-packet kernels: one AVX-512 register, two
+ * AVX2 halves. A packet may gather the rays of several queries
+ * (DESIGN.md "RtDevice::launch").
+ */
+constexpr int kRayLanes = 16;
+
+/** Lanes of one AVX2 half of a packet. */
+constexpr int kRayHalfLanes = 8;
 
 /**
  * Structure-of-arrays ray packet for the packet BVH walk
@@ -52,7 +62,7 @@ constexpr int kRayLanes = 8;
  * inv[i] = 1 / d[i] per axis, valid interval [tmin[i], tmax[i]].
  * Unused lanes may hold anything finite; the kernels mask them off.
  */
-struct alignas(32) RayLanes {
+struct alignas(64) RayLanes {
     float ox[kRayLanes], oy[kRayLanes], oz[kRayLanes];
     float dx[kRayLanes], dy[kRayLanes], dz[kRayLanes];
     float ix[kRayLanes], iy[kRayLanes], iz[kRayLanes];
@@ -63,7 +73,7 @@ struct alignas(32) RayLanes {
 enum class Level {
     kScalar = 0, ///< portable reference, bit-exact contract
     kAvx2 = 1,   ///< AVX2 + FMA (x86-64)
-    kAvx512 = 2, ///< AVX-512 F/BW/VL: AVX2 table + 16-wide ADC gather
+    kAvx512 = 2, ///< AVX-512 F/BW/VL: 16-wide ADC gather and ray lanes
 };
 
 /**

@@ -60,6 +60,13 @@ SubspaceDensity::countAt(float x, float y) const
     return counts_[static_cast<std::size_t>(cy) * grid_ + cx];
 }
 
+idx_t
+SubspaceDensity::maxCount() const
+{
+    JUNO_ASSERT(built(), "density map not built");
+    return *std::max_element(counts_.begin(), counts_.end());
+}
+
 double
 SubspaceDensity::densityAt(float x, float y) const
 {
@@ -110,7 +117,9 @@ SubspaceDensity::load(Reader &reader)
     counts_ = reader.readVector<idx_t>();
     JUNO_REQUIRE(grid_ > 0 &&
                      counts_.size() ==
-                         static_cast<std::size_t>(grid_) * grid_,
+                         static_cast<std::size_t>(grid_) * grid_ &&
+                     std::all_of(counts_.begin(), counts_.end(),
+                                 [](idx_t c) { return c >= 0; }),
                  "corrupt density map");
 }
 

@@ -38,6 +38,9 @@ class SubspaceDensity {
     /** Raw count in the cell containing (x, y). */
     idx_t countAt(float x, float y) const;
 
+    /** Largest count of any cell. */
+    idx_t maxCount() const;
+
     float minX() const { return min_x_; }
     float minY() const { return min_y_; }
     float maxX() const { return max_x_; }

@@ -1,7 +1,6 @@
 #include "core/juno_index.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "common/logging.h"
@@ -298,6 +297,13 @@ JunoIndex::open(SnapshotReader &reader)
         codes_blob.keepalive);
     auto density_stream = reader.stream("density");
     index->density_.load(density_stream);
+    // Every point falls in one cell per subspace, so no count exceeds
+    // the point count; the threshold policy tabulates up to the largest.
+    for (int s = 0; s < index->density_.numSubspaces(); ++s)
+        JUNO_REQUIRE(index->density_.subspace(s).maxCount() <=
+                         index->num_points_,
+                     what << ": density count exceeds the point count "
+                             "(corrupt file)");
     auto policy_stream = reader.stream("policy");
     index->policy_.load(policy_stream, index->density_);
     index->policy_.setMode(index->params_.threshold_mode);
@@ -405,10 +411,13 @@ struct JunoIndex::Worker {
     /** One list's scored points (scan side only). */
     std::vector<Neighbor> candidates;
     /**
-     * Pipelined, query i uses slot i % size(): at most kPipelineDepth
-     * + 2 queries are live. The unpipelined path uses slot 0.
+     * Groups of G slots. Pipelined, group i uses slots [(i % (
+     * kPipelineDepth + 2)) * G, +G): at most kPipelineDepth + 2 groups
+     * are live. The unpipelined path uses group 0.
      */
-    std::array<Slot, kPipelineDepth + 2> ring;
+    std::vector<Slot> ring;
+    /** The group being traced (stage-1 side only). */
+    std::vector<LutRequest> requests;
 };
 
 void
@@ -423,62 +432,89 @@ JunoIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
     const Metric ranking = rankingMetric(metric_, params_.mode);
     ProbeLoop loop(ctx);
 
-    // The three per-query steps; only the thread that runs each
+    // Queries are planned, traced and scanned in groups of G: one RT
+    // launch packs the group's rays (SelectiveLutBuilder::groupSize).
+    // Budgets and deadline cuts stay per query.
+    const auto group_size = static_cast<idx_t>(w.builder.groupSize(
+        static_cast<std::size_t>(ctx.scaledNprobes(params_.nprobs))));
+    const idx_t queries = chunk.end - chunk.begin;
+    const idx_t groups = (queries + group_size - 1) / group_size;
+    const std::size_t ring_groups = params_.pipelined ? kPipelineDepth + 2
+                                                      : 1;
+    if (w.ring.size() < ring_groups * static_cast<std::size_t>(group_size))
+        w.ring.resize(ring_groups * static_cast<std::size_t>(group_size));
+    const auto firstSlot = [&](idx_t gi) {
+        return static_cast<std::size_t>(gi) % ring_groups *
+               static_cast<std::size_t>(group_size);
+    };
+    const auto groupBegin = [&](idx_t gi) {
+        return chunk.begin + gi * group_size;
+    };
+    const auto groupEnd = [&](idx_t gi) {
+        return std::min(chunk.end, groupBegin(gi) + group_size);
+    };
+
+    // The three per-group steps; only the thread that runs each
     // differs between the unpipelined and pipelined paths.
-    const auto plan = [&](idx_t qi, Worker::Slot &sl) {
-        loop.plan(qi, params_.nprobs, sl.plan,
-                  [&](idx_t n, std::vector<Neighbor> &probes) {
-                      probes =
-                          ivf_.probe(metric_, chunk.queries.row(qi), n);
-                  });
+    const auto plan = [&](idx_t gi) {
+        Worker::Slot *sl = &w.ring[firstSlot(gi)];
+        for (idx_t qi = groupBegin(gi); qi < groupEnd(gi); ++qi, ++sl)
+            loop.plan(qi, params_.nprobs, sl->plan,
+                      [&](idx_t n, std::vector<Neighbor> &probes) {
+                          probes =
+                              ivf_.probe(metric_, chunk.queries.row(qi), n);
+                      });
     };
-    const auto rtLut = [&](idx_t qi, Worker::Slot &sl) {
-        w.builder.buildInto(chunk.queries.row(qi), sl.plan.probes,
-                            params_.lutParams(), sl.lut);
+    const auto rtLut = [&](idx_t gi) {
+        Worker::Slot *sl = &w.ring[firstSlot(gi)];
+        w.requests.clear();
+        for (idx_t qi = groupBegin(gi); qi < groupEnd(gi); ++qi, ++sl)
+            w.requests.push_back(
+                {chunk.queries.row(qi), &sl->plan.probes, &sl->lut});
+        w.builder.buildGroup(w.requests.data(), w.requests.size(),
+                             params_.lutParams());
     };
-    const auto scan = [&](idx_t qi, const Worker::Slot &sl) {
-        TopK top(k, ranking);
-        loop.scan(qi, sl.plan, [&](const PlannedProbe &pp) {
-            w.candidates.clear();
-            w.calc.accumulateList(params_.mode, pp.list, pp.rank, sl.lut,
-                                  w.candidates);
-            for (const auto &cand : w.candidates)
-                top.push(cand.id, cand.score);
-        });
-        (*chunk.results)[static_cast<std::size_t>(qi)] = top.take();
+    const auto scan = [&](idx_t gi) {
+        const Worker::Slot *sl = &w.ring[firstSlot(gi)];
+        for (idx_t qi = groupBegin(gi); qi < groupEnd(gi); ++qi, ++sl) {
+            TopK top(k, ranking);
+            loop.scan(qi, sl->plan, [&](const PlannedProbe &pp) {
+                w.candidates.clear();
+                w.calc.accumulateList(params_.mode, pp.list, pp.rank,
+                                      sl->lut, w.candidates);
+                for (const auto &cand : w.candidates)
+                    top.push(cand.id, cand.score);
+            });
+            (*chunk.results)[static_cast<std::size_t>(qi)] = top.take();
+        }
     };
 
     if (!params_.pipelined) {
-        Worker::Slot &sl = w.ring[0];
-        for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {
+        for (idx_t gi = 0; gi < groups; ++gi) {
             {
                 StageScope t(ctx, Stage::kFilter);
-                plan(qi, sl);
+                plan(gi);
             }
             {
                 StageScope t(ctx, Stage::kRtLut);
-                rtLut(qi, sl);
+                rtLut(gi);
             }
             StageScope t(ctx, Stage::kScan);
-            scan(qi, sl);
+            scan(gi);
         }
     } else {
-        // Pipelined mode: stage 1 = plan + RT LUT (the paper's
-        // RT-core side), stage 2 = the list scans (the Tensor-core
-        // side), overlapped across the queries of this chunk. Stages
-        // touch disjoint ring slots. Either may mark a query degraded,
-        // but never the same one: a plan-time cut leaves one probe, so
-        // its scan has no between-list cut.
-        const auto slot = [&w](idx_t i) -> Worker::Slot & {
-            return w.ring[static_cast<std::size_t>(i) % w.ring.size()];
+        // Pipelined mode: stage 1 = plan + RT LUT of a group (the
+        // paper's RT-core side), stage 2 = its list scans (the
+        // Tensor-core side), overlapped across the groups of this
+        // chunk. Stages touch disjoint ring slots. Either may mark a
+        // query degraded, but never the same one: a plan-time cut
+        // leaves one probe, so its scan has no between-list cut.
+        auto stage1 = [&](idx_t gi) {
+            plan(gi);
+            rtLut(gi);
         };
-        auto stage1 = [&](idx_t i) {
-            plan(chunk.begin + i, slot(i));
-            rtLut(chunk.begin + i, slot(i));
-        };
-        auto stage2 = [&](idx_t i) { scan(chunk.begin + i, slot(i)); };
-        const auto pipe = runTwoStagePipeline(
-            chunk.end - chunk.begin, stage1, stage2, true);
+        const auto pipe =
+            runTwoStagePipeline(groups, stage1, scan, true);
         ctx.timers().add(Stage::kRtLut, pipe.stage1_seconds);
         ctx.timers().add(Stage::kScan, pipe.stage2_seconds);
         ctx.timers().add(Stage::kPipelineWall, pipe.wall_seconds);

@@ -138,9 +138,10 @@ class JunoIndex : public AnnIndex {
      * + LUT buffers) lives in each SearchContext, so the RT
      * pass and scoring run concurrently across chunks; traversal
      * counters merge into the canonical device under a mutex. Every
-     * query runs the IVF family's probe loop (engine/probe_loop.h):
-     * plan, then the RT LUT for the planned probes, then one
-     * DistanceCalculator::accumulateList per list.
+     * query runs the IVF family's probe loop (engine/probe_loop.h) in
+     * groups of SelectiveLutBuilder::groupSize() queries: plan each,
+     * trace the group's RT LUTs in one launch, then run one
+     * DistanceCalculator::accumulateList per list of each query.
      */
     void searchChunk(const SearchChunk &chunk, SearchContext &ctx) override;
     void saveSections(SnapshotWriter &writer) const override;

@@ -96,6 +96,16 @@ struct SelectiveLutParams {
     bool inner_gate = true;
 };
 
+/** One query of a group build (SelectiveLutBuilder::buildGroup). */
+struct LutRequest {
+    /** The raw query vector (D floats). */
+    const float *query = nullptr;
+    /** Filtering-stage output (best-first clusters); non-empty. */
+    const std::vector<Neighbor> *probes = nullptr;
+    /** Refilled in place, reusing its buffers. */
+    SelectiveLut *out = nullptr;
+};
+
 /** Builds selective LUTs by launching rays on an RtDevice. */
 class SelectiveLutBuilder {
   public:
@@ -115,15 +125,37 @@ class SelectiveLutBuilder {
 
     /**
      * Allocation-free variant: refills @p out in place, reusing its
-     * buffers (the search hot path calls this once per query).
+     * buffers. A group of one (buildGroup).
      */
     void buildInto(const float *query, const std::vector<Neighbor> &probes,
                    const SelectiveLutParams &params,
                    SelectiveLut &out) const;
 
+    /**
+     * Queries whose rays fill one packet when each probes @p nprobs
+     * clusters: max(1, simd::kRayLanes / rays per subspace), where a
+     * query casts nprobs rays per subspace under L2 and one under IP.
+     */
+    std::size_t groupSize(std::size_t nprobs) const;
+
+    /**
+     * Runs the RT pass of @p count queries in one launch (the search
+     * hot path calls this once per group). Each subspace's rays of
+     * every query are emitted together, so the device packs rays of
+     * several queries into one packet. Each SelectiveLut is
+     * bitwise-equal to the one buildInto() gives for its query alone,
+     * and each ray's traversal counters are its own.
+     */
+    void buildGroup(const LutRequest *group, std::size_t count,
+                    const SelectiveLutParams &params) const;
+
   private:
-    /** Per-row parameters of the finishing pass (row s * blocks + b). */
-    struct RowCtx {
+    /** Per-ray parameters of the finishing pass. */
+    struct RayCtx {
+        /** Group member whose LUT the ray fills. */
+        std::uint32_t member = 0;
+        /** The ray's row in that LUT (s * blocks + b). */
+        std::uint32_t row = 0;
         /** kappa_s^2 of the row's subspace (JunoScene::lutValue*). */
         float kappa_sqr = 1.0f;
         /** ||scaled origin xy||^2; inverts thit into an IP. */
@@ -136,11 +168,17 @@ class SelectiveLutBuilder {
     const ThresholdPolicy &policy_;
     const InvertedFileIndex &ivf_;
     rt::RtDevice &device_;
-    // Scratch reused across queries (single-threaded hot path).
+    // Scratch reused across groups (single-threaded hot path).
     mutable std::vector<rt::Ray> rays_;
-    mutable std::vector<RowCtx> row_ctx_;
+    /** ray_ctx_[i]: the finishing context of rays_[i]. */
+    mutable std::vector<RayCtx> ray_ctx_;
+    /** L2 residuals of every member's probes, member-major. */
     mutable std::vector<float> residual_;
-    /** Hit times of the RT pass, rays x E (layout in buildInto). */
+    /** One subspace's ray origins (x, y) across the group, and their
+     * unscaled thresholds. */
+    mutable std::vector<float> proj_;
+    mutable std::vector<double> thr_raw_;
+    /** Hit times of the RT pass, rays x E (layout in buildGroup). */
     mutable std::vector<float> tile_;
     /** packet_lanes_[first]: lanes of a delivering packet at rays_[first]. */
     mutable std::vector<std::uint8_t> packet_lanes_;

@@ -117,6 +117,24 @@ ThresholdPolicy::train(Metric metric, FloatMatrixView vectors,
         max_thr_[static_cast<std::size_t>(s)] =
             *std::max_element(thresholds.begin(), thresholds.end());
     }
+    tabulate();
+}
+
+void
+ThresholdPolicy::tabulate()
+{
+    by_count_.assign(regressors_.size(), {});
+    for (std::size_t s = 0; s < regressors_.size(); ++s) {
+        const SubspaceDensity &map =
+            density_->subspace(static_cast<int>(s));
+        auto &table = by_count_[s];
+        table.resize(static_cast<std::size_t>(map.maxCount()) + 1);
+        // The same double division densityAt() performs, so each entry
+        // is bitwise the prediction threshold() used to compute.
+        for (std::size_t c = 0; c < table.size(); ++c)
+            table[c] = regressors_[s].predict(static_cast<double>(c) /
+                                              map.cellArea());
+    }
 }
 
 void
@@ -129,17 +147,44 @@ ThresholdPolicy::checkSubspace(int s) const
 double
 ThresholdPolicy::threshold(int s, float x, float y) const
 {
+    const float xy[2] = {x, y};
+    double out;
+    thresholds(s, xy, 1, &out);
+    return out;
+}
+
+void
+ThresholdPolicy::thresholds(int s, const float *xy, std::size_t n,
+                            double *out) const
+{
     checkSubspace(s);
+    const auto si = static_cast<std::size_t>(s);
     switch (mode_) {
       case ThresholdMode::kStaticSmall:
-        return min_thr_[static_cast<std::size_t>(s)];
+        std::fill_n(out, n, min_thr_[si]);
+        return;
       case ThresholdMode::kStaticLarge:
-        return max_thr_[static_cast<std::size_t>(s)];
+        std::fill_n(out, n, max_thr_[si]);
+        return;
       case ThresholdMode::kDynamic:
         break;
     }
-    const double d = density_->densityAt(s, x, y);
-    return regressors_[static_cast<std::size_t>(s)].predict(d);
+    const SubspaceDensity &map = density_->subspace(s);
+    const double *table = by_count_[si].data();
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = table[static_cast<std::size_t>(
+            map.countAt(xy[2 * i], xy[2 * i + 1]))];
+}
+
+double
+ThresholdPolicy::thresholdForCount(int s, idx_t count) const
+{
+    checkSubspace(s);
+    const auto &table = by_count_[static_cast<std::size_t>(s)];
+    JUNO_REQUIRE(count >= 0 && static_cast<std::size_t>(count) < table.size(),
+                 "count " << count << " outside subspace " << s
+                          << "'s density range");
+    return table[static_cast<std::size_t>(count)];
 }
 
 double
@@ -208,6 +253,7 @@ ThresholdPolicy::load(Reader &reader, const DensityMap &density)
                      max_thr_.size() == static_cast<std::size_t>(count),
                  "corrupt threshold ranges");
     density_ = &density;
+    tabulate();
 }
 
 } // namespace juno

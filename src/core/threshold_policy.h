@@ -77,6 +77,22 @@ class ThresholdPolicy {
     double threshold(int s, float x, float y) const;
 
     /**
+     * threshold() of @p n projections in subspace @p s: out[i] for
+     * (xy[2i], xy[2i + 1]). One tight loop, so the density-cell loads
+     * of a batch overlap instead of each stalling its caller.
+     */
+    void thresholds(int s, const float *xy, std::size_t n,
+                    double *out) const;
+
+    /**
+     * Dynamic-mode threshold of a projection whose density cell holds
+     * @p count points (0 <= count <= the map's maxCount()): the
+     * regressor's prediction at count / cell area, read from a table
+     * train() and load() derive, so threshold() costs one cell lookup.
+     */
+    double thresholdForCount(int s, idx_t count) const;
+
+    /**
      * Applies the user scaling factor in [0, 1]: for L2, radius*scale;
      * for IP, interpolates the floor towards the training maximum so
      * smaller scale always prunes more.
@@ -101,12 +117,17 @@ class ThresholdPolicy {
   private:
     void checkSubspace(int s) const;
 
+    /** Fills by_count_ from the regressors and the density map. */
+    void tabulate();
+
     Metric metric_ = Metric::kL2;
     ThresholdMode mode_ = ThresholdMode::kDynamic;
     const DensityMap *density_ = nullptr;
     std::vector<PolyRegressor> regressors_;
     std::vector<double> min_thr_;
     std::vector<double> max_thr_;
+    /** by_count_[s][c]: regressor s's prediction for a cell of c points. */
+    std::vector<std::vector<double>> by_count_;
 };
 
 } // namespace juno

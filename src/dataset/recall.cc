@@ -1,5 +1,6 @@
 #include "dataset/recall.h"
 
+#include <cmath>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -48,6 +49,30 @@ recallMAtK(const GroundTruth &gt, const ResultSet &results, idx_t m)
         total += static_cast<double>(found) / static_cast<double>(m);
     }
     return total / static_cast<double>(results.size());
+}
+
+WilsonInterval
+wilson95(double successes, double trials)
+{
+    JUNO_REQUIRE(trials > 0.0 && successes >= 0.0 && successes <= trials,
+                 successes << " successes out of " << trials << " trials");
+    const double z = 1.959963984540054;
+    const double p = successes / trials;
+    const double denom = 1.0 + z * z / trials;
+    const double centre = (p + z * z / (2.0 * trials)) / denom;
+    const double spread =
+        p * (1.0 - p) / trials + z * z / (4.0 * trials * trials);
+    const double half = z * std::sqrt(spread) / denom;
+    return {centre - half, centre + half};
+}
+
+WilsonInterval
+recallInterval(double recall, std::size_t trials)
+{
+    if (trials == 0)
+        return {0.0, 1.0};
+    const auto n = static_cast<double>(trials);
+    return wilson95(recall * n, n);
 }
 
 } // namespace juno

@@ -6,6 +6,9 @@
  *    neighbours contain the single true nearest neighbour.
  *  - Rm@k   ("Recall-m@k", e.g. R100@1000): averaged count of the m
  *    true nearest neighbours found among the k retrieved, divided by m.
+ *
+ * Each recall is a proportion of hit-or-miss trials, so it carries a
+ * 95% Wilson score interval at the resolution its trial count allows.
  */
 #ifndef JUNO_DATASET_RECALL_H
 #define JUNO_DATASET_RECALL_H
@@ -31,6 +34,26 @@ double recall1AtK(const GroundTruth &gt, const ResultSet &results);
  * result list, averaged over queries. Requires gt.k >= m.
  */
 double recallMAtK(const GroundTruth &gt, const ResultSet &results, idx_t m);
+
+/** A 95% confidence interval [lo, hi] of a proportion. */
+struct WilsonInterval {
+    double lo = 0.0;
+    double hi = 0.0;
+};
+
+/**
+ * 95% Wilson score interval of @p successes out of @p trials (> 0),
+ * by the formula of benchsuite's wilson95 (benchsuite/suite/stats.h),
+ * so that bench and benchmark intervals agree.
+ */
+WilsonInterval wilson95(double successes, double trials);
+
+/**
+ * Interval of a recall measured as the mean of @p trials hit-or-miss
+ * trials: the queries for R1@k, queries x m for Rm@k. No trials give
+ * [0, 1].
+ */
+WilsonInterval recallInterval(double recall, std::size_t trials);
 
 } // namespace juno
 

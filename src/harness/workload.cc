@@ -28,10 +28,16 @@ evaluate(Workload &workload, AnnIndex &index, const SearchOptions &options,
     point.qps = seconds > 0.0
         ? static_cast<double>(workload.queries().rows()) / seconds
         : 0.0;
+    const auto queries = results.size();
     point.recall1_at_k = recall1AtK(workload.groundTruth(), results);
-    if (recall_m > 0)
+    point.recall1_ci = recallInterval(point.recall1_at_k, queries);
+    if (recall_m > 0) {
         point.recallm_at_k =
             recallMAtK(workload.groundTruth(), results, recall_m);
+        point.recallm_ci = recallInterval(
+            point.recallm_at_k,
+            queries * static_cast<std::size_t>(recall_m));
+    }
     point.timers = index.stageTimers();
     return point;
 }

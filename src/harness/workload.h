@@ -38,7 +38,9 @@ struct EvalPoint {
     std::string index_name;
     double qps = 0.0;
     double recall1_at_k = 0.0;  ///< R1@k
+    WilsonInterval recall1_ci;  ///< R1@k's 95% interval over the queries
     double recallm_at_k = 0.0;  ///< Rm@(10k): only when gt_k >= m
+    WilsonInterval recallm_ci;  ///< Rm@k's interval over queries x m
     idx_t k = 0;
     int threads = 1;            ///< workers used by the batch
     StageTimers timers;

@@ -194,7 +194,7 @@ class Bvh {
         simd::RayLanes lanes;
         loadLanes(rays, count, lanes);
         const simd::Kernels &kernels = simd::active();
-        alignas(32) float thit[simd::kRayLanes] = {};
+        alignas(64) float thit[simd::kRayLanes] = {};
         // Lanes not yet terminated by the any-hit program.
         std::uint32_t live = (1u << count) - 1u;
         struct Entry {

@@ -107,9 +107,10 @@ class RtDevice {
      *
      * In kRtCore mode each run of consecutive rays that share a
      * direction and an origin plane (coherentRun) is traced as packets
-     * of up to simd::kRayLanes lanes; a lone ray, and every ray in
-     * kCudaFallback mode, takes its single-ray walk and is delivered
-     * as a one-lane packet. Either way each ray's hits arrive in
+     * of up to simd::kRayLanes lanes, whatever query each ray serves
+     * (SelectiveLutBuilder::buildGroup packs several); a lone ray, and
+     * every ray in kCudaFallback mode, takes its single-ray walk and
+     * is delivered as a one-lane packet. Either way each ray's hits arrive in
      * Bvh::traverse order and the counters are per ray, independent
      * of the packing.
      */
@@ -153,7 +154,7 @@ class RtDevice {
     traceOne(const Scene &scene, const Ray &ray, std::size_t index,
              TraversalStats &stats, AnyHitFn &fn) const
     {
-        alignas(32) float thit[simd::kRayLanes] = {};
+        alignas(64) float thit[simd::kRayLanes] = {};
         const auto deliver = [&](const Hit &hit) {
             thit[0] = hit.thit;
             PacketHit h;

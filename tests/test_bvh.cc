@@ -415,6 +415,46 @@ TEST(BvhPacket, MaskTerminatesOnlyDeliveredLanes)
     }
 }
 
+/**
+ * Wide packets (9..kRayLanes lanes, the cross-query sizes) whose masks
+ * leave one eight-lane half empty: that half's rays miss the root, or
+ * stop on their first hit, while the other half walks on. The AVX2 and
+ * scalar tables skip the empty half; every table must still equal the
+ * single-ray walks.
+ */
+TEST(BvhPacket, WidePacketsWithOneHalfEmpty)
+{
+    static_assert(simd::kRayLanes == 2 * simd::kRayHalfLanes,
+                  "two packet halves");
+    const auto spheres = randomSpheres(500, 470, 0.3f);
+    Bvh bvh;
+    bvh.build(spheres);
+    Rng rng(73);
+    for (int count = simd::kRayHalfLanes + 1; count <= simd::kRayLanes;
+         ++count) {
+        std::vector<Ray> rays(static_cast<std::size_t>(count));
+        for (auto &ray : rays) {
+            ray.origin = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f),
+                          -0.5f};
+            ray.tmax = rng.uniform(1.0f, 6.0f);
+        }
+        for (int empty_half : {0, 1}) {
+            std::vector<Ray> missing = rays;
+            for (int i = 0; i < count; ++i)
+                if (i / simd::kRayHalfLanes == empty_half)
+                    missing[static_cast<std::size_t>(i)].origin.x = 50.0f;
+            expectPacketMatchesSingle(bvh, spheres, missing);
+            // The half's rays reach the spheres but all stop on their
+            // first hit.
+            std::vector<int> stop(static_cast<std::size_t>(count), 0);
+            for (int i = 0; i < count; ++i)
+                if (i / simd::kRayHalfLanes == empty_half)
+                    stop[static_cast<std::size_t>(i)] = 1;
+            expectPacketMatchesSingle(bvh, spheres, rays, stop);
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SizesAndPolicies, BvhEquivalence,
     ::testing::Combine(::testing::Values(1, 2, 7, 64, 500, 2000),

@@ -7,8 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -218,6 +220,47 @@ respec(const std::string &from, const std::string &to,
             writer.addBlob(name, blob.data, blob.bytes);
         }
     writer.finish();
+}
+
+/**
+ * The threshold policy tabulates one entry per density count up to
+ * the largest, so a forged count must fail open() as a ConfigError
+ * (negative, or beyond the point count), never size an allocation.
+ */
+TEST(Persistence, TamperedDensityCountIsAConfigError)
+{
+    const auto ds = makeData(Metric::kL2);
+    const auto original = tempPath("density_untampered.juno");
+    const auto tampered = tempPath("density_tampered.juno");
+    buildIndex(Metric::kL2, ds.base.view(),
+               "juno:nlist=16,entries=32,nprobe=6,grid=30,psamples=60,"
+               "prefs=800,ptopk=40")
+        ->save(original);
+    // The first cell count of subspace 0 follows the subspace count,
+    // the grid, the box (4 floats), the cell area and the vector size.
+    const std::size_t first_count = 4 + 4 + 16 + 8 + 8;
+    for (const std::int64_t forged : {std::int64_t{-3},
+                                      std::int64_t{1} << 40}) {
+        {
+            SnapshotReader reader(original);
+            SnapshotWriter writer(tampered, reader.spec());
+            for (const auto &name : reader.sections()) {
+                if (name == "spec")
+                    continue;
+                const auto blob = reader.blob(name);
+                std::vector<std::uint8_t> bytes(blob.data,
+                                                blob.data + blob.bytes);
+                if (name == "density")
+                    std::memcpy(bytes.data() + first_count, &forged,
+                                sizeof forged);
+                writer.addBlob(name, bytes.data(), bytes.size());
+            }
+            writer.finish();
+        }
+        EXPECT_THROW(openIndex(tampered), ConfigError) << forged;
+    }
+    std::remove(original.c_str());
+    std::remove(tampered.c_str());
 }
 
 TEST(Persistence, TamperedSpecIsAConfigError)

@@ -159,5 +159,37 @@ TEST(Recall, EmptyResultsScoreZero)
     EXPECT_DOUBLE_EQ(recallMAtK(gt, rs, 2), 0.0);
 }
 
+/** The self-test values of benchsuite's wilson95 (suite/stats.h). */
+TEST(Recall, WilsonIntervalMatchesBenchsuiteSelfTest)
+{
+    const WilsonInterval ci = wilson95(90.0, 100.0);
+    EXPECT_NEAR(ci.lo, 0.8256, 1e-3);
+    EXPECT_NEAR(ci.hi, 0.9448, 1e-3);
+    // The same interval through the recall helper (R1@k over 100
+    // queries at 0.9).
+    const WilsonInterval r = recallInterval(0.9, 100);
+    EXPECT_DOUBLE_EQ(r.lo, ci.lo);
+    EXPECT_DOUBLE_EQ(r.hi, ci.hi);
+}
+
+TEST(Recall, WilsonIntervalShape)
+{
+    // Contains the estimate, stays in [0, 1] at the extremes, and
+    // narrows as the trial count grows (64 -> 1024 queries).
+    const WilsonInterval none = wilson95(0.0, 64.0);
+    EXPECT_NEAR(none.lo, 0.0, 1e-12);
+    EXPECT_GT(none.hi, 0.0);
+    const WilsonInterval all = wilson95(64.0, 64.0);
+    EXPECT_NEAR(all.hi, 1.0, 1e-12);
+    EXPECT_LT(all.lo, 1.0);
+    const WilsonInterval small = recallInterval(0.5, 64);
+    const WilsonInterval large = recallInterval(0.5, 1024);
+    EXPECT_LT(small.lo, 0.5);
+    EXPECT_GT(small.hi, 0.5);
+    EXPECT_LT(large.hi - large.lo, small.hi - small.lo);
+    EXPECT_THROW(wilson95(1.0, 0.0), ConfigError);
+    EXPECT_THROW(wilson95(5.0, 4.0), ConfigError);
+}
+
 } // namespace
 } // namespace juno

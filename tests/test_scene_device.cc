@@ -129,7 +129,8 @@ TEST(RtDevice, LaunchReturnsPerLaunchStats)
 /**
  * launch() must cut the rays into coherent runs and trace them as
  * packets: runs of 1 and 3 that share an origin plane but not a
- * direction, a run of 8, and a run of 11 split 8 + 3. Every call's
+ * direction, a run of kRayLanes (16), and a run of kRayLanes + 3 split
+ * kRayLanes + 3. Every call's
  * (first, n) is one of those packets, and per ray the hits (prim_id
  * and thit bits) and the launch counters equal Bvh::traverse's, at
  * every SIMD level.
@@ -150,10 +151,12 @@ TEST(RtDevice, LaunchTracesCoherentRunsAsPackets)
     };
     addRun(1, 0.0f, {0.0f, 0.0f, 1.0f});
     addRun(3, 0.0f, {0.1f, -0.05f, 1.0f}); // direction change, same plane
-    addRun(8, 0.3f, {0.0f, 0.0f, 1.0f});
-    addRun(11, 0.6f, {0.0f, 0.0f, 1.0f});
+    constexpr int kL = simd::kRayLanes;
+    constexpr auto kLz = static_cast<std::size_t>(kL);
+    addRun(kLz, 0.3f, {0.0f, 0.0f, 1.0f});
+    addRun(kLz + 3, 0.6f, {0.0f, 0.0f, 1.0f});
     const std::set<std::pair<std::size_t, int>> packets = {
-        {0, 1}, {1, 3}, {4, 8}, {12, 8}, {20, 3}};
+        {0, 1}, {1, 3}, {4, kL}, {4 + kLz, kL}, {4 + 2 * kLz, 3}};
 
     using HitSeq = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
     auto bits = [](float f) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 
 #include "common/distance.h"
 #include "common/rng.h"
@@ -283,13 +284,95 @@ bitsOf(float f)
 }
 
 /**
- * Builds the L2 LUT of every fixture query at nprobe = 11 (each
- * subspace's rays traced as one full 8-lane packet plus a partial one)
- * at every SIMD level, and checks it against the LUT rebuilt by tracing
- * each of its rays alone, row by row, bit for bit, with the same
- * traversal counters. Returns how many (query, subspace) runs had a
+ * Checks query @p q's L2 LUT against the one rebuilt by tracing each of
+ * its rays alone, row by row, bit for bit; the single-ray counters
+ * accumulate into @p single. Returns how many subspace runs had a
  * refused ray (empty gate) before a traced one, so that lane and probe
  * positions differ.
+ */
+int
+expectSingleRayLut(Fixture &fx, const float *q,
+                   const std::vector<Neighbor> &probes,
+                   const SelectiveLutParams &params, const SelectiveLut &lut,
+                   rt::TraversalStats &single, const std::string &where)
+{
+    std::vector<float> residual(8);
+    std::vector<bool> refused_before(4, false);
+    std::vector<bool> shifted(4, false);
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+        fx.ivf.residual(q, static_cast<cluster_t>(probes[p].id),
+                        residual.data());
+        std::size_t selected = 0;
+        for (int s = 0; s < 4; ++s) {
+            const float x = residual[static_cast<std::size_t>(2 * s)];
+            const float y = residual[static_cast<std::size_t>(2 * s + 1)];
+            const double thr_raw = fx.policy.threshold(s, x, y);
+            const double thr =
+                fx.policy.scaled(s, thr_raw, params.threshold_scale);
+            const double m = thr * params.miss_penalty;
+            const auto miss = static_cast<float>(m * m);
+            const float tmax_inner = fx.scene.gateTmax(
+                s, x, y,
+                fx.policy.scaled(s, thr_raw, params.threshold_scale * 0.5));
+            const float k = fx.scene.coordScale(s);
+            std::vector<float> delta(16, 0.0f), flag(16, 0.0f),
+                inner(16, 0.0f);
+            rt::Ray ray;
+            const auto si = static_cast<std::size_t>(s);
+            if (fx.scene.makeRay(s, x, y, thr, ray)) {
+                if (refused_before[si])
+                    shifted[si] = true;
+                fx.scene.scene().trace(ray, single, [&](const rt::Hit &hit) {
+                    int hs;
+                    entry_t e;
+                    JunoScene::unpackId(hit.user_id, hs, e);
+                    if (hs != s)
+                        return true;
+                    delta[e] = fx.scene.lutValueL2(k * k, hit.thit) - miss;
+                    flag[e] = 1.0f;
+                    if (hit.thit <= tmax_inner)
+                        inner[e] = 1.0f;
+                    ++selected;
+                    return true;
+                });
+            } else {
+                refused_before[si] = true;
+            }
+            EXPECT_EQ(bitsOf(miss), bitsOf(lut.missFor(p, s)));
+            for (entry_t e = 0; e < 16; ++e) {
+                const std::size_t cell = lut.cell(p, s, e);
+                EXPECT_EQ(bitsOf(delta[e]), bitsOf(lut.delta[cell]))
+                    << where << " probe " << p << " subspace " << s
+                    << " entry " << e;
+                EXPECT_EQ(bitsOf(flag[e]), bitsOf(lut.selected[cell]));
+                EXPECT_EQ(bitsOf(inner[e]), bitsOf(lut.inner[cell]));
+            }
+        }
+        EXPECT_EQ(selected, lut.selected_count[p]);
+    }
+    int shifted_runs = 0;
+    for (bool b : shifted)
+        shifted_runs += b ? 1 : 0;
+    return shifted_runs;
+}
+
+void
+expectSameStats(const rt::TraversalStats &want,
+                const rt::TraversalStats &got, const std::string &where)
+{
+    EXPECT_EQ(want.rays, got.rays) << where;
+    EXPECT_EQ(want.node_visits, got.node_visits) << where;
+    EXPECT_EQ(want.aabb_tests, got.aabb_tests) << where;
+    EXPECT_EQ(want.prim_tests, got.prim_tests) << where;
+    EXPECT_EQ(want.hits, got.hits) << where;
+}
+
+/**
+ * Builds the L2 LUTs of the fixture queries two at a time at nprobe =
+ * 11 (each subspace's 22 rays traced as one full kRayLanes packet that
+ * spans both queries plus a partial one) at every SIMD level, and
+ * checks each against its single-ray LUT (expectSingleRayLut) with the
+ * same traversal counters. Returns the shifted runs of the last level.
  */
 int
 expectPacketLutEqualsSingleRayLut(Fixture &fx)
@@ -302,83 +385,30 @@ expectPacketLutEqualsSingleRayLut(Fixture &fx)
         if (!simd::setLevel(level))
             continue;
         shifted_runs = 0;
-        for (idx_t qi = 0; qi < fx.ds.queries.rows(); ++qi) {
-            const float *q = fx.ds.queries.row(qi);
-            const auto probes = fx.ivf.probe(Metric::kL2, q, 11);
-            EXPECT_EQ(probes.size(), 11u);
+        for (idx_t q0 = 0; q0 + 1 < fx.ds.queries.rows(); q0 += 2) {
+            std::vector<Neighbor> probes[2];
+            SelectiveLut luts[2];
+            LutRequest requests[2];
+            for (int g = 0; g < 2; ++g) {
+                const float *q = fx.ds.queries.row(q0 + g);
+                probes[g] = fx.ivf.probe(Metric::kL2, q, 11);
+                EXPECT_EQ(probes[g].size(), 11u);
+                requests[g] = {q, &probes[g], &luts[g]};
+            }
             fx.device.resetStats();
-            const auto lut = fx.builder->build(q, probes, params);
+            fx.builder->buildGroup(requests, 2, params);
             const rt::TraversalStats packed = fx.device.totalStats();
 
             rt::TraversalStats single;
-            std::vector<float> residual(8);
-            std::vector<bool> refused_before(4, false);
-            std::vector<bool> shifted(4, false);
-            for (std::size_t p = 0; p < probes.size(); ++p) {
-                fx.ivf.residual(q, static_cast<cluster_t>(probes[p].id),
-                                residual.data());
-                std::size_t selected = 0;
-                for (int s = 0; s < 4; ++s) {
-                    const float x = residual[static_cast<std::size_t>(2 * s)];
-                    const float y =
-                        residual[static_cast<std::size_t>(2 * s + 1)];
-                    const double thr_raw = fx.policy.threshold(s, x, y);
-                    const double thr = fx.policy.scaled(
-                        s, thr_raw, params.threshold_scale);
-                    const double m = thr * params.miss_penalty;
-                    const auto miss = static_cast<float>(m * m);
-                    const float tmax_inner = fx.scene.gateTmax(
-                        s, x, y,
-                        fx.policy.scaled(s, thr_raw,
-                                         params.threshold_scale * 0.5));
-                    const float k = fx.scene.coordScale(s);
-                    std::vector<float> delta(16, 0.0f), flag(16, 0.0f),
-                        inner(16, 0.0f);
-                    rt::Ray ray;
-                    const auto si = static_cast<std::size_t>(s);
-                    if (fx.scene.makeRay(s, x, y, thr, ray)) {
-                        if (refused_before[si])
-                            shifted[si] = true;
-                        fx.scene.scene().trace(
-                            ray, single, [&](const rt::Hit &hit) {
-                                int hs;
-                                entry_t e;
-                                JunoScene::unpackId(hit.user_id, hs, e);
-                                if (hs != s)
-                                    return true;
-                                delta[e] =
-                                    fx.scene.lutValueL2(k * k, hit.thit) -
-                                    miss;
-                                flag[e] = 1.0f;
-                                if (hit.thit <= tmax_inner)
-                                    inner[e] = 1.0f;
-                                ++selected;
-                                return true;
-                            });
-                    } else {
-                        refused_before[si] = true;
-                    }
-                    EXPECT_EQ(bitsOf(miss), bitsOf(lut.missFor(p, s)));
-                    for (entry_t e = 0; e < 16; ++e) {
-                        const std::size_t cell = lut.cell(p, s, e);
-                        EXPECT_EQ(bitsOf(delta[e]), bitsOf(lut.delta[cell]))
-                            << simd::levelName(level) << " query " << qi
-                            << " probe " << p << " subspace " << s
-                            << " entry " << e;
-                        EXPECT_EQ(bitsOf(flag[e]),
-                                  bitsOf(lut.selected[cell]));
-                        EXPECT_EQ(bitsOf(inner[e]), bitsOf(lut.inner[cell]));
-                    }
-                }
-                EXPECT_EQ(selected, lut.selected_count[p]);
+            for (int g = 0; g < 2; ++g) {
+                const std::string where = std::string(simd::levelName(level)) +
+                                          " query " +
+                                          std::to_string(q0 + g);
+                shifted_runs += expectSingleRayLut(
+                    fx, requests[g].query, probes[g], params, luts[g],
+                    single, where);
             }
-            for (bool b : shifted)
-                shifted_runs += b ? 1 : 0;
-            EXPECT_EQ(single.rays, packed.rays);
-            EXPECT_EQ(single.node_visits, packed.node_visits);
-            EXPECT_EQ(single.aabb_tests, packed.aabb_tests);
-            EXPECT_EQ(single.prim_tests, packed.prim_tests);
-            EXPECT_EQ(single.hits, packed.hits);
+            expectSameStats(single, packed, simd::levelName(level));
         }
     }
     simd::setLevel(saved);
@@ -392,15 +422,13 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
 }
 
 /**
- * Some but not all probe rays of a subspace have an empty gate, so a
- * packet's lanes are not its probes' positions: the LUT must still
- * equal the single-ray one cell for cell. The fixture's policy is
- * replaced by one whose threshold is 0 (makeRay refuses) wherever the
- * residual lands in an empty density cell and positive elsewhere.
+ * Replaces the fixture's policy by one whose threshold is 0 (makeRay
+ * refuses) wherever the residual lands in an empty density cell and
+ * positive elsewhere, so some but not all rays have an empty gate.
  */
-TEST(SelectiveLut, PartlyEmptyGatesKeepRaysInTheirRows)
+void
+installEmptyGatePolicy(Fixture &fx)
 {
-    Fixture fx(Metric::kL2);
     BufferWriter writer;
     writer.writePod<std::int32_t>(0); // L2
     writer.writePod<std::int32_t>(
@@ -421,9 +449,146 @@ TEST(SelectiveLut, PartlyEmptyGatesKeepRaysInTheirRows)
     BoundedMemReader reader(writer.buffer().data(), writer.buffer().size(),
                             "hand-built policy");
     fx.policy.load(reader, fx.density);
+}
 
+/**
+ * Some but not all probe rays of a subspace have an empty gate, so a
+ * packet's lanes are not its probes' positions: the LUT must still
+ * equal the single-ray one cell for cell.
+ */
+TEST(SelectiveLut, PartlyEmptyGatesKeepRaysInTheirRows)
+{
+    Fixture fx(Metric::kL2);
+    installEmptyGatePolicy(fx);
     EXPECT_GT(expectPacketLutEqualsSingleRayLut(fx), 0)
         << "no subspace had a refused ray before a traced one";
+}
+
+void
+expectSameBits(const std::vector<float> &want, const std::vector<float> &got,
+               const std::string &where)
+{
+    ASSERT_EQ(want.size(), got.size()) << where;
+    for (std::size_t i = 0; i < want.size(); ++i)
+        ASSERT_EQ(bitsOf(want[i]), bitsOf(got[i])) << where << " cell " << i;
+}
+
+/** Every field of two LUTs, bit for bit. */
+void
+expectSameLut(const SelectiveLut &want, const SelectiveLut &got,
+              const std::string &where)
+{
+    EXPECT_EQ(want.entries, got.entries) << where;
+    EXPECT_EQ(want.blocks, got.blocks) << where;
+    EXPECT_EQ(want.shared_across_probes, got.shared_across_probes) << where;
+    expectSameBits(want.delta, got.delta, where + " delta");
+    expectSameBits(want.selected, got.selected, where + " selected");
+    expectSameBits(want.inner, got.inner, where + " inner");
+    expectSameBits(want.miss, got.miss, where + " miss");
+    EXPECT_EQ(want.selected_count, got.selected_count) << where;
+    expectSameBits(want.base, got.base, where + " base");
+    expectSameBits(want.offset, got.offset, where + " offset");
+}
+
+/**
+ * Builds kRayLanes queries' LUTs one at a time, then in groups of 2, 3
+ * and kRayLanes, at every SIMD level: every LUT field must be bitwise
+ * equal and the summed traversal counters identical. Probe counts mix
+ * 8-probe queries with 1-probe ones (a plan-time deadline cut) and
+ * others, so packets span queries at every offset. Returns the rays
+ * traced per pass.
+ */
+std::uint64_t
+expectGroupInvariant(Fixture &fx, Metric metric)
+{
+    const auto n = static_cast<std::size_t>(simd::kRayLanes);
+    // Distinct query vectors: the fixture's queries, then base points.
+    std::vector<const float *> queries;
+    for (idx_t i = 0; i < fx.ds.queries.rows(); ++i)
+        queries.push_back(fx.ds.queries.row(i));
+    for (idx_t i = 0; queries.size() < n; ++i)
+        queries.push_back(fx.ds.base.row(37 * i));
+    const std::size_t counts[] = {8, 1, 8, 3, 12, 2, 8, 5};
+    std::vector<std::vector<Neighbor>> probes(n);
+    for (std::size_t i = 0; i < n; ++i)
+        probes[i] = fx.ivf.probe(metric, queries[i],
+                                 static_cast<idx_t>(counts[i % 8]));
+    SelectiveLutParams params;
+    params.inner_gate = true;
+
+    std::uint64_t rays = 0;
+    const simd::Level saved = simd::level();
+    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                              simd::Level::kAvx512}) {
+        if (!simd::setLevel(level))
+            continue;
+        const std::string at = simd::levelName(level);
+        std::vector<SelectiveLut> alone(n);
+        fx.device.resetStats();
+        for (std::size_t i = 0; i < n; ++i)
+            fx.builder->buildInto(queries[i], probes[i], params, alone[i]);
+        const rt::TraversalStats alone_stats = fx.device.totalStats();
+        rays = alone_stats.rays;
+
+        for (std::size_t group : {std::size_t{2}, std::size_t{3}, n}) {
+            std::vector<SelectiveLut> grouped(n);
+            fx.device.resetStats();
+            for (std::size_t i0 = 0; i0 < n; i0 += group) {
+                std::vector<LutRequest> requests;
+                for (std::size_t i = i0; i < std::min(n, i0 + group); ++i)
+                    requests.push_back({queries[i], &probes[i], &grouped[i]});
+                fx.builder->buildGroup(requests.data(), requests.size(),
+                                       params);
+            }
+            const std::string where =
+                at + " groups of " + std::to_string(group);
+            expectSameStats(alone_stats, fx.device.totalStats(), where);
+            for (std::size_t i = 0; i < n; ++i)
+                expectSameLut(alone[i], grouped[i],
+                              where + " query " + std::to_string(i));
+        }
+    }
+    simd::setLevel(saved);
+    return rays;
+}
+
+TEST(SelectiveLut, GroupedLutsEqualLoneLutsL2)
+{
+    Fixture fx(Metric::kL2);
+    expectGroupInvariant(fx, Metric::kL2);
+}
+
+TEST(SelectiveLut, GroupedLutsEqualLoneLutsIp)
+{
+    Fixture fx(Metric::kInnerProduct);
+    expectGroupInvariant(fx, Metric::kInnerProduct);
+}
+
+/** Empty-gate rows inside a group: no ray, zero cells, same LUTs. */
+TEST(SelectiveLut, GroupedLutsEqualLoneLutsWithEmptyGates)
+{
+    Fixture fx(Metric::kL2);
+    installEmptyGatePolicy(fx);
+    const std::uint64_t rays = expectGroupInvariant(fx, Metric::kL2);
+    // Two rounds of the probe-count cycle, 4 subspaces each.
+    const std::uint64_t rows = 2 * (8 + 1 + 8 + 3 + 12 + 2 + 8 + 5) * 4;
+    EXPECT_LT(rays, rows) << "no row had an empty gate";
+    EXPECT_GT(rays, 0u);
+}
+
+/** G fills one packet with a group's rays of a subspace. */
+TEST(SelectiveLut, GroupSizeFillsOnePacket)
+{
+    Fixture l2(Metric::kL2);
+    const auto lanes = static_cast<std::size_t>(simd::kRayLanes);
+    EXPECT_EQ(l2.builder->groupSize(1), lanes);
+    EXPECT_EQ(l2.builder->groupSize(8), lanes / 8);
+    EXPECT_EQ(l2.builder->groupSize(lanes), 1u);
+    EXPECT_EQ(l2.builder->groupSize(lanes + 3), 1u);
+    Fixture ip(Metric::kInnerProduct);
+    // One ray per subspace and query whatever the probe count.
+    EXPECT_EQ(ip.builder->groupSize(8), lanes);
+    EXPECT_EQ(ip.builder->groupSize(64), lanes);
 }
 
 } // namespace

@@ -332,6 +332,15 @@ TEST(Simd, RayKernelsAdversarialLanes)
 
     for (std::uint32_t active : {0xFFu, 0x55u, 0xAAu, 0x01u, 0x00u})
         expectRayKernelsMatchGeometry(rays, box, sphere, active);
+    // The same eight cases in the high half of a sixteen-lane packet:
+    // each half alone, both, and masks with one lane in a half.
+    static_assert(simd::kRayLanes == 2 * simd::kRayHalfLanes,
+                  "two packet halves");
+    for (int i = 0; i < simd::kRayHalfLanes; ++i)
+        rays[i + simd::kRayHalfLanes] = rays[i];
+    for (std::uint32_t active :
+         {0xFF00u, 0xFFFFu, 0x5500u, 0x0100u, 0x8001u, 0x80FFu})
+        expectRayKernelsMatchGeometry(rays, box, sphere, active);
 
     // Slab-plane origins with zero direction components: the NaN slab
     // (0 * inf) must be suppressed, not turned into a miss.
@@ -356,10 +365,12 @@ TEST(Simd, RayKernelsAdversarialLanes)
     const simd::Kernels &scalar = simd::table(simd::Level::kScalar);
     float t[simd::kRayLanes];
     const std::uint32_t hit = scalar.ray_sphere_lanes(
-        lanesOf(rays), 0xFFu, 0.0f, 0.0f, 1.0f, 0.5f, t);
-    EXPECT_EQ(hit, 0x4Du); // lanes 0, 2, 3, 6
+        lanesOf(rays), 0xFFFFu, 0.0f, 0.0f, 1.0f, 0.5f, t);
+    EXPECT_EQ(hit, 0x4D4Du); // lanes 0, 2, 3, 6 of both halves
     EXPECT_TRUE(std::isnan(t[2]));
+    EXPECT_TRUE(std::isnan(t[10]));
     EXPECT_GT(t[3], 1.0f); // exit root
+    EXPECT_EQ(bitsOf(t[3]), bitsOf(t[11]));
 }
 
 TEST(Simd, RayKernelsRandomLanesMatchGeometry)
@@ -384,7 +395,13 @@ TEST(Simd, RayKernelsRandomLanesMatchGeometry)
         }
         expectRayKernelsMatchGeometry(
             rays, box, sphere,
-            static_cast<std::uint32_t>(rng.below(256)));
+            static_cast<std::uint32_t>(rng.below(1u << simd::kRayLanes)));
+        // One half empty: the half-skipping tables must still agree.
+        for (std::uint32_t half : {0x00FFu, 0xFF00u})
+            expectRayKernelsMatchGeometry(
+                rays, box, sphere,
+                static_cast<std::uint32_t>(
+                    rng.below(1u << simd::kRayLanes)) & half);
     }
 }
 
@@ -395,8 +412,10 @@ TEST(Simd, RayKernelsRandomLanesMatchGeometry)
  */
 TEST(Simd, StoreLanesWritesOnlyMaskedLanes)
 {
-    const float src[simd::kRayLanes] = {1.5f, -2.0f, 0.25f, 8.0f,
-                                        -0.0f, 3.0f, 1e-30f, -7.5f};
+    const float src[simd::kRayLanes] = {1.5f, -2.0f,  0.25f, 8.0f,
+                                        -0.0f, 3.0f,  1e-30f, -7.5f,
+                                        4.0f,  -1e9f, 0.5f,   -3.25f,
+                                        6.0f,  1e-3f, -0.75f, 2.5f};
     const float sentinel = std::numeric_limits<float>::quiet_NaN();
     for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
                               simd::Level::kAvx512}) {

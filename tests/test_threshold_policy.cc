@@ -3,6 +3,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/serialize.h"
 #include "core/threshold_policy.h"
 
 namespace juno {
@@ -133,6 +134,50 @@ TEST(ThresholdPolicy, L2ThresholdCoversTopKMostly)
         ++total;
     }
     EXPECT_GE(static_cast<double>(covered) / total, 0.7);
+}
+
+/**
+ * The per-count table is derived data: for every cell count it holds
+ * exactly the regressor's prediction at count / cell area, and the
+ * dynamic threshold() of any projection equals the direct
+ * predict(densityAt) it replaces, bit for bit, after training and
+ * after a save/load round trip, for both metrics.
+ */
+TEST(ThresholdPolicy, CountTableEqualsDirectPrediction)
+{
+    for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+        PolicyFixture fx(metric);
+        BufferWriter writer;
+        fx.policy.save(writer);
+        BoundedMemReader reader(writer.buffer().data(),
+                                writer.buffer().size(), "policy");
+        ThresholdPolicy loaded;
+        loaded.load(reader, fx.density);
+        for (const ThresholdPolicy *policy : {&fx.policy, &loaded}) {
+            Rng rng(5);
+            for (int s = 0; s < 2; ++s) {
+                const SubspaceDensity &map = fx.density.subspace(s);
+                const PolyRegressor &reg = policy->regressor(s);
+                for (idx_t c = 0; c <= map.maxCount(); ++c)
+                    ASSERT_EQ(policy->thresholdForCount(s, c),
+                              reg.predict(static_cast<double>(c) /
+                                          map.cellArea()))
+                        << "subspace " << s << " count " << c;
+                EXPECT_THROW(policy->thresholdForCount(s, map.maxCount() + 1),
+                             ConfigError);
+                EXPECT_THROW(policy->thresholdForCount(s, -1), ConfigError);
+                for (int i = 0; i < 2000; ++i) {
+                    // Beyond the map's box too: cells clamp at the edge.
+                    const float x = rng.uniform(-2.0f, 5.0f);
+                    const float y = rng.uniform(-3.0f, 3.0f);
+                    ASSERT_EQ(policy->threshold(s, x, y),
+                              reg.predict(fx.density.densityAt(s, x, y)))
+                        << "subspace " << s << " at (" << x << ", " << y
+                        << ")";
+                }
+            }
+        }
+    }
 }
 
 TEST(ThresholdPolicy, RejectsMisuse)
