@@ -33,7 +33,7 @@ main()
     jp.policy.ref_samples = 4000;
     JunoIndex index(workload.metric(), workload.base(), jp);
 
-    TablePrinter table({"strategy", "nprobs", "R1@100", "QPS",
+    TablePrinter table({"strategy", "nprobs", "R1@100 [95% CI]", "QPS",
                         "rt_hits_per_query"});
     const struct {
         const char *label;
@@ -56,7 +56,8 @@ main()
                 static_cast<double>(index.rtStats().hits) /
                 static_cast<double>(workload.queries().rows());
             table.addRow({strategy.label, std::to_string(np),
-                          TablePrinter::num(point.recall1_at_k),
+                          TablePrinter::recall(point.recall1_at_k,
+                                               point.recall1_ci),
                           TablePrinter::num(point.qps),
                           TablePrinter::num(hits_per_query)});
         }

@@ -44,7 +44,7 @@ main()
     jp.policy.ref_samples = 4000;
     JunoIndex index(workload.metric(), workload.base(), jp);
 
-    TablePrinter table({"index", "nprobs", "R1@100", "QPS"});
+    TablePrinter table({"index", "nprobs", "R1@100 [95% CI]", "QPS"});
     for (idx_t np : {4, 16, 64}) {
         if (np > clusters)
             break;
@@ -52,7 +52,7 @@ main()
         const auto b =
             evaluate(workload, baseline, bench::searchOptions(100));
         table.addRow({"FAISS(+HNSW)", std::to_string(np),
-                      TablePrinter::num(b.recall1_at_k),
+                      TablePrinter::recall(b.recall1_at_k, b.recall1_ci),
                       TablePrinter::num(b.qps)});
     }
     for (bool rt : {true, false}) {
@@ -69,7 +69,8 @@ main()
                 std::string name = std::string(searchModeName(mode)) +
                                    (rt ? "(BVH)" : "(linear fallback)");
                 table.addRow({name, std::to_string(np),
-                              TablePrinter::num(p.recall1_at_k),
+                              TablePrinter::recall(p.recall1_at_k,
+                                                   p.recall1_ci),
                               TablePrinter::num(p.qps)});
             }
         }

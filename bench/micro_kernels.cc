@@ -478,26 +478,26 @@ benchTopKAndBvh()
 }
 
 /**
- * Traces @p rays as packets of @p lanes consecutive rays and stores
- * each delivery's lanes with one masked store into the packet's
- * [e][lane] tile of @p row cells per ray, the way the LUT builder does.
+ * Traces @p rays as packets of @p lanes consecutive rays with the
+ * packet-walk kernel, each recording its subspace's @p row spheres
+ * into the packet's [e][lane] tile, the way the LUT builder does. A
+ * packet's subspace is that of its first ray: kRayLanes consecutive
+ * rays share one.
  */
 void
 tracePackets(const rt::Bvh &bvh, const std::vector<rt::Sphere> &spheres,
              const std::vector<rt::Ray> &rays, int lanes, std::size_t row,
-             const simd::Kernels &kernels, rt::TraversalStats &stats,
-             float *cells)
+             int subspaces, rt::TraversalStats &stats, float *cells)
 {
     const auto width = static_cast<std::size_t>(lanes);
+    const auto block = static_cast<std::size_t>(simd::kRayLanes);
     for (std::size_t first = 0; first < rays.size(); first += width) {
-        float *tile = cells + first * row;
-        bvh.traversePacket(rays.data() + first, lanes, spheres, stats,
-                           [&](const rt::PacketHit &hit) {
-                               kernels.store_lanes(
-                                   hit.thit, hit.mask,
-                                   tile + hit.user_id % row * width);
-                               return 0u;
-                           });
+        const std::size_t s =
+            first / block % static_cast<std::size_t>(subspaces);
+        const rt::RecordRange record{static_cast<std::uint32_t>(s * row),
+                                     static_cast<std::uint32_t>(row)};
+        bvh.traceTile(rays.data() + first, lanes, spheres, record,
+                      cells + first * row, stats);
     }
 }
 
@@ -505,8 +505,9 @@ tracePackets(const rt::Bvh &bvh, const std::vector<rt::Sphere> &spheres,
  * The selective-LUT access pattern: a JUNO-shaped scene (S planes of E
  * radius-1 spheres at z = 4s + 1) and groups of kRayLanes +z probe
  * rays from one plane, each with its own tmax gate. The single-ray
- * walk stores each hit's thit in its ray's row of E cells; the packet
- * walks store each delivery's lanes into the packet's [e][lane] tile.
+ * walk stores each hit's thit in its ray's row of E cells; the
+ * packet-walk kernel stores each hit sphere's lanes into the packet's
+ * [e][lane] tile with one masked store.
  * Two packings of the same rays: one query's 8 probe rays per packet,
  * and two queries' rays in one kRayLanes packet (the cross-query
  * group). Rays per second of each against the same rays walked one at
@@ -569,7 +570,7 @@ benchBvhPacket()
         // `lane` of the packet at `first` owns tile column
         // first * row + e * width + lane.
         std::fill(cells.begin(), cells.end(), nan);
-        tracePackets(bvh, spheres, rays, width, row, kernels, stats,
+        tracePackets(bvh, spheres, rays, width, row, subspaces, stats,
                      cells.data());
         const auto w = static_cast<std::size_t>(width);
         for (std::size_t i = 0; i < rays.size(); ++i) {
@@ -581,7 +582,7 @@ benchBvhPacket()
             }
         }
         const double packet = opsPerSecond(rays.size(), [&] {
-            tracePackets(bvh, spheres, rays, width, row, kernels, stats,
+            tracePackets(bvh, spheres, rays, width, row, subspaces, stats,
                          cells.data());
         });
         const std::string shape = "S=" + std::to_string(subspaces) +

@@ -9,18 +9,7 @@
 #include <string>
 
 #include "common/logging.h"
-
-#if defined(__x86_64__) || defined(__i386__)
-#define JUNO_SIMD_X86 1
-#include <immintrin.h>
-/** Compiles one function for AVX2+FMA without -mavx2 on the whole TU. */
-#define JUNO_TARGET_AVX2 __attribute__((target("avx2,fma")))
-/** Same for the AVX-512 subset the 16-wide kernels need. */
-#define JUNO_TARGET_AVX512                                                  \
-    __attribute__((target("avx512f,avx512bw,avx512vl,avx2,fma")))
-#else
-#define JUNO_SIMD_X86 0
-#endif
+#include "common/ray_lanes.h"
 
 namespace juno {
 namespace simd {
@@ -199,78 +188,78 @@ compactCandidatesScalar(const float *acc, const std::int32_t *hits,
     }
 }
 
-/**
- * One lane of the ray/box slab test: rt::Aabb::hitBy verbatim (same
- * operations, order and early exits) on one axis at a time. The scalar
- * kernels visit only the active lanes, so an empty half costs nothing.
- */
-bool
-slabAxis(float lo, float hi, float origin, float inv, float &t0, float &t1)
-{
-    float a0 = (lo - origin) * inv;
-    float a1 = (hi - origin) * inv;
-    if (a0 > a1)
-        std::swap(a0, a1);
-    // min/max with NaN-suppression: if a is NaN keep t.
-    t0 = a0 > t0 ? a0 : t0;
-    t1 = a1 < t1 ? a1 : t1;
-    return !(t0 > t1);
-}
-
 std::uint32_t
 rayBoxLanesScalar(const RayLanes &r, std::uint32_t active, float lo_x,
                   float lo_y, float lo_z, float hi_x, float hi_y,
                   float hi_z)
 {
-    std::uint32_t hit = 0;
-    for (std::uint32_t m = active; m != 0; m &= m - 1u) {
-        const int i = __builtin_ctz(m);
-        float t0 = r.tmin[i], t1 = r.tmax[i];
-        if (slabAxis(lo_x, hi_x, r.ox[i], r.ix[i], t0, t1) &&
-            slabAxis(lo_y, hi_y, r.oy[i], r.iy[i], t0, t1) &&
-            slabAxis(lo_z, hi_z, r.oz[i], r.iz[i], t0, t1))
-            hit |= 1u << i;
-    }
-    return hit;
+    return ScalarRayLanes(r).box(active, lo_x, lo_y, lo_z, hi_x, hi_y,
+                                 hi_z);
 }
 
-/** rt::intersectSphere verbatim, one active lane at a time. */
 std::uint32_t
 raySphereLanesScalar(const RayLanes &r, std::uint32_t active, float cx,
                      float cy, float cz, float radius, float *thit)
 {
-    std::uint32_t hit = 0;
-    for (std::uint32_t m = active; m != 0; m &= m - 1u) {
-        const int i = __builtin_ctz(m);
-        const float ocx = r.ox[i] - cx, ocy = r.oy[i] - cy,
-                    ocz = r.oz[i] - cz;
-        const float a = r.dx[i] * r.dx[i] + r.dy[i] * r.dy[i] +
-                        r.dz[i] * r.dz[i];
-        const float half_b = ocx * r.dx[i] + ocy * r.dy[i] + ocz * r.dz[i];
-        const float c =
-            ocx * ocx + ocy * ocy + ocz * ocz - radius * radius;
-        const float disc = half_b * half_b - a * c;
-        if (disc < 0.0f)
-            continue;
-        const float sqrt_disc = std::sqrt(disc);
-        float t = (-half_b - sqrt_disc) / a;
-        if (t < r.tmin[i])
-            t = (-half_b + sqrt_disc) / a;
-        if (t < r.tmin[i] || t > r.tmax[i])
-            continue;
-        thit[i] = t;
-        hit |= 1u << i;
-    }
+    ScalarRayLanes::Times t;
+    const std::uint32_t hit =
+        ScalarRayLanes(r).sphere(active, cx, cy, cz, radius, t);
+    ScalarRayLanes::store(t, hit, thit);
     return hit;
 }
 
-void
-storeLanesScalar(const float *src, std::uint32_t mask, float *dst)
+/**
+ * One LUT cell from its hit time: JunoScene::lutValueL2 / lutValueIp
+ * for @p metric minus the row's miss, in those functions' float
+ * operations. @p ip_base is qnorm_scaled_sqr - radius_sqr.
+ */
+inline float
+lutDelta(Metric metric, float radius_sqr, float ip_base, const LutRow &row,
+         float t)
 {
-    for (; mask != 0; mask &= mask - 1u) {
-        const int i = __builtin_ctz(mask);
-        dst[i] = src[i];
+    const float one_minus = 1.0f - t;
+    const float sq = one_minus * one_minus;
+    const float value = metric == Metric::kL2
+        ? (radius_sqr - sq) / row.kappa_sqr
+        : 0.5f * (ip_base + sq) / row.kappa_sqr;
+    return value - row.miss;
+}
+
+/**
+ * Cells [e0, entries) of one lane's row, reading its tile column at
+ * stride @p lanes: the whole row in the scalar table, the tail past the
+ * last full vector in the others. Returns the hits among them.
+ */
+std::uint32_t
+lutFinishCells(Metric metric, float radius_sqr, const float *col,
+               std::size_t lanes, std::size_t e0, std::size_t entries,
+               const LutRow &row)
+{
+    const float ip_base = row.qnorm_scaled_sqr - radius_sqr;
+    std::uint32_t hits = 0;
+    for (std::size_t e = e0; e < entries; ++e) {
+        const float t = col[e * lanes];
+        // Converted unconditionally: the loop stays branch-free.
+        const float d = lutDelta(metric, radius_sqr, ip_base, row, t);
+        const bool hit = !std::isnan(t);
+        row.delta[e] = hit ? d : 0.0f;
+        row.selected[e] = hit ? 1.0f : 0.0f;
+        if (row.inner != nullptr)
+            row.inner[e] = t <= row.tmax_inner ? 1.0f : 0.0f;
+        hits += hit ? 1u : 0u;
     }
+    return hits;
+}
+
+void
+lutFinishScalar(Metric metric, float radius_sqr, const float *tile,
+                int lanes, std::size_t entries, const LutRow *rows,
+                std::uint32_t *hits)
+{
+    for (int i = 0; i < lanes; ++i)
+        hits[i] = lutFinishCells(metric, radius_sqr, tile + i,
+                                 static_cast<std::size_t>(lanes), 0,
+                                 entries, rows[i]);
 }
 
 const Kernels kScalarTable = {
@@ -287,7 +276,7 @@ const Kernels kScalarTable = {
     &compactCandidatesScalar,
     &rayBoxLanesScalar,
     &raySphereLanesScalar,
-    &storeLanesScalar,
+    &lutFinishScalar,
 };
 
 #if JUNO_SIMD_X86
@@ -932,160 +921,76 @@ compactCandidatesAvx2(const float *acc, const std::int32_t *hits,
     }
 }
 
-/**
- * rt::Aabb::hitBy on eight lanes. max_ps(a, b) is `a > b ? a : b` and
- * min_ps(a, b) is `a < b ? a : b`, operand for operand the scalar
- * selects, so NaN slabs are suppressed exactly as in hitBy. The early
- * exits of hitBy need no counterpart: t0 only grows and t1 only
- * shrinks, so a lane that fails one axis fails the final compare.
- */
-JUNO_TARGET_AVX2 inline void
-slabAxisAvx2(float lo, float hi, const float *origin, const float *inv,
-             __m256 &t0, __m256 &t1)
-{
-    const __m256 o = _mm256_load_ps(origin);
-    const __m256 v = _mm256_load_ps(inv);
-    const __m256 a0 = _mm256_mul_ps(_mm256_sub_ps(_mm256_set1_ps(lo), o), v);
-    const __m256 a1 = _mm256_mul_ps(_mm256_sub_ps(_mm256_set1_ps(hi), o), v);
-    // if (a0 > a1) swap(a0, a1): near = a1 < a0 ? a1 : a0.
-    const __m256 near = _mm256_min_ps(a1, a0);
-    const __m256 far = _mm256_max_ps(a0, a1);
-    t0 = _mm256_max_ps(near, t0);
-    t1 = _mm256_min_ps(far, t1);
-}
-
-/** Lane i all-ones where bit i of @p mask (eight lanes) is set. */
-JUNO_TARGET_AVX2 inline __m256i
-laneMaskAvx2(std::uint32_t mask)
-{
-    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    return _mm256_cmpeq_epi32(
-        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(mask)), bit),
-        bit);
-}
-
-/** rayBoxLanesAvx2 on the eight lanes from @p lane0. */
-JUNO_TARGET_AVX2 inline std::uint32_t
-rayBoxHalfAvx2(const RayLanes &r, int lane0, float lo_x, float lo_y,
-               float lo_z, float hi_x, float hi_y, float hi_z)
-{
-    __m256 t0 = _mm256_load_ps(r.tmin + lane0);
-    __m256 t1 = _mm256_load_ps(r.tmax + lane0);
-    slabAxisAvx2(lo_x, hi_x, r.ox + lane0, r.ix + lane0, t0, t1);
-    slabAxisAvx2(lo_y, hi_y, r.oy + lane0, r.iy + lane0, t0, t1);
-    slabAxisAvx2(lo_z, hi_z, r.oz + lane0, r.iz + lane0, t0, t1);
-    return static_cast<std::uint32_t>(
-        _mm256_movemask_ps(_mm256_cmp_ps(t0, t1, _CMP_LE_OQ)));
-}
-
-/** Two eight-lane halves; a half with no active lane is skipped. */
 JUNO_TARGET_AVX2 std::uint32_t
 rayBoxLanesAvx2(const RayLanes &r, std::uint32_t active, float lo_x,
                 float lo_y, float lo_z, float hi_x, float hi_y, float hi_z)
 {
-    std::uint32_t hit = 0;
-    for (int lane0 = 0; lane0 < kRayLanes; lane0 += kRayHalfLanes)
-        if ((active >> lane0 & 0xFFu) != 0)
-            hit |= rayBoxHalfAvx2(r, lane0, lo_x, lo_y, lo_z, hi_x, hi_y,
-                                  hi_z)
-                   << lane0;
-    return hit & active;
+    return Avx2RayLanes(r).box(active, lo_x, lo_y, lo_z, hi_x, hi_y, hi_z);
 }
 
-/**
- * rt::intersectSphere on the eight lanes from @p lane0 (@p active: the
- * half's lane mask) with separate multiplies and adds (no FMA) in the
- * scalar evaluation order. Ordered compares are false on NaN, so a NaN
- * discriminant passes as it does in the scalar code. Returns the hit
- * mask of the eight lanes.
- */
-JUNO_TARGET_AVX2 inline std::uint32_t
-raySphereHalfAvx2(const RayLanes &r, int lane0, std::uint32_t active,
-                  float cx, float cy, float cz, float radius, float *thit)
-{
-    const __m256 dx = _mm256_load_ps(r.dx + lane0);
-    const __m256 dy = _mm256_load_ps(r.dy + lane0);
-    const __m256 dz = _mm256_load_ps(r.dz + lane0);
-    const __m256 ocx =
-        _mm256_sub_ps(_mm256_load_ps(r.ox + lane0), _mm256_set1_ps(cx));
-    const __m256 ocy =
-        _mm256_sub_ps(_mm256_load_ps(r.oy + lane0), _mm256_set1_ps(cy));
-    const __m256 ocz =
-        _mm256_sub_ps(_mm256_load_ps(r.oz + lane0), _mm256_set1_ps(cz));
-    const __m256 a = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-        _mm256_mul_ps(dz, dz));
-    const __m256 half_b = _mm256_add_ps(
-        _mm256_add_ps(_mm256_mul_ps(ocx, dx), _mm256_mul_ps(ocy, dy)),
-        _mm256_mul_ps(ocz, dz));
-    const __m256 c = _mm256_sub_ps(
-        _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(ocx, ocx), _mm256_mul_ps(ocy, ocy)),
-            _mm256_mul_ps(ocz, ocz)),
-        _mm256_set1_ps(radius * radius));
-    const __m256 disc = _mm256_sub_ps(_mm256_mul_ps(half_b, half_b),
-                                      _mm256_mul_ps(a, c));
-    const __m256 sqrt_disc = _mm256_sqrt_ps(disc);
-    const __m256 neg_half_b = _mm256_xor_ps(half_b, _mm256_set1_ps(-0.0f));
-    const __m256 tmin = _mm256_load_ps(r.tmin + lane0);
-    // Two skips that keep every active lane's bits. x / 1.0f is x
-    // exactly (a quiet NaN passes through unchanged), so the divisions
-    // by |d|^2 are skipped when every active lane's is 1, as for
-    // JUNO's unit +z rays; and the exit root is computed only when an
-    // active lane's entry root lies before tmin. Inactive lanes' thit
-    // is unspecified.
-    const __m256 act = _mm256_castsi256_ps(laneMaskAvx2(active));
-    const bool unit = _mm256_testz_ps(
-        act, _mm256_cmp_ps(a, _mm256_set1_ps(1.0f), _CMP_NEQ_UQ));
-    __m256 t = _mm256_sub_ps(neg_half_b, sqrt_disc);
-    if (!unit)
-        t = _mm256_div_ps(t, a);
-    const __m256 exit_lanes =
-        _mm256_and_ps(act, _mm256_cmp_ps(t, tmin, _CMP_LT_OQ));
-    if (!_mm256_testz_ps(exit_lanes, exit_lanes)) {
-        __m256 t_exit = _mm256_add_ps(neg_half_b, sqrt_disc);
-        if (!unit)
-            t_exit = _mm256_div_ps(t_exit, a);
-        t = _mm256_blendv_ps(t, t_exit, exit_lanes);
-    }
-    const __m256 miss = _mm256_or_ps(
-        _mm256_cmp_ps(disc, _mm256_setzero_ps(), _CMP_LT_OQ),
-        _mm256_or_ps(
-            _mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
-            _mm256_cmp_ps(t, _mm256_load_ps(r.tmax + lane0), _CMP_GT_OQ)));
-    _mm256_storeu_ps(thit + lane0, t);
-    return static_cast<std::uint32_t>(~_mm256_movemask_ps(miss) & 0xFF);
-}
-
-/** Two eight-lane halves; a half with no active lane is skipped. */
 JUNO_TARGET_AVX2 std::uint32_t
 raySphereLanesAvx2(const RayLanes &r, std::uint32_t active, float cx,
                    float cy, float cz, float radius, float *thit)
 {
-    std::uint32_t hit = 0;
-    for (int lane0 = 0; lane0 < kRayLanes; lane0 += kRayHalfLanes) {
-        const std::uint32_t half = active >> lane0 & 0xFFu;
-        if (half != 0)
-            hit |= raySphereHalfAvx2(r, lane0, half, cx, cy, cz, radius,
-                                     thit)
-                   << lane0;
-    }
-    return hit & active;
+    Avx2RayLanes::Times t;
+    const std::uint32_t hit =
+        Avx2RayLanes(r).sphere(active, cx, cy, cz, radius, t);
+    Avx2RayLanes::store(t, hit, thit);
+    return hit;
 }
 
 /**
- * Masked lane store: vmaskmovps writes only the selected lanes and
- * does not fault on the others; a half with no selected lane is not
- * touched at all.
+ * Eight cells per step: each lane's tile column is gathered (or loaded,
+ * for a one-lane packet) and converted with lutDelta's operations as
+ * separate multiplies, adds and divides; the tail goes through the
+ * scalar cells.
  */
 JUNO_TARGET_AVX2 void
-storeLanesAvx2(const float *src, std::uint32_t mask, float *dst)
+lutFinishAvx2(Metric metric, float radius_sqr, const float *tile,
+              int lanes, std::size_t entries, const LutRow *rows,
+              std::uint32_t *hits)
 {
-    for (int lane0 = 0; lane0 < kRayLanes; lane0 += kRayHalfLanes) {
-        const std::uint32_t half = mask >> lane0 & 0xFFu;
-        if (half != 0)
-            _mm256_maskstore_ps(dst + lane0, laneMaskAvx2(half),
-                                _mm256_loadu_ps(src + lane0));
+    const auto stride = static_cast<std::size_t>(lanes);
+    const __m256i index = _mm256_mullo_epi32(
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7), _mm256_set1_epi32(lanes));
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 half = _mm256_set1_ps(0.5f);
+    const __m256 r2 = _mm256_set1_ps(radius_sqr);
+    const std::size_t full = entries / 8 * 8;
+    for (int i = 0; i < lanes; ++i) {
+        const LutRow &row = rows[i];
+        const float *col = tile + i;
+        const __m256 kappa_sqr = _mm256_set1_ps(row.kappa_sqr);
+        const __m256 miss = _mm256_set1_ps(row.miss);
+        const __m256 ip_base =
+            _mm256_set1_ps(row.qnorm_scaled_sqr - radius_sqr);
+        const __m256 tmax_inner = _mm256_set1_ps(row.tmax_inner);
+        std::uint32_t count = 0;
+        for (std::size_t e = 0; e < full; e += 8) {
+            const __m256 t = lanes == 1
+                ? _mm256_loadu_ps(col + e)
+                : _mm256_i32gather_ps(col + e * stride, index, 4);
+            const __m256 one_minus = _mm256_sub_ps(one, t);
+            const __m256 sq = _mm256_mul_ps(one_minus, one_minus);
+            const __m256 value = metric == Metric::kL2
+                ? _mm256_div_ps(_mm256_sub_ps(r2, sq), kappa_sqr)
+                : _mm256_div_ps(
+                      _mm256_mul_ps(half, _mm256_add_ps(ip_base, sq)),
+                      kappa_sqr);
+            const __m256 hit = _mm256_cmp_ps(t, t, _CMP_ORD_Q);
+            _mm256_storeu_ps(row.delta + e,
+                             _mm256_and_ps(hit, _mm256_sub_ps(value, miss)));
+            _mm256_storeu_ps(row.selected + e, _mm256_and_ps(hit, one));
+            if (row.inner != nullptr)
+                _mm256_storeu_ps(
+                    row.inner + e,
+                    _mm256_and_ps(_mm256_cmp_ps(t, tmax_inner, _CMP_LE_OQ),
+                                  one));
+            count += static_cast<std::uint32_t>(
+                __builtin_popcount(_mm256_movemask_ps(hit)));
+        }
+        hits[i] = count + lutFinishCells(metric, radius_sqr, col, stride,
+                                         full, entries, row);
     }
 }
 
@@ -1103,7 +1008,7 @@ const Kernels kAvx2Table = {
     &compactCandidatesAvx2,
     &rayBoxLanesAvx2,
     &raySphereLanesAvx2,
-    &storeLanesAvx2,
+    &lutFinishAvx2,
 };
 
 /**
@@ -1354,113 +1259,90 @@ fastScanPq4Avx512(const std::uint8_t *packed, int subspaces,
                         n - i, qsums + i);
 }
 
-/** Masked lane store straight from the mask register (k-mask). */
-JUNO_TARGET_AVX512 void
-storeLanesAvx512(const float *src, std::uint32_t mask, float *dst)
-{
-    _mm512_mask_storeu_ps(dst, static_cast<__mmask16>(mask),
-                          _mm512_loadu_ps(src));
-}
-
-/** All sixteen lanes; the zero-masking forms with a full mask (as
- * elsewhere in this file) avoid GCC 12's -Wuninitialized false positive
- * on the unmasked 512-bit min/max/sqrt intrinsics. */
-constexpr __mmask16 kAllLanes16 = 0xFFFF;
-
-/**
- * rt::Aabb::hitBy on all sixteen lanes in one zmm register; the same
- * operand order as slabAxisAvx2, whose min/max select rules vminps /
- * vmaxps keep at 512 bits.
- */
-JUNO_TARGET_AVX512 inline void
-slabAxisAvx512(float lo, float hi, const float *origin, const float *inv,
-               __m512 &t0, __m512 &t1)
-{
-    const __m512 o = _mm512_load_ps(origin);
-    const __m512 v = _mm512_load_ps(inv);
-    const __m512 a0 = _mm512_mul_ps(_mm512_sub_ps(_mm512_set1_ps(lo), o), v);
-    const __m512 a1 = _mm512_mul_ps(_mm512_sub_ps(_mm512_set1_ps(hi), o), v);
-    const __m512 near = _mm512_maskz_min_ps(kAllLanes16, a1, a0);
-    const __m512 far = _mm512_maskz_max_ps(kAllLanes16, a0, a1);
-    t0 = _mm512_maskz_max_ps(kAllLanes16, near, t0);
-    t1 = _mm512_maskz_min_ps(kAllLanes16, far, t1);
-}
-
 JUNO_TARGET_AVX512 std::uint32_t
 rayBoxLanesAvx512(const RayLanes &r, std::uint32_t active, float lo_x,
                   float lo_y, float lo_z, float hi_x, float hi_y,
                   float hi_z)
 {
-    __m512 t0 = _mm512_load_ps(r.tmin);
-    __m512 t1 = _mm512_load_ps(r.tmax);
-    slabAxisAvx512(lo_x, hi_x, r.ox, r.ix, t0, t1);
-    slabAxisAvx512(lo_y, hi_y, r.oy, r.iy, t0, t1);
-    slabAxisAvx512(lo_z, hi_z, r.oz, r.iz, t0, t1);
-    return _mm512_mask_cmp_ps_mask(static_cast<__mmask16>(active), t0, t1,
-                                   _CMP_LE_OQ);
+    return Avx512RayLanes(r).box(active, lo_x, lo_y, lo_z, hi_x, hi_y,
+                                 hi_z);
 }
 
-/**
- * rt::intersectSphere on sixteen lanes: raySphereHalfAvx2's operations
- * in the same order (explicit multiplies and adds, no FMA), with the
- * compares producing k-masks.
- */
 JUNO_TARGET_AVX512 std::uint32_t
 raySphereLanesAvx512(const RayLanes &r, std::uint32_t active, float cx,
                      float cy, float cz, float radius, float *thit)
 {
-    const __m512 dx = _mm512_load_ps(r.dx);
-    const __m512 dy = _mm512_load_ps(r.dy);
-    const __m512 dz = _mm512_load_ps(r.dz);
-    const __m512 ocx = _mm512_sub_ps(_mm512_load_ps(r.ox), _mm512_set1_ps(cx));
-    const __m512 ocy = _mm512_sub_ps(_mm512_load_ps(r.oy), _mm512_set1_ps(cy));
-    const __m512 ocz = _mm512_sub_ps(_mm512_load_ps(r.oz), _mm512_set1_ps(cz));
-    const __m512 a = _mm512_add_ps(
-        _mm512_add_ps(_mm512_mul_ps(dx, dx), _mm512_mul_ps(dy, dy)),
-        _mm512_mul_ps(dz, dz));
-    const __m512 half_b = _mm512_add_ps(
-        _mm512_add_ps(_mm512_mul_ps(ocx, dx), _mm512_mul_ps(ocy, dy)),
-        _mm512_mul_ps(ocz, dz));
-    const __m512 c = _mm512_sub_ps(
-        _mm512_add_ps(
-            _mm512_add_ps(_mm512_mul_ps(ocx, ocx), _mm512_mul_ps(ocy, ocy)),
-            _mm512_mul_ps(ocz, ocz)),
-        _mm512_set1_ps(radius * radius));
-    const __m512 disc = _mm512_sub_ps(_mm512_mul_ps(half_b, half_b),
-                                      _mm512_mul_ps(a, c));
-    const __m512 sqrt_disc = _mm512_maskz_sqrt_ps(kAllLanes16, disc);
-    // Sign flip by integer xor: vxorps on zmm needs AVX512DQ.
-    const __m512 neg_half_b = _mm512_castsi512_ps(_mm512_xor_si512(
-        _mm512_castps_si512(half_b), _mm512_set1_epi32(INT32_MIN)));
-    const __m512 tmin = _mm512_load_ps(r.tmin);
-    const auto act = static_cast<__mmask16>(active);
-    // Skips (see raySphereHalfAvx2): the divisions by a unit |d|^2 and
-    // the exit root no active lane takes.
-    const bool unit = _mm512_mask_cmp_ps_mask(act, a, _mm512_set1_ps(1.0f),
-                                              _CMP_NEQ_UQ) == 0;
-    __m512 t = _mm512_sub_ps(neg_half_b, sqrt_disc);
-    if (!unit)
-        t = _mm512_div_ps(t, a);
-    const __mmask16 exit_lanes =
-        _mm512_mask_cmp_ps_mask(act, t, tmin, _CMP_LT_OQ);
-    if (exit_lanes != 0) {
-        __m512 t_exit = _mm512_add_ps(neg_half_b, sqrt_disc);
-        if (!unit)
-            t_exit = _mm512_div_ps(t_exit, a);
-        t = _mm512_mask_blend_ps(exit_lanes, t, t_exit);
+    Avx512RayLanes::Times t;
+    const std::uint32_t hit =
+        Avx512RayLanes(r).sphere(active, cx, cy, cz, radius, t);
+    Avx512RayLanes::store(t, hit, thit);
+    return hit;
+}
+
+/**
+ * lutFinishAvx2 sixteen cells per step, with the tail as one masked
+ * step: masked-off cells are neither gathered nor stored.
+ */
+JUNO_TARGET_AVX512 void
+lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
+                int lanes, std::size_t entries, const LutRow *rows,
+                std::uint32_t *hits)
+{
+    const __m512i index = _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                          15),
+        _mm512_set1_epi32(lanes));
+    const __m512 one = _mm512_set1_ps(1.0f);
+    const __m512 half = _mm512_set1_ps(0.5f);
+    const __m512 r2 = _mm512_set1_ps(radius_sqr);
+    const auto stride = static_cast<std::size_t>(lanes);
+    for (int i = 0; i < lanes; ++i) {
+        const LutRow &row = rows[i];
+        const float *col = tile + i;
+        const __m512 kappa_sqr = _mm512_set1_ps(row.kappa_sqr);
+        const __m512 miss = _mm512_set1_ps(row.miss);
+        const __m512 ip_base =
+            _mm512_set1_ps(row.qnorm_scaled_sqr - radius_sqr);
+        const __m512 tmax_inner = _mm512_set1_ps(row.tmax_inner);
+        std::uint32_t count = 0;
+        for (std::size_t e = 0; e < entries; e += 16) {
+            const auto valid = static_cast<__mmask16>(
+                entries - e >= 16 ? 0xFFFFu
+                                  : (1u << (entries - e)) - 1u);
+            const __m512 t = lanes == 1
+                ? _mm512_maskz_loadu_ps(valid, col + e)
+                : _mm512_mask_i32gather_ps(_mm512_setzero_ps(), valid,
+                                           index, col + e * stride, 4);
+            const __m512 one_minus = _mm512_sub_ps(one, t);
+            const __m512 sq = _mm512_mul_ps(one_minus, one_minus);
+            const __m512 value = metric == Metric::kL2
+                ? _mm512_div_ps(_mm512_sub_ps(r2, sq), kappa_sqr)
+                : _mm512_div_ps(
+                      _mm512_mul_ps(half, _mm512_add_ps(ip_base, sq)),
+                      kappa_sqr);
+            const __mmask16 hit =
+                _mm512_mask_cmp_ps_mask(valid, t, t, _CMP_ORD_Q);
+            _mm512_mask_storeu_ps(
+                row.delta + e, valid,
+                _mm512_maskz_sub_ps(hit, value, miss));
+            _mm512_mask_storeu_ps(row.selected + e, valid,
+                                  _mm512_maskz_mov_ps(hit, one));
+            if (row.inner != nullptr)
+                _mm512_mask_storeu_ps(
+                    row.inner + e, valid,
+                    _mm512_maskz_mov_ps(
+                        _mm512_cmp_ps_mask(t, tmax_inner, _CMP_LE_OQ),
+                        one));
+            count += static_cast<std::uint32_t>(__builtin_popcount(hit));
+        }
+        hits[i] = count;
     }
-    const __mmask16 miss =
-        _mm512_cmp_ps_mask(disc, _mm512_setzero_ps(), _CMP_LT_OQ) |
-        _mm512_cmp_ps_mask(t, tmin, _CMP_LT_OQ) |
-        _mm512_cmp_ps_mask(t, _mm512_load_ps(r.tmax), _CMP_GT_OQ);
-    _mm512_storeu_ps(thit, t);
-    return static_cast<std::uint32_t>(static_cast<__mmask16>(~miss)) &
-           active;
 }
 
 /**
  * AVX2 table with the wider ADC gather and scan kernels, the
- * sixteen-lane ray-packet kernels and the k-mask lane store swapped in.
+ * sixteen-lane ray-packet kernels and the sixteen-cell LUT finish
+ * swapped in.
  */
 const Kernels kAvx512Table = {
     "avx512",
@@ -1476,7 +1358,7 @@ const Kernels kAvx512Table = {
     &compactCandidatesAvx2,
     &rayBoxLanesAvx512,
     &raySphereLanesAvx512,
-    &storeLanesAvx512,
+    &lutFinishAvx512,
 };
 #endif // JUNO_SIMD_X86
 
@@ -1500,14 +1382,14 @@ supported(Level lvl)
       case Level::kAvx2:
 #if JUNO_SIMD_X86
         return __builtin_cpu_supports("avx2") &&
-               __builtin_cpu_supports("fma");
+               __builtin_cpu_supports("fma") &&
+               __builtin_cpu_supports("popcnt");
 #else
         return false;
 #endif
       case Level::kAvx512:
 #if JUNO_SIMD_X86
-        return __builtin_cpu_supports("avx2") &&
-               __builtin_cpu_supports("fma") &&
+        return supported(Level::kAvx2) &&
                __builtin_cpu_supports("avx512f") &&
                __builtin_cpu_supports("avx512bw") &&
                __builtin_cpu_supports("avx512vl");

@@ -23,11 +23,11 @@
  *    (ascending ordinal) order in every path.
  *  - The ray-packet box and sphere kernels return the same hit masks
  *    and hit-time bits in every table, and per lane they equal the
- *    single-ray rt::Aabb::hitBy / rt::intersectSphere math; the masked
- *    lane store writes the same slots in every table. The AVX-512
- *    table runs all kRayLanes lanes in one register, the AVX2 table
- *    runs two kRayHalfLanes halves and skips a half whose mask is
- *    empty, and the scalar table visits only the active lanes.
+ *    single-ray rt::Aabb::hitBy / rt::intersectSphere math. They are
+ *    the per-level lane operations of common/ray_lanes.h, which the
+ *    packet-walk kernel (rtcore/packet_walk.cc) inlines.
+ *  - The selective-LUT finish writes bitwise identical rows and hit
+ *    counts in every table.
  *
  * Override for testing: set `JUNO_SIMD=scalar`, `JUNO_SIMD=avx2` or
  * `JUNO_SIMD=avx512` in the environment before first use, or call
@@ -49,7 +49,7 @@ namespace simd {
 /**
  * Lane count of the ray-packet kernels: one AVX-512 register, two
  * AVX2 halves. A packet may gather the rays of several queries
- * (DESIGN.md "RtDevice::launch").
+ * (SelectiveLutBuilder::buildGroup).
  */
 constexpr int kRayLanes = 16;
 
@@ -58,8 +58,8 @@ constexpr int kRayHalfLanes = 8;
 
 /**
  * Structure-of-arrays ray packet for the packet BVH walk
- * (rtcore/bvh.h): lane i is the ray origin o[i], direction d[i],
- * inv[i] = 1 / d[i] per axis, valid interval [tmin[i], tmax[i]].
+ * (rtcore/packet_walk.cc): lane i is the ray origin o[i], direction
+ * d[i], inv[i] = 1 / d[i] per axis, valid interval [tmin[i], tmax[i]].
  * Unused lanes may hold anything finite; the kernels mask them off.
  */
 struct alignas(64) RayLanes {
@@ -67,6 +67,26 @@ struct alignas(64) RayLanes {
     float dx[kRayLanes], dy[kRayLanes], dz[kRayLanes];
     float ix[kRayLanes], iy[kRayLanes], iz[kRayLanes];
     float tmin[kRayLanes], tmax[kRayLanes];
+};
+
+/**
+ * One ray's LUT row for Kernels::lut_finish: where its cells go (each
+ * `entries` floats) and the ray's constants of the thit-to-score
+ * conversion.
+ */
+struct LutRow {
+    float *delta = nullptr;
+    float *selected = nullptr;
+    /** Null: the row has no inner-gate flags (JUNO-M only). */
+    float *inner = nullptr;
+    /** Score charged to a miss; selected cells store value - miss. */
+    float miss = 0.0f;
+    /** kappa_s^2 of the row's subspace. */
+    float kappa_sqr = 1.0f;
+    /** ||scaled origin xy||^2 (inner product only). */
+    float qnorm_scaled_sqr = 0.0f;
+    /** Inner (half) gate in thit units. */
+    float tmax_inner = 0.0f;
 };
 
 /** Instruction-set tier of a dispatch table. */
@@ -193,13 +213,21 @@ struct Kernels {
                                       float *thit);
 
     /**
-     * Masked lane store (the selective-LUT any-hit program's tile
-     * write): dst[i] = src[i] for every lane i set in @p mask, which
-     * holds only bits below kRayLanes. @p src holds kRayLanes floats;
-     * dst slots of unset lanes are neither read nor written, so @p dst
-     * needs only the slots up to the highest set lane.
+     * Selective-LUT finish (SelectiveLutBuilder): converts one
+     * packet's tile of hit times into the LUT rows of its @p lanes
+     * rays. tile[e * lanes + i] is lane i's hit time on entry e, NaN
+     * where its ray missed; for e < entries, rows[i] receives
+     *   delta[e]    = value(t) - miss on a hit, 0 otherwise,
+     *   selected[e] = 1 on a hit, 0 otherwise,
+     *   inner[e]    = 1 where t <= tmax_inner, 0 otherwise (when
+     *                 inner is non-null),
+     * with value(t) JunoScene::lutValueL2 / lutValueIp's float
+     * operations for @p metric (radius_sqr = R * R), and hits[i] is
+     * lane i's hit count. The AVX paths gather each lane's column.
      */
-    void (*store_lanes)(const float *src, std::uint32_t mask, float *dst);
+    void (*lut_finish)(Metric metric, float radius_sqr, const float *tile,
+                       int lanes, std::size_t entries, const LutRow *rows,
+                       std::uint32_t *hits);
 };
 
 /** True when this host can execute the @p level table natively. */

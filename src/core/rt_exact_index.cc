@@ -148,8 +148,8 @@ RtExactIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
 
         std::fill(w.acc.begin(), w.acc.end(), 0.0f);
         std::fill(w.seen.begin(), w.seen.end(), 0);
-        w.device.launch(scene_, w.rays, rt::perRay([&](std::size_t,
-                                                       const rt::Hit &hit) {
+        w.device.launch(scene_, w.rays, [&](std::size_t,
+                                            const rt::Hit &hit) {
             const int s = static_cast<int>(hit.user_id >> 32);
             const auto p =
                 static_cast<std::uint32_t>(hit.user_id & 0xFFFFFFFFu);
@@ -160,7 +160,7 @@ RtExactIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
                         (kappa * kappa);
             ++w.seen[p];
             return true;
-        }));
+        });
 
         TopK top(std::min(chunk.k, num_points_), Metric::kL2);
         for (idx_t p = 0; p < num_points_; ++p) {

@@ -75,7 +75,11 @@ JunoScene::build(Metric metric, const ProductQuantizer &pq,
             }
             max_radius = std::max(max_radius, sphere.radius);
             sphere.user_id = packId(s, static_cast<entry_t>(e));
-            scene_.addSphere(sphere);
+            // recordRange() relies on this prim numbering.
+            const std::uint32_t prim = scene_.addSphere(sphere);
+            JUNO_ASSERT(prim == static_cast<std::uint32_t>(
+                                    s * entries_ + static_cast<int>(e)),
+                        "sphere " << prim << " out of subspace order");
         }
 
         // The earliest possible entry-root hit time is 1 - max_radius;

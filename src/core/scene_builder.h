@@ -21,7 +21,8 @@
  * Note: the paper spaces subspace planes at z = 2s + 1 with R <= 1.
  * We use a spacing of 4 so that inner-product radius inflation
  * (R' up to sqrt(2)R) can never leak across neighbouring subspaces,
- * and additionally verify the subspace id in the hit shader.
+ * and additionally the hit shader records only the ray's own
+ * subspace's spheres (recordRange()).
  */
 #ifndef JUNO_CORE_SCENE_BUILDER_H
 #define JUNO_CORE_SCENE_BUILDER_H
@@ -93,6 +94,20 @@ class JunoScene {
     {
         s = static_cast<int>(id >> 32);
         e = static_cast<entry_t>(id & 0xFFFFu);
+    }
+
+    /**
+     * The spheres a subspace-@p s packet records (the LUT any-hit
+     * program): subspace s's entries, whose prim ids are
+     * s * entries() + e, record into slot e; another subspace's sphere
+     * records nowhere.
+     */
+    rt::RecordRange
+    recordRange(int s) const
+    {
+        return {static_cast<std::uint32_t>(s) *
+                    static_cast<std::uint32_t>(entries_),
+                static_cast<std::uint32_t>(entries_)};
     }
 
     /**

@@ -1,10 +1,8 @@
 #include "core/selective_lut.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 
 #include "common/distance.h"
 #include "common/logging.h"
@@ -101,10 +99,12 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
     // Assemble the ray batch: one ray per (probe, subspace) for L2
     // (projections are cluster residuals), one per subspace for IP.
     // Subspace-major across the whole group, so each subspace's rays
-    // of every member (same direction, same origin plane) form one run
-    // the device traces as packets of up to simd::kRayLanes lanes.
+    // of every member (same direction, same origin plane) form one run,
+    // traced below as packets of up to simd::kRayLanes lanes.
     rays_.clear();
-    ray_ctx_.clear();
+    rows_.clear();
+    counts_.clear();
+    subspace_rays_.assign(1, 0);
     for (int s = 0; s < subspaces; ++s) {
         const float k = scene_.coordScale(s);
         // The subspace's origins across the group, thresholded in one
@@ -161,25 +161,27 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
                         std::fill_n(lut.inner.data() + cell0, entries, 0.0f);
                     continue;
                 }
-                RayCtx rc;
-                rc.member = static_cast<std::uint32_t>(g);
-                rc.row = static_cast<std::uint32_t>(row);
-                rc.kappa_sqr = k * k;
-                rc.qnorm_scaled_sqr = (x * k) * (x * k) + (y * k) * (y * k);
+                simd::LutRow out;
+                out.delta = lut.delta.data() + row * entries;
+                out.selected = lut.selected.data() + row * entries;
+                out.miss = miss;
+                out.kappa_sqr = k * k;
+                out.qnorm_scaled_sqr =
+                    (x * k) * (x * k) + (y * k) * (y * k);
                 if (params.inner_gate) {
+                    out.inner = lut.inner.data() + row * entries;
                     // Inner gate at half scale: the reward sphere of the
                     // JUNO-M reward/penalty scheme (paper Sec. 5.4).
                     const double thr_inner = policy_.scaled(
                         s, thr_raw, params.threshold_scale * 0.5);
-                    rc.tmax_inner = scene_.gateTmax(s, x, y, thr_inner);
+                    out.tmax_inner = scene_.gateTmax(s, x, y, thr_inner);
                 }
-                // The payload carries the subspace in its high word, as
-                // the sphere ids do.
-                ray.payload = JunoScene::packId(s, 0);
                 rays_.push_back(ray);
-                ray_ctx_.push_back(rc);
+                rows_.push_back(out);
+                counts_.push_back(&lut.selected_count[p]);
             }
         }
+        subspace_rays_.push_back(rays_.size());
     }
 
     // JUNO-H finalisation term per probe: the IP base score(q,
@@ -202,99 +204,36 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
         }
     }
 
-    // The any-hit shader (paper Alg. 2 RT_HitShader) runs once per
-    // (packet, sphere) and stores the hit lanes' thit with one masked
-    // store into a rays x E tile: packet rays[first, first + n) owns
-    // tile[first * E, (first + n) * E), laid out [e][lane]. NaN marks
-    // the cells no ray reached. It always returns "stop no lane":
-    // JUNO wants every in-gate entry, not the closest hit.
+    // Each subspace's rays across the group are traced as packets of
+    // up to simd::kRayLanes lanes. The packet walk runs the any-hit
+    // shader (paper Alg. 2 RT_HitShader) itself: every hit on one of
+    // the subspace's entry spheres stores its thit into the packet's
+    // [e][lane] tile, which starts as NaN (no hit); it never stops a
+    // ray, since JUNO wants every in-gate entry, not the closest hit.
+    // The finish kernel then turns each lane's tile column into its
+    // LUT row: value - miss, the selected flag and the inner flag,
+    // exact zeros where the ray missed.
     const auto entries = static_cast<std::size_t>(scene_.entries());
-    tile_.assign(rays_.size() * entries,
-                 std::numeric_limits<float>::quiet_NaN());
-    packet_lanes_.assign(rays_.size(), 0);
+    const float radius_sqr = scene_.radius() * scene_.radius();
     const simd::Kernels &kernels = simd::active();
-    float *tile = tile_.data();
-    device_.launch(scene_.scene(), rays_, [&](std::size_t first, int n,
-                                              const rt::PacketHit &hit) {
-        int sphere_s;
-        entry_t e;
-        JunoScene::unpackId(hit.user_id, sphere_s, e);
-        // A packet's rays share their origin plane, hence their
-        // subspace. Geometric isolation makes cross-subspace hits
-        // impossible; verify anyway (cheap) and drop any that would
-        // appear.
-        if (sphere_s != static_cast<int>(rays_[first].payload >> 32))
-            return 0u;
-        float *dst = tile + first * entries +
-                     static_cast<std::size_t>(e) * static_cast<std::size_t>(n);
-        if (n == 1) {
-            // A lone ray: one scalar store (its thit slot was just
-            // written as a scalar, which a vector reload would stall on).
-            *dst = hit.thit[0];
-        } else {
-            packet_lanes_[first] = static_cast<std::uint8_t>(n);
-            kernels.store_lanes(hit.thit, hit.mask, dst);
+    tile_.resize(static_cast<std::size_t>(simd::kRayLanes) * entries);
+    std::uint32_t hits[simd::kRayLanes];
+    for (int s = 0; s < subspaces; ++s) {
+        const std::size_t end = subspace_rays_[static_cast<std::size_t>(s) + 1];
+        for (std::size_t first = subspace_rays_[static_cast<std::size_t>(s)];
+             first < end; first += simd::kRayLanes) {
+            const int n = static_cast<int>(std::min<std::size_t>(
+                end - first, simd::kRayLanes));
+            std::fill_n(tile_.data(), static_cast<std::size_t>(n) * entries,
+                        std::numeric_limits<float>::quiet_NaN());
+            device_.traceTile(scene_.scene(), rays_.data() + first, n,
+                              scene_.recordRange(s), tile_.data());
+            kernels.lut_finish(metric, radius_sqr, tile_.data(), n, entries,
+                               rows_.data() + first, hits);
+            for (int i = 0; i < n; ++i)
+                *counts_[first + static_cast<std::size_t>(i)] += hits[i];
         }
-        return 0u;
-    });
-
-    // Finish every traced row in one vectorisable pass per ray: read
-    // the ray's tile column (stride n), recover each hit's score from
-    // thit with the same float ops as a per-hit conversion (so the same
-    // bits), and write value - miss, the selected flag and the inner
-    // flag into the LUT of the ray's own query; cells without a hit get
-    // exact zeros.
-    const auto finish = [&](auto value_of) {
-        const auto finishRow = [&](const RayCtx &rc, const float *col,
-                                   auto stride) {
-            SelectiveLut &lut = *group[rc.member].out;
-            const std::size_t r = rc.row;
-            const float miss = lut.miss[r];
-            float *delta = lut.delta.data() + r * entries;
-            float *selected = lut.selected.data() + r * entries;
-            if (params.inner_gate)
-                for (std::size_t e = 0; e < entries; ++e)
-                    lut.inner[r * entries + e] =
-                        col[e * stride] <= rc.tmax_inner ? 1.0f : 0.0f;
-            std::size_t hits = 0;
-            for (std::size_t e = 0; e < entries; ++e) {
-                const float t = col[e * stride];
-                // Converted unconditionally: the loop stays branch-free.
-                const float d = value_of(rc, t) - miss;
-                const bool hit = !std::isnan(t);
-                delta[e] = hit ? d : 0.0f;
-                selected[e] = hit ? 1.0f : 0.0f;
-                hits += hit ? 1 : 0;
-            }
-            lut.selected_count[r % lut.blocks] += hits;
-        };
-        for (std::size_t first = 0; first < rays_.size();) {
-            // A packet with no delivery left only NaN in its region,
-            // which reads the same at stride 1 ray by ray.
-            const std::size_t n =
-                std::max<std::size_t>(packet_lanes_[first], 1);
-            for (std::size_t lane = 0; lane < n; ++lane) {
-                const float *col = tile + first * entries + lane;
-                const RayCtx &rc = ray_ctx_[first + lane];
-                // Lone rays read a contiguous column; a compile-time
-                // stride keeps their loads packed.
-                if (n == 1)
-                    finishRow(rc, col,
-                              std::integral_constant<std::size_t, 1>());
-                else
-                    finishRow(rc, col, n);
-            }
-            first += n;
-        }
-    };
-    if (metric == Metric::kL2)
-        finish([&](const RayCtx &rc, float t) {
-            return scene_.lutValueL2(rc.kappa_sqr, t);
-        });
-    else
-        finish([&](const RayCtx &rc, float t) {
-            return scene_.lutValueIp(rc.kappa_sqr, rc.qnorm_scaled_sqr, t);
-        });
+    }
 }
 
 } // namespace juno

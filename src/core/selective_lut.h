@@ -5,11 +5,11 @@
  *
  * For each probed cluster and each 2-D subspace, a ray is cast from
  * the query's (residual) projection towards the entry spheres of that
- * subspace; tmax encodes the dynamic threshold, the any-hit shader
- * stores a packet's hit times with one masked store into a scratch
- * tile, and a finishing pass converts each ray's thit column to the
- * exact entry/projection scores of its LUT row without touching the
- * sphere coordinates. The result is a *selective* LUT: only entries
+ * subspace; tmax encodes the dynamic threshold, the packet walk
+ * stores a packet's hit times with one masked store per sphere into a
+ * scratch tile (the any-hit shader), and the dispatched finish kernel
+ * converts each ray's thit column to the exact entry/projection scores
+ * of its LUT row without touching the sphere coordinates. The result is a *selective* LUT: only entries
  * inside the region of interest carry values.
  */
 #ifndef JUNO_CORE_SELECTIVE_LUT_H
@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/simd.h"
 #include "common/topk.h"
 #include "core/scene_builder.h"
 #include "core/threshold_policy.h"
@@ -150,38 +151,26 @@ class SelectiveLutBuilder {
                     const SelectiveLutParams &params) const;
 
   private:
-    /** Per-ray parameters of the finishing pass. */
-    struct RayCtx {
-        /** Group member whose LUT the ray fills. */
-        std::uint32_t member = 0;
-        /** The ray's row in that LUT (s * blocks + b). */
-        std::uint32_t row = 0;
-        /** kappa_s^2 of the row's subspace (JunoScene::lutValue*). */
-        float kappa_sqr = 1.0f;
-        /** ||scaled origin xy||^2; inverts thit into an IP. */
-        float qnorm_scaled_sqr = 0.0f;
-        /** Inner (half) gate in thit units (JUNO-M reward sphere). */
-        float tmax_inner = 0.0f;
-    };
-
     const JunoScene &scene_;
     const ThresholdPolicy &policy_;
     const InvertedFileIndex &ivf_;
     rt::RtDevice &device_;
     // Scratch reused across groups (single-threaded hot path).
     mutable std::vector<rt::Ray> rays_;
-    /** ray_ctx_[i]: the finishing context of rays_[i]. */
-    mutable std::vector<RayCtx> ray_ctx_;
+    /** rows_[i]: the LUT row rays_[i] fills. */
+    mutable std::vector<simd::LutRow> rows_;
+    /** counts_[i]: the selected_count cell of rays_[i]'s row. */
+    mutable std::vector<std::size_t *> counts_;
+    /** Subspace s's rays are rays_[subspace_rays_[s], [s + 1]). */
+    mutable std::vector<std::size_t> subspace_rays_;
     /** L2 residuals of every member's probes, member-major. */
     mutable std::vector<float> residual_;
     /** One subspace's ray origins (x, y) across the group, and their
      * unscaled thresholds. */
     mutable std::vector<float> proj_;
     mutable std::vector<double> thr_raw_;
-    /** Hit times of the RT pass, rays x E (layout in buildGroup). */
+    /** One packet's hit times, [e][lane] (buildGroup). */
     mutable std::vector<float> tile_;
-    /** packet_lanes_[first]: lanes of a delivering packet at rays_[first]. */
-    mutable std::vector<std::uint8_t> packet_lanes_;
 };
 
 } // namespace juno

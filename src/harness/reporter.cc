@@ -33,6 +33,14 @@ TablePrinter::num(double v)
 }
 
 std::string
+TablePrinter::recall(double v, const WilsonInterval &ci)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.3f [%.3f, %.3f]", v, ci.lo, ci.hi);
+    return buf;
+}
+
+std::string
 TablePrinter::render() const
 {
     std::vector<std::size_t> widths(headers_.size());

@@ -12,6 +12,7 @@
 namespace juno {
 
 struct EvalPoint;
+struct WilsonInterval;
 
 /** Fixed-column text table accumulated row by row. */
 class TablePrinter {
@@ -23,6 +24,9 @@ class TablePrinter {
 
     /** Formats numbers consistently (6 significant digits). */
     static std::string num(double v);
+
+    /** A recall with its 95% interval: "0.912 [0.880, 0.937]". */
+    static std::string recall(double v, const WilsonInterval &ci);
 
     /** Renders the table to a string (header, rule, rows). */
     std::string render() const;

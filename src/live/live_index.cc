@@ -306,6 +306,16 @@ LiveIndex::mergeLoop()
     }
 }
 
+void
+LiveIndex::detachTracer(Tracer *tracer)
+{
+    if (!tracer_.compare_exchange_strong(tracer, nullptr))
+        return;
+    // A merge that loaded the tracer holds merge_run_mutex_ until it
+    // has collected its trace.
+    MutexLock wait(merge_run_mutex_);
+}
+
 bool
 LiveIndex::mergeNow()
 {

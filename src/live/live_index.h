@@ -204,6 +204,13 @@ class LiveIndex : public AnnIndex {
      */
     void setTracer(Tracer *tracer) { tracer_.store(tracer); }
 
+    /**
+     * Detaches @p tracer if it is still the merge-trace sink (a later
+     * setTracer() wins), then waits for an in-flight merge, which may
+     * hold it, to finish. Call before @p tracer is destroyed.
+     */
+    void detachTracer(Tracer *tracer) JUNO_EXCLUDES(merge_run_mutex_);
+
     // ---- AnnIndex ----
     std::string name() const override;
     /** The *base* spec: what each merged generation is rebuilt from. */

@@ -31,27 +31,6 @@ axisOf(const Vec3 &v, int axis)
 } // namespace
 
 void
-Bvh::loadLanes(const Ray *rays, int count, simd::RayLanes &lanes)
-{
-    JUNO_DCHECK(count >= 1 && count <= simd::kRayLanes,
-                "packet of " << count << " rays");
-    for (int i = 0; i < simd::kRayLanes; ++i) {
-        const Ray &ray = rays[i < count ? i : 0];
-        lanes.ox[i] = ray.origin.x;
-        lanes.oy[i] = ray.origin.y;
-        lanes.oz[i] = ray.origin.z;
-        lanes.dx[i] = ray.dir.x;
-        lanes.dy[i] = ray.dir.y;
-        lanes.dz[i] = ray.dir.z;
-        lanes.ix[i] = 1.0f / ray.dir.x;
-        lanes.iy[i] = 1.0f / ray.dir.y;
-        lanes.iz[i] = 1.0f / ray.dir.z;
-        lanes.tmin[i] = ray.tmin;
-        lanes.tmax[i] = ray.tmax;
-    }
-}
-
-void
 Bvh::build(const std::vector<Sphere> &spheres, const BvhBuildParams &params)
 {
     nodes_.clear();

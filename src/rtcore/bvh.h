@@ -9,12 +9,13 @@
  * experiments can reason about traversal cost the way the paper
  * reasons about RT-core throughput (Fig. 14(b)).
  *
- * Two walks share one tree: traverse() traces one ray, traversePacket()
- * traces up to simd::kRayLanes coherent rays in lockstep (the way an
- * RT core keeps a warp's rays together) through the dispatched
- * ray-packet kernels, and runs the any-hit program once per sphere
- * with the mask of lanes that hit it. Per ray, both report the same
- * hits in the same order and the same counters.
+ * Two walks share one tree: traverse() traces one ray and runs a
+ * caller's any-hit program per hit; traceTile(), the packet-walk
+ * kernel (rtcore/packet_walk.cc), traces up to simd::kRayLanes
+ * coherent rays in lockstep (the way an RT core keeps a warp's rays
+ * together) and runs JUNO's any-hit program itself: it records each
+ * hit's thit into a tile and never terminates a ray. Per ray, both
+ * find the same hits with the same thit bits and the same counters.
  */
 #ifndef JUNO_RTCORE_BVH_H
 #define JUNO_RTCORE_BVH_H
@@ -51,22 +52,13 @@ struct TraversalStats {
 };
 
 /**
- * One any-hit delivery of the packet walk: a sphere and the lanes of
- * the packet whose rays hit it (an RT core runs the any-hit program
- * for a warp's rays in SIMT the same way).
+ * The spheres a packet walk records (Bvh::traceTile): scene prim ids
+ * [first, first + count); prim first + e records into the tile's slot
+ * e. The walk traces and counts every other sphere but records none.
  */
-struct PacketHit {
-    /** Index of the sphere in the scene. */
-    std::uint32_t prim_id = 0;
-    /** The sphere's user_id. */
-    std::uint64_t user_id = 0;
-    /** Lanes that hit (bit i = lane i); never 0. */
-    std::uint32_t mask = 0;
-    /**
-     * simd::kRayLanes hit times; thit[i] is lane i's for every i in
-     * mask, other slots are unspecified.
-     */
-    const float *thit = nullptr;
+struct RecordRange {
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
 };
 
 /** How the BVH builder splits nodes. */
@@ -169,89 +161,22 @@ class Bvh {
     }
 
     /**
-     * Packet traversal of @p count rays (1..simd::kRayLanes): one
-     * depth-first walk in traverse()'s node order, carrying a mask of
-     * the lanes whose ray reached each node. Box and sphere tests run
-     * on all masked lanes at once through the active simd table.
-     *
-     * The any-hit program runs once per sphere that any lane hits, as
-     * fn(const PacketHit&) -> std::uint32_t, and returns the mask of
-     * lanes to terminate; only lanes in PacketHit::mask can stop.
-     *
-     * A lane visits exactly the nodes traverse() visits for its ray,
-     * in the same order, so per ray the hit sequence (prim_id and thit
-     * bits) and every counter equal traverse()'s.
+     * The packet-walk kernel: traces @p count rays (1..simd::kRayLanes;
+     * coherent ones, like one subspace's probe rays, share most nodes)
+     * in one depth-first walk in traverse()'s node order, carrying the
+     * mask of lanes whose ray reached each node, with the box and
+     * sphere tests of common/ray_lanes.h at the active dispatch level
+     * inlined. Every hit of lane i on a recorded
+     * sphere (prim first + e of @p record) stores its thit at
+     * tile[e * count + i] with one masked store per sphere; no other
+     * cell is written, and no lane terminates. Counters per ray equal
+     * traverse()'s, so the tile holds exactly the thit bits traverse()
+     * reports for each ray's recorded hits. A single ray takes
+     * traverse() itself.
      */
-    template <typename AnyHitFn>
-    void
-    traversePacket(const Ray *rays, int count,
-                   const std::vector<Sphere> &spheres,
-                   TraversalStats &stats, AnyHitFn &&fn) const
-    {
-        stats.rays += static_cast<std::uint64_t>(count);
-        if (nodes_.empty())
-            return;
-        simd::RayLanes lanes;
-        loadLanes(rays, count, lanes);
-        const simd::Kernels &kernels = simd::active();
-        alignas(64) float thit[simd::kRayLanes] = {};
-        // Lanes not yet terminated by the any-hit program.
-        std::uint32_t live = (1u << count) - 1u;
-        struct Entry {
-            std::int32_t node;
-            std::uint32_t mask;
-        };
-        Entry stack[64];
-        int top = 0;
-        stack[top++] = {0, live};
-        while (top > 0) {
-            const Entry entry = stack[--top];
-            const std::uint32_t mask = entry.mask & live;
-            if (mask == 0)
-                continue;
-            const Node &node = nodes_[static_cast<std::size_t>(entry.node)];
-            const auto active =
-                static_cast<std::uint64_t>(__builtin_popcount(mask));
-            stats.node_visits += active;
-            stats.aabb_tests += active;
-            std::uint32_t in_box = kernels.ray_box_lanes(
-                lanes, mask, node.bounds.lo.x, node.bounds.lo.y,
-                node.bounds.lo.z, node.bounds.hi.x, node.bounds.hi.y,
-                node.bounds.hi.z);
-            if (in_box == 0)
-                continue;
-            if (!node.isLeaf()) {
-                stack[top++] = {node.left, in_box};
-                stack[top++] = {node.right, in_box};
-                continue;
-            }
-            for (std::int32_t i = 0; i < node.count && in_box != 0; ++i) {
-                const std::uint32_t prim = prim_order_[
-                    static_cast<std::size_t>(node.first + i)];
-                const Sphere &sphere = spheres[prim];
-                stats.prim_tests +=
-                    static_cast<std::uint64_t>(__builtin_popcount(in_box));
-                const std::uint32_t hit = kernels.ray_sphere_lanes(
-                    lanes, in_box, sphere.center.x, sphere.center.y,
-                    sphere.center.z, sphere.radius, thit);
-                if (hit == 0)
-                    continue;
-                stats.hits +=
-                    static_cast<std::uint64_t>(__builtin_popcount(hit));
-                PacketHit h;
-                h.prim_id = prim;
-                h.user_id = sphere.user_id;
-                h.mask = hit;
-                h.thit = thit;
-                const std::uint32_t stop =
-                    static_cast<std::uint32_t>(
-                        fn(static_cast<const PacketHit &>(h))) &
-                    hit;
-                live &= ~stop;
-                in_box &= ~stop;
-            }
-        }
-    }
+    void traceTile(const Ray *rays, int count,
+                   const std::vector<Sphere> &spheres, RecordRange record,
+                   float *tile, TraversalStats &stats) const;
 
     /**
      * Reference traversal: brute-force linear scan over all spheres.
@@ -280,14 +205,6 @@ class Bvh {
     }
 
   private:
-    /**
-     * Loads @p count (1..simd::kRayLanes) rays into packet lanes, with
-     * inv = 1 / dir as traverse() computes it. Unused lanes repeat
-     * ray 0.
-     */
-    static void loadLanes(const Ray *rays, int count,
-                          simd::RayLanes &lanes);
-
     std::int32_t buildRecursive(std::vector<Aabb> &prim_bounds,
                                 std::int32_t first, std::int32_t count,
                                 const BvhBuildParams &params);

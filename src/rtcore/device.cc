@@ -1,23 +1,26 @@
 #include "rtcore/device.h"
 
-#include <algorithm>
-
 namespace juno {
 namespace rt {
 
-std::size_t
-RtDevice::coherentRun(const std::vector<Ray> &rays, std::size_t first)
+void
+RtDevice::traceTile(const Scene &scene, const Ray *rays, int count,
+                    RecordRange record, float *tile)
 {
-    const Ray &head = rays[first];
-    const std::size_t end =
-        std::min(rays.size(),
-                 first + static_cast<std::size_t>(simd::kRayLanes));
-    std::size_t i = first + 1;
-    while (i < end && rays[i].dir.x == head.dir.x &&
-           rays[i].dir.y == head.dir.y && rays[i].dir.z == head.dir.z &&
-           rays[i].origin.z == head.origin.z)
-        ++i;
-    return i - first;
+    TraversalStats stats;
+    if (mode_ == ExecMode::kRtCore) {
+        scene.traceTile(rays, count, record, tile, stats);
+    } else {
+        const auto lanes = static_cast<std::size_t>(count);
+        for (std::size_t i = 0; i < lanes; ++i)
+            scene.traceLinear(rays[i], stats, [&](const Hit &hit) {
+                const std::uint32_t slot = hit.prim_id - record.first;
+                if (slot < record.count)
+                    tile[slot * lanes + i] = hit.thit;
+                return true;
+            });
+    }
+    total_.merge(stats);
 }
 
 RtCostModel

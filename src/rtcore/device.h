@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -93,26 +92,15 @@ class RtDevice {
     void mergeStats(const TraversalStats &stats) { total_.merge(stats); }
 
     /**
-     * Traces every ray in @p rays against @p scene and returns
-     * per-launch counters and wall time. The any-hit program runs once
-     * per (packet, sphere) as
+     * Traces every ray in @p rays against @p scene, one at a time, and
+     * returns per-launch counters and wall time. The any-hit program
+     * runs once per hit as
      *
-     *     fn(std::size_t first, int n, const PacketHit &hit)
-     *         -> std::uint32_t
+     *     fn(std::size_t ray, const Hit &hit) -> bool
      *
-     * where rays[first, first + n) is the packet, lane i of @p hit is
-     * rays[first + i], and the result is the mask of lanes to
-     * terminate (only lanes in hit.mask can stop). perRay() adapts a
-     * per-ray program.
-     *
-     * In kRtCore mode each run of consecutive rays that share a
-     * direction and an origin plane (coherentRun) is traced as packets
-     * of up to simd::kRayLanes lanes, whatever query each ray serves
-     * (SelectiveLutBuilder::buildGroup packs several); a lone ray, and
-     * every ray in kCudaFallback mode, takes its single-ray walk and
-     * is delivered as a one-lane packet. Either way each ray's hits arrive in
-     * Bvh::traverse order and the counters are per ray, independent
-     * of the packing.
+     * where @p ray indexes @p rays; false terminates that ray. kRtCore
+     * walks the BVH (Bvh::traverse), kCudaFallback scans every sphere
+     * (Bvh::traverseLinear).
      */
     template <typename AnyHitFn>
     LaunchResult
@@ -120,88 +108,33 @@ class RtDevice {
     {
         Timer timer;
         LaunchResult result;
-        for (std::size_t i = 0; i < rays.size();) {
-            const std::size_t n =
-                mode_ == ExecMode::kRtCore ? coherentRun(rays, i) : 1;
-            if (n == 1) {
-                traceOne(scene, rays[i], i, result.stats, fn);
-            } else {
-                scene.tracePacket(rays.data() + i, static_cast<int>(n),
-                                  result.stats, [&](const PacketHit &hit) {
-                                      return fn(i, static_cast<int>(n),
-                                                hit);
-                                  });
-            }
-            i += n;
+        for (std::size_t i = 0; i < rays.size(); ++i) {
+            const auto deliver = [&](const Hit &hit) { return fn(i, hit); };
+            if (mode_ == ExecMode::kRtCore)
+                scene.trace(rays[i], result.stats, deliver);
+            else
+                scene.traceLinear(rays[i], result.stats, deliver);
         }
         result.seconds = timer.seconds();
         total_.merge(result.stats);
         return result;
     }
 
-  private:
     /**
-     * Length of the packet starting at rays[first]: the consecutive
-     * rays that share its direction and origin z (for JUNO's +z rays,
-     * its subspace plane), capped at simd::kRayLanes.
+     * Traces one packet of @p count rays (1..simd::kRayLanes) and
+     * records their hits into @p tile the way Bvh::traceTile does:
+     * lane i's thit on prim record.first + e lands in
+     * tile[e * count + i], and no other cell is written. kRtCore runs
+     * the packet-walk kernel; kCudaFallback fills the same cells by
+     * scanning every sphere per ray. The counters go to totalStats().
      */
-    static std::size_t coherentRun(const std::vector<Ray> &rays,
-                                   std::size_t first);
+    void traceTile(const Scene &scene, const Ray *rays, int count,
+                   RecordRange record, float *tile);
 
-    /** Single-ray walk of rays[index], delivering one-lane packets. */
-    template <typename AnyHitFn>
-    void
-    traceOne(const Scene &scene, const Ray &ray, std::size_t index,
-             TraversalStats &stats, AnyHitFn &fn) const
-    {
-        alignas(64) float thit[simd::kRayLanes] = {};
-        const auto deliver = [&](const Hit &hit) {
-            thit[0] = hit.thit;
-            PacketHit h;
-            h.prim_id = hit.prim_id;
-            h.user_id = hit.user_id;
-            h.mask = 1u;
-            h.thit = thit;
-            return (static_cast<std::uint32_t>(
-                        fn(index, 1, static_cast<const PacketHit &>(h))) &
-                    1u) == 0;
-        };
-        if (mode_ == ExecMode::kRtCore)
-            scene.trace(ray, stats, deliver);
-        else
-            scene.traceLinear(ray, stats, deliver);
-    }
-
+  private:
     ExecMode mode_;
     TraversalStats total_;
 };
-
-/**
- * Adapts a per-ray any-hit program fn(std::size_t ray, const Hit&) ->
- * bool (false terminates that ray; @p ray indexes the launched array)
- * to RtDevice::launch's packet signature. It runs once per hit lane,
- * lanes in ascending order.
- */
-template <typename RayHitFn>
-auto
-perRay(RayHitFn &&fn)
-{
-    return [fn = std::forward<RayHitFn>(fn)](
-               std::size_t first, int, const PacketHit &hit) mutable {
-        std::uint32_t stop = 0;
-        for (std::uint32_t m = hit.mask; m != 0; m &= m - 1u) {
-            const int lane = __builtin_ctz(m);
-            Hit h;
-            h.prim_id = hit.prim_id;
-            h.user_id = hit.user_id;
-            h.thit = hit.thit[lane];
-            if (!fn(first + static_cast<std::size_t>(lane),
-                    static_cast<const Hit &>(h)))
-                stop |= 1u << lane;
-        }
-        return stop;
-    };
-}
 
 } // namespace rt
 } // namespace juno

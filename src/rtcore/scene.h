@@ -42,18 +42,12 @@ class Scene {
         bvh_.traverse(ray, spheres_, stats, std::forward<AnyHitFn>(fn));
     }
 
-    /**
-     * Packet traversal of @p count coherent rays (see
-     * Bvh::traversePacket); fn(const PacketHit&) -> std::uint32_t,
-     * the mask of lanes to terminate.
-     */
-    template <typename AnyHitFn>
+    /** Packet walk into a tile (see Bvh::traceTile). */
     void
-    tracePacket(const Ray *rays, int count, TraversalStats &stats,
-                AnyHitFn &&fn) const
+    traceTile(const Ray *rays, int count, RecordRange record, float *tile,
+              TraversalStats &stats) const
     {
-        bvh_.traversePacket(rays, count, spheres_, stats,
-                            std::forward<AnyHitFn>(fn));
+        bvh_.traceTile(rays, count, spheres_, record, tile, stats);
     }
 
     /** Linear-scan traversal (the "no RT core" CUDA fallback path). */

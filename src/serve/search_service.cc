@@ -143,6 +143,10 @@ SearchService::SearchService(const std::string &snapshot_path,
 SearchService::~SearchService()
 {
     stop();
+    // A borrowed LiveIndex outlives this service: its merges must stop
+    // reaching tracer_ before tracer_ is destroyed.
+    if (live_ != nullptr)
+        live_->detachTracer(&tracer_);
 }
 
 void

@@ -77,9 +77,6 @@ TEST(Bvh, SinglePrimitive)
     EXPECT_EQ(hits, 1);
 }
 
-/** Per-ray hit sequence: (prim_id, thit bits) in delivery order. */
-using HitSeq = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-
 std::uint32_t
 bitsOf(float f)
 {
@@ -116,90 +113,74 @@ struct LevelGuard {
     ~LevelGuard() { simd::setLevel(saved); }
 };
 
-/**
- * Adapts per-lane any-hit programs fn(int lane, const Hit&) -> bool to
- * the packet walk's signature, lanes in ascending order; also checks
- * that every delivery is a non-empty subset of the packet's lanes.
- */
-template <typename LaneFn>
-auto
-eachLane(int count, LaneFn &&fn)
+/** Tile cells no hit may write hold this NaN payload. */
+float
+canary()
 {
-    return [count, &fn](const PacketHit &hit) {
-        EXPECT_NE(hit.mask, 0u);
-        EXPECT_EQ(hit.mask >> count, 0u);
-        std::uint32_t stop = 0;
-        for (int lane = 0; lane < count; ++lane) {
-            if ((hit.mask >> lane & 1u) == 0)
-                continue;
-            Hit h;
-            h.prim_id = hit.prim_id;
-            h.user_id = hit.user_id;
-            h.thit = hit.thit[lane];
-            if (!fn(lane, static_cast<const Hit &>(h)))
-                stop |= 1u << lane;
-        }
-        return stop;
-    };
+    const std::uint32_t u = 0x7FC5A5A5u;
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    return f;
 }
 
-/** Per-ray reference: each ray alone through traverse(). */
-std::vector<HitSeq>
-singleRayHits(const Bvh &bvh, const std::vector<Sphere> &spheres,
-              const std::vector<Ray> &rays, const std::vector<int> &stop,
-              TraversalStats &stats)
+/** Every sphere of the scene recorded, slot = prim id. */
+RecordRange
+recordAll(const std::vector<Sphere> &spheres)
 {
-    std::vector<HitSeq> out(rays.size());
-    for (std::size_t i = 0; i < rays.size(); ++i) {
-        const std::size_t stop_at =
-            i < stop.size() ? static_cast<std::size_t>(stop[i]) : 0u;
-        bvh.traverse(rays[i], spheres, stats, [&](const Hit &hit) {
-            out[i].push_back({hit.prim_id, bitsOf(hit.thit)});
-            return out[i].size() != stop_at;
-        });
-    }
-    return out;
+    return {0, static_cast<std::uint32_t>(spheres.size())};
 }
 
 /**
- * Traces @p rays one at a time with traverse() and together with
- * traversePacket(), at every supported dispatch level. Lane j's any-hit
- * program returns false on its stop[j]-th hit (0: never), the same rule
- * for both walks. Asserts equal per-ray hit sequences and counters.
+ * Traces @p rays (1..kRayLanes) one at a time with traverse() and as
+ * one packet with traceTile() at every supported dispatch level,
+ * recording @p record. Lane i's cell of each recorded sphere must hold
+ * the thit bits traverse() reports for ray i, every other cell and a
+ * guard of kRayLanes cells on each side of the tile the canary, and
+ * the counters must equal traverse()'s. Returns the recorded hits.
  */
-void
-expectPacketMatchesSingle(const Bvh &bvh, const std::vector<Sphere> &spheres,
-                          const std::vector<Ray> &rays,
-                          const std::vector<int> &stop = {})
+std::size_t
+expectTileMatchesSingle(const Bvh &bvh, const std::vector<Sphere> &spheres,
+                        const std::vector<Ray> &rays, RecordRange record)
 {
-    ASSERT_GE(rays.size(), 1u);
-    ASSERT_LE(rays.size(), static_cast<std::size_t>(simd::kRayLanes));
-    auto stopAt = [&](std::size_t lane) {
-        return lane < stop.size() ? static_cast<std::size_t>(stop[lane])
-                                  : 0u;
-    };
+    EXPECT_GE(rays.size(), 1u);
+    EXPECT_LE(rays.size(), static_cast<std::size_t>(simd::kRayLanes));
+    const std::size_t lanes = rays.size();
+    const auto guard = static_cast<std::size_t>(simd::kRayLanes);
+    const std::size_t cells = record.count * lanes + 2 * guard;
+    std::vector<float> want(cells, canary());
     TraversalStats want_stats;
-    const std::vector<HitSeq> want =
-        singleRayHits(bvh, spheres, rays, stop, want_stats);
+    std::size_t recorded = 0;
+    for (std::size_t i = 0; i < lanes; ++i)
+        bvh.traverse(rays[i], spheres, want_stats, [&](const Hit &hit) {
+            const std::uint32_t slot = hit.prim_id - record.first;
+            if (slot < record.count) {
+                want[guard + slot * lanes + i] = hit.thit;
+                ++recorded;
+            }
+            return true;
+        });
 
-    LevelGuard guard;
+    LevelGuard level_guard;
     for (simd::Level level : supportedLevels()) {
-        ASSERT_TRUE(simd::setLevel(level));
-        std::vector<HitSeq> got(rays.size());
+        EXPECT_TRUE(simd::setLevel(level));
+        std::vector<float> got(cells, canary());
         TraversalStats got_stats;
-        const int count = static_cast<int>(rays.size());
-        bvh.traversePacket(
-            rays.data(), count, spheres, got_stats,
-            eachLane(count, [&](int lane, const Hit &hit) {
-                auto &seq = got[static_cast<std::size_t>(lane)];
-                seq.push_back({hit.prim_id, bitsOf(hit.thit)});
-                return seq.size() != stopAt(static_cast<std::size_t>(lane));
-            }));
-        for (std::size_t i = 0; i < rays.size(); ++i)
-            EXPECT_EQ(want[i], got[i])
-                << "ray " << i << " at " << simd::levelName(level);
+        bvh.traceTile(rays.data(), static_cast<int>(lanes), spheres, record,
+                      got.data() + guard, got_stats);
+        for (std::size_t c = 0; c < cells; ++c)
+            EXPECT_EQ(bitsOf(want[c]), bitsOf(got[c]))
+                << "cell " << c << " (guard " << guard << ", " << lanes
+                << " lanes) at " << simd::levelName(level);
         expectSameStats(want_stats, got_stats);
     }
+    return recorded;
+}
+
+std::size_t
+expectTileMatchesSingle(const Bvh &bvh, const std::vector<Sphere> &spheres,
+                        const std::vector<Ray> &rays)
+{
+    return expectTileMatchesSingle(bvh, spheres, rays, recordAll(spheres));
 }
 
 /**
@@ -297,7 +278,7 @@ TEST_P(BvhEquivalence, PacketMatchesSingleRays)
         std::vector<Ray> rays;
         for (std::uint64_t i = 0; i < count; ++i)
             rays.push_back(adversarialRay(rng, bvh));
-        expectPacketMatchesSingle(bvh, spheres, rays);
+        expectTileMatchesSingle(bvh, spheres, rays);
     }
 }
 
@@ -321,106 +302,16 @@ TEST_P(BvhEquivalence, CoherentPacketMatchesSingleRays)
                           z};
             ray.tmax = rng.uniform(0.2f, 2.0f);
         }
-        expectPacketMatchesSingle(bvh, spheres, rays);
-    }
-}
-
-/** Lane j's any-hit program stopping on its k-th hit stops lane j only. */
-TEST_P(BvhEquivalence, PacketTerminationStopsOneLane)
-{
-    const int n = std::get<0>(GetParam());
-    const auto spheres =
-        randomSpheres(static_cast<std::size_t>(n), 400 + n, 0.5f);
-    Bvh bvh;
-    BvhBuildParams params;
-    params.policy = std::get<1>(GetParam());
-    bvh.build(spheres, params);
-
-    Rng rng(51 + static_cast<std::uint64_t>(n));
-    std::vector<Ray> rays(simd::kRayLanes);
-    for (auto &ray : rays) {
-        ray.origin = {rng.uniform(-0.5f, 0.5f), rng.uniform(-0.5f, 0.5f),
-                      -1.0f};
-        ray.tmax = 8.0f;
-    }
-    for (int lane = 0; lane < simd::kRayLanes; ++lane)
-        for (int k = 1; k <= 3; ++k) {
-            std::vector<int> stop(simd::kRayLanes, 0);
-            stop[static_cast<std::size_t>(lane)] = k;
-            expectPacketMatchesSingle(bvh, spheres, rays, stop);
-        }
-    // Every lane stopping on its first hit.
-    expectPacketMatchesSingle(bvh, spheres, rays,
-                              std::vector<int>(simd::kRayLanes, 1));
-}
-
-/**
- * One returned mask stops two hit lanes at once and also names a lane
- * that did not hit the sphere: the two stop as their single-ray walks
- * stopping on that hit would, and the undelivered lane runs to the end.
- */
-TEST(BvhPacket, MaskTerminatesOnlyDeliveredLanes)
-{
-    const auto spheres = randomSpheres(500, 450, 0.5f);
-    Bvh bvh;
-    bvh.build(spheres);
-    Rng rng(57);
-    std::vector<Ray> rays(simd::kRayLanes);
-    for (auto &ray : rays) {
-        ray.origin = {rng.uniform(-0.5f, 0.5f), rng.uniform(-0.5f, 0.5f),
-                      -1.0f};
-        ray.tmax = 8.0f;
-    }
-    const std::uint32_t all = (1u << simd::kRayLanes) - 1u;
-
-    LevelGuard guard;
-    for (simd::Level level : supportedLevels()) {
-        ASSERT_TRUE(simd::setLevel(level));
-        std::vector<HitSeq> got(rays.size());
-        std::vector<int> stop(rays.size(), 0);
-        int bystander = -1;
-        std::size_t bystander_hits = 0;
-        TraversalStats got_stats;
-        bvh.traversePacket(
-            rays.data(), simd::kRayLanes, spheres, got_stats,
-            [&](const PacketHit &hit) {
-                for (std::uint32_t m = hit.mask; m != 0; m &= m - 1u) {
-                    const int lane = __builtin_ctz(m);
-                    got[static_cast<std::size_t>(lane)].push_back(
-                        {hit.prim_id, bitsOf(hit.thit[lane])});
-                }
-                if (bystander >= 0 || __builtin_popcount(hit.mask) < 2 ||
-                    hit.mask == all)
-                    return 0u;
-                const int a = __builtin_ctz(hit.mask);
-                const int b = __builtin_ctz(hit.mask & (hit.mask - 1u));
-                bystander = __builtin_ctz(~hit.mask & all);
-                for (int lane : {a, b})
-                    stop[static_cast<std::size_t>(lane)] = static_cast<int>(
-                        got[static_cast<std::size_t>(lane)].size());
-                bystander_hits =
-                    got[static_cast<std::size_t>(bystander)].size();
-                return (1u << a) | (1u << b) | (1u << bystander);
-            });
-        ASSERT_GE(bystander, 0) << "no partial multi-lane delivery";
-        EXPECT_GT(got[static_cast<std::size_t>(bystander)].size(),
-                  bystander_hits)
-            << "the undelivered lane stopped";
-        TraversalStats want_stats;
-        const auto want = singleRayHits(bvh, spheres, rays, stop, want_stats);
-        for (std::size_t i = 0; i < rays.size(); ++i)
-            EXPECT_EQ(want[i], got[i])
-                << "ray " << i << " at " << simd::levelName(level);
-        expectSameStats(want_stats, got_stats);
+        expectTileMatchesSingle(bvh, spheres, rays);
     }
 }
 
 /**
  * Wide packets (9..kRayLanes lanes, the cross-query sizes) whose masks
  * leave one eight-lane half empty: that half's rays miss the root, or
- * stop on their first hit, while the other half walks on. The AVX2 and
- * scalar tables skip the empty half; every table must still equal the
- * single-ray walks.
+ * end their interval after a few nodes, while the other half walks on.
+ * The AVX2 and scalar lanes skip the empty half; every level must
+ * still equal the single-ray walks.
  */
 TEST(BvhPacket, WidePacketsWithOneHalfEmpty)
 {
@@ -440,17 +331,110 @@ TEST(BvhPacket, WidePacketsWithOneHalfEmpty)
         }
         for (int empty_half : {0, 1}) {
             std::vector<Ray> missing = rays;
+            std::vector<Ray> short_lived = rays;
             for (int i = 0; i < count; ++i)
-                if (i / simd::kRayHalfLanes == empty_half)
+                if (i / simd::kRayHalfLanes == empty_half) {
                     missing[static_cast<std::size_t>(i)].origin.x = 50.0f;
-            expectPacketMatchesSingle(bvh, spheres, missing);
-            // The half's rays reach the spheres but all stop on their
-            // first hit.
-            std::vector<int> stop(static_cast<std::size_t>(count), 0);
+                    // Reaches only the spheres nearest z = 0.
+                    short_lived[static_cast<std::size_t>(i)].tmax = 0.6f;
+                }
+            expectTileMatchesSingle(bvh, spheres, missing);
+            expectTileMatchesSingle(bvh, spheres, short_lived);
+        }
+    }
+}
+
+/**
+ * JUNO's scene shape: subspace planes of spheres 4 apart, rays from
+ * one plane recording only its subspace's spheres. Long rays also hit
+ * the next planes' spheres, which the walk must count but never
+ * record: the tile holds exactly the subspace's hits.
+ */
+TEST(BvhPacket, ForeignSpheresAreCountedNotRecorded)
+{
+    const int subspaces = 4, entries = 40;
+    Rng rng(79);
+    std::vector<Sphere> spheres;
+    for (int s = 0; s < subspaces; ++s)
+        for (int e = 0; e < entries; ++e) {
+            Sphere sphere;
+            sphere.center = {rng.uniform(-0.8f, 0.8f),
+                             rng.uniform(-0.8f, 0.8f),
+                             4.0f * static_cast<float>(s) + 1.0f};
+            sphere.radius = 1.0f;
+            sphere.user_id = spheres.size();
+            spheres.push_back(sphere);
+        }
+    Bvh bvh;
+    bvh.build(spheres);
+    for (int s = 0; s < subspaces; ++s)
+        for (int count = 1; count <= simd::kRayLanes; ++count) {
+            std::vector<Ray> rays(static_cast<std::size_t>(count));
+            for (auto &ray : rays) {
+                ray.origin = {rng.uniform(-0.8f, 0.8f),
+                              rng.uniform(-0.8f, 0.8f),
+                              4.0f * static_cast<float>(s)};
+                ray.tmin = -1e-4f;
+                ray.tmax = rng.uniform(0.1f, 12.0f);
+            }
+            const RecordRange record{
+                static_cast<std::uint32_t>(s * entries),
+                static_cast<std::uint32_t>(entries)};
+            const std::size_t recorded =
+                expectTileMatchesSingle(bvh, spheres, rays, record);
+            TraversalStats stats;
+            for (const Ray &ray : rays)
+                bvh.traverse(ray, spheres, stats,
+                             [](const Hit &) { return true; });
+            if (s + 1 < subspaces && count == simd::kRayLanes) {
+                EXPECT_GT(stats.hits, recorded)
+                    << "subspace " << s << ": no foreign hit to drop";
+            }
+        }
+}
+
+/**
+ * The walk's masked tile store writes exactly the hit lanes' cells, at
+ * every level and for every lane mask: lane i starts under the one
+ * sphere when bit i is set and beside the scene otherwise, and the
+ * packet ends at the highest set lane, so a write past the tile would
+ * leave the buffer.
+ */
+TEST(BvhPacket, TileStoreWritesOnlyHitLanes)
+{
+    std::vector<Sphere> spheres(1);
+    spheres[0].center = {0.0f, 0.0f, 1.0f};
+    spheres[0].radius = 0.5f;
+    Bvh bvh;
+    bvh.build(spheres);
+    LevelGuard guard;
+    for (simd::Level level : supportedLevels()) {
+        ASSERT_TRUE(simd::setLevel(level));
+        for (std::uint32_t mask = 1; mask < (1u << simd::kRayLanes);
+             ++mask) {
+            const int count = 32 - __builtin_clz(mask);
+            std::vector<Ray> rays(static_cast<std::size_t>(count));
             for (int i = 0; i < count; ++i)
-                if (i / simd::kRayHalfLanes == empty_half)
-                    stop[static_cast<std::size_t>(i)] = 1;
-            expectPacketMatchesSingle(bvh, spheres, rays, stop);
+                rays[static_cast<std::size_t>(i)].origin = {
+                    (mask >> i & 1u) ? 0.01f * static_cast<float>(i) : 5.0f,
+                    0.0f, 0.0f};
+            std::vector<float> tile(static_cast<std::size_t>(count),
+                                    canary());
+            TraversalStats stats;
+            bvh.traceTile(rays.data(), count, spheres, recordAll(spheres),
+                          tile.data(), stats);
+            for (int i = 0; i < count; ++i) {
+                float want = canary();
+                if (mask >> i & 1u) {
+                    ASSERT_TRUE(intersectSphere(
+                        rays[static_cast<std::size_t>(i)], spheres[0],
+                        want));
+                }
+                EXPECT_EQ(bitsOf(want),
+                          bitsOf(tile[static_cast<std::size_t>(i)]))
+                    << simd::levelName(level) << " mask " << mask
+                    << " lane " << i;
+            }
         }
     }
 }
@@ -588,10 +572,9 @@ TEST(BvhPacket, EmptyBvhCountsRaysOnly)
     std::vector<Ray> rays;
     for (int i = 0; i < 5; ++i)
         rays.push_back(adversarialRay(rng, bvh));
-    expectPacketMatchesSingle(bvh, {}, rays);
+    expectTileMatchesSingle(bvh, {}, rays);
     TraversalStats stats;
-    bvh.traversePacket(rays.data(), 5, {}, stats,
-                       [](const PacketHit &) { return 0u; });
+    bvh.traceTile(rays.data(), 5, {}, {}, nullptr, stats);
     EXPECT_EQ(stats.rays, 5u);
     EXPECT_EQ(stats.node_visits, 0u);
 }
@@ -621,9 +604,7 @@ TEST(BvhPacket, IdenticalCentresOversizedLeaf)
             }
             rays.push_back(ray);
         }
-        std::vector<int> stop(count, 0);
-        stop[0] = 7; // stop lane 0 inside the oversized leaf
-        expectPacketMatchesSingle(bvh, spheres, rays, stop);
+        expectTileMatchesSingle(bvh, spheres, rays);
     }
 }
 

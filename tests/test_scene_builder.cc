@@ -131,14 +131,14 @@ TEST(JunoScene, ThitGateEquivalentToDistanceCheckL2)
             continue;
         std::set<entry_t> hit_entries;
         device.launch(fx.scene.scene(), {ray},
-                      rt::perRay([&](std::size_t, const rt::Hit &hit) {
+                      [&](std::size_t, const rt::Hit &hit) {
                           int hs;
                           entry_t he;
                           JunoScene::unpackId(hit.user_id, hs, he);
                           if (hs == s)
                               hit_entries.insert(he);
                           return true;
-                      }));
+                      });
         for (entry_t e = 0; e < 32; ++e) {
             const float *ec = fx.pq.entry(s, e);
             const double dx = ec[0] - qx, dy = ec[1] - qy;
@@ -170,7 +170,7 @@ TEST(JunoScene, LutValueRecoversL2)
     const float k = fx.scene.coordScale(s);
     int checked = 0;
     device.launch(fx.scene.scene(), {ray},
-                  rt::perRay([&](std::size_t, const rt::Hit &hit) {
+                  [&](std::size_t, const rt::Hit &hit) {
                       int hs;
                       entry_t he;
                       JunoScene::unpackId(hit.user_id, hs, he);
@@ -182,7 +182,7 @@ TEST(JunoScene, LutValueRecoversL2)
                                   dx * dx + dy * dy, 2e-3f);
                       ++checked;
                       return true;
-                  }));
+                  });
     EXPECT_GT(checked, 0);
 }
 
@@ -200,7 +200,7 @@ TEST(JunoScene, LutValueRecoversIp)
     const float qn2 = (qx * k) * (qx * k) + (qy * k) * (qy * k);
     int checked = 0;
     device.launch(fx.scene.scene(), {ray},
-                  rt::perRay([&](std::size_t, const rt::Hit &hit) {
+                  [&](std::size_t, const rt::Hit &hit) {
                       int hs;
                       entry_t he;
                       JunoScene::unpackId(hit.user_id, hs, he);
@@ -212,7 +212,7 @@ TEST(JunoScene, LutValueRecoversIp)
                                   ip, 5e-3f);
                       ++checked;
                       return true;
-                  }));
+                  });
     EXPECT_GT(checked, 0);
 }
 
@@ -228,14 +228,14 @@ TEST(JunoScene, TmaxMonotoneInThresholdNeverAddsHitsWhenShrunk)
             return std::set<entry_t>{};
         std::set<entry_t> out;
         device.launch(fx.scene.scene(), {ray},
-                      rt::perRay([&](std::size_t, const rt::Hit &hit) {
+                      [&](std::size_t, const rt::Hit &hit) {
                           int hs;
                           entry_t he;
                           JunoScene::unpackId(hit.user_id, hs, he);
                           if (hs == s)
                               out.insert(he);
                           return true;
-                      }));
+                      });
         return out;
     };
     const double full = fx.policy.maxThreshold(s);

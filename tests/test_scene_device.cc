@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -57,10 +58,10 @@ TEST(RtDevice, LaunchHitsExpectedSphere)
     rays[0].dir = {0, 0, 1};
 
     std::vector<std::uint64_t> hit_ids;
-    device.launch(scene, rays, perRay([&](std::size_t, const Hit &hit) {
+    device.launch(scene, rays, [&](std::size_t, const Hit &hit) {
         hit_ids.push_back(hit.user_id);
         return true;
-    }));
+    });
     ASSERT_EQ(hit_ids.size(), 1u);
     EXPECT_EQ(hit_ids[0], 2u * 4 + 3);
 }
@@ -83,10 +84,10 @@ TEST(RtDevice, FallbackModeMatchesRtMode)
         RtDevice device(mode);
         std::set<std::pair<std::uint64_t, std::uint64_t>> hits;
         device.launch(scene, rays,
-                      perRay([&](std::size_t ray, const Hit &hit) {
+                      [&](std::size_t ray, const Hit &hit) {
                           hits.insert({rays[ray].payload, hit.user_id});
                           return true;
-                      }));
+                      });
         return hits;
     };
     EXPECT_EQ(collect(ExecMode::kRtCore),
@@ -102,7 +103,7 @@ TEST(RtDevice, StatsAccumulateAcrossLaunches)
         r.origin = {0, 0, 0};
         r.dir = {0, 0, 1};
     }
-    auto all = perRay([](std::size_t, const Hit &) { return true; });
+    auto all = [](std::size_t, const Hit &) { return true; };
     device.launch(scene, rays, all);
     device.launch(scene, rays, all);
     EXPECT_EQ(device.totalStats().rays, 6u);
@@ -120,94 +121,83 @@ TEST(RtDevice, LaunchReturnsPerLaunchStats)
         r.dir = {0, 0, 1};
     }
     const auto result = device.launch(
-        scene, rays, perRay([](std::size_t, const Hit &) { return true; }));
+        scene, rays, [](std::size_t, const Hit &) { return true; });
     EXPECT_EQ(result.stats.rays, 2u);
     EXPECT_EQ(result.stats.hits, 2u);
     EXPECT_GE(result.seconds, 0.0);
 }
 
 /**
- * launch() must cut the rays into coherent runs and trace them as
- * packets: runs of 1 and 3 that share an origin plane but not a
- * direction, a run of kRayLanes (16), and a run of kRayLanes + 3 split
- * kRayLanes + 3. Every call's
- * (first, n) is one of those packets, and per ray the hits (prim_id
- * and thit bits) and the launch counters equal Bvh::traverse's, at
- * every SIMD level.
+ * traceTile() records the same tile in both execution modes: packets of
+ * 1, 3, 9 and kRayLanes rays, recording a middle range of the grid's
+ * spheres (the others are traced but never recorded). Per lane the
+ * cells equal the thit bits Bvh::traverse reports for the recorded
+ * spheres, at every SIMD level; kRtCore's counters equal traverse()'s
+ * and kCudaFallback's equal traverseLinear()'s.
  */
-TEST(RtDevice, LaunchTracesCoherentRunsAsPackets)
+TEST(RtDevice, TraceTileMatchesSingleRaysInBothModes)
 {
     const auto scene = gridScene(8, 0.8f);
-    std::vector<Ray> rays;
-    Rng rng(17);
-    auto addRun = [&](std::size_t count, float z, Vec3 dir) {
-        for (std::size_t i = 0; i < count; ++i) {
-            Ray ray;
-            ray.origin = {rng.uniform(0.0f, 7.0f), rng.uniform(0.0f, 7.0f),
-                          z};
-            ray.dir = dir;
-            rays.push_back(ray);
-        }
-    };
-    addRun(1, 0.0f, {0.0f, 0.0f, 1.0f});
-    addRun(3, 0.0f, {0.1f, -0.05f, 1.0f}); // direction change, same plane
-    constexpr int kL = simd::kRayLanes;
-    constexpr auto kLz = static_cast<std::size_t>(kL);
-    addRun(kLz, 0.3f, {0.0f, 0.0f, 1.0f});
-    addRun(kLz + 3, 0.6f, {0.0f, 0.0f, 1.0f});
-    const std::set<std::pair<std::size_t, int>> packets = {
-        {0, 1}, {1, 3}, {4, kL}, {4 + kLz, kL}, {4 + 2 * kLz, 3}};
-
-    using HitSeq = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+    const RecordRange record{16, 24};
+    const float canary = std::numeric_limits<float>::quiet_NaN();
     auto bits = [](float f) {
         std::uint32_t u;
         std::memcpy(&u, &f, sizeof(u));
         return u;
     };
-    std::vector<HitSeq> want(rays.size());
-    TraversalStats want_stats;
-    for (std::size_t i = 0; i < rays.size(); ++i)
-        scene.bvh().traverse(rays[i], scene.spheres(), want_stats,
-                             [&](const Hit &hit) {
-                                 want[i].push_back(
-                                     {hit.prim_id, bits(hit.thit)});
-                                 return true;
-                             });
-
+    Rng rng(17);
     const simd::Level saved = simd::level();
-    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
-                              simd::Level::kAvx512}) {
-        if (!simd::setLevel(level))
-            continue;
-        RtDevice device;
-        std::vector<HitSeq> got(rays.size());
-        std::set<std::pair<std::size_t, int>> seen;
-        const auto result = device.launch(
-            scene, rays,
-            [&](std::size_t first, int n, const PacketHit &hit) {
-                EXPECT_TRUE(packets.count({first, n}))
-                    << "packet (" << first << ", " << n << ") at "
-                    << simd::levelName(level);
-                EXPECT_NE(hit.mask, 0u);
-                EXPECT_EQ(hit.mask >> n, 0u);
-                seen.insert({first, n});
-                for (int lane = 0; lane < n; ++lane)
-                    if (hit.mask >> lane & 1u)
-                        got[first + static_cast<std::size_t>(lane)]
-                            .push_back({hit.prim_id, bits(hit.thit[lane])});
-                return 0u;
-            });
-        EXPECT_EQ(seen, packets) << simd::levelName(level);
+    for (int count : {1, 3, 9, simd::kRayLanes}) {
+        std::vector<Ray> rays(static_cast<std::size_t>(count));
+        for (auto &ray : rays)
+            ray.origin = {rng.uniform(0.0f, 7.0f), rng.uniform(0.0f, 7.0f),
+                          0.0f};
+        const std::size_t cells =
+            static_cast<std::size_t>(record.count) * rays.size();
+        std::vector<float> want(cells, canary);
+        TraversalStats want_rt, want_linear;
+        std::size_t recorded = 0;
         for (std::size_t i = 0; i < rays.size(); ++i) {
-            EXPECT_FALSE(want[i].empty()) << "ray " << i;
-            EXPECT_EQ(want[i], got[i])
-                << "ray " << i << " at " << simd::levelName(level);
+            scene.bvh().traverse(rays[i], scene.spheres(), want_rt,
+                                 [&](const Hit &hit) {
+                                     const std::uint32_t slot =
+                                         hit.prim_id - record.first;
+                                     if (slot < record.count) {
+                                         want[slot * rays.size() + i] =
+                                             hit.thit;
+                                         ++recorded;
+                                     }
+                                     return true;
+                                 });
+            Bvh::traverseLinear(rays[i], scene.spheres(), want_linear,
+                                [](const Hit &) { return true; });
         }
-        EXPECT_EQ(want_stats.rays, result.stats.rays);
-        EXPECT_EQ(want_stats.node_visits, result.stats.node_visits);
-        EXPECT_EQ(want_stats.aabb_tests, result.stats.aabb_tests);
-        EXPECT_EQ(want_stats.prim_tests, result.stats.prim_tests);
-        EXPECT_EQ(want_stats.hits, result.stats.hits);
+        EXPECT_GT(recorded, 0u) << count << " rays";
+
+        for (ExecMode mode : {ExecMode::kRtCore, ExecMode::kCudaFallback})
+            for (simd::Level level : {simd::Level::kScalar,
+                                      simd::Level::kAvx2,
+                                      simd::Level::kAvx512}) {
+                if (!simd::setLevel(level))
+                    continue;
+                RtDevice device(mode);
+                std::vector<float> got(cells, canary);
+                device.traceTile(scene, rays.data(), count, record,
+                                 got.data());
+                const TraversalStats &stats = device.totalStats();
+                for (std::size_t c = 0; c < cells; ++c)
+                    EXPECT_EQ(bits(want[c]), bits(got[c]))
+                        << "cell " << c << " of " << count << " rays, "
+                        << (mode == ExecMode::kRtCore ? "rt" : "linear")
+                        << " at " << simd::levelName(level);
+                const TraversalStats &ref =
+                    mode == ExecMode::kRtCore ? want_rt : want_linear;
+                EXPECT_EQ(ref.rays, stats.rays);
+                EXPECT_EQ(ref.node_visits, stats.node_visits);
+                EXPECT_EQ(ref.aabb_tests, stats.aabb_tests);
+                EXPECT_EQ(ref.prim_tests, stats.prim_tests);
+                EXPECT_EQ(ref.hits, stats.hits);
+            }
     }
     simd::setLevel(saved);
 }

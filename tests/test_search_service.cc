@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "baseline/ivfflat_index.h"
 #include "common/logging.h"
 #include "dataset/synthetic.h"
+#include "live/live_index.h"
+#include "obs/trace.h"
 #include "serve/request_queue.h"
 #include "serve/search_service.h"
 #include "serve/service_stats.h"
@@ -548,6 +551,38 @@ TEST(SearchService, NoBatchingConfigStillServesEverything)
     EXPECT_DOUBLE_EQ(snap.mean_batch, 1.0);
     EXPECT_EQ(snap.batches,
               static_cast<std::uint64_t>(ds.queries.rows()));
+}
+
+/**
+ * A service borrowing a LiveIndex routes its merge traces to the
+ * service's tracer; destroying the service must detach it, so the
+ * index's next merge does not reach the destroyed tracer. A tracer the
+ * index was configured with stays attached.
+ */
+TEST(SearchService, BorrowedLiveIndexMergesAfterServiceIsGone)
+{
+    const Dataset ds = smallDataset();
+    const float *q0 = ds.queries.row(0);
+    const std::vector<float> vec(q0, q0 + ds.base.cols());
+
+    LiveConfig cfg;
+    cfg.auto_merge = false;
+    LiveIndex live(ds.metric, ds.base.view(), "flat", cfg);
+    auto service = std::make_unique<SearchService>(live, ServiceConfig{});
+    ASSERT_TRUE(service->liveEnabled());
+    service->start();
+    service.reset();
+    ASSERT_EQ(live.insert(vec.data(), 9000), MutateStatus::kOk);
+    EXPECT_TRUE(live.mergeNow());
+
+    Tracer own;
+    cfg.tracer = &own;
+    LiveIndex traced(ds.metric, ds.base.view(), "flat", cfg);
+    service = std::make_unique<SearchService>(traced, ServiceConfig{});
+    service.reset();
+    ASSERT_EQ(traced.insert(vec.data(), 9000), MutateStatus::kOk);
+    EXPECT_TRUE(traced.mergeNow());
+    EXPECT_EQ(own.sampledCount(), 1u);
 }
 
 TEST(SearchService, RejectsBadConfigAndDoubleStart)

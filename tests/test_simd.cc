@@ -406,38 +406,98 @@ TEST(Simd, RayKernelsRandomLanesMatchGeometry)
 }
 
 /**
- * The masked lane store writes exactly the masked slots, with src's
- * bits, in every table; dst is sized to the highest set lane, so a
- * write past it would leave the buffer.
+ * The LUT finish writes bitwise identical rows and hit counts in every
+ * table: packets of 1..kRayLanes lanes, entry counts around the vector
+ * widths, tiles mixing NaN (no hit) with hit times around the inner
+ * gate, both metrics, with and without inner flags. Per cell the
+ * scalar table matches JunoScene's conversion written out here, and no
+ * table writes past a row's entries.
  */
-TEST(Simd, StoreLanesWritesOnlyMaskedLanes)
+TEST(Simd, LutFinishBitwiseIdenticalAcrossTables)
 {
-    const float src[simd::kRayLanes] = {1.5f, -2.0f,  0.25f, 8.0f,
-                                        -0.0f, 3.0f,  1e-30f, -7.5f,
-                                        4.0f,  -1e9f, 0.5f,   -3.25f,
-                                        6.0f,  1e-3f, -0.75f, 2.5f};
-    const float sentinel = std::numeric_limits<float>::quiet_NaN();
-    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
-                              simd::Level::kAvx512}) {
-        if (!simd::supported(level))
-            continue;
-        const simd::Kernels &k = simd::table(level);
-        for (std::uint32_t mask = 1; mask < (1u << simd::kRayLanes);
-             ++mask) {
-            const int top = 31 - __builtin_clz(mask);
-            std::vector<float> dst(static_cast<std::size_t>(top) + 1,
-                                   sentinel);
-            k.store_lanes(src, mask, dst.data());
-            for (int i = 0; i <= top; ++i) {
-                std::uint32_t got, want;
-                const float expect = (mask >> i & 1u) ? src[i] : sentinel;
-                std::memcpy(&got, &dst[static_cast<std::size_t>(i)], 4);
-                std::memcpy(&want, &expect, 4);
-                EXPECT_EQ(got, want) << k.name << " mask " << mask
-                                     << " lane " << i;
-            }
-        }
-    }
+    Rng rng(91);
+    const float radius_sqr = 0.81f;
+    const float guard = -7.0f;
+    for (Metric metric : {Metric::kL2, Metric::kInnerProduct})
+        for (std::size_t entries : {1, 7, 8, 15, 16, 17, 33, 128})
+            for (int lanes : {1, 2, 5, 8, 11, 16})
+                for (bool inner : {false, true}) {
+                    const auto n = static_cast<std::size_t>(lanes);
+                    std::vector<float> tile(entries * n);
+                    for (float &t : tile)
+                        t = rng.uniform() < 0.4
+                            ? std::numeric_limits<float>::quiet_NaN()
+                            : rng.uniform(-0.2f, 0.6f);
+                    std::vector<simd::LutRow> rows(n);
+                    for (auto &row : rows) {
+                        row.miss = rng.uniform(0.0f, 2.0f);
+                        row.kappa_sqr = rng.uniform(0.5f, 4.0f);
+                        row.qnorm_scaled_sqr = rng.uniform(0.0f, 1.5f);
+                        row.tmax_inner = rng.uniform(0.0f, 0.4f);
+                    }
+                    // Per table: delta, selected, inner rows of each lane
+                    // plus one guard cell per row; and the hit counts.
+                    auto run = [&](const simd::Kernels &k,
+                                   std::vector<float> &out,
+                                   std::vector<std::uint32_t> &hits) {
+                        const std::size_t stride = entries + 1;
+                        out.assign(3 * n * stride, guard);
+                        hits.assign(n, 0);
+                        std::vector<simd::LutRow> r = rows;
+                        for (std::size_t i = 0; i < n; ++i) {
+                            r[i].delta = out.data() + (3 * i) * stride;
+                            r[i].selected = r[i].delta + stride;
+                            r[i].inner =
+                                inner ? r[i].selected + stride : nullptr;
+                        }
+                        k.lut_finish(metric, radius_sqr, tile.data(), lanes,
+                                     entries, r.data(), hits.data());
+                    };
+                    std::vector<float> want;
+                    std::vector<std::uint32_t> want_hits;
+                    run(simd::table(simd::Level::kScalar), want, want_hits);
+                    const std::size_t stride = entries + 1;
+                    for (std::size_t i = 0; i < n; ++i) {
+                        std::uint32_t count = 0;
+                        const simd::LutRow &row = rows[i];
+                        for (std::size_t e = 0; e < entries; ++e) {
+                            const float t = tile[e * n + i];
+                            const float om = 1.0f - t;
+                            const float value = metric == Metric::kL2
+                                ? (radius_sqr - om * om) / row.kappa_sqr
+                                : 0.5f *
+                                      (row.qnorm_scaled_sqr - radius_sqr +
+                                       om * om) /
+                                      row.kappa_sqr;
+                            const bool hit = !std::isnan(t);
+                            count += hit ? 1u : 0u;
+                            const float *d = want.data() + 3 * i * stride;
+                            EXPECT_EQ(bitsOf(d[e]),
+                                      bitsOf(hit ? value - row.miss : 0.0f));
+                            EXPECT_EQ(d[stride + e], hit ? 1.0f : 0.0f);
+                            EXPECT_EQ(d[2 * stride + e],
+                                      inner && t <= row.tmax_inner ? 1.0f
+                                      : inner                     ? 0.0f
+                                                                  : guard);
+                        }
+                        EXPECT_EQ(want_hits[i], count);
+                    }
+                    for (simd::Level level :
+                         {simd::Level::kAvx2, simd::Level::kAvx512}) {
+                        if (!simd::supported(level))
+                            continue;
+                        std::vector<float> got;
+                        std::vector<std::uint32_t> got_hits;
+                        run(simd::table(level), got, got_hits);
+                        EXPECT_EQ(want_hits, got_hits)
+                            << simd::levelName(level);
+                        for (std::size_t c = 0; c < want.size(); ++c)
+                            EXPECT_EQ(bitsOf(want[c]), bitsOf(got[c]))
+                                << simd::levelName(level) << " cell " << c
+                                << " entries " << entries << " lanes "
+                                << lanes;
+                    }
+                }
 }
 
 TEST(Simd, LevelKnobsRoundTrip)
