@@ -14,7 +14,7 @@
  * packet-walk rows (bvhPacket: one query's 8-ray packets and two
  * queries' kRayLanes-ray packets vs the same rays walked one by one).
  *
- *   --json <path>     dump the kernel rows (BENCH_adc.json)
+ *   --json <path>     dump the kernel and bvhPacket rows (BENCH_adc.json)
  *   --check-fastscan  exit 1 unless fast scan beats the legacy gather
  *   --check-packet    exit 1 unless the kRayLanes packet walk beats
  *                     single rays and every packing's tile equals the
@@ -75,6 +75,16 @@ struct RowRecord {
 
 std::vector<RowRecord> g_rows;
 
+/** One bvhPacket row: a packing's walk vs the same rays one by one. */
+struct PacketRecord {
+    std::string shape;
+    std::string level; ///< dispatch level the packet walk ran at
+    double single_rays = 0.0; ///< rays/s, single-ray walk
+    double packet_rays = 0.0; ///< rays/s, packet walk
+};
+
+std::vector<PacketRecord> g_packet_rows;
+
 /** Dispatched fast-scan vs dispatched legacy gather (CI gate). */
 double g_fastscan_vs_gather = 0.0;
 
@@ -101,7 +111,8 @@ printRow(const std::string &kernel, const std::string &shape,
  * this): kernel, shape, baseline and dispatched throughput, speedup.
  * The baseline column is the scalar table except for the explicit
  * cross-kernel rows (adcScan/seed, fastscanPq4/gather), whose
- * baseline is the row's stated reference.
+ * baseline is the row's stated reference. The bvhPacket rows go to
+ * their own array: packet-walk vs single-ray Mray/s and their ratio.
  */
 void
 writeSnapshot(const std::string &path)
@@ -112,7 +123,8 @@ writeSnapshot(const std::string &path)
         return;
     }
     out << "{\n  \"bench\": \"micro_kernels\",\n  \"build\": "
-        << buildInfoJson() << ",\n  \"dispatch\": \""
+        << buildInfoJson() << ",\n  \"host\": " << hostInfoJson()
+        << ",\n  \"dispatch\": \""
         << simd::levelName(simd::bestSupported())
         << "\",\n  \"kernels\": [\n";
     for (std::size_t i = 0; i < g_rows.size(); ++i) {
@@ -124,6 +136,15 @@ writeSnapshot(const std::string &path)
             << r.dispatched_ops / r.baseline_ops << ", \"unit\": \""
             << r.unit << "\"}" << (i + 1 < g_rows.size() ? "," : "")
             << "\n";
+    }
+    out << "  ],\n  \"bvh_packet\": [\n";
+    for (std::size_t i = 0; i < g_packet_rows.size(); ++i) {
+        const auto &r = g_packet_rows[i];
+        out << "    {\"shape\": \"" << r.shape << "\", \"level\": \""
+            << r.level << "\", \"single_mrays\": " << r.single_rays * 1e-6
+            << ", \"packet_mrays\": " << r.packet_rays * 1e-6
+            << ", \"ratio\": " << r.packet_rays / r.single_rays << "}"
+            << (i + 1 < g_packet_rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("snapshot written to %s\n", path.c_str());
@@ -592,6 +613,7 @@ benchBvhPacket()
                     "bvhPacket", shape.c_str(), single * 1e-6, "Mray/s",
                     packet * 1e-6, "Mray/s", packet / single,
                     kernels.name);
+        g_packet_rows.push_back({shape, kernels.name, single, packet});
         if (width == lanes)
             g_packet_vs_single = packet / single;
     }

@@ -1,6 +1,7 @@
 #include "common/serialize.h"
 
 #include <cstring>
+#include <utility>
 
 namespace juno {
 
@@ -28,7 +29,7 @@ Reader::boundCheck(std::uint64_t count, std::uint64_t elem_bytes) const
 {
     if (elem_bytes == 0 ||
         count > kMaxSerializedPayloadBytes / elem_bytes)
-        fatal(where() + ": implausible payload size (corrupt file)");
+        fatal(name_ + ": implausible payload size (corrupt file)");
 }
 
 std::string
@@ -48,13 +49,13 @@ Reader::readMatrix()
     const auto rows = readPod<std::int64_t>();
     const auto cols = readPod<std::int64_t>();
     if (rows < 0 || cols < 0)
-        fatal(where() + ": negative matrix shape (corrupt file)");
+        fatal(name_ + ": negative matrix shape (corrupt file)");
     // Guard the product itself before boundCheck: 2^32 x 2^32 would
     // wrap to a tiny (even zero) element count and sail through.
     if (cols != 0 &&
         static_cast<std::uint64_t>(rows) >
             kMaxSerializedPayloadBytes / static_cast<std::uint64_t>(cols))
-        fatal(where() + ": implausible matrix shape (corrupt file)");
+        fatal(name_ + ": implausible matrix shape (corrupt file)");
     boundCheck(static_cast<std::uint64_t>(rows) *
                    static_cast<std::uint64_t>(cols),
                sizeof(float));
@@ -66,65 +67,15 @@ Reader::readMatrix()
     return m;
 }
 
-BinaryWriter::BinaryWriter(const std::string &path, const char magic[8],
-                           std::uint32_t version)
-    : out_(path, std::ios::binary), path_(path)
-{
-    if (!out_)
-        fatal("cannot open " + path + " for writing");
-    writeRaw(magic, 8);
-    writePod(version);
-}
-
 void
-BinaryWriter::writeRaw(const void *data, std::size_t bytes)
-{
-    if (bytes == 0)
-        return;
-    out_.write(static_cast<const char *>(data),
-               static_cast<std::streamsize>(bytes));
-    if (!out_)
-        fatal("short write to " + path_);
-}
-
-BinaryReader::BinaryReader(const std::string &path, const char magic[8],
-                           std::uint32_t expected_version)
-    : in_(path, std::ios::binary), path_(path)
-{
-    if (!in_)
-        fatal("cannot open " + path);
-    char got[8];
-    in_.read(got, 8);
-    if (!in_ || std::memcmp(got, magic, 8) != 0)
-        fatal(path + ": bad magic (not a JUNO index file?)");
-    const auto version = readPod<std::uint32_t>();
-    if (version != expected_version)
-        fatal(path + ": version " + std::to_string(version) +
-              " unsupported (expected " +
-              std::to_string(expected_version) + ")");
-}
-
-void
-BinaryReader::readRaw(void *data, std::size_t bytes)
-{
-    if (bytes == 0)
-        return;
-    in_.read(static_cast<char *>(data),
-             static_cast<std::streamsize>(bytes));
-    if (!in_)
-        fatal(path_ + ": truncated or corrupt stream");
-}
-
-void
-BufferWriter::writeRaw(const void *data, std::size_t bytes)
+Writer::writeRaw(const void *data, std::size_t bytes)
 {
     if (bytes == 0)
         return;
     buffer_.append(static_cast<const char *>(data), bytes);
 }
 
-BoundedMemReader::BoundedMemReader(const void *data, std::size_t bytes,
-                                   std::string name)
+Reader::Reader(const void *data, std::size_t bytes, std::string name)
     : cursor_(static_cast<const std::uint8_t *>(data)),
       end_(static_cast<const std::uint8_t *>(data) + bytes),
       name_(std::move(name))
@@ -132,21 +83,14 @@ BoundedMemReader::BoundedMemReader(const void *data, std::size_t bytes,
 }
 
 void
-BoundedMemReader::readRaw(void *data, std::size_t bytes)
+Reader::readRaw(void *data, std::size_t bytes)
 {
     if (bytes == 0)
         return;
-    std::memcpy(data, viewRaw(bytes), bytes);
-}
-
-const void *
-BoundedMemReader::viewRaw(std::size_t bytes)
-{
     if (bytes > remaining())
         fatal(name_ + ": truncated or corrupt stream");
-    const void *p = cursor_;
+    std::memcpy(data, cursor_, bytes);
     cursor_ += bytes;
-    return p;
 }
 
 } // namespace juno

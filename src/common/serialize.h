@@ -1,21 +1,18 @@
 /**
  * @file
- * Minimal versioned binary serialization for index persistence.
+ * Minimal binary serialization for index persistence.
  *
- * The typed surface (PODs, vectors, strings, matrices) lives in the
- * abstract Writer/Reader pair; concrete subclasses choose the sink or
- * source:
- *  - BinaryWriter / BinaryReader: whole files prefixed by a
- *    caller-chosen 8-byte magic and a u32 version (the legacy index
- *    format and standalone artefacts);
- *  - BufferWriter: an in-memory byte buffer (snapshot sections are
- *    staged through it before landing in the container);
- *  - BoundedMemReader: a bounds-checked window over caller memory
- *    (a buffered section copy or a memory-mapped snapshot region).
+ * Two concrete classes carry the typed surface (PODs, vectors,
+ * strings, matrices):
+ *  - Writer appends to an in-memory byte buffer (snapshot sections
+ *    and the snapshot TOC are staged through it before landing in the
+ *    container file);
+ *  - Reader is a bounds-checked window over caller memory (a buffered
+ *    section copy or a memory-mapped snapshot region).
  *
  * Primitives are little-endian PODs; containers are a u64 count
- * followed by elements. Readers validate counts against a sanity bound
- * before allocating, so corrupt files fail fast with ConfigError
+ * followed by elements. The Reader validates counts against a sanity
+ * bound before allocating, so corrupt files fail fast with ConfigError
  * instead of attempting gigabyte allocations, and every short read
  * surfaces as ConfigError rather than silent zero-fill.
  */
@@ -23,7 +20,6 @@
 #define JUNO_COMMON_SERIALIZE_H
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -36,11 +32,9 @@ namespace juno {
 /** Upper bound on any single container payload: 16 GiB. */
 constexpr std::uint64_t kMaxSerializedPayloadBytes = 16ull << 30;
 
-/** Abstract streaming binary writer. */
+/** Streaming binary writer into an owned in-memory buffer. */
 class Writer {
   public:
-    virtual ~Writer() = default;
-
     template <typename T>
     void
     writePod(const T &value)
@@ -64,8 +58,7 @@ class Writer {
     {
         static_assert(std::is_trivially_copyable_v<T>);
         writePod<std::uint64_t>(count);
-        // An empty vector's data() may be null; write(nullptr, 0) is
-        // undefined behaviour for ostreams, so never forward it.
+        // An empty vector's data() may be null; never forward it.
         if (count != 0)
             writeRaw(data, count * sizeof(T));
     }
@@ -73,14 +66,25 @@ class Writer {
     void writeString(const std::string &s);
     void writeMatrix(FloatMatrixView m);
 
-    /** Appends @p bytes raw bytes; throws ConfigError on failure. */
-    virtual void writeRaw(const void *data, std::size_t bytes) = 0;
+    /** Appends @p bytes raw bytes. */
+    void writeRaw(const void *data, std::size_t bytes);
+
+    const std::string &buffer() const { return buffer_; }
+    void clear() { buffer_.clear(); }
+
+  private:
+    std::string buffer_;
 };
 
-/** Abstract streaming binary reader with validation. */
+/**
+ * Bounds-checked streaming reader over caller-owned memory. The window
+ * must outlive the reader; reading past the end throws ConfigError
+ * (this is how truncated snapshot sections are detected).
+ */
 class Reader {
   public:
-    virtual ~Reader() = default;
+    /** @p name labels error messages (file path and section). */
+    Reader(const void *data, std::size_t bytes, std::string name);
 
     template <typename T>
     T
@@ -110,9 +114,11 @@ class Reader {
     FloatMatrix readMatrix();
 
     /** Fills @p bytes raw bytes; throws ConfigError on short reads. */
-    virtual void readRaw(void *data, std::size_t bytes) = 0;
+    void readRaw(void *data, std::size_t bytes);
 
-  protected:
+    std::size_t remaining() const { return end_ - cursor_; }
+
+  private:
     /**
      * Rejects implausible element counts before any allocation; the
      * multiplication is overflow-checked so a forged 2^60 count cannot
@@ -120,77 +126,6 @@ class Reader {
      */
     void boundCheck(std::uint64_t count, std::uint64_t elem_bytes) const;
 
-    /** Human-readable source name for error messages. */
-    virtual std::string where() const = 0;
-};
-
-/** Writer over a file, prefixed by magic + version (legacy format). */
-class BinaryWriter : public Writer {
-  public:
-    /** Opens @p path and writes the header. Throws on failure. */
-    BinaryWriter(const std::string &path, const char magic[8],
-                 std::uint32_t version);
-
-    void writeRaw(const void *data, std::size_t bytes) override;
-
-  private:
-    std::ofstream out_;
-    std::string path_;
-};
-
-/** Reader over a file; validates magic + version up front. */
-class BinaryReader : public Reader {
-  public:
-    BinaryReader(const std::string &path, const char magic[8],
-                 std::uint32_t expected_version);
-
-    void readRaw(void *data, std::size_t bytes) override;
-
-  protected:
-    std::string where() const override { return path_; }
-
-  private:
-    std::ifstream in_;
-    std::string path_;
-};
-
-/** Writer appending to an in-memory buffer (no magic header). */
-class BufferWriter : public Writer {
-  public:
-    void writeRaw(const void *data, std::size_t bytes) override;
-
-    const std::string &buffer() const { return buffer_; }
-    std::string takeBuffer() { return std::move(buffer_); }
-    void clear() { buffer_.clear(); }
-
-  private:
-    std::string buffer_;
-};
-
-/**
- * Bounds-checked reader over caller-owned memory. The window must
- * outlive the reader; reading past the end throws ConfigError (this is
- * how truncated snapshot sections are detected).
- */
-class BoundedMemReader : public Reader {
-  public:
-    BoundedMemReader(const void *data, std::size_t bytes,
-                     std::string name);
-
-    void readRaw(void *data, std::size_t bytes) override;
-
-    /**
-     * Zero-copy variant: returns a pointer into the window and
-     * advances the cursor past @p bytes (bounds-checked).
-     */
-    const void *viewRaw(std::size_t bytes);
-
-    std::size_t remaining() const { return end_ - cursor_; }
-
-  protected:
-    std::string where() const override { return name_; }
-
-  private:
     const std::uint8_t *cursor_ = nullptr;
     const std::uint8_t *end_ = nullptr;
     std::string name_;

@@ -102,40 +102,19 @@ QuantileSketch::mean() const
     return sum / static_cast<double>(data_.size());
 }
 
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi), counts_(static_cast<std::size_t>(bins), 0)
+QuantileSummary
+QuantileSketch::summary() const
 {
-    JUNO_REQUIRE(bins > 0, "histogram needs bins > 0");
-    JUNO_REQUIRE(hi > lo, "histogram needs hi > lo");
-}
-
-void
-Histogram::add(double x)
-{
-    const int nbins = bins();
-    int bin = static_cast<int>((x - lo_) / (hi_ - lo_) *
-                               static_cast<double>(nbins));
-    bin = std::clamp(bin, 0, nbins - 1);
-    ++counts_[static_cast<std::size_t>(bin)];
-    ++total_;
-}
-
-double
-Histogram::cdfAt(int bin) const
-{
-    if (total_ == 0)
-        return 0.0;
-    std::size_t acc = 0;
-    for (int b = 0; b <= bin && b < bins(); ++b)
-        acc += counts_[static_cast<std::size_t>(b)];
-    return static_cast<double>(acc) / static_cast<double>(total_);
-}
-
-double
-Histogram::binCenter(int bin) const
-{
-    const double width = (hi_ - lo_) / static_cast<double>(bins());
-    return lo_ + (static_cast<double>(bin) + 0.5) * width;
+    QuantileSummary s;
+    s.count = count();
+    if (s.count == 0)
+        return s;
+    s.mean = mean();
+    s.p50 = quantile(0.50);
+    s.p95 = quantile(0.95);
+    s.p99 = quantile(0.99);
+    s.max = quantile(1.0);
+    return s;
 }
 
 } // namespace juno

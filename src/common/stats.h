@@ -1,7 +1,8 @@
 /**
  * @file
  * Streaming statistics helpers used by the benches to reproduce the
- * paper's mean / quartile / CDF plots (Figs. 4-7).
+ * paper's mean / quartile plots (Figs. 4-7) and by the serving layer's
+ * latency accounting.
  */
 #ifndef JUNO_COMMON_STATS_H
 #define JUNO_COMMON_STATS_H
@@ -30,6 +31,20 @@ class RunningStat {
     double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
+};
+
+/**
+ * Point-in-time digest of a sample distribution: what latency
+ * snapshots report and what the metrics registry exports as a
+ * Prometheus summary. All fields read 0 for an empty distribution.
+ */
+struct QuantileSummary {
+    std::size_t count = 0;
+    double mean = 0.0;
+    double p50 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+    double max = 0.0;
 };
 
 /**
@@ -74,34 +89,14 @@ class QuantileSketch {
     double q4() const { return q3() + 1.5 * iqr(); }
     double mean() const;
 
+    /** count / mean / p50 / p95 / p99 / max of the retained samples. */
+    QuantileSummary summary() const;
+
   private:
     void ensureSorted() const;
 
     mutable std::vector<double> data_;
     mutable bool sorted_ = true;
-};
-
-/** Histogram with fixed-width bins over [lo, hi); used for CDF plots. */
-class Histogram {
-  public:
-    Histogram(double lo, double hi, int bins);
-
-    void add(double x);
-
-    int bins() const { return static_cast<int>(counts_.size()); }
-    std::size_t total() const { return total_; }
-    std::size_t countAt(int bin) const { return counts_.at(bin); }
-
-    /** Fraction of samples in bins [0, bin] (the empirical CDF). */
-    double cdfAt(int bin) const;
-
-    /** Center x-value of @p bin. */
-    double binCenter(int bin) const;
-
-  private:
-    double lo_, hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
 };
 
 } // namespace juno

@@ -113,7 +113,8 @@ printThreadScaling(const std::vector<EvalPoint> &points)
                       TablePrinter::num(p.qps),
                       TablePrinter::num(base_qps > 0.0 ? p.qps / base_qps
                                                        : 0.0),
-                      TablePrinter::num(p.recall1_at_k)});
+                      TablePrinter::recall(p.recall1_at_k,
+                                           p.recall1_ci)});
     table.print();
 }
 

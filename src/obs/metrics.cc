@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <thread>
 
 #include "common/logging.h"
 
@@ -91,7 +90,7 @@ jsonNumber(double v)
 }
 
 std::string
-summaryJson(const HistogramSummary &s)
+summaryJson(const QuantileSummary &s)
 {
     std::string out = "{\"count\":" + std::to_string(s.count);
     out += ",\"mean\":" + jsonNumber(s.mean);
@@ -104,52 +103,6 @@ summaryJson(const HistogramSummary &s)
 }
 
 } // namespace
-
-void
-HistogramMetric::observe(double v)
-{
-    Shard &shard = localShard();
-    MutexLock lock(shard.mutex);
-    shard.sketch.add(v);
-}
-
-void
-HistogramMetric::observe(const std::vector<double> &vs)
-{
-    if (vs.empty())
-        return;
-    Shard &shard = localShard();
-    MutexLock lock(shard.mutex);
-    shard.sketch.add(vs);
-}
-
-HistogramSummary
-HistogramMetric::summary() const
-{
-    QuantileSketch merged;
-    for (const Shard &shard : shards_) {
-        MutexLock lock(shard.mutex);
-        merged.merge(shard.sketch);
-    }
-    HistogramSummary out;
-    out.count = merged.count();
-    if (merged.empty())
-        return out;
-    out.mean = merged.mean();
-    out.p50 = merged.quantile(0.5);
-    out.p95 = merged.quantile(0.95);
-    out.p99 = merged.quantile(0.99);
-    out.max = merged.quantile(1.0);
-    return out;
-}
-
-HistogramMetric::Shard &
-HistogramMetric::localShard()
-{
-    const std::size_t h =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    return shards_[h % kShards];
-}
 
 MetricsRegistry::Registration &
 MetricsRegistry::Registration::operator=(Registration &&other) noexcept
@@ -185,78 +138,6 @@ MetricsRegistry::global()
     return *instance;
 }
 
-std::shared_ptr<Counter>
-MetricsRegistry::counter(const std::string &name, const std::string &help)
-{
-    JUNO_REQUIRE(validMetricName(name),
-                 "invalid metric name '" << name << "'");
-    MutexLock lock(mutex_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-        JUNO_REQUIRE(it->second.kind == Kind::kCounter,
-                     "metric '" << name
-                                << "' already registered with a "
-                                   "different kind");
-        return it->second.counter;
-    }
-    Entry entry;
-    entry.kind = Kind::kCounter;
-    entry.help = help;
-    entry.id = next_id_++;
-    entry.counter = std::make_shared<Counter>();
-    auto ptr = entry.counter;
-    entries_.emplace(name, std::move(entry));
-    return ptr;
-}
-
-std::shared_ptr<Gauge>
-MetricsRegistry::gauge(const std::string &name, const std::string &help)
-{
-    JUNO_REQUIRE(validMetricName(name),
-                 "invalid metric name '" << name << "'");
-    MutexLock lock(mutex_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-        JUNO_REQUIRE(it->second.kind == Kind::kGauge,
-                     "metric '" << name
-                                << "' already registered with a "
-                                   "different kind");
-        return it->second.gauge;
-    }
-    Entry entry;
-    entry.kind = Kind::kGauge;
-    entry.help = help;
-    entry.id = next_id_++;
-    entry.gauge = std::make_shared<Gauge>();
-    auto ptr = entry.gauge;
-    entries_.emplace(name, std::move(entry));
-    return ptr;
-}
-
-std::shared_ptr<HistogramMetric>
-MetricsRegistry::histogram(const std::string &name, const std::string &help)
-{
-    JUNO_REQUIRE(validMetricName(name),
-                 "invalid metric name '" << name << "'");
-    MutexLock lock(mutex_);
-    auto it = entries_.find(name);
-    if (it != entries_.end()) {
-        JUNO_REQUIRE(it->second.kind == Kind::kHistogram,
-                     "metric '" << name
-                                << "' already registered with a "
-                                   "different kind");
-        return it->second.histogram;
-    }
-    Entry entry;
-    entry.kind = Kind::kHistogram;
-    entry.help = help;
-    entry.id = next_id_++;
-    entry.histogram = std::make_shared<HistogramMetric>();
-    auto ptr = entry.histogram;
-    entries_.emplace(name, std::move(entry));
-    return ptr;
-}
-
 MetricsRegistry::Registration
 MetricsRegistry::registerCallback(const std::string &name, Entry entry)
 {
@@ -280,7 +161,7 @@ MetricsRegistry::counterCallback(const std::string &name,
                                  std::function<std::uint64_t()> fn)
 {
     Entry entry;
-    entry.kind = Kind::kCounterFn;
+    entry.kind = Kind::kCounter;
     entry.help = help;
     entry.counter_fn = std::move(fn);
     return registerCallback(name, std::move(entry));
@@ -302,7 +183,7 @@ MetricsRegistry::counterCallback(
     }
     key += "}";
     Entry entry;
-    entry.kind = Kind::kCounterFn;
+    entry.kind = Kind::kCounter;
     entry.help = help;
     entry.counter_fn = std::move(fn);
     entry.labels = std::move(labels);
@@ -315,7 +196,7 @@ MetricsRegistry::gaugeCallback(const std::string &name,
                                std::function<double()> fn)
 {
     Entry entry;
-    entry.kind = Kind::kGaugeFn;
+    entry.kind = Kind::kGauge;
     entry.help = help;
     entry.gauge_fn = std::move(fn);
     return registerCallback(name, std::move(entry));
@@ -324,10 +205,10 @@ MetricsRegistry::gaugeCallback(const std::string &name,
 MetricsRegistry::Registration
 MetricsRegistry::summaryCallback(const std::string &name,
                                  const std::string &help,
-                                 std::function<HistogramSummary()> fn)
+                                 std::function<QuantileSummary()> fn)
 {
     Entry entry;
-    entry.kind = Kind::kSummaryFn;
+    entry.kind = Kind::kSummary;
     entry.help = help;
     entry.summary_fn = std::move(fn);
     return registerCallback(name, std::move(entry));
@@ -400,16 +281,13 @@ MetricsRegistry::renderPrometheus() const
             const char *type = "gauge";
             switch (entry.kind) {
             case Kind::kCounter:
-            case Kind::kCounterFn:
                 type = "counter";
                 break;
             case Kind::kGauge:
-            case Kind::kGaugeFn:
             case Kind::kInfo:
                 type = "gauge";
                 break;
-            case Kind::kHistogram:
-            case Kind::kSummaryFn:
+            case Kind::kSummary:
                 type = "summary";
                 break;
             }
@@ -417,23 +295,13 @@ MetricsRegistry::renderPrometheus() const
         }
         switch (entry.kind) {
         case Kind::kCounter:
-            out += name + " " + std::to_string(entry.counter->value()) +
-                   "\n";
-            break;
-        case Kind::kCounterFn:
             out += name + " " + std::to_string(entry.counter_fn()) + "\n";
             break;
         case Kind::kGauge:
-            out += name + " " + promNumber(entry.gauge->value()) + "\n";
-            break;
-        case Kind::kGaugeFn:
             out += name + " " + promNumber(entry.gauge_fn()) + "\n";
             break;
-        case Kind::kHistogram:
-        case Kind::kSummaryFn: {
-            const HistogramSummary s = entry.kind == Kind::kHistogram
-                                           ? entry.histogram->summary()
-                                           : entry.summary_fn();
+        case Kind::kSummary: {
+            const QuantileSummary s = entry.summary_fn();
             out += name + "{quantile=\"0.5\"} " + promNumber(s.p50) + "\n";
             out += name + "{quantile=\"0.95\"} " + promNumber(s.p95) + "\n";
             out += name + "{quantile=\"0.99\"} " + promNumber(s.p99) + "\n";
@@ -472,21 +340,12 @@ MetricsRegistry::renderJson() const
         out += "\"" + jsonEscape(name) + "\":";
         switch (entry.kind) {
         case Kind::kCounter:
-            out += std::to_string(entry.counter->value());
-            break;
-        case Kind::kCounterFn:
             out += std::to_string(entry.counter_fn());
             break;
         case Kind::kGauge:
-            out += jsonNumber(entry.gauge->value());
-            break;
-        case Kind::kGaugeFn:
             out += jsonNumber(entry.gauge_fn());
             break;
-        case Kind::kHistogram:
-            out += summaryJson(entry.histogram->summary());
-            break;
-        case Kind::kSummaryFn:
+        case Kind::kSummary:
             out += summaryJson(entry.summary_fn());
             break;
         case Kind::kInfo: {

@@ -1,23 +1,16 @@
 /**
  * @file
- * Process-wide metrics registry: counters, gauges and histograms with
- * Prometheus text exposition and JSON export.
+ * Process-wide metrics registry: pull callbacks for counters, gauges,
+ * latency summaries and info labels, with Prometheus text exposition
+ * and JSON export.
  *
- * Two registration styles, one export door:
- *
- *  - Owned instruments (counter()/gauge()/histogram()): get-or-create
- *    by name; callers hold a shared_ptr and record into it directly.
- *    Counters/gauges are lock-free atomics; histograms reuse the
- *    sharded QuantileSketch pattern from ServiceStats so concurrent
- *    observe() calls from worker threads rarely contend.
- *
- *  - Pull callbacks (counterCallback()/gaugeCallback()/
- *    summaryCallback()/info()): for subsystems that already keep their
- *    own counters (ServiceStats, HotListCache::Counters,
- *    ResourceUsage) — the registry calls the lambda at export time
- *    instead of duplicating state. Registration is RAII: drop the
- *    returned handle and the callback is gone, so a stopped service
- *    cannot leave dangling lambdas behind.
+ * The registry owns no instruments. Subsystems that already keep
+ * their own counters (ServiceStats, HotListCache::Counters,
+ * ResourceUsage) register callbacks (counterCallback()/
+ * gaugeCallback()/summaryCallback()/info()) and the registry calls the
+ * lambda at export time instead of duplicating state. Registration is
+ * RAII: drop the returned handle and the callback is gone, so a
+ * stopped service cannot leave dangling lambdas behind.
  *
  * Export never runs callbacks under the registry lock (a callback that
  * itself touches the registry, or a lock held across a slow snapshot,
@@ -26,12 +19,9 @@
 #ifndef JUNO_OBS_METRICS_H
 #define JUNO_OBS_METRICS_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,79 +30,6 @@
 #include "common/thread_annotations.h"
 
 namespace juno {
-
-/** Point-in-time digest of a histogram / latency distribution. */
-struct HistogramSummary {
-    std::size_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-};
-
-/** Monotonically increasing counter (relaxed atomic increments). */
-class Counter {
-  public:
-    void inc(std::uint64_t delta = 1)
-    {
-        value_.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    std::uint64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/** Last-write-wins scalar (set/add from any thread). */
-class Gauge {
-  public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-
-    void add(double delta)
-    {
-        double cur = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(cur, cur + delta,
-                                             std::memory_order_relaxed)) {
-        }
-    }
-
-    double value() const { return value_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
-};
-
-/**
- * Quantile-tracking histogram: observations land in one of kShards
- * thread-hashed QuantileSketch shards (each behind its own mutex, on
- * its own cache line), merged only at summary() time. Same layout as
- * ServiceStats' latency shards — contention-free recording, exact
- * union quantiles.
- */
-class HistogramMetric {
-  public:
-    void observe(double v);
-    void observe(const std::vector<double> &vs);
-
-    /** Merges all shards and digests them (count/mean/p50/p95/p99/max). */
-    HistogramSummary summary() const;
-
-  private:
-    static constexpr std::size_t kShards = 8;
-    struct alignas(64) Shard {
-        mutable Mutex mutex;
-        QuantileSketch sketch JUNO_GUARDED_BY(mutex);
-    };
-
-    Shard &localShard();
-
-    std::array<Shard, kShards> shards_;
-};
 
 /**
  * Name-keyed metric registry with Prometheus text and JSON export.
@@ -157,20 +74,10 @@ class MetricsRegistry {
     static MetricsRegistry &global();
 
     /**
-     * Get-or-create an owned instrument. Throws ConfigError when the
-     * name is invalid or already registered with a different kind.
-     */
-    std::shared_ptr<Counter> counter(const std::string &name,
-                                     const std::string &help);
-    std::shared_ptr<Gauge> gauge(const std::string &name,
-                                 const std::string &help);
-    std::shared_ptr<HistogramMetric> histogram(const std::string &name,
-                                               const std::string &help);
-
-    /**
      * Pull-mode registration: @p fn runs at every export. The callback
      * must stay valid until the returned Registration is destroyed.
-     * Registering an existing name replaces it.
+     * Registering an existing name replaces it; an invalid name throws
+     * ConfigError.
      */
     Registration counterCallback(const std::string &name,
                                  const std::string &help,
@@ -194,7 +101,7 @@ class MetricsRegistry {
                                std::function<double()> fn);
     Registration summaryCallback(const std::string &name,
                                  const std::string &help,
-                                 std::function<HistogramSummary()> fn);
+                                 std::function<QuantileSummary()> fn);
 
     /**
      * Constant info metric: exported as `name{k="v",...} 1` — the
@@ -220,10 +127,7 @@ class MetricsRegistry {
     enum class Kind {
         kCounter,
         kGauge,
-        kHistogram,
-        kCounterFn,
-        kGaugeFn,
-        kSummaryFn,
+        kSummary,
         kInfo,
     };
 
@@ -231,12 +135,9 @@ class MetricsRegistry {
         Kind kind = Kind::kCounter;
         std::string help;
         std::uint64_t id = 0;
-        std::shared_ptr<Counter> counter;
-        std::shared_ptr<Gauge> gauge;
-        std::shared_ptr<HistogramMetric> histogram;
         std::function<std::uint64_t()> counter_fn;
         std::function<double()> gauge_fn;
-        std::function<HistogramSummary()> summary_fn;
+        std::function<QuantileSummary()> summary_fn;
         std::vector<std::pair<std::string, std::string>> labels;
     };
 

@@ -149,7 +149,7 @@ SnapshotWriter::finish()
     finished_ = true;
 
     const auto toc_offset = static_cast<std::uint64_t>(out_.tellp());
-    BufferWriter toc;
+    Writer toc;
     for (const auto &e : toc_) {
         toc.writeString(e.name);
         toc.writePod<std::uint64_t>(e.offset);
@@ -256,7 +256,7 @@ SnapshotReader::SnapshotReader(const std::string &path,
     if (crc32(toc_data, toc_bytes) != stored_crc)
         fatal(path + ": snapshot TOC checksum mismatch (corrupt file)");
 
-    BoundedMemReader toc(toc_data, toc_bytes, path + " [toc]");
+    Reader toc(toc_data, toc_bytes, path + " [toc]");
     toc_.reserve(section_count);
     for (std::uint32_t i = 0; i < section_count; ++i) {
         Entry e;
@@ -339,7 +339,7 @@ SnapshotReader::readCopy(const Entry &e)
     return buf;
 }
 
-BoundedMemReader
+Reader
 SnapshotReader::stream(const std::string &name)
 {
     const Entry &e = find(name);
@@ -350,12 +350,11 @@ SnapshotReader::stream(const std::string &name)
         // costs a few pages and catches corrupt metadata up front.
         if (crc32(data, static_cast<std::size_t>(e.bytes)) != e.crc)
             fatal(label + ": checksum mismatch (corrupt file)");
-        return BoundedMemReader(data, static_cast<std::size_t>(e.bytes),
-                                label);
+        return Reader(data, static_cast<std::size_t>(e.bytes), label);
     }
     auto copy = readCopy(e);
     retained_.push_back(copy);
-    return BoundedMemReader(copy->data(), copy->size(), label);
+    return Reader(copy->data(), copy->size(), label);
 }
 
 SnapshotReader::Blob

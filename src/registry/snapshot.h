@@ -19,7 +19,7 @@
  *
  * Two section flavours by convention:
  *  - "meta"-style streams: small typed payloads staged through a
- *    BufferWriter (params, shapes, list offsets). Always read through
+ *    Writer (params, shapes, list offsets). Always read through
  *    a buffered, crc-checked copy.
  *  - bulk blobs: large flat payloads (raw vectors, PQ code planes,
  *    adjacency) written directly from index memory. In mmap mode
@@ -110,7 +110,7 @@ class SnapshotWriter {
     std::ofstream out_;
     std::string path_;
     std::vector<Entry> toc_;
-    BufferWriter pending_;
+    Writer pending_;
     std::string pending_name_;
     bool pending_open_ = false;
     bool finished_ = false;
@@ -145,7 +145,7 @@ class SnapshotReader {
      * SnapshotReader, so it must not outlive it (index loaders
      * consume streams inside open()).
      */
-    BoundedMemReader stream(const std::string &name);
+    Reader stream(const std::string &name);
 
     /** One bulk section: pointer + keepalive for zero-copy views. */
     struct Blob {

@@ -89,19 +89,6 @@ validateConfig(const ServiceConfig &config)
                  "default_deadline_ms must be >= 0 (0 = no deadline)");
 }
 
-HistogramSummary
-toHistogramSummary(const LatencySummary &s)
-{
-    HistogramSummary out;
-    out.count = s.count;
-    out.mean = s.mean;
-    out.p50 = s.p50;
-    out.p95 = s.p95;
-    out.p99 = s.p99;
-    out.max = s.max;
-    return out;
-}
-
 } // namespace
 
 SearchService::SearchService(AnnIndex &index, ServiceConfig config)
@@ -456,8 +443,7 @@ SearchService::registerMetrics()
         regs.push_back(reg.summaryCallback(
             name, "Request latency component (microseconds)",
             [this, component = component] {
-                return toHistogramSummary(
-                    stats_.componentSummary(component));
+                return stats_.componentSummary(component);
             }));
     }
     // Hot-list cache counters re-export through the registry; all

@@ -43,25 +43,6 @@ readResourceUsage()
     return u;
 }
 
-namespace {
-
-LatencySummary
-summarise(const QuantileSketch &sketch)
-{
-    LatencySummary s;
-    s.count = sketch.count();
-    if (s.count == 0)
-        return s;
-    s.mean = sketch.mean();
-    s.p50 = sketch.quantile(0.50);
-    s.p95 = sketch.quantile(0.95);
-    s.p99 = sketch.quantile(0.99);
-    s.max = sketch.quantile(1.0);
-    return s;
-}
-
-} // namespace
-
 ServiceStats::Shard &
 ServiceStats::localShard()
 {
@@ -112,7 +93,7 @@ ServiceStats::recordBatch(std::size_t size)
     batched_requests_.fetch_add(size);
 }
 
-LatencySummary
+QuantileSummary
 ServiceStats::componentSummary(Component component) const
 {
     QuantileSketch merged;
@@ -133,7 +114,7 @@ ServiceStats::componentSummary(Component component) const
             break;
         }
     }
-    return summarise(merged);
+    return merged.summary();
 }
 
 ServiceStats::Snapshot
@@ -163,10 +144,10 @@ ServiceStats::snapshot() const
                           ? 0.0
                           : static_cast<double>(batched) /
                                 static_cast<double>(snap.batches);
-    snap.queue_us = summarise(queue_us);
-    snap.batch_us = summarise(batch_us);
-    snap.search_us = summarise(search_us);
-    snap.total_us = summarise(total_us);
+    snap.queue_us = queue_us.summary();
+    snap.batch_us = batch_us.summary();
+    snap.search_us = search_us.summary();
+    snap.total_us = total_us.summary();
     snap.live_inserts = live_inserts_.load();
     snap.live_removes = live_removes_.load();
     snap.live_upserts = live_upserts_.load();

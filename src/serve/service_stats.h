@@ -47,16 +47,6 @@ struct ResourceUsage {
  */
 ResourceUsage readResourceUsage();
 
-/** p50/p95/p99 summary of one latency component (microseconds). */
-struct LatencySummary {
-    std::size_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-};
-
 /** Counters and latency sketches of one SearchService. */
 class ServiceStats {
   public:
@@ -89,10 +79,10 @@ class ServiceStats {
         int degradation_tier = 0;
         std::uint64_t batches = 0;      ///< dispatched engine batches
         double mean_batch = 0.0;        ///< completed / batches
-        LatencySummary queue_us;  ///< submit -> batch drain
-        LatencySummary batch_us;  ///< drain -> batch assembled
-        LatencySummary search_us; ///< engine execution
-        LatencySummary total_us;  ///< submit -> future fulfilled
+        QuantileSummary queue_us;  ///< submit -> batch drain
+        QuantileSummary batch_us;  ///< drain -> batch assembled
+        QuantileSummary search_us; ///< engine execution
+        QuantileSummary total_us;  ///< submit -> future fulfilled
         /**
          * Hot-list cache counters of the served index (all zero when
          * no cache is attached). Filled by SearchService::snapshot();
@@ -221,7 +211,7 @@ class ServiceStats {
      * four summaries does not digest the other three streams four
      * times over.
      */
-    LatencySummary componentSummary(Component component) const;
+    QuantileSummary componentSummary(Component component) const;
 
     /**
      * Merges the per-thread shards into one summary per component.

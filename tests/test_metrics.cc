@@ -1,7 +1,7 @@
 /** @file Unit tests for the metrics registry (obs/metrics.h). */
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,48 +9,22 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "obs/metrics.h"
+#include "serve/service_stats.h"
 
 namespace juno {
 namespace {
 
-TEST(MetricsRegistry, CounterGetOrCreateSharesState)
-{
-    MetricsRegistry reg;
-    auto a = reg.counter("juno_test_total", "test counter");
-    auto b = reg.counter("juno_test_total", "test counter");
-    EXPECT_EQ(a.get(), b.get());
-    a->inc();
-    b->inc(2);
-    EXPECT_EQ(a->value(), 3u);
-    EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(MetricsRegistry, KindMismatchThrows)
-{
-    MetricsRegistry reg;
-    reg.counter("juno_test_total", "test counter");
-    EXPECT_THROW(reg.gauge("juno_test_total", "now a gauge"),
-                 ConfigError);
-    EXPECT_THROW(reg.histogram("juno_test_total", "now a histogram"),
-                 ConfigError);
-}
-
 TEST(MetricsRegistry, InvalidNameThrows)
 {
     MetricsRegistry reg;
-    EXPECT_THROW(reg.counter("juno test", "spaces"), ConfigError);
-    EXPECT_THROW(reg.counter("", "empty"), ConfigError);
-    EXPECT_THROW(reg.counter("9starts_with_digit", "digit"),
+    auto zero = [] { return std::uint64_t{0}; };
+    EXPECT_THROW(reg.counterCallback("juno test", "spaces", zero),
                  ConfigError);
-}
-
-TEST(MetricsRegistry, GaugeSetAndAdd)
-{
-    MetricsRegistry reg;
-    auto g = reg.gauge("juno_test_gauge", "test gauge");
-    g->set(2.5);
-    g->add(1.5);
-    EXPECT_DOUBLE_EQ(g->value(), 4.0);
+    EXPECT_THROW(reg.counterCallback("", "empty", zero), ConfigError);
+    EXPECT_THROW(reg.gaugeCallback("9starts_with_digit", "digit",
+                                   [] { return 0.0; }),
+                 ConfigError);
+    EXPECT_EQ(reg.size(), 0u);
 }
 
 TEST(MetricsRegistry, CallbackRegistrationIsRaii)
@@ -84,7 +58,8 @@ TEST(MetricsRegistry, ReplacedRegistrationOldHandleNoOps)
 TEST(MetricsRegistry, PrometheusFormat)
 {
     MetricsRegistry reg;
-    reg.counter("juno_req_total", "Requests")->inc(5);
+    auto req = reg.counterCallback("juno_req_total", "Requests",
+                                   [] { return std::uint64_t{5}; });
     auto info = reg.info("juno_build_info", "Build",
                          {{"git_sha", "abc"}, {"compiler", "gcc"}});
     const std::string text = reg.renderPrometheus();
@@ -106,7 +81,7 @@ TEST(MetricsRegistry, SummaryCallbackRendersQuantiles)
 {
     MetricsRegistry reg;
     auto handle = reg.summaryCallback("juno_lat_us", "Latency", [] {
-        HistogramSummary s;
+        QuantileSummary s;
         s.count = 10;
         s.mean = 4.0;
         s.p50 = 3.0;
@@ -126,8 +101,9 @@ TEST(MetricsRegistry, SummaryCallbackRendersQuantiles)
 TEST(MetricsRegistry, JsonExportParsesAsKeyValue)
 {
     MetricsRegistry reg;
-    reg.counter("juno_a_total", "a")->inc(3);
-    reg.gauge("juno_b", "b")->set(1.5);
+    auto a = reg.counterCallback("juno_a_total", "a",
+                                 [] { return std::uint64_t{3}; });
+    auto b = reg.gaugeCallback("juno_b", "b", [] { return 1.5; });
     const std::string json = reg.renderJson();
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
@@ -135,51 +111,46 @@ TEST(MetricsRegistry, JsonExportParsesAsKeyValue)
     EXPECT_NE(json.find("\"juno_b\":1.5"), std::string::npos);
 }
 
-TEST(MetricsRegistry, HistogramQuantilesMatchQuantileSketch)
+TEST(MetricsRegistry, ExportRacingServiceRecordingIsClean)
 {
+    // The TSan leg runs this too: exports pulling a ServiceStats'
+    // counters and latency digests while worker threads record into
+    // its shards must be race-free, and the final export must see
+    // every record.
     MetricsRegistry reg;
-    auto h = reg.histogram("juno_hist", "hist");
-    QuantileSketch reference;
-    for (int i = 1; i <= 1000; ++i) {
-        h->observe(static_cast<double>(i));
-        reference.add(static_cast<double>(i));
-    }
-    const HistogramSummary s = h->summary();
-    EXPECT_EQ(s.count, 1000u);
-    EXPECT_DOUBLE_EQ(s.mean, reference.mean());
-    EXPECT_DOUBLE_EQ(s.p50, reference.quantile(0.50));
-    EXPECT_DOUBLE_EQ(s.p95, reference.quantile(0.95));
-    EXPECT_DOUBLE_EQ(s.p99, reference.quantile(0.99));
-    EXPECT_DOUBLE_EQ(s.max, reference.quantile(1.0));
-}
-
-TEST(MetricsRegistry, ConcurrentRecordingLosesNothing)
-{
-    // The TSan leg runs this too: concurrent inc/observe against the
-    // sharded histogram and atomic counter must be race-free, and the
-    // merged summary must see every observation.
-    MetricsRegistry reg;
-    auto c = reg.counter("juno_mt_total", "mt");
-    auto h = reg.histogram("juno_mt_hist", "mt");
+    ServiceStats stats;
+    auto completed =
+        reg.counterCallback("juno_mt_total", "mt",
+                            [&] { return stats.completed(); });
+    auto latency = reg.summaryCallback("juno_mt_us", "mt", [&] {
+        return stats.componentSummary(ServiceStats::Component::kTotal);
+    });
     constexpr int kThreads = 4;
     constexpr int kPerThread = 2000;
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
             for (int i = 0; i < kPerThread; ++i) {
-                c->inc();
-                h->observe(static_cast<double>(t * kPerThread + i));
+                const double v = static_cast<double>(t * kPerThread + i);
+                stats.recordCompletion(v, v, v, v);
             }
-            // Export racing with recording must also be clean.
-            if (t == 0)
-                (void)reg.renderPrometheus();
         });
+    std::thread exporter([&] {
+        for (int i = 0; i < 20; ++i) {
+            (void)reg.renderPrometheus();
+            (void)reg.renderJson();
+        }
+    });
     for (auto &thread : threads)
         thread.join();
-    EXPECT_EQ(c->value(),
-              static_cast<std::uint64_t>(kThreads) * kPerThread);
-    EXPECT_EQ(h->summary().count,
-              static_cast<std::size_t>(kThreads) * kPerThread);
+    exporter.join();
+    const std::string total =
+        std::to_string(static_cast<std::uint64_t>(kThreads) * kPerThread);
+    const std::string text = reg.renderPrometheus();
+    EXPECT_NE(text.find("juno_mt_total " + total + "\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("juno_mt_us_count " + total + "\n"),
+              std::string::npos);
 }
 
 TEST(MetricsRegistry, ClearDropsEntriesAndHandlesNoOp)
@@ -187,10 +158,12 @@ TEST(MetricsRegistry, ClearDropsEntriesAndHandlesNoOp)
     MetricsRegistry reg;
     auto handle =
         reg.counterCallback("juno_cb_total", "cb", [] { return 1u; });
-    reg.counter("juno_owned_total", "owned");
+    auto other = reg.gaugeCallback("juno_cb_gauge", "cb",
+                                   [] { return 2.0; });
     reg.clear();
     EXPECT_EQ(reg.size(), 0u);
     handle.release(); // must not throw or resurrect anything
+    other.release();
     EXPECT_EQ(reg.size(), 0u);
 }
 

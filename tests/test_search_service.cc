@@ -585,6 +585,36 @@ TEST(SearchService, BorrowedLiveIndexMergesAfterServiceIsGone)
     EXPECT_EQ(own.sampledCount(), 1u);
 }
 
+TEST(SearchService, DestroyedWhileBorrowedLiveIndexMerges)
+{
+    // The TSan leg runs this: the background merge holds the service's
+    // tracer while ~SearchService runs, so the destructor must wait the
+    // merge out before the tracer dies.
+    const Dataset ds = smallDataset();
+    LiveConfig cfg;
+    cfg.merge_threshold = 4;
+    // Keeps the merge in flight well past the moment the test sees it.
+    cfg.before_publish = [] { std::this_thread::sleep_for(50ms); };
+    LiveIndex live(ds.metric, ds.base.view(), "flat", cfg);
+    auto service = std::make_unique<SearchService>(live, ServiceConfig{});
+    service->start();
+    for (idx_t i = 0; i < cfg.merge_threshold; ++i)
+        ASSERT_EQ(live.insert(ds.queries.row(i), 9000 + i),
+                  MutateStatus::kOk);
+    const auto give_up = std::chrono::steady_clock::now() + 10s;
+    while (!live.liveStats().merging &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(100us);
+    ASSERT_TRUE(live.liveStats().merging);
+    service.reset();
+
+    EXPECT_EQ(live.liveStats().merges, 1u);
+    ASSERT_EQ(live.insert(ds.queries.row(cfg.merge_threshold), 9100),
+              MutateStatus::kOk);
+    EXPECT_TRUE(live.mergeNow());
+    EXPECT_EQ(live.liveStats().merges, 2u);
+}
+
 TEST(SearchService, RejectsBadConfigAndDoubleStart)
 {
     const auto ds = smallDataset();

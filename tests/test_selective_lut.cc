@@ -429,7 +429,7 @@ TEST(SelectiveLut, PacketTracedLutEqualsSingleRayLut)
 void
 installEmptyGatePolicy(Fixture &fx)
 {
-    BufferWriter writer;
+    Writer writer;
     writer.writePod<std::int32_t>(0); // L2
     writer.writePod<std::int32_t>(
         static_cast<std::int32_t>(ThresholdMode::kDynamic));
@@ -446,8 +446,8 @@ installEmptyGatePolicy(Fixture &fx)
     }
     writer.writeVector(lo);
     writer.writeVector(hi);
-    BoundedMemReader reader(writer.buffer().data(), writer.buffer().size(),
-                            "hand-built policy");
+    Reader reader(writer.buffer().data(), writer.buffer().size(),
+                  "hand-built policy");
     fx.policy.load(reader, fx.density);
 }
 

@@ -1,4 +1,4 @@
-/** @file Unit tests for running statistics, quantiles and histograms. */
+/** @file Unit tests for running statistics and quantile sketches. */
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -138,38 +138,20 @@ TEST(QuantileSketch, SelfMergeDoublesSamples)
     EXPECT_DOUBLE_EQ(a.median(), 2.0);
 }
 
-TEST(Histogram, CountsAndCdf)
+TEST(QuantileSketch, SummaryDigestsQuantiles)
 {
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 10; ++i)
-        h.add(static_cast<double>(i) + 0.5);
-    EXPECT_EQ(h.total(), 10u);
-    for (int b = 0; b < 10; ++b)
-        EXPECT_EQ(h.countAt(b), 1u);
-    EXPECT_DOUBLE_EQ(h.cdfAt(4), 0.5);
-    EXPECT_DOUBLE_EQ(h.cdfAt(9), 1.0);
-}
-
-TEST(Histogram, ClampsOutOfRange)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-5.0);
-    h.add(5.0);
-    EXPECT_EQ(h.countAt(0), 1u);
-    EXPECT_EQ(h.countAt(3), 1u);
-}
-
-TEST(Histogram, BinCenters)
-{
-    Histogram h(0.0, 4.0, 4);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCenter(3), 3.5);
-}
-
-TEST(Histogram, RejectsBadConstruction)
-{
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), ConfigError);
-    EXPECT_THROW(Histogram(1.0, 0.0, 4), ConfigError);
+    QuantileSketch sketch;
+    EXPECT_EQ(sketch.summary().count, 0u);
+    EXPECT_DOUBLE_EQ(sketch.summary().p99, 0.0);
+    for (int i = 1; i <= 1000; ++i)
+        sketch.add(static_cast<double>(i));
+    const QuantileSummary s = sketch.summary();
+    EXPECT_EQ(s.count, 1000u);
+    EXPECT_DOUBLE_EQ(s.mean, sketch.mean());
+    EXPECT_DOUBLE_EQ(s.p50, sketch.quantile(0.50));
+    EXPECT_DOUBLE_EQ(s.p95, sketch.quantile(0.95));
+    EXPECT_DOUBLE_EQ(s.p99, sketch.quantile(0.99));
+    EXPECT_DOUBLE_EQ(s.max, 1000.0);
 }
 
 } // namespace

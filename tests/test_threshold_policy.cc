@@ -147,10 +147,10 @@ TEST(ThresholdPolicy, CountTableEqualsDirectPrediction)
 {
     for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
         PolicyFixture fx(metric);
-        BufferWriter writer;
+        Writer writer;
         fx.policy.save(writer);
-        BoundedMemReader reader(writer.buffer().data(),
-                                writer.buffer().size(), "policy");
+        Reader reader(writer.buffer().data(), writer.buffer().size(),
+                      "policy");
         ThresholdPolicy loaded;
         loaded.load(reader, fx.density);
         for (const ThresholdPolicy *policy : {&fx.policy, &loaded}) {

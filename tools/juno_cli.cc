@@ -87,6 +87,7 @@
 #include "dataset/recall.h"
 #include "dataset/synthetic.h"
 #include "harness/loadgen.h"
+#include "harness/reporter.h"
 #include "obs/metrics.h"
 #include "live/live_index.h"
 #include "registry/index_factory.h"
@@ -440,8 +441,11 @@ cmdEval(const Args &args)
     const double secs = timer.seconds();
     std::printf("QPS (%d threads): %.0f\n", index->lastSearchThreads(),
                 static_cast<double>(data.queries.rows()) / secs);
-    std::printf("R1@%lld: %.4f\n", static_cast<long long>(k),
-                recall1AtK(gt, results));
+    const double recall = recall1AtK(gt, results);
+    const std::string r1 = TablePrinter::recall(
+        recall, recallInterval(recall,
+                               static_cast<std::size_t>(results.size())));
+    std::printf("R1@%lld: %s\n", static_cast<long long>(k), r1.c_str());
     return 0;
 }
 
@@ -753,7 +757,7 @@ cmdServe(const Args &args)
     std::printf("%s\n", conservation.line.c_str());
     const struct {
         const char *name;
-        const LatencySummary &lat;
+        const QuantileSummary &lat;
     } rows[] = {{"queue", snap.queue_us},
                 {"batch", snap.batch_us},
                 {"search", snap.search_us},
