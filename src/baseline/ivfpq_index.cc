@@ -312,7 +312,7 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
     if (scratch.scores.size() < n)
         scratch.scores.resize(n);
     // Streaming float scan over the interleaved blocks; bitwise
-    // identical to the kernel table's id-gather adc_scan (same
+    // identical to an id gather over the row-major codes (same
     // per-point accumulation order), minus the per-point random
     // code-row load.
     const entry_t *blocks = pinned != nullptr

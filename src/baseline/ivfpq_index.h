@@ -135,7 +135,7 @@ class IvfPqIndex : public AnnIndex {
      *    quantised sums skips blocks that cannot beat the current
      *    heap minimum before any float work;
      *  - streaming float scan over the interleaved blocks otherwise
-     *    (bitwise identical to the kernel table's id-gather adc_scan).
+     *    (bitwise identical to an id gather over the row-major codes).
      * searchChunk()'s probe loop is the only caller.
      *
      * @p pinned substitutes the list's cached heap copy for the

@@ -112,29 +112,6 @@ gemmScalar(const float *a, const float *b, float *c, idx_t m, idx_t k,
 }
 
 void
-adcScanScalar(const float *lut, idx_t lut_stride, int subspaces,
-              const entry_t *codes, std::size_t code_stride,
-              const idx_t *ids, std::size_t n, float base, float *out)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        // The id gather makes every code row a data-dependent random
-        // load; prefetching a few ids ahead hides most of that miss.
-        if (i + 4 < n)
-            __builtin_prefetch(
-                codes + static_cast<std::size_t>(ids[i + 4]) *
-                            code_stride);
-        const entry_t *pc =
-            codes + static_cast<std::size_t>(ids[i]) * code_stride;
-        float acc = base;
-        for (int s = 0; s < subspaces; ++s)
-            acc += lut[static_cast<std::size_t>(s) *
-                           static_cast<std::size_t>(lut_stride) +
-                       pc[s]];
-        out[i] = acc;
-    }
-}
-
-void
 adcScanInterleavedScalar(const float *lut, idx_t lut_stride, int subspaces,
                          const entry_t *blocks, std::size_t n, float base,
                          float *out)
@@ -270,7 +247,6 @@ const Kernels kScalarTable = {
     &l2SqrBatchScalar,
     &innerProductBatchScalar,
     &gemmScalar,
-    &adcScanScalar,
     &adcScanInterleavedScalar,
     &fastScanPq4Scalar,
     &compactCandidatesScalar,
@@ -584,178 +560,11 @@ gemmAvx2(const float *a, const float *b, float *c, idx_t m, idx_t k,
 }
 
 /**
- * Transposes one 8-point x 8-subspace uint16 tile (each point's codes
- * loaded with a single 128-bit load from @p pc at subspace offset
- * @p s) into t[j] = the 8 points' codes for subspace s + j. Shared by
- * the AVX2 and AVX-512 ADC scans so the networks cannot drift apart.
- */
-JUNO_TARGET_AVX2 inline void
-transposeCodes8x8(const entry_t *const *pc, int s, __m128i t[8])
-{
-    const __m128i r0 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[0] + s));
-    const __m128i r1 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[1] + s));
-    const __m128i r2 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[2] + s));
-    const __m128i r3 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[3] + s));
-    const __m128i r4 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[4] + s));
-    const __m128i r5 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[5] + s));
-    const __m128i r6 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[6] + s));
-    const __m128i r7 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(pc[7] + s));
-    const __m128i ab_lo = _mm_unpacklo_epi16(r0, r1);
-    const __m128i ab_hi = _mm_unpackhi_epi16(r0, r1);
-    const __m128i cd_lo = _mm_unpacklo_epi16(r2, r3);
-    const __m128i cd_hi = _mm_unpackhi_epi16(r2, r3);
-    const __m128i ef_lo = _mm_unpacklo_epi16(r4, r5);
-    const __m128i ef_hi = _mm_unpackhi_epi16(r4, r5);
-    const __m128i gh_lo = _mm_unpacklo_epi16(r6, r7);
-    const __m128i gh_hi = _mm_unpackhi_epi16(r6, r7);
-    const __m128i abcd_0 = _mm_unpacklo_epi32(ab_lo, cd_lo);
-    const __m128i abcd_1 = _mm_unpackhi_epi32(ab_lo, cd_lo);
-    const __m128i abcd_2 = _mm_unpacklo_epi32(ab_hi, cd_hi);
-    const __m128i abcd_3 = _mm_unpackhi_epi32(ab_hi, cd_hi);
-    const __m128i efgh_0 = _mm_unpacklo_epi32(ef_lo, gh_lo);
-    const __m128i efgh_1 = _mm_unpackhi_epi32(ef_lo, gh_lo);
-    const __m128i efgh_2 = _mm_unpacklo_epi32(ef_hi, gh_hi);
-    const __m128i efgh_3 = _mm_unpackhi_epi32(ef_hi, gh_hi);
-    t[0] = _mm_unpacklo_epi64(abcd_0, efgh_0);
-    t[1] = _mm_unpackhi_epi64(abcd_0, efgh_0);
-    t[2] = _mm_unpacklo_epi64(abcd_1, efgh_1);
-    t[3] = _mm_unpackhi_epi64(abcd_1, efgh_1);
-    t[4] = _mm_unpacklo_epi64(abcd_2, efgh_2);
-    t[5] = _mm_unpackhi_epi64(abcd_2, efgh_2);
-    t[6] = _mm_unpacklo_epi64(abcd_3, efgh_3);
-    t[7] = _mm_unpackhi_epi64(abcd_3, efgh_3);
-}
-
-/**
- * One 8-point x 8-subspace ADC tile: transpose the code tile, then
- * gather one LUT row per subspace. The accumulator receives one add
- * per subspace in subspace order, so per-point (per-lane) results
- * stay bitwise identical to the scalar scan.
- */
-JUNO_TARGET_AVX2 inline __m256
-adcTile8x8(const entry_t *const *pc, int s, const float *lrow,
-           std::size_t stride, __m256 acc)
-{
-    __m128i t[8];
-    transposeCodes8x8(pc, s, t);
-    for (int j = 0; j < 8; ++j, lrow += stride)
-        acc = _mm256_add_ps(
-            acc,
-            _mm256_i32gather_ps(lrow, _mm256_cvtepu16_epi32(t[j]), 4));
-    return acc;
-}
-
-/**
- * Gathers LUT entries for 8 codes per step (8x8 tiles when at least 8
- * subspaces remain, per-subspace transposed gathers for the rest).
- * Per-point accumulation order over subspaces matches scalar exactly
- * (one add per subspace, in subspace order), so the result is bitwise
- * identical.
- */
-JUNO_TARGET_AVX2 void
-adcScanAvx2(const float *lut, idx_t lut_stride, int subspaces,
-            const entry_t *codes, std::size_t code_stride, const idx_t *ids,
-            std::size_t n, float base, float *out)
-{
-    const auto stride = static_cast<std::size_t>(lut_stride);
-    std::size_t i = 0;
-    // Two independent 8-point blocks per step: each block's
-    // accumulator is a serial add chain (the bitwise contract), so a
-    // second in-flight chain is what hides the add+gather latency.
-    for (; i + 16 <= n; i += 16) {
-        const entry_t *pca[8];
-        const entry_t *pcb[8];
-        for (int j = 0; j < 8; ++j) {
-            pca[j] =
-                codes +
-                static_cast<std::size_t>(
-                    ids[i + static_cast<std::size_t>(j)]) *
-                    code_stride;
-            pcb[j] =
-                codes +
-                static_cast<std::size_t>(
-                    ids[i + 8 + static_cast<std::size_t>(j)]) *
-                    code_stride;
-        }
-        // Pull the next block's gathered code rows towards the caches
-        // while this block's transposes and LUT gathers execute.
-        if (i + 32 <= n) {
-            for (int j = 0; j < 16; ++j)
-                __builtin_prefetch(
-                    codes +
-                    static_cast<std::size_t>(
-                        ids[i + 16 + static_cast<std::size_t>(j)]) *
-                        code_stride);
-        }
-        __m256 acca = _mm256_set1_ps(base);
-        __m256 accb = _mm256_set1_ps(base);
-        int s = 0;
-        for (; s + 8 <= subspaces; s += 8) {
-            const float *lrow =
-                lut + static_cast<std::size_t>(s) * stride;
-            acca = adcTile8x8(pca, s, lrow, stride, acca);
-            accb = adcTile8x8(pcb, s, lrow, stride, accb);
-        }
-        for (; s < subspaces; ++s) {
-            const float *lrow =
-                lut + static_cast<std::size_t>(s) * stride;
-            const __m256i eva = _mm256_setr_epi32(
-                pca[0][s], pca[1][s], pca[2][s], pca[3][s], pca[4][s],
-                pca[5][s], pca[6][s], pca[7][s]);
-            const __m256i evb = _mm256_setr_epi32(
-                pcb[0][s], pcb[1][s], pcb[2][s], pcb[3][s], pcb[4][s],
-                pcb[5][s], pcb[6][s], pcb[7][s]);
-            acca = _mm256_add_ps(acca,
-                                 _mm256_i32gather_ps(lrow, eva, 4));
-            accb = _mm256_add_ps(accb,
-                                 _mm256_i32gather_ps(lrow, evb, 4));
-        }
-        _mm256_storeu_ps(out + i, acca);
-        _mm256_storeu_ps(out + i + 8, accb);
-    }
-    for (; i + 8 <= n; i += 8) {
-        const entry_t *pc[8];
-        for (int j = 0; j < 8; ++j)
-            pc[j] = codes +
-                    static_cast<std::size_t>(
-                        ids[i + static_cast<std::size_t>(j)]) *
-                        code_stride;
-        __m256 acc = _mm256_set1_ps(base);
-        int s = 0;
-        for (; s + 8 <= subspaces; s += 8)
-            acc = adcTile8x8(pc, s,
-                             lut + static_cast<std::size_t>(s) * stride,
-                             stride, acc);
-        for (; s < subspaces; ++s) {
-            const __m256i ev = _mm256_setr_epi32(
-                pc[0][s], pc[1][s], pc[2][s], pc[3][s], pc[4][s],
-                pc[5][s], pc[6][s], pc[7][s]);
-            acc = _mm256_add_ps(
-                acc, _mm256_i32gather_ps(
-                         lut + static_cast<std::size_t>(s) * stride, ev,
-                         4));
-        }
-        _mm256_storeu_ps(out + i, acc);
-    }
-    if (i < n)
-        adcScanScalar(lut, lut_stride, subspaces, codes, code_stride,
-                      ids + i, n - i, base, out + i);
-}
-
-/**
  * Interleaved streaming scan: the subspace-major 32-point blocks put
  * the 8 gather indices of a step in one contiguous 128-bit load, so
- * the 8x8 transpose network of the id-gather path disappears and the
- * code stream is a pure sequential read. Four accumulator chains (one
- * per 8-point group of the block) hide the gather+add latency.
+ * no code transpose is needed and the code stream is a pure
+ * sequential read. Four accumulator chains (one per 8-point group of
+ * the block) hide the gather+add latency.
  * Per-point accumulation order matches scalar exactly.
  */
 JUNO_TARGET_AVX2 void
@@ -1002,7 +811,6 @@ const Kernels kAvx2Table = {
     &l2SqrBatchAvx2,
     &innerProductBatchAvx2,
     &gemmAvx2,
-    &adcScanAvx2,
     &adcScanInterleavedAvx2,
     &fastScanPq4Avx2,
     &compactCandidatesAvx2,
@@ -1010,142 +818,6 @@ const Kernels kAvx2Table = {
     &raySphereLanesAvx2,
     &lutFinishAvx2,
 };
-
-/**
- * 16 points per step with one 16-wide gather per subspace. Lanes are
- * points, one add per subspace in subspace order, so per-point
- * accumulation stays bitwise identical to the scalar scan. The AVX2
- * path's 8-wide gathers hit their throughput wall right at the scalar
- * load-port bound; the 512-bit gather doubles the elements per issued
- * gather, which is what buys the headroom.
- */
-JUNO_TARGET_AVX512 void
-adcScanAvx512(const float *lut, idx_t lut_stride, int subspaces,
-              const entry_t *codes, std::size_t code_stride,
-              const idx_t *ids, std::size_t n, float base, float *out)
-{
-    const auto stride = static_cast<std::size_t>(lut_stride);
-    std::size_t i = 0;
-    // Two independent 16-point blocks in flight: their gather+add
-    // chains interleave, which keeps the gather ports saturated.
-    for (; i + 32 <= n; i += 32) {
-        const entry_t *pc[4][8];
-        for (int g = 0; g < 4; ++g)
-            for (int j = 0; j < 8; ++j)
-                pc[g][j] =
-                    codes +
-                    static_cast<std::size_t>(
-                        ids[i + static_cast<std::size_t>(8 * g + j)]) *
-                        code_stride;
-        // Prefetch the next 32 gathered code rows behind this block's
-        // transposes (same rationale as the AVX2 path).
-        if (i + 64 <= n) {
-            for (int j = 0; j < 32; ++j)
-                __builtin_prefetch(
-                    codes +
-                    static_cast<std::size_t>(
-                        ids[i + 32 + static_cast<std::size_t>(j)]) *
-                        code_stride);
-        }
-        __m512 acc0 = _mm512_set1_ps(base);
-        __m512 acc1 = _mm512_set1_ps(base);
-        int s = 0;
-        for (; s + 8 <= subspaces; s += 8) {
-            __m128i t[4][8];
-            transposeCodes8x8(pc[0], s, t[0]);
-            transposeCodes8x8(pc[1], s, t[1]);
-            transposeCodes8x8(pc[2], s, t[2]);
-            transposeCodes8x8(pc[3], s, t[3]);
-            const float *lrow =
-                lut + static_cast<std::size_t>(s) * stride;
-            for (int j = 0; j < 8; ++j, lrow += stride) {
-                const __m512i ev0 = _mm512_maskz_cvtepu16_epi32(static_cast<__mmask16>(-1), 
-                    _mm256_set_m128i(t[1][j], t[0][j]));
-                const __m512i ev1 = _mm512_maskz_cvtepu16_epi32(static_cast<__mmask16>(-1), 
-                    _mm256_set_m128i(t[3][j], t[2][j]));
-                acc0 = _mm512_add_ps(
-                    acc0, _mm512_mask_i32gather_ps(
-                              _mm512_setzero_ps(), 0xFFFF, ev0, lrow,
-                              4));
-                acc1 = _mm512_add_ps(
-                    acc1, _mm512_mask_i32gather_ps(
-                              _mm512_setzero_ps(), 0xFFFF, ev1, lrow,
-                              4));
-            }
-        }
-        for (; s < subspaces; ++s) {
-            const float *lrow =
-                lut + static_cast<std::size_t>(s) * stride;
-            const __m512i ev0 = _mm512_setr_epi32(
-                pc[0][0][s], pc[0][1][s], pc[0][2][s], pc[0][3][s],
-                pc[0][4][s], pc[0][5][s], pc[0][6][s], pc[0][7][s],
-                pc[1][0][s], pc[1][1][s], pc[1][2][s], pc[1][3][s],
-                pc[1][4][s], pc[1][5][s], pc[1][6][s], pc[1][7][s]);
-            const __m512i ev1 = _mm512_setr_epi32(
-                pc[2][0][s], pc[2][1][s], pc[2][2][s], pc[2][3][s],
-                pc[2][4][s], pc[2][5][s], pc[2][6][s], pc[2][7][s],
-                pc[3][0][s], pc[3][1][s], pc[3][2][s], pc[3][3][s],
-                pc[3][4][s], pc[3][5][s], pc[3][6][s], pc[3][7][s]);
-            acc0 = _mm512_add_ps(
-                acc0, _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                               0xFFFF, ev0, lrow, 4));
-            acc1 = _mm512_add_ps(
-                acc1, _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                               0xFFFF, ev1, lrow, 4));
-        }
-        _mm512_storeu_ps(out + i, acc0);
-        _mm512_storeu_ps(out + i + 16, acc1);
-    }
-    for (; i + 16 <= n; i += 16) {
-        const entry_t *pca[8];
-        const entry_t *pcb[8];
-        for (int j = 0; j < 8; ++j) {
-            pca[j] =
-                codes +
-                static_cast<std::size_t>(
-                    ids[i + static_cast<std::size_t>(j)]) *
-                    code_stride;
-            pcb[j] =
-                codes +
-                static_cast<std::size_t>(
-                    ids[i + 8 + static_cast<std::size_t>(j)]) *
-                    code_stride;
-        }
-        __m512 acc = _mm512_set1_ps(base);
-        int s = 0;
-        for (; s + 8 <= subspaces; s += 8) {
-            __m128i ta[8];
-            __m128i tb[8];
-            transposeCodes8x8(pca, s, ta);
-            transposeCodes8x8(pcb, s, tb);
-            const float *lrow =
-                lut + static_cast<std::size_t>(s) * stride;
-            for (int j = 0; j < 8; ++j, lrow += stride) {
-                const __m512i ev = _mm512_maskz_cvtepu16_epi32(static_cast<__mmask16>(-1), 
-                    _mm256_set_m128i(tb[j], ta[j]));
-                acc = _mm512_add_ps(
-                    acc, _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                                  0xFFFF, ev, lrow, 4));
-            }
-        }
-        for (; s < subspaces; ++s) {
-            const float *lrow =
-                lut + static_cast<std::size_t>(s) * stride;
-            const __m512i ev = _mm512_setr_epi32(
-                pca[0][s], pca[1][s], pca[2][s], pca[3][s], pca[4][s],
-                pca[5][s], pca[6][s], pca[7][s], pcb[0][s], pcb[1][s],
-                pcb[2][s], pcb[3][s], pcb[4][s], pcb[5][s], pcb[6][s],
-                pcb[7][s]);
-            acc = _mm512_add_ps(
-                acc, _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
-                                              0xFFFF, ev, lrow, 4));
-        }
-        _mm512_storeu_ps(out + i, acc);
-    }
-    if (i < n)
-        adcScanAvx2(lut, lut_stride, subspaces, codes, code_stride,
-                    ids + i, n - i, base, out + i);
-}
 
 /**
  * Interleaved streaming scan, 16 points per gather: the block layout
@@ -1340,7 +1012,7 @@ lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
 }
 
 /**
- * AVX2 table with the wider ADC gather and scan kernels, the
+ * AVX2 table with the wider interleaved and fast scan kernels, the
  * sixteen-lane ray-packet kernels and the sixteen-cell LUT finish
  * swapped in.
  */
@@ -1352,7 +1024,6 @@ const Kernels kAvx512Table = {
     &l2SqrBatchAvx2,
     &innerProductBatchAvx2,
     &gemmAvx2,
-    &adcScanAvx512,
     &adcScanInterleavedAvx512,
     &fastScanPq4Avx512,
     &compactCandidatesAvx2,

@@ -7,8 +7,9 @@
  * here. A dispatch table of function pointers is selected once at
  * startup from CPUID (AVX2+FMA when available, a scalar reference
  * otherwise) and every hot kernel — single-pair reductions, batched
- * row scoring, the register-blocked GEMM tile, the batched ADC scan
- * and the sparse candidate compaction — calls through it.
+ * row scoring, the register-blocked GEMM tile, the interleaved ADC
+ * scan, the 4-bit fast scan and the sparse candidate compaction —
+ * calls through it.
  *
  * Contracts:
  *  - The scalar table is the bit-exact reference: its results never
@@ -17,8 +18,9 @@
  *    fuse its mul+add pairs into FMAs).
  *  - The AVX2 float reductions may differ from scalar within normal
  *    FP reassociation tolerance (tests allow 1e-4 relative).
- *  - The ADC scan is bitwise identical across tables: each point's
- *    accumulation order over subspaces is the same in every path.
+ *  - The interleaved ADC scan is bitwise identical across tables:
+ *    each point's accumulation order over subspaces is the same in
+ *    every path.
  *  - Candidate compaction emits the same candidates in the same
  *    (ascending ordinal) order in every path.
  *  - The ray-packet box and sphere kernels return the same hit masks
@@ -131,29 +133,16 @@ struct Kernels {
                  idx_t k, idx_t n);
 
     /**
-     * Batched ADC scan (paper stage D): for each of n point ids,
-     * out[i] = base + sum_s lut[s*lut_stride + code_row(ids[i])[s]],
-     * where code_row(p) = codes + p*code_stride. The AVX2 path
-     * gathers LUT entries for 8 codes at a time; accumulation order
-     * per point is identical to scalar, so results are bitwise equal.
-     * No search path runs it: it is the id-gather reference the
-     * interleaved scan is tested and benchmarked against.
-     */
-    void (*adc_scan)(const float *lut, idx_t lut_stride, int subspaces,
-                     const entry_t *codes, std::size_t code_stride,
-                     const idx_t *ids, std::size_t n, float base,
-                     float *out);
-
-    /**
-     * Streaming ADC scan over a list-resident interleaved code layout
-     * (quant/interleaved_codes.h): points live in blocks of 32,
-     * subspace-major within a block (blocks[s * 32 + j] is point
-     * block_base + j's subspace-s code), so the scan walks memory
-     * sequentially with no id gather. out[i] = base +
+     * Streaming ADC scan (paper stage D) over a list-resident
+     * interleaved code layout (quant/interleaved_codes.h): points live
+     * in blocks of 32, subspace-major within a block (blocks[s * 32 + j]
+     * is point block_base + j's subspace-s code), so the scan walks
+     * memory sequentially with no id gather. out[i] = base +
      * sum_s lut[s * lut_stride + code(i, s)] for i < n; accumulation
      * order per point is one add per subspace in subspace order, so
-     * results are bitwise identical to adc_scan on the same codes in
-     * every table. Tail blocks are zero-padded by the layout builder.
+     * results are bitwise identical in every table (and to an id-gather
+     * loop that starts from base and adds the same terms in the same
+     * order). Tail blocks are zero-padded by the layout builder.
      */
     void (*adc_scan_interleaved)(const float *lut, idx_t lut_stride,
                                  int subspaces, const entry_t *blocks,

@@ -513,8 +513,7 @@ JunoIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
             plan(gi);
             rtLut(gi);
         };
-        const auto pipe =
-            runTwoStagePipeline(groups, stage1, scan, true);
+        const auto pipe = runTwoStagePipeline(groups, stage1, scan);
         ctx.timers().add(Stage::kRtLut, pipe.stage1_seconds);
         ctx.timers().add(Stage::kScan, pipe.stage2_seconds);
         ctx.timers().add(Stage::kPipelineWall, pipe.wall_seconds);

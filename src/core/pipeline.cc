@@ -11,12 +11,12 @@ namespace juno {
 
 PipelineResult
 runTwoStagePipeline(idx_t n, const std::function<void(idx_t)> &stage1,
-                    const std::function<void(idx_t)> &stage2, bool pipelined)
+                    const std::function<void(idx_t)> &stage2)
 {
     PipelineResult result;
     Timer wall;
 
-    if (!pipelined || n <= 1) {
+    if (n <= 1) {
         for (idx_t i = 0; i < n; ++i) {
             Timer t1;
             stage1(i);

@@ -49,17 +49,16 @@ constexpr std::size_t kPipelineDepth = 2;
 /**
  * Runs items [0, n) through stage1 then stage2.
  *
- * Pipelined mode executes stage1 on the caller thread and stage2 on a
- * worker, connected by a queue bounded at kPipelineDepth, so
- * stage2(i) overlaps stage1(i+1). Sequential mode interleaves them on
- * one thread. Both stages must be safe to run concurrently with each
+ * stage1 runs on the caller thread and stage2 on a worker, connected
+ * by a queue bounded at kPipelineDepth, so stage2(i) overlaps
+ * stage1(i+1). Both stages must be safe to run concurrently with each
  * other (stage1(i) never runs concurrently with stage1(j), likewise
- * stage2).
+ * stage2). With n <= 1 there is nothing to overlap, so the item runs
+ * inline on the caller thread.
  */
 PipelineResult runTwoStagePipeline(idx_t n,
                                    const std::function<void(idx_t)> &stage1,
-                                   const std::function<void(idx_t)> &stage2,
-                                   bool pipelined);
+                                   const std::function<void(idx_t)> &stage2);
 
 } // namespace juno
 

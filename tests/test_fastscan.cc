@@ -5,13 +5,13 @@
  *
  *  - PQ4 (entries == 16) train/encode/decode round-trip;
  *  - the interleaved layout reproduces the row-major codes (both
- *    planes) and the interleaved scan is bitwise equal to the legacy
- *    id-gather scan in every dispatch table;
+ *    planes) and the interleaved scan is bitwise equal to a
+ *    test-local id-gather scan in every dispatch table;
  *  - the fast-scan kernel's quantised sums match a naive nibble
  *    reference bit for bit in every table, and the reconstructed
  *    scores respect the documented error bound;
  *  - an IvfPqIndex returns results bitwise identical to a test-local
- *    id-gather oracle (scalar adc_scan over the row-major codes)
+ *    id-gather oracle (gatherScan over the row-major codes)
  *    under JUNO_SIMD=scalar;
  *  - the quantised-LUT path holds recall parity within +-0.1% of the
  *    scalar float path at a fig12-style operating point across all
@@ -142,6 +142,28 @@ struct ScanFixture {
     }
 };
 
+/**
+ * The id-gather ADC scan as test code: each listed point's score starts
+ * from @p base and adds one LUT term per subspace, in subspace order,
+ * read through the point's row-major code row. That is the per-point
+ * accumulation order of every adc_scan_interleaved table, so the two
+ * agree bit for bit.
+ */
+std::vector<float>
+gatherScan(const FloatMatrix &lut, const PQCodes &codes,
+           const std::vector<idx_t> &ids, float base)
+{
+    std::vector<float> out(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const entry_t *row = codes.row(ids[i]);
+        float acc = base;
+        for (int s = 0; s < codes.num_subspaces; ++s)
+            acc += lut.at(s, row[s]);
+        out[i] = acc;
+    }
+    return out;
+}
+
 TEST(FastScan, InterleavedLayoutMatchesRowMajorCodes)
 {
     ScanFixture fx(6, 16, 517, 7, 21);
@@ -185,17 +207,12 @@ TEST(FastScan, InterleavedScanBitwiseEqualsLegacyGatherEverywhere)
     // entries > 16 as well, so the non-packed layout is covered.
     for (int entries : {16, 64}) {
         ScanFixture fx(5, entries, 203, 3, 37);
-        const auto &scalar = simd::table(simd::Level::kScalar);
         const float base = 0.375f;
         for (std::size_t c = 0; c < fx.lists.size(); ++c) {
             const auto &list = fx.lists[c];
             if (list.empty())
                 continue;
-            std::vector<float> ref(list.size());
-            scalar.adc_scan(fx.lut.data(), fx.lut.cols(), fx.subspaces,
-                            fx.codes.codes.data(),
-                            static_cast<std::size_t>(fx.subspaces),
-                            list.data(), list.size(), base, ref.data());
+            const auto ref = gatherScan(fx.lut, fx.codes, list, base);
             for (simd::Level level : supportedLevels()) {
                 std::vector<float> got(list.size(), -1.0f);
                 simd::table(level).adc_scan_interleaved(
@@ -302,20 +319,17 @@ pq4Params()
 
 /**
  * The id-gather scan as a test oracle: the index's own filter and LUT
- * rule, then the scalar table's adc_scan over each probed list's ids
- * and the row-major codes.
+ * rule, then gatherScan over each probed list's ids and the row-major
+ * codes.
  */
 SearchResults
 gatherOracle(const IvfPqIndex &index, FloatMatrixView queries, idx_t k)
 {
-    const auto &scalar = simd::table(simd::Level::kScalar);
     const auto &pq = index.pq();
-    const auto &codes = index.codes();
     SearchResults out(static_cast<std::size_t>(queries.rows()));
     FloatMatrix lut;
     VisitedSet visited;
     std::vector<float> residual(static_cast<std::size_t>(index.dim()));
-    std::vector<float> scores;
     for (idx_t qi = 0; qi < queries.rows(); ++qi) {
         const float *q = queries.row(qi);
         TopK top(k, index.metric());
@@ -331,11 +345,7 @@ gatherOracle(const IvfPqIndex &index, FloatMatrixView queries, idx_t k)
                                     index.dim());
             }
             const auto &list = index.ivf().list(c);
-            scores.resize(list.size());
-            scalar.adc_scan(lut.data(), lut.cols(), pq.numSubspaces(),
-                            codes.data(),
-                            static_cast<std::size_t>(codes.num_subspaces),
-                            list.data(), list.size(), base, scores.data());
+            const auto scores = gatherScan(lut, index.codes(), list, base);
             for (std::size_t i = 0; i < list.size(); ++i)
                 top.push(list[i], scores[i]);
         }

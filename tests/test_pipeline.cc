@@ -10,17 +10,6 @@
 namespace juno {
 namespace {
 
-TEST(Pipeline, SequentialProcessesInOrder)
-{
-    std::vector<idx_t> order;
-    auto stage1 = [&](idx_t i) { order.push_back(i * 2); };
-    auto stage2 = [&](idx_t i) { order.push_back(i * 2 + 1); };
-    const auto result = runTwoStagePipeline(3, stage1, stage2, false);
-    const std::vector<idx_t> expect{0, 1, 2, 3, 4, 5};
-    EXPECT_EQ(order, expect);
-    EXPECT_GE(result.wall_seconds, 0.0);
-}
-
 TEST(Pipeline, PipelinedProcessesEveryItemOnce)
 {
     std::vector<std::atomic<int>> s1(20), s2(20);
@@ -30,7 +19,7 @@ TEST(Pipeline, PipelinedProcessesEveryItemOnce)
     auto stage2 = [&](idx_t i) {
         s2[static_cast<std::size_t>(i)].fetch_add(1);
     };
-    runTwoStagePipeline(20, stage1, stage2, true);
+    runTwoStagePipeline(20, stage1, stage2);
     for (int i = 0; i < 20; ++i) {
         EXPECT_EQ(s1[static_cast<std::size_t>(i)].load(), 1);
         EXPECT_EQ(s2[static_cast<std::size_t>(i)].load(), 1);
@@ -48,7 +37,7 @@ TEST(Pipeline, Stage2SeesStage1Output)
         consumed[static_cast<std::size_t>(i)] =
             buffer[static_cast<std::size_t>(i)];
     };
-    runTwoStagePipeline(10, stage1, stage2, true);
+    runTwoStagePipeline(10, stage1, stage2);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(consumed[static_cast<std::size_t>(i)], i + 100);
 }
@@ -58,11 +47,12 @@ TEST(Pipeline, BusyTimesAreMeasured)
     auto spin = [](idx_t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     };
-    const auto result = runTwoStagePipeline(5, spin, spin, false);
+    const auto result = runTwoStagePipeline(5, spin, spin);
     EXPECT_GE(result.stage1_seconds, 0.008);
     EXPECT_GE(result.stage2_seconds, 0.008);
-    EXPECT_GE(result.wall_seconds,
-              result.stage1_seconds + result.stage2_seconds - 0.01);
+    // Every stage call runs inside the wall interval, and each stage's
+    // calls are serial, so the wall covers the busier stage.
+    EXPECT_GE(result.wall_seconds, result.modelledPipelinedSeconds());
 }
 
 TEST(Pipeline, ModelledBoundsAreConsistent)
@@ -77,22 +67,22 @@ TEST(Pipeline, ModelledBoundsAreConsistent)
 TEST(Pipeline, PipelinedWallAtMostSequentialPlusSlack)
 {
     // With sleep-bound stages, overlapping must not be slower than the
-    // strict sum (allow generous scheduling slack on loaded hosts).
+    // strict sum of the same run's stage busy times (allow generous
+    // scheduling slack on loaded hosts).
     auto sleepy = [](idx_t) {
         std::this_thread::sleep_for(std::chrono::milliseconds(3));
     };
-    const auto seq = runTwoStagePipeline(8, sleepy, sleepy, false);
-    const auto pipe = runTwoStagePipeline(8, sleepy, sleepy, true);
-    EXPECT_LT(pipe.wall_seconds, seq.wall_seconds * 1.5);
+    const auto pipe = runTwoStagePipeline(8, sleepy, sleepy);
+    EXPECT_LT(pipe.wall_seconds, pipe.modelledSequentialSeconds() * 1.5);
 }
 
 TEST(Pipeline, ZeroAndSingleItem)
 {
     int calls = 0;
     auto count = [&](idx_t) { ++calls; };
-    runTwoStagePipeline(0, count, count, true);
+    runTwoStagePipeline(0, count, count);
     EXPECT_EQ(calls, 0);
-    runTwoStagePipeline(1, count, count, true);
+    runTwoStagePipeline(1, count, count);
     EXPECT_EQ(calls, 2);
 }
 

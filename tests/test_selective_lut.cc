@@ -404,9 +404,14 @@ expectPacketLutEqualsSingleRayLut(Fixture &fx)
                 const std::string where = std::string(simd::levelName(level)) +
                                           " query " +
                                           std::to_string(q0 + g);
+                // The query row is recomputed, not read back from
+                // requests[g]: GCC 12.2 at -O2 with ASan+UBSan and
+                // _GLIBCXX_ASSERTIONS miscompiles that load (late VRP
+                // folds the induction-variable offset of requests[g] to
+                // the g = 1 value), so g = 0 got query 1's row.
                 shifted_runs += expectSingleRayLut(
-                    fx, requests[g].query, probes[g], params, luts[g],
-                    single, where);
+                    fx, fx.ds.queries.row(q0 + g), probes[g], params,
+                    luts[g], single, where);
             }
             expectSameStats(single, packed, simd::levelName(level));
         }

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests of the SIMD kernel layer: every dispatched kernel must match
- * the scalar reference (bitwise for the ADC gather and candidate
- * compaction, 1e-4 relative for float reductions) across odd
- * dimensions, and flipping the dispatch level must not change the
- * top-k ids an index returns.
+ * the scalar reference (bitwise for candidate compaction, the ray-lane
+ * kernels and the LUT finish, 1e-4 relative for float reductions)
+ * across odd dimensions, and flipping the dispatch level must not
+ * change the top-k ids an index returns. The interleaved ADC scan and
+ * the 4-bit fast scan are checked in test_fastscan.
  */
 #include <gtest/gtest.h>
 
@@ -131,52 +132,6 @@ TEST(Simd, GemmTileMatchesScalar)
             EXPECT_NEAR(ref[i], got[i], tol)
                 << "gemm " << s.m << "x" << s.k << "x" << s.n << " @" << i;
         }
-    }
-}
-
-TEST(Simd, AdcScanBitwiseIdenticalAcrossTables)
-{
-    const auto &scalar = simd::table(simd::Level::kScalar);
-    const auto &dispatched = simd::table(simd::bestSupported());
-    Rng rng(14);
-    const int subspaces = 5;
-    const idx_t entries = 16;
-    const idx_t num_points = 45; // not a multiple of the 8-wide gather
-    const auto lut = randomVec(
-        rng, static_cast<std::size_t>(subspaces) *
-                 static_cast<std::size_t>(entries));
-    std::vector<entry_t> codes(static_cast<std::size_t>(num_points) *
-                               static_cast<std::size_t>(subspaces));
-    for (auto &c : codes)
-        c = static_cast<entry_t>(rng.uniform() *
-                                 static_cast<double>(entries)) %
-            static_cast<entry_t>(entries);
-    std::vector<idx_t> ids;
-    for (idx_t p = num_points; p-- > 0;) // scattered, descending ids
-        ids.push_back(p);
-
-    std::vector<float> ref(ids.size());
-    std::vector<float> got(ids.size());
-    const float base = 0.625f;
-    scalar.adc_scan(lut.data(), entries, subspaces, codes.data(),
-                    static_cast<std::size_t>(subspaces), ids.data(),
-                    ids.size(), base, ref.data());
-    dispatched.adc_scan(lut.data(), entries, subspaces, codes.data(),
-                        static_cast<std::size_t>(subspaces), ids.data(),
-                        ids.size(), base, got.data());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        EXPECT_EQ(ref[i], got[i]) << "adc bitwise mismatch at " << i;
-
-    // Cross-check the scalar reference against a naive loop.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        float acc = base;
-        for (int s = 0; s < subspaces; ++s)
-            acc += lut[static_cast<std::size_t>(s) *
-                           static_cast<std::size_t>(entries) +
-                       codes[static_cast<std::size_t>(ids[i]) *
-                                 static_cast<std::size_t>(subspaces) +
-                             static_cast<std::size_t>(s)]];
-        EXPECT_EQ(acc, ref[i]);
     }
 }
 
@@ -589,7 +544,7 @@ TEST(Simd, IvfPqTopKIdsIdenticalAcrossLevels)
     ASSERT_TRUE(simd::setLevel(simd::Level::kAvx2));
     const auto avx2_ids = idsOf(index.search(ds.queries.view(), 10));
     EXPECT_EQ(scalar_ids, avx2_ids);
-    // The widest supported tier (AVX-512 ADC gather when present)
+    // The widest supported tier (AVX-512 interleaved scan when present)
     // must agree as well.
     ASSERT_TRUE(simd::setLevel(simd::bestSupported()));
     const auto best_ids = idsOf(index.search(ds.queries.view(), 10));
