@@ -138,7 +138,8 @@ writeJson(const std::string &path, const Options &opt, const Leg &base,
             << ", \"p99_us\": " << r.snap.total_us.p99 << "}";
     };
     out << "{\n  \"bench\": \"live\",\n  \"build\": "
-        << buildInfoJson() << ",\n  \"points\": " << opt.num_points
+        << buildInfoJson() << ",\n  \"host\": " << hostInfoJson()
+        << ",\n  \"points\": " << opt.num_points
         << ",\n  \"insert_rate\": " << opt.insert_rate
         << ",\n  \"delete_rate\": " << opt.delete_rate << ",\n";
     leg("read_only", base);

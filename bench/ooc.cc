@@ -170,9 +170,8 @@ struct ModeResult {
 
 /**
  * One serving mode under eviction pressure. @p budget_bytes == 0 is
- * the naive cold-mmap mode (explicitly detaches any cache, so a
- * stray JUNO_MEM_BUDGET cannot contaminate the baseline); > 0 runs
- * IO-aware with a cache of that size. The workload runs twice —
+ * the naive cold-mmap mode (detaches any cache); > 0 runs IO-aware
+ * with a cache of that size. The workload runs twice —
  * first pass warms the cache's frequency state (real serving is a
  * steady state, not a cold start), second pass is measured.
  */
@@ -189,11 +188,8 @@ runMode(IvfPqIndex &index, const std::string &snapshot_path,
         for (std::size_t i = 0; i < workload.size(); ++i) {
             if (static_cast<idx_t>(i) % opt.evict_every == 0)
                 evictScanPlanes(index.interleaved(), snapshot_path);
-            SearchRequest request(
-                FloatMatrixView(queries.row(workload[i]), 1, dim),
-                opt.k);
-            request.options.memory_budget_bytes = budget_bytes;
-            index.search(request);
+            index.search(FloatMatrixView(queries.row(workload[i]), 1, dim),
+                         opt.k);
         }
         return timed ? timer.seconds() : 0.0;
     };
@@ -208,9 +204,7 @@ runMode(IvfPqIndex &index, const std::string &snapshot_path,
     // Parity + recall over the full query set (untimed): whatever the
     // budget did, results must match the unconstrained search bit for
     // bit.
-    SearchRequest full(queries, opt.k);
-    full.options.memory_budget_bytes = budget_bytes;
-    const SearchResults results = index.search(full);
+    const SearchResults results = index.search(queries, opt.k);
     result.recall = recall1AtK(gt, results);
     for (std::size_t q = 0; q < results.size(); ++q)
         if (results[q] != reference[q]) {
@@ -236,7 +230,8 @@ writeJson(const std::string &path, std::size_t index_bytes,
         return;
     }
     out << "{\n  \"bench\": \"ooc\",\n  \"build\": "
-        << buildInfoJson() << ",\n  \"scan_plane_bytes\": "
+        << buildInfoJson() << ",\n  \"host\": " << hostInfoJson()
+        << ",\n  \"scan_plane_bytes\": "
         << index_bytes << ",\n  \"warm_qps\": " << warm_qps
         << ",\n  \"naive_cold_mmap\": {\"qps\": " << naive.qps
         << ", \"recall1\": " << naive.recall
@@ -314,17 +309,13 @@ main(int argc, char **argv)
 
     // Unconstrained reference: warm planes, no cache, no pressure —
     // the bitwise target every mode must reproduce.
-    SearchRequest ref_request(ds.queries.view(), opt.k);
-    ref_request.options.memory_budget_bytes = 0;
-    const SearchResults reference = index->search(ref_request);
+    const SearchResults reference =
+        index->search(ds.queries.view(), opt.k);
     Timer warm_timer;
     for (std::size_t i = 0; i < workload.size(); ++i) {
-        SearchRequest request(
-            FloatMatrixView(ds.queries.view().row(workload[i]), 1,
-                            ds.queries.cols()),
-            opt.k);
-        request.options.memory_budget_bytes = 0;
-        index->search(request);
+        index->search(FloatMatrixView(ds.queries.view().row(workload[i]),
+                                      1, ds.queries.cols()),
+                      opt.k);
     }
     const double warm_qps =
         static_cast<double>(workload.size()) / warm_timer.seconds();

@@ -44,6 +44,7 @@
 #include "baseline/ivfflat_index.h"
 #include "bench_common.h"
 #include "common/build_info.h"
+#include "common/parse.h"
 #include "common/timer.h"
 #include "dataset/ground_truth.h"
 #include "dataset/recall.h"
@@ -51,7 +52,6 @@
 #include "harness/loadgen.h"
 #include "harness/reporter.h"
 #include "registry/index_factory.h"
-#include "serve/hot_list_cache.h"
 #include "serve/search_service.h"
 
 using namespace juno;
@@ -72,8 +72,8 @@ struct Options {
     std::string overload_json_path;
     /** Snapshot to serve from (skips the in-process build). */
     std::string load_path;
-    /** Hot-list cache budget (bytes, k/m/g suffix); -1 = unset. */
-    std::int64_t mem_budget = -1;
+    /** Hot-list cache budget (bytes, k/m/g suffix); 0 = none. */
+    std::int64_t mem_budget = 0;
     idx_t num_points = 8000;
     idx_t dim = 96;
     idx_t num_queries = 256;
@@ -91,17 +91,15 @@ struct Options {
     double open_duration_s = 1.0;
 };
 
-/** Out-of-core budget forwarded to every service in the sweep. */
-std::int64_t g_mem_budget = -1;
-
+/** The service of one sweep point; @p mem_budget is --mem-budget. */
 ServiceConfig
-serviceConfig(const BatchSetting &setting)
+serviceConfig(const BatchSetting &setting, std::int64_t mem_budget)
 {
     ServiceConfig config;
     config.max_batch = setting.max_batch;
     config.linger = setting.linger;
     config.queue_capacity = 4096;
-    config.memory_budget_bytes = g_mem_budget;
+    config.memory_budget_bytes = mem_budget;
     return config;
 }
 
@@ -147,12 +145,13 @@ serveRun(AnnIndex &index, const ServiceConfig &config,
  */
 int
 checkParity(AnnIndex &index, const Dataset &ds, idx_t k,
-            const BatchSetting &setting, const GroundTruth &gt)
+            const BatchSetting &setting, std::int64_t mem_budget,
+            const GroundTruth &gt)
 {
     int failures = 0;
     const auto direct = index.search(ds.queries.view(), k);
 
-    SearchService service(index, serviceConfig(setting));
+    SearchService service(index, serviceConfig(setting, mem_budget));
     service.start();
     std::vector<std::future<ResultList>> futures;
     for (idx_t q = 0; q < ds.queries.rows(); ++q)
@@ -245,12 +244,13 @@ parseArgs(int argc, char **argv)
             opt.load_path = value("--load");
         else if (arg == "--mem-budget") {
             const std::string text = value("--mem-budget");
-            opt.mem_budget = HotListCache::parseByteSize(text);
-            if (opt.mem_budget < 0) {
+            const auto bytes = parseByteSize(text);
+            if (!bytes) {
                 std::fprintf(stderr, "bad --mem-budget '%s'\n",
                              text.c_str());
                 std::exit(2);
             }
+            opt.mem_budget = *bytes;
         }
         else if (arg == "--n")
             opt.num_points = std::atoll(value("--n").c_str());
@@ -340,7 +340,8 @@ writeJson(const std::string &path,
         return;
     }
     out << "{\n  \"bench\": \"serve\",\n  \"build\": "
-        << buildInfoJson() << ",\n  \"observability\": {\"plain_qps\": "
+        << buildInfoJson() << ",\n  \"host\": " << hostInfoJson()
+        << ",\n  \"observability\": {\"plain_qps\": "
         << obs.plain_qps << ", \"obs_qps\": " << obs.obs_qps
         << ", \"overhead_pct\": " << obs.overhead_pct
         << "},\n  \"settings\": [\n";
@@ -427,7 +428,8 @@ writeOverloadJson(const std::string &path, const BatchSetting &setting,
             << ", \"errors\": " << r.tally.errors << "}}";
     };
     out << "{\n  \"bench\": \"serve_overload\",\n  \"build\": "
-        << buildInfoJson() << ",\n  \"setting\": {\"label\": \""
+        << buildInfoJson() << ",\n  \"host\": " << hostInfoJson()
+        << ",\n  \"setting\": {\"label\": \""
         << setting.label << "\", \"max_batch\": " << setting.max_batch
         << ", \"linger_us\": " << setting.linger.count() << "},\n"
         << "  \"capacity_qps\": " << capacity_qps
@@ -452,7 +454,6 @@ int
 main(int argc, char **argv)
 {
     const Options opt = parseArgs(argc, argv);
-    g_mem_budget = opt.mem_budget;
 
     SyntheticSpec spec;
     spec.kind = DatasetKind::kDeepLike;
@@ -514,7 +515,8 @@ main(int argc, char **argv)
     printBanner("Serving parity vs direct batch search");
     int failures = 0;
     for (const auto &setting : settings)
-        failures += checkParity(index, ds, opt.k, setting, gt);
+        failures +=
+            checkParity(index, ds, opt.k, setting, opt.mem_budget, gt);
 
     // ---- Closed-loop capacity per batch-window setting ----
     printBanner("Capacity (closed loop, windowed clients)");
@@ -531,9 +533,9 @@ main(int argc, char **argv)
         // not of whichever run the scheduler disturbed least.
         Run best;
         for (int rep = 0; rep < repeats; ++rep) {
-            auto r = serveRun(index, serviceConfig(setting), runClosedLoop,
-                              closed, "closed loop " + setting.label,
-                              failures);
+            auto r = serveRun(index, serviceConfig(setting, opt.mem_budget),
+                              runClosedLoop, closed,
+                              "closed loop " + setting.label, failures);
             if (rep == 0 || r.tally.qps() > best.tally.qps())
                 best = std::move(r);
         }
@@ -594,9 +596,9 @@ main(int argc, char **argv)
     ObsOverhead obs;
     {
         const BatchSetting &setting = settings[best_setting];
-        ServiceConfig plain_cfg = serviceConfig(setting);
+        ServiceConfig plain_cfg = serviceConfig(setting, opt.mem_budget);
         plain_cfg.metrics = false;
-        ServiceConfig obs_cfg = serviceConfig(setting);
+        ServiceConfig obs_cfg = serviceConfig(setting, opt.mem_budget);
         obs_cfg.metrics = true;
         obs_cfg.trace_sample = 0.0;
         obs_cfg.slow_trace_us = 1e12;
@@ -642,7 +644,8 @@ main(int argc, char **argv)
     for (std::size_t s = 0; s < settings.size(); ++s) {
         for (double f : load_factors) {
             open.rate = f * baseline_qps;
-            auto r = serveRun(index, serviceConfig(settings[s]),
+            auto r = serveRun(index,
+                              serviceConfig(settings[s], opt.mem_budget),
                               runOpenLoop, open,
                               "open loop " + settings[s].label, failures);
             const double shed =
@@ -703,10 +706,11 @@ main(int argc, char **argv)
         const double deadline_us = std::max(5000.0, 4.0 * cap_p99);
         LoadConfig overload = open;
         overload.rate = offered;
-        const auto base = serveRun(index, serviceConfig(setting),
+        const auto base = serveRun(index,
+                                   serviceConfig(setting, opt.mem_budget),
                                    runOpenLoop, overload,
                                    "overload baseline", failures);
-        ServiceConfig resil_cfg = serviceConfig(setting);
+        ServiceConfig resil_cfg = serviceConfig(setting, opt.mem_budget);
         resil_cfg.default_deadline_ms = deadline_us / 1000.0;
         resil_cfg.degradation.enabled = true;
         // Deadline shedding keeps the standing queue short, so depth

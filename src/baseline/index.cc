@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "registry/snapshot.h"
-#include "serve/hot_list_cache.h"
 
 namespace juno {
 
@@ -70,37 +69,12 @@ AnnIndex::search(const SearchRequest &request, SearchResults &out)
     }
     SearchOptions options = request.options;
     options.k = std::min(options.k, size());
-    applyMemoryBudget(options.memory_budget_bytes);
     engine_.run(
         request.queries, options,
         [this](const SearchChunk &chunk, SearchContext &ctx) {
             searchChunk(chunk, ctx);
         },
         timers_, out);
-}
-
-void
-AnnIndex::applyMemoryBudget(std::int64_t requested)
-{
-    std::int64_t budget = requested;
-    if (budget < 0) {
-        // Unspecified: leave whatever is attached alone. When nothing
-        // is attached yet, fall back to JUNO_MEM_BUDGET (read once per
-        // process; serving restarts to change it).
-        if (hotListCache() != nullptr)
-            return;
-        static const std::int64_t env_budget =
-            HotListCache::budgetFromEnv();
-        if (env_budget < 0)
-            return;
-        budget = env_budget;
-    }
-    const auto cache = hotListCache();
-    const std::int64_t current =
-        cache != nullptr ? static_cast<std::int64_t>(cache->budget())
-                         : 0;
-    if (current != budget)
-        setMemoryBudget(budget);
 }
 
 } // namespace juno

@@ -110,10 +110,11 @@ class AnnIndex {
      * Attaches (or resizes) a hot-list cache of @p bytes for
      * out-of-core serving; 0 detaches it. Returns false when this
      * index type has no IO-aware probe path (the default). Resizing
-     * discards the previous cache's contents and counters. Not safe
-     * concurrently with in-flight searches of the *same* budget
-     * transition, but the SearchOptions funnel only calls it on a
-     * budget change, and in-flight scans keep their shared_ptr.
+     * discards the previous cache's contents and counters. The one
+     * setter of the budget: the owner of the index calls it before
+     * serving (SearchService::start() does for a configured budget);
+     * searches never change it. In-flight scans keep their shared_ptr
+     * to a replaced cache.
      */
     virtual bool setMemoryBudget(std::int64_t bytes)
     {
@@ -147,9 +148,6 @@ class AnnIndex {
     StageTimers timers_;
 
   private:
-    /** Applies SearchOptions::memory_budget_bytes (env fallback). */
-    void applyMemoryBudget(std::int64_t requested);
-
     QueryEngine engine_;
 };
 

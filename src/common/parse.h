@@ -46,8 +46,8 @@ std::optional<double> parseFloat64(const std::string &text);
  * Byte size with optional k/m/g suffix (case-insensitive, powers of
  * 1024): "512", "64m", "2G". Rejects negatives, junk, and values that
  * would overflow std::int64_t after scaling. This is the single
- * parser behind JUNO_MEM_BUDGET (HotListCache::parseByteSize) and any
- * future byte-size flag.
+ * parser behind every hot-list budget input (the tools' --mem-budget
+ * flags and juno_cli serve's environment fallback).
  */
 std::optional<std::int64_t> parseByteSize(const std::string &text);
 

@@ -49,19 +49,6 @@ struct SearchOptions {
      */
     bool collect_stats = true;
     /**
-     * Hot-list cache budget for out-of-core serving
-     * (serve/hot_list_cache.h): > 0 attaches (or resizes) an
-     * admission-controlled cache that pins the hottest inverted
-     * lists' scan payloads in RAM and turns the probe loop
-     * IO-aware (resident-first order + madvise prefetch of cold
-     * lists); 0 detaches it (the pure-mmap paging path); < 0 (the
-     * default) keeps whatever is attached, falling back to the
-     * JUNO_MEM_BUDGET environment variable on first use. Results
-     * are bitwise identical under every budget — only residency,
-     * fault counts and speed change.
-     */
-    std::int64_t memory_budget_bytes = -1;
-    /**
      * Observability hook: when non-null, the engine and the index's
      * stage instrumentation append spans for this batch to the trace
      * (obs/trace.h). Not owned; must outlive the search call. Null

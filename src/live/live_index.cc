@@ -23,14 +23,6 @@ struct LiveScratch {
     std::vector<std::uint8_t> main_degraded;
 };
 
-std::int64_t
-nowUs()
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
 } // namespace
 
 const char *
@@ -179,8 +171,6 @@ LiveIndex::insertLocked(const float *vec, idx_t id)
     loc_[id] = Loc{Loc::Where::kBuffer, active_, act.count};
     ++act.count;
     active_rows_.fetch_add(1);
-    std::int64_t expected = -1;
-    oldest_fresh_us_.compare_exchange_strong(expected, nowUs());
     return MutateStatus::kOk;
 }
 
@@ -269,25 +259,14 @@ LiveIndex::upsert(const float *vec, idx_t id)
 void
 LiveIndex::maybeTriggerMerge()
 {
-    if (!config_.auto_merge)
-        return;
-    if (active_rows_.load() >= config_.merge_threshold)
+    if (config_.auto_merge && mergeDue())
         merge_cv_.notify_one();
 }
 
 bool
 LiveIndex::mergeDue() const
 {
-    if (active_rows_.load() >= config_.merge_threshold)
-        return true;
-    if (config_.merge_age_s > 0.0) {
-        const std::int64_t first = oldest_fresh_us_.load();
-        if (first >= 0 &&
-            static_cast<double>(nowUs() - first) >=
-                config_.merge_age_s * 1e6)
-            return true;
-    }
-    return false;
+    return active_rows_.load() >= config_.merge_threshold;
 }
 
 void
@@ -296,6 +275,9 @@ LiveIndex::mergeLoop()
     for (;;) {
         {
             CvLock lock(merge_mutex_);
+            // maybeTriggerMerge() notifies without merge_mutex_, so a
+            // notify can land between the mergeDue() test and the
+            // wait; the bounded wait picks such a trigger up.
             while (!merge_stop_ && !mergeDue())
                 merge_cv_.wait_for(lock.native(),
                                    std::chrono::milliseconds(20));
@@ -345,7 +327,6 @@ LiveIndex::mergeOnce()
         FreshBuffer &act = buffers_[active_];
         if (act.count == 0 && gen_->dead_count == 0) {
             active_rows_.store(0);
-            oldest_fresh_us_.store(-1);
             return false; // nothing to fold, nothing to compact
         }
         job.gen = gen_;
@@ -363,7 +344,6 @@ LiveIndex::mergeOnce()
         JUNO_ASSERT(buffers_[active_].count == 0,
                     "previous merge left a dirty buffer");
         active_rows_.store(0);
-        oldest_fresh_us_.store(-1);
     }
 
     // ---- Union build + index construction: no locks held. Row order
@@ -406,24 +386,18 @@ LiveIndex::mergeOnce()
     std::unique_ptr<AnnIndex> merged;
     if (union_rows > 0) {
         TraceSpan span(trace.get(), "build");
-        bool incremental = false;
-        if (config_.incremental) {
-            // IVF-Flat incremental re-assignment: fold the union onto
-            // the previous generation's centroids (no k-means). Also
-            // the only path that can index a union smaller than nlist.
-            const auto *old = dynamic_cast<const IvfFlatIndex *>(
-                job.gen->index.get());
-            const IndexSpec spec = IndexSpec::parse(base_spec_);
-            if (old != nullptr && spec.type == "ivfflat") {
-                merged = std::make_unique<IvfFlatIndex>(
-                    metric_, union_points.view(),
-                    IvfFlatIndex::fromSpec(spec), old->ivf().centroids());
-                incremental = true;
-            }
-        }
-        if (!incremental)
-            merged = buildIndex(metric_, union_points.view(),
-                                base_spec_);
+        // IVF-Flat incremental re-assignment: fold the union onto the
+        // previous generation's centroids (no k-means). Also the only
+        // path that can index a union smaller than nlist.
+        const auto *old =
+            dynamic_cast<const IvfFlatIndex *>(job.gen->index.get());
+        const IndexSpec spec = IndexSpec::parse(base_spec_);
+        if (old != nullptr && spec.type == "ivfflat")
+            merged = std::make_unique<IvfFlatIndex>(
+                metric_, union_points.view(), IvfFlatIndex::fromSpec(spec),
+                old->ivf().centroids());
+        else
+            merged = buildIndex(metric_, union_points.view(), base_spec_);
     }
 
     // ---- Snapshot generation: persist, then republish through the

@@ -14,10 +14,10 @@
  *    delete half of an upsert) takes effect immediately, without
  *    touching the immutable main index;
  *  - a background merge thread that folds the buffer into the main
- *    index (re-assigning IVF lists incrementally where the type
- *    supports it, rebuild-from-union otherwise) and publishes the
- *    result as a new snapshot generation, which readers swap to
- *    atomically.
+ *    index (an IVF-Flat base re-assigns the union to the previous
+ *    generation's centroids; every other type rebuilds from the
+ *    union) and publishes the result as a new snapshot generation,
+ *    which readers swap to atomically.
  *
  * Consistency contract: a query observes exactly one generation —
  * never a mix of old and new — because each search chunk holds the
@@ -31,8 +31,8 @@
  * LiveIndex search is the wrapped index's search with row ids mapped
  * to external ids; a merged generation built by rebuild-from-union is
  * bitwise-equal to a fresh build over the union dataset (same spec,
- * same seeds, same row order). The IVF-Flat incremental path reuses
- * the previous generation's centroids and is recall-parity instead.
+ * same seeds, same row order). An IVF-Flat merge reuses the previous
+ * generation's centroids and is recall-parity instead.
  */
 #ifndef JUNO_LIVE_LIVE_INDEX_H
 #define JUNO_LIVE_LIVE_INDEX_H
@@ -91,23 +91,10 @@ struct LiveConfig {
     /** Active-buffer row count that triggers a background merge. */
     idx_t merge_threshold = 1024;
     /**
-     * Age trigger: a merge starts once the oldest fresh row has been
-     * buffered this many seconds, even below merge_threshold.
-     * 0 disables the age trigger (size-only).
-     */
-    double merge_age_s = 0.0;
-    /**
      * Run the background merge thread. Off, merges happen only via
      * mergeNow() — the deterministic mode the parity tests use.
      */
     bool auto_merge = true;
-    /**
-     * Prefer the incremental merge path where the index type supports
-     * it (IVF-Flat: re-assign the union to the previous generation's
-     * centroids, skipping k-means). Off forces rebuild-from-union,
-     * which is bitwise-parity with a fresh build.
-     */
-    bool incremental = true;
     /**
      * Directory for generation snapshots: each merge saves
      * gen-<N>.juno there and republishes through openIndex() with
@@ -298,8 +285,6 @@ class LiveIndex : public AnnIndex {
     // Merge-trigger signals (atomics: read by the merge thread
     // without rw_).
     std::atomic<std::int64_t> active_rows_{0};
-    /** steady_clock us of the active buffer's first append; -1 none. */
-    std::atomic<std::int64_t> oldest_fresh_us_{-1};
 
     // Op counters (atomics: liveStats() reads without rw_ writers).
     std::atomic<std::uint64_t> inserts_{0};

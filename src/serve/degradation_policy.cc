@@ -25,17 +25,6 @@ constexpr double kScanTighten[DegradationPolicy::kMaxTier + 1] = {
 DegradationPolicy::DegradationPolicy(DegradationConfig config)
     : config_(config)
 {
-    JUNO_REQUIRE(config_.max_tier >= 0 && config_.max_tier <= kMaxTier,
-                 "degradation max_tier must be in [0, " << kMaxTier
-                                                        << "]");
-    JUNO_REQUIRE(config_.high_watermark > config_.low_watermark,
-                 "degradation watermarks must satisfy high > low "
-                 "(the hysteresis band)");
-    JUNO_REQUIRE(config_.high_watermark <= 1.0 &&
-                     config_.low_watermark >= 0.0,
-                 "degradation watermarks must be fractions in [0, 1]");
-    JUNO_REQUIRE(config_.up_patience > 0 && config_.down_patience > 0,
-                 "degradation patience counts must be positive");
     JUNO_REQUIRE(config_.queue_p95_budget_us >= 0.0,
                  "queue_p95_budget_us must be >= 0");
 }
@@ -101,21 +90,20 @@ DegradationPolicy::evaluate(std::size_t queue_depth,
                            ? queueWaitP95Locked()
                            : 0.0;
     const bool pressured =
-        fraction >= config_.high_watermark ||
+        fraction >= kHighWatermark ||
         (config_.queue_p95_budget_us > 0.0 &&
          p95 > config_.queue_p95_budget_us);
     // Calm requires the backlog to have genuinely drained, not merely
     // dipped under the step-up line: the gap between the watermarks is
     // the hysteresis band where the tier holds.
     const bool calm =
-        fraction <= config_.low_watermark &&
+        fraction <= kLowWatermark &&
         (config_.queue_p95_budget_us <= 0.0 ||
          p95 < 0.8 * config_.queue_p95_budget_us);
     int tier = tier_.load(std::memory_order_relaxed);
     if (pressured) {
         calm_streak_ = 0;
-        if (++pressured_streak_ >= config_.up_patience &&
-            tier < config_.max_tier) {
+        if (++pressured_streak_ >= kUpPatience && tier < kMaxTier) {
             ++tier;
             pressured_streak_ = 0;
             tier_.store(tier, std::memory_order_relaxed);
@@ -123,7 +111,7 @@ DegradationPolicy::evaluate(std::size_t queue_depth,
         }
     } else if (calm) {
         pressured_streak_ = 0;
-        if (++calm_streak_ >= config_.down_patience && tier > 0) {
+        if (++calm_streak_ >= kDownPatience && tier > 0) {
             --tier;
             calm_streak_ = 0;
             tier_.store(tier, std::memory_order_relaxed);

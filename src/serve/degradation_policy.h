@@ -39,21 +39,11 @@ namespace juno {
 struct DegradationConfig {
     /** Master switch; off keeps every batch at tier 0. */
     bool enabled = false;
-    /** Highest tier the policy may reach (clamped to kMaxTier). */
-    int max_tier = 3;
-    /** Queue fraction at/above which a batch counts as pressured. */
-    double high_watermark = 0.50;
-    /** Queue fraction at/below which a batch counts as calm. */
-    double low_watermark = 0.125;
     /**
      * Queue-wait p95 budget in microseconds; > 0 makes measured
      * queue wait a second pressure trigger (0 = depth only).
      */
     double queue_p95_budget_us = 0.0;
-    /** Consecutive pressured batches before stepping a tier up. */
-    int up_patience = 2;
-    /** Consecutive calm batches before stepping a tier down. */
-    int down_patience = 8;
 };
 
 /**
@@ -68,7 +58,16 @@ class DegradationPolicy {
         double scan_tighten = 0.0; ///< 0.0 = exact prefilter
     };
 
+    /** Highest tier (the last row of the knob table). */
     static constexpr int kMaxTier = 3;
+    /** Queue fraction at/above which a batch counts as pressured. */
+    static constexpr double kHighWatermark = 0.50;
+    /** Queue fraction at/below which a batch counts as calm. */
+    static constexpr double kLowWatermark = 0.125;
+    /** Consecutive pressured batches before stepping a tier up. */
+    static constexpr int kUpPatience = 2;
+    /** Consecutive calm batches before stepping a tier down. */
+    static constexpr int kDownPatience = 8;
 
     explicit DegradationPolicy(DegradationConfig config);
 

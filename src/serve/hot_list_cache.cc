@@ -1,13 +1,11 @@
 #include "serve/hot_list_cache.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/parse.h"
 
 namespace juno {
 
@@ -137,29 +135,6 @@ HotListCache::counters() const
     c.resident_lists = entries_.size();
     c.budget_bytes = budget_;
     return c;
-}
-
-std::int64_t
-HotListCache::parseByteSize(const std::string &text)
-{
-    // The checked parser lives in common/parse.cc so byte-size flags
-    // share one overflow-safe implementation; this wrapper keeps the
-    // legacy -1-on-error contract for existing callers.
-    const auto bytes = juno::parseByteSize(text);
-    return bytes ? *bytes : -1;
-}
-
-std::int64_t
-HotListCache::budgetFromEnv()
-{
-    const char *env = std::getenv("JUNO_MEM_BUDGET");
-    if (env == nullptr)
-        return -1;
-    const std::int64_t bytes = parseByteSize(env);
-    if (bytes < 0)
-        warn(std::string("ignoring unparseable JUNO_MEM_BUDGET='") +
-             env + "' (want bytes with optional k/m/g suffix)");
-    return bytes;
 }
 
 } // namespace juno

@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -126,19 +125,6 @@ class HotListCache {
         JUNO_EXCLUDES(mutex_);
 
     Counters counters() const JUNO_EXCLUDES(mutex_);
-
-    /**
-     * Parses a byte size with an optional k/m/g suffix (binary
-     * multiples, case-insensitive): "1048576", "64k", "512M", "2g".
-     * Returns -1 on empty or malformed input.
-     */
-    static std::int64_t parseByteSize(const std::string &text);
-
-    /**
-     * The JUNO_MEM_BUDGET environment variable as a byte count, or -1
-     * when unset or unparseable (a malformed value warns once).
-     */
-    static std::int64_t budgetFromEnv();
 
   private:
     /** Accesses between halvings of every frequency counter. */

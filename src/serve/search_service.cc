@@ -87,6 +87,9 @@ validateConfig(const ServiceConfig &config)
                  "stats_every_s must be >= 0");
     JUNO_REQUIRE(config.default_deadline_ms >= 0.0,
                  "default_deadline_ms must be >= 0 (0 = no deadline)");
+    JUNO_REQUIRE(config.memory_budget_bytes >= 0,
+                 "memory_budget_bytes must be >= 0 (0 = leave the "
+                 "index as configured)");
 }
 
 } // namespace
@@ -143,15 +146,11 @@ SearchService::start()
     JUNO_REQUIRE(state_ == State::kIdle,
                  "SearchService is one-shot: start() called on a "
                  "running or stopped service");
-    // Resolve the out-of-core budget before any query runs: explicit
-    // config wins, then JUNO_MEM_BUDGET, else the index is left as
-    // configured. setMemoryBudget returning false (index type without
-    // an IO-aware path) just means serving stays pure-mmap.
-    std::int64_t budget = config_.memory_budget_bytes;
-    if (budget < 0)
-        budget = HotListCache::budgetFromEnv();
-    if (budget >= 0)
-        index_.setMemoryBudget(budget);
+    // Attach the out-of-core budget before any query runs.
+    // setMemoryBudget returning false (index type without an IO-aware
+    // path) just means serving stays pure-mmap.
+    if (config_.memory_budget_bytes > 0)
+        index_.setMemoryBudget(config_.memory_budget_bytes);
     base_usage_ = readResourceUsage();
     start_time_ = Clock::now();
     state_ = State::kRunning;
@@ -681,12 +680,7 @@ SearchService::dispatchLoop()
             FloatMatrixView(queries.data(), n, dim), SearchOptions{});
         request.options.k = k_max;
         request.options.threads = config_.search_threads;
-        request.options.batch_size = config_.engine_chunk;
         request.options.collect_stats = config_.collect_stage_stats;
-        // Explicit service budgets ride along on every batch so a
-        // configured detach (0) stays detached even when the
-        // environment sets JUNO_MEM_BUDGET.
-        request.options.memory_budget_bytes = config_.memory_budget_bytes;
         // Overload resilience: the batch cuts off cooperatively at
         // the earliest member deadline (the scan loops check between
         // probe lists), and the policy's knobs shrink its probe

@@ -135,8 +135,6 @@ struct ServiceConfig {
     int dispatchers = 1;
     /** SearchOptions.threads of every dispatched batch. */
     int search_threads = 1;
-    /** SearchOptions.batch_size (engine chunk) of dispatched batches. */
-    idx_t engine_chunk = 0;
     /**
      * Forwarded to SearchOptions.collect_stats: serving keeps the
      * index's stage ledger off by default (the service has its own
@@ -144,14 +142,14 @@ struct ServiceConfig {
      */
     bool collect_stage_stats = false;
     /**
-     * Out-of-core hot-list cache budget, applied to the index at
-     * start(): > 0 attaches an admission-controlled cache of that
-     * many bytes (serve/hot_list_cache.h), 0 explicitly detaches,
-     * < 0 (default) resolves the JUNO_MEM_BUDGET environment variable
-     * (and leaves the index untouched when that is unset too).
-     * Results are bitwise identical under every budget.
+     * Out-of-core hot-list cache budget: > 0 makes start() attach an
+     * admission-controlled cache of that many bytes
+     * (serve/hot_list_cache.h) through AnnIndex::setMemoryBudget;
+     * 0 (the default) leaves the index as its owner configured it.
+     * Negative is a ConfigError. Results are bitwise identical under
+     * every budget.
      */
-    std::int64_t memory_budget_bytes = -1;
+    std::int64_t memory_budget_bytes = 0;
 
     // ---- Observability (DESIGN.md "Observability") ----
     /**

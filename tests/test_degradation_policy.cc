@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -20,12 +21,15 @@ baseConfig()
 {
     DegradationConfig config;
     config.enabled = true;
-    config.max_tier = 3;
-    config.high_watermark = 0.50;
-    config.low_watermark = 0.125;
-    config.up_patience = 2;
-    config.down_patience = 3;
     return config;
+}
+
+/** @p n calm evaluations (depth under the low watermark). */
+void
+evaluateCalm(DegradationPolicy &policy, int n)
+{
+    for (int i = 0; i < n; ++i)
+        policy.evaluate(2, 100);
 }
 
 TEST(DegradationPolicy, TierZeroKnobsAreNeutral)
@@ -70,11 +74,10 @@ TEST(DegradationPolicy, StepsDownOnlyAfterDownPatience)
     policy.evaluate(80, 100);
     policy.evaluate(80, 100);
     ASSERT_EQ(policy.tier(), 1);
-    // Calm evaluations below the low watermark; down_patience = 3.
-    policy.evaluate(2, 100);
-    policy.evaluate(2, 100);
+    // Calm evaluations below the low watermark.
+    evaluateCalm(policy, DegradationPolicy::kDownPatience - 1);
     EXPECT_EQ(policy.tier(), 1); // still waiting
-    policy.evaluate(2, 100);
+    evaluateCalm(policy, 1);
     EXPECT_EQ(policy.tier(), 0);
     EXPECT_EQ(policy.transitions(), 2u);
 }
@@ -91,25 +94,24 @@ TEST(DegradationPolicy, HysteresisBandResetsBothStreaks)
     EXPECT_EQ(policy.tier(), 0);
     policy.evaluate(80, 100); // x2 -> step
     EXPECT_EQ(policy.tier(), 1);
-    // Same on the way down: calm x2, in-band, calm must restart.
-    policy.evaluate(2, 100);
-    policy.evaluate(2, 100);
+    // Same on the way down: calm short of patience, in-band, calm
+    // must restart.
+    evaluateCalm(policy, DegradationPolicy::kDownPatience - 1);
     policy.evaluate(30, 100);
-    policy.evaluate(2, 100);
-    policy.evaluate(2, 100);
+    evaluateCalm(policy, DegradationPolicy::kDownPatience - 1);
     EXPECT_EQ(policy.tier(), 1); // streak broken, no step yet
-    policy.evaluate(2, 100);
+    evaluateCalm(policy, 1);
     EXPECT_EQ(policy.tier(), 0);
 }
 
 TEST(DegradationPolicy, ClampsAtMaxTier)
 {
-    auto config = baseConfig();
-    config.max_tier = 2;
-    DegradationPolicy policy(config);
+    DegradationPolicy policy(baseConfig());
     for (int i = 0; i < 20; ++i)
         policy.evaluate(99, 100);
-    EXPECT_EQ(policy.tier(), 2);
+    EXPECT_EQ(policy.tier(), DegradationPolicy::kMaxTier);
+    EXPECT_EQ(policy.transitions(),
+              static_cast<std::uint64_t>(DegradationPolicy::kMaxTier));
 }
 
 TEST(DegradationPolicy, QueueWaitP95TriggersPressureUnderBudget)
@@ -128,24 +130,14 @@ TEST(DegradationPolicy, QueueWaitP95TriggersPressureUnderBudget)
     // depth already calm).
     std::vector<double> fast(512, 10.0); // overwrite the whole window
     policy.recordQueueWait(fast);
-    policy.evaluate(0, 100);
-    policy.evaluate(0, 100);
-    policy.evaluate(0, 100);
+    for (int i = 0; i < DegradationPolicy::kDownPatience; ++i)
+        policy.evaluate(0, 100);
     EXPECT_EQ(policy.tier(), 0);
 }
 
 TEST(DegradationPolicy, RejectsBadConfig)
 {
     auto bad = baseConfig();
-    bad.max_tier = DegradationPolicy::kMaxTier + 1;
-    EXPECT_THROW({ DegradationPolicy p(bad); }, ConfigError);
-    bad = baseConfig();
-    bad.low_watermark = 0.6; // must sit below high_watermark
-    EXPECT_THROW({ DegradationPolicy p(bad); }, ConfigError);
-    bad = baseConfig();
-    bad.up_patience = 0;
-    EXPECT_THROW({ DegradationPolicy p(bad); }, ConfigError);
-    bad = baseConfig();
     bad.queue_p95_budget_us = -1.0;
     EXPECT_THROW({ DegradationPolicy p(bad); }, ConfigError);
 }

@@ -232,20 +232,6 @@ TEST(HotListCache, ConcurrentFindOfferEvictChurn)
     EXPECT_GE(c.evicted + c.rejected_policy, 1u);
 }
 
-TEST(HotListCache, ParseByteSize)
-{
-    EXPECT_EQ(HotListCache::parseByteSize("1048576"), 1048576);
-    EXPECT_EQ(HotListCache::parseByteSize("0"), 0);
-    EXPECT_EQ(HotListCache::parseByteSize("64k"), 64LL << 10);
-    EXPECT_EQ(HotListCache::parseByteSize("64K"), 64LL << 10);
-    EXPECT_EQ(HotListCache::parseByteSize("512m"), 512LL << 20);
-    EXPECT_EQ(HotListCache::parseByteSize("2G"), 2LL << 30);
-    EXPECT_EQ(HotListCache::parseByteSize(""), -1);
-    EXPECT_EQ(HotListCache::parseByteSize("junk"), -1);
-    EXPECT_EQ(HotListCache::parseByteSize("12q"), -1);
-    EXPECT_EQ(HotListCache::parseByteSize("-5"), -1);
-}
-
 // ---------------------------------------------------------------------
 // madvise / mincore helper tier
 // ---------------------------------------------------------------------
@@ -302,8 +288,7 @@ expectBudgetParity(const std::string &spec)
     built->save(path);
     auto index = openIndex(path); // mmap mode by default
 
-    // The uncached reference (budget 0 forces pure-mmap regardless of
-    // any JUNO_MEM_BUDGET in the environment).
+    // The uncached reference (budget 0 detaches: pure mmap).
     ASSERT_TRUE(index->setMemoryBudget(0));
     EXPECT_EQ(index->hotListCache(), nullptr);
     const auto expected = searchWith(*index, ds.queries.view(), 15, 1);

@@ -302,8 +302,8 @@ TEST(LiveIndex, NoOverlayParityBitwise)
               ref->search(ds.queries.view(), 10));
 }
 
-/** Rebuild-from-union merges are bitwise a fresh build over the
- * identically-ordered union dataset. */
+/** Rebuild-from-union merges (every base type but IVF-Flat) are
+ * bitwise a fresh build over the identically-ordered union dataset. */
 void
 checkMergeParityBitwise(const std::string &spec)
 {
@@ -311,7 +311,6 @@ checkMergeParityBitwise(const std::string &spec)
     const Dataset extra = smallDataset(8, 1, 16, 999);
     LiveConfig cfg;
     cfg.auto_merge = false;
-    cfg.incremental = false; // force rebuild-from-union
     LiveIndex live(ds.metric, ds.base.view(), spec, cfg);
 
     const std::set<idx_t> deleted = {5, 17, 250};
@@ -343,9 +342,9 @@ TEST(LiveIndexParity, MergeBitwiseFlat)
     checkMergeParityBitwise("flat");
 }
 
-TEST(LiveIndexParity, MergeBitwiseIvfFlatRebuild)
+TEST(LiveIndexParity, MergeBitwiseIvfPq)
 {
-    checkMergeParityBitwise("ivfflat:nlist=8,nprobe=4,seed=7");
+    checkMergeParityBitwise("ivfpq:nlist=8,m=4,entries=16,nprobe=4,seed=7");
 }
 
 TEST(LiveIndexParity, IncrementalIvfMergeRecallParity)
@@ -355,7 +354,7 @@ TEST(LiveIndexParity, IncrementalIvfMergeRecallParity)
     const std::string spec = "ivfflat:nlist=16,nprobe=4,seed=7";
     LiveConfig cfg;
     cfg.auto_merge = false;
-    cfg.incremental = true; // reuse gen-0 centroids, skip k-means
+    // An IVF-Flat merge reuses gen-0 centroids and skips k-means.
     LiveIndex live(ds.metric, ds.base.view(), spec, cfg);
 
     std::set<idx_t> deleted;

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "common/parse.h"
-#include "serve/hot_list_cache.h"
 
 namespace juno {
 namespace {
@@ -109,6 +108,10 @@ TEST(ParseByteSize, AcceptsSuffixes)
     EXPECT_EQ(parseByteSize("4K").value(), std::int64_t(4) << 10);
     EXPECT_EQ(parseByteSize("64m").value(), std::int64_t(64) << 20);
     EXPECT_EQ(parseByteSize("2G").value(), std::int64_t(2) << 30);
+    EXPECT_EQ(parseByteSize("1048576").value(), 1048576);
+    EXPECT_EQ(parseByteSize("64k").value(), std::int64_t(64) << 10);
+    EXPECT_EQ(parseByteSize("64K").value(), std::int64_t(64) << 10);
+    EXPECT_EQ(parseByteSize("512m").value(), std::int64_t(512) << 20);
 }
 
 TEST(ParseByteSize, RejectsNegativeAndJunk)
@@ -121,6 +124,10 @@ TEST(ParseByteSize, RejectsNegativeAndJunk)
     EXPECT_FALSE(parseByteSize("4kb").has_value()); // trailing junk
     EXPECT_FALSE(parseByteSize("4 k").has_value());
     EXPECT_FALSE(parseByteSize("lots").has_value());
+    EXPECT_FALSE(parseByteSize("junk").has_value());
+    EXPECT_FALSE(parseByteSize("bogus").has_value());
+    EXPECT_FALSE(parseByteSize("12q").has_value()); // unknown suffix
+    EXPECT_FALSE(parseByteSize("-5").has_value());
 }
 
 TEST(ParseByteSize, RejectsOverflowAfterScaling)
@@ -131,21 +138,12 @@ TEST(ParseByteSize, RejectsOverflowAfterScaling)
     EXPECT_EQ(parseByteSize("9223372036854775807").value(),
               std::numeric_limits<std::int64_t>::max());
     EXPECT_FALSE(parseByteSize("9223372036854775807k").has_value());
+    EXPECT_FALSE(parseByteSize("9223372036854775807g").has_value());
     EXPECT_FALSE(parseByteSize("9007199254740992g").has_value());
     EXPECT_FALSE(parseByteSize("99999999999999999999").has_value());
     // Largest value that survives a g suffix: (2^63-1) >> 30.
     EXPECT_EQ(parseByteSize("8589934591g").value(),
               std::int64_t(8589934591) << 30);
-}
-
-TEST(ParseByteSize, HotListCacheWrapperKeepsLegacyContract)
-{
-    // HotListCache::parseByteSize is the -1-on-error façade over the
-    // same parser; JUNO_MEM_BUDGET handling depends on that contract.
-    EXPECT_EQ(HotListCache::parseByteSize("64m"), std::int64_t(64) << 20);
-    EXPECT_EQ(HotListCache::parseByteSize("bogus"), -1);
-    EXPECT_EQ(HotListCache::parseByteSize("-5"), -1);
-    EXPECT_EQ(HotListCache::parseByteSize("9223372036854775807g"), -1);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -16,10 +17,12 @@
 
 #include "baseline/flat_index.h"
 #include "baseline/ivfflat_index.h"
+#include "baseline/ivfpq_index.h"
 #include "common/logging.h"
 #include "dataset/synthetic.h"
 #include "live/live_index.h"
 #include "obs/trace.h"
+#include "registry/index_factory.h"
 #include "serve/request_queue.h"
 #include "serve/search_service.h"
 #include "serve/service_stats.h"
@@ -246,6 +249,23 @@ TEST(ServiceStats, MergesRecordsFromManyThreads)
 
 // ---- SearchService ----
 
+/** Serves every query of @p ds through @p service and checks each
+ * result against @p direct bit for bit. */
+void
+expectServedEqualsDirect(SearchService &service, const Dataset &ds, idx_t k,
+                         const SearchResults &direct)
+{
+    std::vector<std::future<ResultList>> futures;
+    for (idx_t q = 0; q < ds.queries.rows(); ++q) {
+        futures.push_back(service.submit(ds.queries.view().row(q), k));
+        ASSERT_TRUE(futures.back().valid()) << "query " << q;
+    }
+    for (idx_t q = 0; q < ds.queries.rows(); ++q)
+        EXPECT_EQ(futures[static_cast<std::size_t>(q)].get(),
+                  direct[static_cast<std::size_t>(q)])
+            << "query " << q;
+}
+
 TEST(SearchService, ResultsMatchDirectBatchSearch)
 {
     const auto ds = smallDataset();
@@ -258,17 +278,7 @@ TEST(SearchService, ResultsMatchDirectBatchSearch)
     config.linger = 200us;
     SearchService service(index, config);
     service.start();
-
-    std::vector<std::future<ResultList>> futures;
-    for (idx_t q = 0; q < ds.queries.rows(); ++q) {
-        auto f = service.submit(ds.queries.view().row(q), k);
-        ASSERT_TRUE(f.valid()) << "query " << q;
-        futures.push_back(std::move(f));
-    }
-    for (idx_t q = 0; q < ds.queries.rows(); ++q)
-        EXPECT_EQ(futures[static_cast<std::size_t>(q)].get(),
-                  direct[static_cast<std::size_t>(q)])
-            << "query " << q;
+    expectServedEqualsDirect(service, ds, k, direct);
     service.stop();
 
     const auto snap = service.snapshot();
@@ -278,6 +288,56 @@ TEST(SearchService, ResultsMatchDirectBatchSearch)
     EXPECT_GE(snap.batches, 1u);
     EXPECT_EQ(snap.total_us.count,
               static_cast<std::size_t>(ds.queries.rows()));
+}
+
+TEST(SearchService, MemoryBudgetAttachesAtStartOrLeavesIndexAlone)
+{
+    const auto ds = smallDataset();
+    const std::string path =
+        std::string(::testing::TempDir()) + "/service_budget.juno";
+    buildIndex(ds.metric, ds.base.view(),
+               "ivfpq:nlist=8,m=4,entries=16,nprobe=4")
+        ->save(path);
+    auto index = openIndex(path); // zero-copy mmap by default
+    const auto *ivfpq = dynamic_cast<const IvfPqIndex *>(index.get());
+    ASSERT_NE(ivfpq, nullptr);
+    ASSERT_TRUE(ivfpq->interleaved().planesMapped());
+    ASSERT_EQ(index->hotListCache(), nullptr);
+    const idx_t k = 10;
+    const auto direct = index->search(ds.queries.view(), k);
+
+    {
+        // > 0: start() attaches a cache of exactly that budget, and the
+        // cached path serves the same bits as the direct search.
+        ServiceConfig config;
+        config.memory_budget_bytes = 1 << 20;
+        SearchService service(*index, config);
+        service.start();
+        const auto cache = index->hotListCache();
+        ASSERT_NE(cache, nullptr);
+        EXPECT_EQ(cache->counters().budget_bytes, std::size_t{1} << 20);
+        expectServedEqualsDirect(service, ds, k, direct);
+        service.stop();
+        EXPECT_GT(service.snapshot().cache.lookups, 0u);
+    }
+
+    {
+        // 0 (the default): a cache the owner attached stays as it is.
+        ASSERT_TRUE(index->setMemoryBudget(64 << 10));
+        const auto attached = index->hotListCache();
+        ASSERT_NE(attached, nullptr);
+        ServiceConfig config;
+        config.memory_budget_bytes = 0;
+        SearchService service(*index, config);
+        service.start();
+        EXPECT_EQ(index->hotListCache(), attached);
+        EXPECT_EQ(attached->budget(), std::size_t{64} << 10);
+        expectServedEqualsDirect(service, ds, k, direct);
+        service.stop();
+        EXPECT_EQ(index->hotListCache(), attached);
+    }
+    index.reset();
+    std::remove(path.c_str());
 }
 
 TEST(SearchService, ConcurrentClientsGetCorrectResults)
@@ -625,6 +685,9 @@ TEST(SearchService, RejectsBadConfigAndDoubleStart)
     ServiceConfig bad_q;
     bad_q.queue_capacity = 0;
     EXPECT_THROW({ SearchService s(index, bad_q); }, ConfigError);
+    ServiceConfig bad_budget;
+    bad_budget.memory_budget_bytes = -1;
+    EXPECT_THROW({ SearchService s(index, bad_budget); }, ConfigError);
 
     SearchService service(index, {});
     service.start();

@@ -70,6 +70,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -91,7 +92,6 @@
 #include "obs/metrics.h"
 #include "live/live_index.h"
 #include "registry/index_factory.h"
-#include "serve/hot_list_cache.h"
 #include "serve/search_service.h"
 
 using namespace juno;
@@ -537,16 +537,20 @@ cmdServe(const Args &args)
     JUNO_REQUIRE(config.default_deadline_ms >= 0.0,
                  "--deadline-ms must be >= 0");
     config.degradation.enabled = args.getInt("degrade", 0, 0, 1) != 0;
-    // --mem-budget 64m attaches the out-of-core hot-list cache
-    // (0 forces pure mmap even when JUNO_MEM_BUDGET is set).
-    const std::string mem_budget = args.get("mem-budget", "");
-    if (!mem_budget.empty()) {
-        config.memory_budget_bytes =
-            HotListCache::parseByteSize(mem_budget);
-        JUNO_REQUIRE(config.memory_budget_bytes >= 0,
-                     "bad --mem-budget '"
-                         << mem_budget
-                         << "' (want bytes with optional k/m/g)");
+    // --mem-budget 64m attaches the out-of-core hot-list cache (0 =
+    // pure mmap). Without the flag, JUNO_MEM_BUDGET supplies it; this
+    // is the one reader of that variable.
+    const bool budget_flag = args.has("mem-budget");
+    const char *env_budget = std::getenv("JUNO_MEM_BUDGET");
+    if (budget_flag || env_budget != nullptr) {
+        const std::string text =
+            budget_flag ? args.get("mem-budget", "") : env_budget;
+        const auto bytes = parseByteSize(text);
+        if (!bytes)
+            fatal(std::string("bad ") +
+                  (budget_flag ? "--mem-budget" : "JUNO_MEM_BUDGET") +
+                  " '" + text + "' (want bytes with optional k/m/g)");
+        config.memory_budget_bytes = *bytes;
     }
 
     // Observability: flight recorder + tracing (DESIGN.md
@@ -882,8 +886,9 @@ usage()
         "  serve   drive the micro-batching service; --load idx.juno\n"
         "          warm-starts from a snapshot (build-once/serve-many);\n"
         "          --mem-budget 64m pins the hottest inverted lists in\n"
-        "          RAM for out-of-core serving (JUNO_MEM_BUDGET env\n"
-        "          works too; 0 = pure mmap paging); observability:\n"
+        "          RAM for out-of-core serving (0 = pure mmap paging;\n"
+        "          without the flag, serve reads JUNO_MEM_BUDGET);\n"
+        "          observability:\n"
         "          --stats-every S --metrics-out m.prom (+ m.prom.jsonl\n"
         "          recorder) --trace-out t.json --trace-sample 0.01\n"
         "          --trace-slow-us 5000 --smoke (tiny CI-sized run);\n"
