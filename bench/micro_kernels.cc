@@ -20,6 +20,11 @@
  *   --check-packet    exit 1 unless the kRayLanes packet walk beats
  *                     single rays and every packing's tile equals the
  *                     single-ray cells bit for bit
+ *   --check-permscan  exit 1 unless the interleaved scan (permute and
+ *                     gather paths) and the flag count equal the scalar
+ *                     reference bit for bit at every level, and, on an
+ *                     AVX-512 host, the permute scan is not slower than
+ *                     the gather scan at E=128
  */
 #include <algorithm>
 #include <cmath>
@@ -95,6 +100,12 @@ double g_packet_vs_single = 0.0;
 /** Tile cells of any packing that differ from the single-ray cells. */
 std::size_t g_packet_mismatches = 0;
 
+/** Permute vs gather interleaved scan at E=128 (AVX-512 CI gate). */
+double g_perm_vs_gather_128 = 0.0;
+
+/** Scan outputs and flag counts of any level that differ from scalar. */
+std::size_t g_permscan_mismatches = 0;
+
 void
 printRow(const std::string &kernel, const std::string &shape,
          double scalar_ops, double dispatched_ops, const char *unit)
@@ -112,7 +123,9 @@ printRow(const std::string &kernel, const std::string &shape,
  * this): kernel, shape, baseline and dispatched throughput, speedup.
  * The baseline column is the scalar table except for the explicit
  * cross-kernel row fastscanPq4/inter, whose baseline is the dispatched
- * float interleaved scan. The bvhPacket rows go to their own array:
+ * float interleaved scan, and the adcScanInter/gather rows, whose
+ * baseline is the dispatched table's gather path on the same lists.
+ * The bvhPacket rows go to their own array:
  * packet-walk vs single-ray Mray/s and their ratio.
  */
 void
@@ -317,16 +330,139 @@ benchAdcScan(const simd::Kernels &scalar, const simd::Kernels &best)
     const std::string shape = "S=" + std::to_string(subspaces) + ",n=" +
                               std::to_string(num_points);
     const double s = opsPerSecond(ops, [&] {
-        scalar.adc_scan_interleaved(lut_flat.data(), entries, subspaces,
-                                    inter.listBlocks(0), out.size(),
-                                    0.0f, out.data());
+        scalar.adc_scan_interleaved(lut_flat.data(), entries, entries,
+                                    subspaces, inter.listBlocks(0),
+                                    out.size(), 0.0f, out.data());
     });
     const double v = opsPerSecond(ops, [&] {
-        best.adc_scan_interleaved(lut_flat.data(), entries, subspaces,
-                                  inter.listBlocks(0), out.size(), 0.0f,
-                                  out.data());
+        best.adc_scan_interleaved(lut_flat.data(), entries, entries,
+                                  subspaces, inter.listBlocks(0),
+                                  out.size(), 0.0f, out.data());
     });
     printRow("adcScanInter", shape, s, v, "Gop/s");
+}
+
+/**
+ * The in-register (permute) interleaved scan against the gather path
+ * of the same dispatched table on identical lists, at E = 32..256. The
+ * LUT rows sit at a stride past simd::kAdcPermuteMaxEntries, so passing
+ * that stride as the row length sends the same rows down the gather
+ * path (it reads only the cells the codes name); at E = 256 both calls
+ * gather, so that row reads about 1x. Also the --check-permscan
+ * parity pass: on a list with a partial tail block, every supported
+ * level's scan (both paths) must equal the scalar table bit for bit.
+ */
+void
+benchPermuteScan(const simd::Kernels &best)
+{
+    Rng rng(11);
+    const int subspaces = 48;
+    const idx_t stride = 512;
+    static_assert(simd::kAdcPermuteMaxEntries < 512,
+                  "a 512-cell row must take the gather path");
+    const idx_t num_points = 8192;
+    const idx_t check_points = 1013;
+    const auto lut = randomVec(rng, static_cast<std::size_t>(subspaces) *
+                                        static_cast<std::size_t>(stride));
+    for (idx_t entries : {idx_t(32), idx_t(64), idx_t(128), idx_t(256)}) {
+        InterleavedLists inter;
+        buildRandomList(rng, subspaces, entries, num_points, inter);
+        std::vector<float> out(static_cast<std::size_t>(num_points));
+        const auto ops = static_cast<std::size_t>(num_points) *
+                         static_cast<std::size_t>(subspaces);
+        const auto scan = [&](const simd::Kernels &k, idx_t row_length,
+                              const InterleavedLists &list,
+                              std::vector<float> &dst) {
+            k.adc_scan_interleaved(lut.data(), stride, row_length,
+                                   subspaces, list.listBlocks(0),
+                                   dst.size(), 0.0f, dst.data());
+        };
+        // Best of three alternating windows per side: one window on a
+        // shared host swings by tens of percent, and the E=128 ratio is
+        // a CI gate.
+        double gather = 0.0, permute = 0.0;
+        for (int round = 0; round < 3; ++round) {
+            gather = std::max(gather, opsPerSecond(ops, [&] {
+                                  scan(best, stride, inter, out);
+                              }));
+            permute = std::max(permute, opsPerSecond(ops, [&] {
+                                   scan(best, entries, inter, out);
+                               }));
+        }
+        printRow("adcScanInter/gather",
+                 "S=" + std::to_string(subspaces) + ",E=" +
+                     std::to_string(entries) + ",n=" +
+                     std::to_string(num_points),
+                 gather, permute, "Gop/s");
+        if (entries == 128)
+            g_perm_vs_gather_128 = permute / gather;
+
+        InterleavedLists check;
+        buildRandomList(rng, subspaces, entries, check_points, check);
+        std::vector<float> want(static_cast<std::size_t>(check_points));
+        std::vector<float> got(want.size());
+        scan(simd::table(simd::Level::kScalar), entries, check, want);
+        for (simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+            if (!simd::supported(level))
+                continue;
+            for (idx_t row_length : {entries, stride}) {
+                scan(simd::table(level), row_length, check, got);
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    g_permscan_mismatches +=
+                        std::memcmp(&want[i], &got[i], sizeof(float)) != 0;
+            }
+        }
+    }
+}
+
+/**
+ * Interleaved flag count (JUNO's dense hit counts) over bit rows laid
+ * out like an nprobe=8 L2 LUT: E=128 (four words a row), consecutive
+ * subspace rows 8 rows apart. Its parity pass joins --check-permscan.
+ */
+void
+benchFlagCount(const simd::Kernels &scalar, const simd::Kernels &best)
+{
+    Rng rng(12);
+    const int subspaces = 48;
+    const idx_t entries = 128;
+    const idx_t words = entries / 32;
+    const idx_t word_stride = 8 * words;
+    const idx_t num_points = 8192;
+    std::vector<std::uint32_t> bits(static_cast<std::size_t>(subspaces) *
+                                    static_cast<std::size_t>(word_stride));
+    for (auto &w : bits)
+        w = static_cast<std::uint32_t>(rng.below(1ull << 32));
+    InterleavedLists inter;
+    buildRandomList(rng, subspaces, entries, num_points, inter);
+    std::vector<std::int32_t> out(static_cast<std::size_t>(num_points));
+    const auto count = [&](const simd::Kernels &k,
+                           std::vector<std::int32_t> &dst, std::size_t n) {
+        k.flag_count_interleaved(bits.data(), word_stride, entries,
+                                 subspaces, inter.listBlocks(0), n,
+                                 dst.data());
+    };
+    const auto ops = static_cast<std::size_t>(num_points) *
+                     static_cast<std::size_t>(subspaces);
+    const double s = opsPerSecond(ops, [&] { count(scalar, out, out.size()); });
+    const double v = opsPerSecond(ops, [&] { count(best, out, out.size()); });
+    printRow("flagCount",
+             "S=" + std::to_string(subspaces) + ",E=" +
+                 std::to_string(entries) + ",n=" +
+                 std::to_string(num_points),
+             s, v, "Gop/s");
+
+    // Parity on a prefix that ends inside a block.
+    const std::size_t n = out.size() - 19;
+    std::vector<std::int32_t> want(n), got(n);
+    count(scalar, want, n);
+    for (simd::Level level : {simd::Level::kAvx2, simd::Level::kAvx512}) {
+        if (!simd::supported(level))
+            continue;
+        count(simd::table(level), got, n);
+        for (std::size_t i = 0; i < n; ++i)
+            g_permscan_mismatches += want[i] != got[i];
+    }
 }
 
 /**
@@ -363,9 +499,9 @@ benchFastScan(const simd::Kernels &scalar, const simd::Kernels &best)
                               ",E=16,n=" + std::to_string(num_points);
 
     const double inter_float = opsPerSecond(ops, [&] {
-        best.adc_scan_interleaved(lut_flat.data(), entries, subspaces,
-                                  inter.listBlocks(0), out.size(), 0.0f,
-                                  out.data());
+        best.adc_scan_interleaved(lut_flat.data(), entries, entries,
+                                  subspaces, inter.listBlocks(0),
+                                  out.size(), 0.0f, out.data());
     });
     const double s = opsPerSecond(ops, [&] {
         scalar.fastscan_pq4(inter.listPacked(0), subspaces,
@@ -594,9 +730,14 @@ main(int argc, char **argv)
     // --check-packet: exit nonzero unless the packet BVH walk beats the
     // single-ray walk on the same rays and stores the same bits (CI
     // gate).
+    // --check-permscan: exit nonzero if any level's interleaved scan or
+    // flag count differs from the scalar table's bits, or if an AVX-512
+    // host's permute scan is slower than its gather scan at E=128 (CI
+    // gate).
     std::string json_path;
     bool check_fastscan = false;
     bool check_packet = false;
+    bool check_permscan = false;
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
         if (arg == "--json" && a + 1 < argc)
@@ -605,6 +746,8 @@ main(int argc, char **argv)
             check_fastscan = true;
         else if (arg == "--check-packet")
             check_packet = true;
+        else if (arg == "--check-permscan")
+            check_permscan = true;
     }
 
     const auto &scalar = simd::table(simd::Level::kScalar);
@@ -619,6 +762,8 @@ main(int argc, char **argv)
     benchBatch(scalar, best);
     benchGemm(scalar, best);
     benchAdcScan(scalar, best);
+    benchPermuteScan(best);
+    benchFlagCount(scalar, best);
     benchFastScan(scalar, best);
     benchCompact(scalar, best);
     std::printf("\n");
@@ -638,6 +783,30 @@ main(int argc, char **argv)
                          "single-ray cells\n",
                          g_packet_mismatches);
             status = 1;
+        }
+    }
+    if (check_permscan) {
+        std::printf("interleaved scan and flag count vs scalar: %zu "
+                    "outputs differ\n",
+                    g_permscan_mismatches);
+        if (g_permscan_mismatches != 0) {
+            std::fprintf(stderr,
+                         "FAIL: %zu interleaved scan or flag count "
+                         "outputs differ from the scalar table\n",
+                         g_permscan_mismatches);
+            status = 1;
+        }
+        if (simd::bestSupported() == simd::Level::kAvx512) {
+            std::printf("permute vs gather interleaved scan at E=128: "
+                        "%.2fx\n",
+                        g_perm_vs_gather_128);
+            if (g_perm_vs_gather_128 < 1.0) {
+                std::fprintf(stderr,
+                             "FAIL: the permute scan (%.2fx) is slower "
+                             "than the gather scan at E=128\n",
+                             g_perm_vs_gather_128);
+                status = 1;
+            }
         }
     }
     if ((check_fastscan || check_packet) &&

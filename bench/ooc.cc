@@ -21,7 +21,9 @@
  * Traffic is skewed (80% of queries from a 20% hot set), the regime
  * admission-controlled caching targets. The sweep reports recall and
  * QPS at cache budgets of 100% / 50% / 25% of the scan-plane bytes,
- * plus an unconstrained warm run for context.
+ * plus an unconstrained warm run for context. Each mode's QPS is the
+ * median of kTimedPasses timed passes, reported with its quartiles: a
+ * single pass on a shared host swings by more than the effects shown.
  *
  * Gates (exit nonzero, `--smoke` is the CI leg): every mode's results
  * must be bitwise identical to the unconstrained search — the cache
@@ -41,6 +43,7 @@
 #include "common/build_info.h"
 #include "common/mmap_blob.h"
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "dataset/ground_truth.h"
 #include "dataset/recall.h"
@@ -161,8 +164,20 @@ makeWorkload(idx_t num_queries, idx_t requests)
     return workload;
 }
 
+/** Timed passes per mode; the QPS reported is their median. */
+constexpr int kTimedPasses = 5;
+
+/** The quartiles of @p passes as "q1-q3", for the table. */
+std::string
+qpsQuartiles(const QuantileSketch &passes)
+{
+    return TablePrinter::num(passes.q1()) + "-" +
+           TablePrinter::num(passes.q3());
+}
+
 struct ModeResult {
-    double qps = 0.0;
+    /** One sample per timed pass. */
+    QuantileSketch qps;
     double recall = 0.0;
     HotListCache::Counters cache;
     bool parity = true;
@@ -171,9 +186,10 @@ struct ModeResult {
 /**
  * One serving mode under eviction pressure. @p budget_bytes == 0 is
  * the naive cold-mmap mode (detaches any cache); > 0 runs IO-aware
- * with a cache of that size. The workload runs twice —
- * first pass warms the cache's frequency state (real serving is a
- * steady state, not a cold start), second pass is measured.
+ * with a cache of that size. The first pass over the workload warms
+ * the cache's frequency state (real serving is a steady state, not a
+ * cold start); the kTimedPasses passes after it are measured. The
+ * cache counters cover every pass.
  */
 ModeResult
 runMode(IvfPqIndex &index, const std::string &snapshot_path,
@@ -194,10 +210,10 @@ runMode(IvfPqIndex &index, const std::string &snapshot_path,
         return timed ? timer.seconds() : 0.0;
     };
     serveOnce(false); // warm the cache / frequency state
-    const double secs = serveOnce(true);
-
     ModeResult result;
-    result.qps = static_cast<double>(workload.size()) / secs;
+    for (int pass = 0; pass < kTimedPasses; ++pass)
+        result.qps.add(static_cast<double>(workload.size()) /
+                       serveOnce(true));
     if (const auto cache = index.hotListCache())
         result.cache = cache->counters();
 
@@ -219,7 +235,7 @@ runMode(IvfPqIndex &index, const std::string &snapshot_path,
 
 void
 writeJson(const std::string &path, std::size_t index_bytes,
-          double warm_qps, const ModeResult &naive,
+          const QuantileSketch &warm_qps, const ModeResult &naive,
           const std::vector<int> &pcts,
           const std::vector<std::int64_t> &budgets,
           const std::vector<ModeResult> &modes)
@@ -231,9 +247,14 @@ writeJson(const std::string &path, std::size_t index_bytes,
     }
     out << "{\n  \"bench\": \"ooc\",\n  \"build\": "
         << buildInfoJson() << ",\n  \"host\": " << hostInfoJson()
-        << ",\n  \"scan_plane_bytes\": "
-        << index_bytes << ",\n  \"warm_qps\": " << warm_qps
-        << ",\n  \"naive_cold_mmap\": {\"qps\": " << naive.qps
+        << ",\n  \"scan_plane_bytes\": " << index_bytes
+        << ",\n  \"timed_passes\": " << kTimedPasses
+        << ",\n  \"warm_qps\": " << warm_qps.median()
+        << ", \"warm_qps_q1\": " << warm_qps.q1()
+        << ", \"warm_qps_q3\": " << warm_qps.q3()
+        << ",\n  \"naive_cold_mmap\": {\"qps\": " << naive.qps.median()
+        << ", \"qps_q1\": " << naive.qps.q1()
+        << ", \"qps_q3\": " << naive.qps.q3()
         << ", \"recall1\": " << naive.recall
         << ", \"parity\": " << (naive.parity ? "true" : "false")
         << "},\n  \"budgets\": [\n";
@@ -241,9 +262,12 @@ writeJson(const std::string &path, std::size_t index_bytes,
         const auto &m = modes[i];
         out << "    {\"pct\": " << pcts[i]
             << ", \"budget_bytes\": " << budgets[i]
-            << ", \"qps\": " << m.qps
+            << ", \"qps\": " << m.qps.median()
+            << ", \"qps_q1\": " << m.qps.q1()
+            << ", \"qps_q3\": " << m.qps.q3()
             << ", \"recall1\": " << m.recall
-            << ", \"speedup_vs_naive\": " << m.qps / naive.qps
+            << ", \"speedup_vs_naive\": "
+            << m.qps.median() / naive.qps.median()
             << ",\n     \"parity\": " << (m.parity ? "true" : "false")
             << ", \"cache_hits\": " << m.cache.hits
             << ", \"cache_misses\": " << m.cache.misses
@@ -311,14 +335,18 @@ main(int argc, char **argv)
     // the bitwise target every mode must reproduce.
     const SearchResults reference =
         index->search(ds.queries.view(), opt.k);
-    Timer warm_timer;
-    for (std::size_t i = 0; i < workload.size(); ++i) {
-        index->search(FloatMatrixView(ds.queries.view().row(workload[i]),
-                                      1, ds.queries.cols()),
-                      opt.k);
+    QuantileSketch warm_qps;
+    for (int pass = 0; pass < kTimedPasses; ++pass) {
+        Timer warm_timer;
+        for (std::size_t i = 0; i < workload.size(); ++i) {
+            index->search(
+                FloatMatrixView(ds.queries.view().row(workload[i]), 1,
+                                ds.queries.cols()),
+                opt.k);
+        }
+        warm_qps.add(static_cast<double>(workload.size()) /
+                     warm_timer.seconds());
     }
-    const double warm_qps =
-        static_cast<double>(workload.size()) / warm_timer.seconds();
 
     printBanner("Out-of-core serving under eviction pressure");
     int failures = 0;
@@ -343,14 +371,17 @@ main(int argc, char **argv)
         modes.push_back(std::move(m));
     }
 
-    TablePrinter table({"mode", "budget_MiB", "QPS", "vs_naive",
-                        "recall1", "hit_rate%", "pinned_MiB"});
+    const double naive_qps = naive.qps.median();
+    TablePrinter table({"mode", "budget_MiB", "QPS_median", "QPS_q1-q3",
+                        "vs_naive", "recall1", "hit_rate%", "pinned_MiB"});
     table.addRow({"warm mmap (no pressure)", "-",
-                  TablePrinter::num(warm_qps),
-                  TablePrinter::num(warm_qps / naive.qps), "-", "-",
-                  "-"});
-    table.addRow({"naive cold mmap", "0", TablePrinter::num(naive.qps),
-                  "1.00", TablePrinter::num(naive.recall), "-", "-"});
+                  TablePrinter::num(warm_qps.median()),
+                  qpsQuartiles(warm_qps),
+                  TablePrinter::num(warm_qps.median() / naive_qps), "-",
+                  "-", "-"});
+    table.addRow({"naive cold mmap", "0", TablePrinter::num(naive_qps),
+                  qpsQuartiles(naive.qps), "1.00",
+                  TablePrinter::num(naive.recall), "-", "-"});
     for (std::size_t i = 0; i < modes.size(); ++i) {
         const auto &m = modes[i];
         const double hit_rate =
@@ -362,8 +393,8 @@ main(int argc, char **argv)
             {"io-aware " + std::to_string(pcts[i]) + "%",
              TablePrinter::num(static_cast<double>(budgets[i]) /
                                (1024.0 * 1024.0)),
-             TablePrinter::num(m.qps),
-             TablePrinter::num(m.qps / naive.qps),
+             TablePrinter::num(m.qps.median()), qpsQuartiles(m.qps),
+             TablePrinter::num(m.qps.median() / naive_qps),
              TablePrinter::num(m.recall), TablePrinter::num(hit_rate),
              TablePrinter::num(static_cast<double>(
                                    m.cache.pinned_bytes) /

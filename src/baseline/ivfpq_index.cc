@@ -318,8 +318,8 @@ IvfPqIndex::scanList(cluster_t cluster, const FloatMatrix &lut, float base,
     const entry_t *blocks = pinned != nullptr
                                 ? pinned->primaryAs<entry_t>()
                                 : interleaved_.listBlocks(cluster);
-    simd::adcScanInterleaved(lut.data(), lut.cols(), subspaces, blocks, n,
-                             base, scratch.scores.data());
+    simd::adcScanInterleaved(lut.data(), lut.cols(), lut.cols(), subspaces,
+                             blocks, n, base, scratch.scores.data());
     for (std::size_t i = 0; i < n; ++i)
         top.push(list[i], scratch.scores[i]);
 }

@@ -112,7 +112,8 @@ gemmScalar(const float *a, const float *b, float *c, idx_t m, idx_t k,
 }
 
 void
-adcScanInterleavedScalar(const float *lut, idx_t lut_stride, int subspaces,
+adcScanInterleavedScalar(const float *lut, idx_t lut_stride,
+                         idx_t /*entries*/, int subspaces,
                          const entry_t *blocks, std::size_t n, float base,
                          float *out)
 {
@@ -127,6 +128,33 @@ adcScanInterleavedScalar(const float *lut, idx_t lut_stride, int subspaces,
             acc += lut[static_cast<std::size_t>(s) * stride +
                        blk[static_cast<std::size_t>(s) * 32 + j]];
         out[i] = acc;
+    }
+}
+
+/** Bit @p code of a flag row (cell e at bit e % 32 of word e / 32). */
+inline std::int32_t
+flagBit(const std::uint32_t *row, entry_t code)
+{
+    return static_cast<std::int32_t>((row[code >> 5] >> (code & 31)) & 1u);
+}
+
+void
+flagCountInterleavedScalar(const std::uint32_t *bits, idx_t word_stride,
+                           idx_t /*entries*/, int subspaces,
+                           const entry_t *blocks, std::size_t n,
+                           std::int32_t *out)
+{
+    const auto stride = static_cast<std::size_t>(word_stride);
+    const std::size_t block_stride =
+        32u * static_cast<std::size_t>(subspaces);
+    for (std::size_t i = 0; i < n; ++i) {
+        const entry_t *blk = blocks + (i / 32) * block_stride;
+        const std::size_t j = i % 32;
+        std::int32_t count = 0;
+        for (int s = 0; s < subspaces; ++s)
+            count += flagBit(bits + static_cast<std::size_t>(s) * stride,
+                             blk[static_cast<std::size_t>(s) * 32 + j]);
+        out[i] = count;
     }
 }
 
@@ -205,7 +233,9 @@ lutDelta(Metric metric, float radius_sqr, float ip_base, const LutRow &row,
 /**
  * Cells [e0, entries) of one lane's row, reading its tile column at
  * stride @p lanes: the whole row in the scalar table, the tail past the
- * last full vector in the others. Returns the hits among them.
+ * last full vector in the others. A cell that starts a flag word clears
+ * it; a tail that starts mid-word ORs into the word the vector steps
+ * stored. Returns the hits among the cells.
  */
 std::uint32_t
 lutFinishCells(Metric metric, float radius_sqr, const float *col,
@@ -219,10 +249,14 @@ lutFinishCells(Metric metric, float radius_sqr, const float *col,
         // Converted unconditionally: the loop stays branch-free.
         const float d = lutDelta(metric, radius_sqr, ip_base, row, t);
         const bool hit = !std::isnan(t);
+        const std::size_t w = e / 32;
+        const std::uint32_t bit = 1u << (e % 32);
+        const std::uint32_t keep = e % 32 == 0 ? 0u : ~0u;
         row.delta[e] = hit ? d : 0.0f;
-        row.selected[e] = hit ? 1.0f : 0.0f;
+        row.selected[w] = (row.selected[w] & keep) | (hit ? bit : 0u);
         if (row.inner != nullptr)
-            row.inner[e] = t <= row.tmax_inner ? 1.0f : 0.0f;
+            row.inner[w] = (row.inner[w] & keep) |
+                           (t <= row.tmax_inner ? bit : 0u);
         hits += hit ? 1u : 0u;
     }
     return hits;
@@ -248,6 +282,7 @@ const Kernels kScalarTable = {
     &innerProductBatchScalar,
     &gemmScalar,
     &adcScanInterleavedScalar,
+    &flagCountInterleavedScalar,
     &fastScanPq4Scalar,
     &compactCandidatesScalar,
     &rayBoxLanesScalar,
@@ -568,7 +603,8 @@ gemmAvx2(const float *a, const float *b, float *c, idx_t m, idx_t k,
  * Per-point accumulation order matches scalar exactly.
  */
 JUNO_TARGET_AVX2 void
-adcScanInterleavedAvx2(const float *lut, idx_t lut_stride, int subspaces,
+adcScanInterleavedAvx2(const float *lut, idx_t lut_stride,
+                       idx_t /*entries*/, int subspaces,
                        const entry_t *blocks, std::size_t n, float base,
                        float *out)
 {
@@ -636,6 +672,63 @@ adcScanInterleavedAvx2(const float *lut, idx_t lut_stride, int subspaces,
                            blk[static_cast<std::size_t>(s) * 32 + j]];
             out[i + j] = acc;
         }
+    }
+}
+
+/**
+ * Interleaved flag count, a 32-point block per step: a flag row of up
+ * to 8 words sits in one register and vpermd picks each code's word
+ * (code >> 5); longer rows are gathered. A shift by code & 31 and an
+ * AND leave the flag, added into four 8-point counters. The tail block
+ * is zero-padded by the layout, so it is counted whole and stored in
+ * part.
+ */
+JUNO_TARGET_AVX2 void
+flagCountInterleavedAvx2(const std::uint32_t *bits, idx_t word_stride,
+                         idx_t entries, int subspaces,
+                         const entry_t *blocks, std::size_t n,
+                         std::int32_t *out)
+{
+    const auto stride = static_cast<std::size_t>(word_stride);
+    const auto words = static_cast<int>((entries + 31) / 32);
+    const bool in_register = words <= 8;
+    const __m256i row_mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(words), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256i low5 = _mm256_set1_epi32(31);
+    const __m256i one = _mm256_set1_epi32(1);
+    const std::size_t block_stride =
+        32u * static_cast<std::size_t>(subspaces);
+    for (std::size_t i = 0; i < n; i += 32) {
+        const entry_t *blk = blocks + (i / 32) * block_stride;
+        __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                          _mm256_setzero_si256(), _mm256_setzero_si256()};
+        for (int s = 0; s < subspaces; ++s) {
+            const auto *row = reinterpret_cast<const int *>(
+                bits + static_cast<std::size_t>(s) * stride);
+            const __m256i rowv = in_register
+                ? _mm256_maskload_epi32(row, row_mask)
+                : _mm256_setzero_si256();
+            const entry_t *codes = blk + static_cast<std::size_t>(s) * 32;
+            for (int g = 0; g < 4; ++g) {
+                const __m256i code = _mm256_cvtepu16_epi32(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(codes + 8 * g)));
+                const __m256i word_index = _mm256_srli_epi32(code, 5);
+                const __m256i word = in_register
+                    ? _mm256_permutevar8x32_epi32(rowv, word_index)
+                    : _mm256_i32gather_epi32(row, word_index, 4);
+                acc[g] = _mm256_add_epi32(
+                    acc[g],
+                    _mm256_and_si256(
+                        _mm256_srlv_epi32(word, _mm256_and_si256(code, low5)),
+                        one));
+            }
+        }
+        alignas(32) std::int32_t counts[32];
+        for (int g = 0; g < 4; ++g)
+            _mm256_store_si256(reinterpret_cast<__m256i *>(counts + 8 * g),
+                               acc[g]);
+        std::memcpy(out + i, counts,
+                    std::min<std::size_t>(32, n - i) * sizeof(std::int32_t));
     }
 }
 
@@ -775,6 +868,10 @@ lutFinishAvx2(Metric metric, float radius_sqr, const float *tile,
             _mm256_set1_ps(row.qnorm_scaled_sqr - radius_sqr);
         const __m256 tmax_inner = _mm256_set1_ps(row.tmax_inner);
         std::uint32_t count = 0;
+        // Flag words fill eight bits per step; a word is stored when
+        // full or when the vector steps end (the scalar tail ORs the
+        // rest of it).
+        std::uint32_t selected = 0, inner = 0;
         for (std::size_t e = 0; e < full; e += 8) {
             const __m256 t = lanes == 1
                 ? _mm256_loadu_ps(col + e)
@@ -789,14 +886,21 @@ lutFinishAvx2(Metric metric, float radius_sqr, const float *tile,
             const __m256 hit = _mm256_cmp_ps(t, t, _CMP_ORD_Q);
             _mm256_storeu_ps(row.delta + e,
                              _mm256_and_ps(hit, _mm256_sub_ps(value, miss)));
-            _mm256_storeu_ps(row.selected + e, _mm256_and_ps(hit, one));
+            const auto hit_bits =
+                static_cast<std::uint32_t>(_mm256_movemask_ps(hit));
+            const std::size_t shift = e % 32;
+            selected |= hit_bits << shift;
             if (row.inner != nullptr)
-                _mm256_storeu_ps(
-                    row.inner + e,
-                    _mm256_and_ps(_mm256_cmp_ps(t, tmax_inner, _CMP_LE_OQ),
-                                  one));
-            count += static_cast<std::uint32_t>(
-                __builtin_popcount(_mm256_movemask_ps(hit)));
+                inner |= static_cast<std::uint32_t>(_mm256_movemask_ps(
+                             _mm256_cmp_ps(t, tmax_inner, _CMP_LE_OQ)))
+                         << shift;
+            if (shift == 24 || e + 8 == full) {
+                row.selected[e / 32] = selected;
+                if (row.inner != nullptr)
+                    row.inner[e / 32] = inner;
+                selected = inner = 0;
+            }
+            count += static_cast<std::uint32_t>(__builtin_popcount(hit_bits));
         }
         hits[i] = count + lutFinishCells(metric, radius_sqr, col, stride,
                                          full, entries, row);
@@ -812,6 +916,7 @@ const Kernels kAvx2Table = {
     &innerProductBatchAvx2,
     &gemmAvx2,
     &adcScanInterleavedAvx2,
+    &flagCountInterleavedAvx2,
     &fastScanPq4Avx2,
     &compactCandidatesAvx2,
     &rayBoxLanesAvx2,
@@ -819,17 +924,126 @@ const Kernels kAvx2Table = {
     &lutFinishAvx2,
 };
 
+/** Lanes [0, count) of a 16-lane mask; all 16 when count >= 16. */
+inline __mmask16
+firstLanes(std::size_t count)
+{
+    return static_cast<__mmask16>(count >= 16 ? 0xFFFFu
+                                              : (1u << count) - 1u);
+}
+
+/** Sixteen codes of one (block, subspace) row as 32-bit lanes. */
+JUNO_TARGET_AVX512 inline __m512i
+loadCodes16(const entry_t *codes)
+{
+    return _mm512_maskz_cvtepu16_epi32(
+        static_cast<__mmask16>(-1),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(codes)));
+}
+
 /**
- * Interleaved streaming scan, 16 points per gather: the block layout
- * feeds each 16-wide gather's indices with one 256-bit load, and two
- * independent chains cover a whole 32-point block per subspace step.
+ * LUT terms of sixteen codes from a row held in 2 * kPairs registers
+ * (cells 16r .. 16r + 15 in row[r]): vpermt2ps looks each code up in
+ * a 32-cell pair on its low five bits, and mask blends on code bits 5
+ * and 6 keep the pair the code falls in. Halves are resolved before
+ * they are joined, so at most log2(kPairs) + 1 terms are live.
+ */
+template <int kPairs>
+JUNO_TARGET_AVX512 inline __m512
+permuteLookup(const __m512 *row, __m512i code)
+{
+    if constexpr (kPairs == 1) {
+        return _mm512_permutex2var_ps(row[0], code, row[1]);
+    } else {
+        // Code bit that splits the lower kPairs / 2 pairs from the upper.
+        constexpr int bit = kPairs == 2 ? 5 : 6;
+        const __m512 lower = permuteLookup<kPairs / 2>(row, code);
+        const __m512 upper = permuteLookup<kPairs / 2>(row + kPairs, code);
+        return _mm512_mask_blend_ps(
+            _mm512_test_epi32_mask(code, _mm512_set1_epi32(1 << bit)), lower,
+            upper);
+    }
+}
+
+/**
+ * Interleaved scan of rows of at most 32 * kPairs entries without
+ * gathers, a 32-point block per step. One 512-bit load holds the
+ * block's 32 codes of a subspace; an AND and a shift split them into
+ * the even and the odd points' codes, each looked up in the row held
+ * in registers (masked loads, zero past entries) by permuteLookup and
+ * added to its chain, which starts at base, in subspace order. Two
+ * vpermt2ps restore point order on store; the zero-padded tail block
+ * is scanned whole and stored under a mask.
+ */
+template <int kPairs>
+JUNO_TARGET_AVX512 void
+adcScanPermute(const float *lut, std::size_t stride, std::size_t entries,
+               int subspaces, const entry_t *blocks, std::size_t n,
+               float base, float *out)
+{
+    const std::size_t block_stride =
+        32u * static_cast<std::size_t>(subspaces);
+    __mmask16 row_mask[2 * kPairs];
+    for (int r = 0; r < 2 * kPairs; ++r) {
+        const std::size_t e0 = 16 * static_cast<std::size_t>(r);
+        row_mask[r] = e0 < entries ? firstLanes(entries - e0) : 0;
+    }
+    const __m512i low16 = _mm512_set1_epi32(0xFFFF);
+    const __m512i first_half = _mm512_setr_epi32(
+        0, 16, 1, 17, 2, 18, 3, 19, 4, 20, 5, 21, 6, 22, 7, 23);
+    const __m512i second_half = _mm512_setr_epi32(
+        8, 24, 9, 25, 10, 26, 11, 27, 12, 28, 13, 29, 14, 30, 15, 31);
+    for (std::size_t i = 0; i < n; i += 32) {
+        const entry_t *blk = blocks + (i / 32) * block_stride;
+        __m512 even = _mm512_set1_ps(base);
+        __m512 odd = _mm512_set1_ps(base);
+        for (int s = 0; s < subspaces; ++s) {
+            const float *lrow = lut + static_cast<std::size_t>(s) * stride;
+            __m512 row[2 * kPairs];
+            for (int r = 0; r < 2 * kPairs; ++r)
+                row[r] = _mm512_maskz_loadu_ps(row_mask[r], lrow + 16 * r);
+            const __m512i codes = _mm512_loadu_si512(
+                blk + static_cast<std::size_t>(s) * 32);
+            even = _mm512_add_ps(
+                even,
+                permuteLookup<kPairs>(row, _mm512_and_si512(codes, low16)));
+            odd = _mm512_add_ps(
+                odd, permuteLookup<kPairs>(
+                         row, _mm512_maskz_srli_epi32(
+                                  static_cast<__mmask16>(-1), codes, 16)));
+        }
+        _mm512_mask_storeu_ps(out + i, firstLanes(n - i),
+                              _mm512_permutex2var_ps(even, first_half, odd));
+        if (n - i > 16)
+            _mm512_mask_storeu_ps(
+                out + i + 16, firstLanes(n - i - 16),
+                _mm512_permutex2var_ps(even, second_half, odd));
+    }
+}
+
+/**
+ * Interleaved scan. Rows of up to kAdcPermuteMaxEntries cells take the
+ * gather-free adcScanPermute; longer rows gather 16 points at a time:
+ * the block layout feeds each 16-wide gather's indices with one 256-bit
+ * load, and two independent chains cover a whole 32-point block per
+ * subspace step.
  */
 JUNO_TARGET_AVX512 void
-adcScanInterleavedAvx512(const float *lut, idx_t lut_stride,
+adcScanInterleavedAvx512(const float *lut, idx_t lut_stride, idx_t entries,
                          int subspaces, const entry_t *blocks,
                          std::size_t n, float base, float *out)
 {
+    static_assert(kAdcPermuteMaxEntries == 32 * 4,
+                  "adcScanPermute holds at most four 32-cell pairs");
     const auto stride = static_cast<std::size_t>(lut_stride);
+    if (entries <= kAdcPermuteMaxEntries) {
+        const auto scan = entries <= 32  ? adcScanPermute<1>
+                          : entries <= 64 ? adcScanPermute<2>
+                                          : adcScanPermute<4>;
+        scan(lut, stride, static_cast<std::size_t>(entries), subspaces,
+             blocks, n, base, out);
+        return;
+    }
     const std::size_t block_stride =
         32u * static_cast<std::size_t>(subspaces);
     std::size_t i = 0;
@@ -841,14 +1055,8 @@ adcScanInterleavedAvx512(const float *lut, idx_t lut_stride,
             const float *lrow =
                 lut + static_cast<std::size_t>(s) * stride;
             const entry_t *row = blk + static_cast<std::size_t>(s) * 32;
-            const __m512i e0 = _mm512_maskz_cvtepu16_epi32(
-                static_cast<__mmask16>(-1),
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(row)));
-            const __m512i e1 = _mm512_maskz_cvtepu16_epi32(
-                static_cast<__mmask16>(-1),
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(row + 16)));
+            const __m512i e0 = loadCodes16(row);
+            const __m512i e1 = loadCodes16(row + 16);
             acc0 = _mm512_add_ps(
                 acc0, _mm512_mask_i32gather_ps(_mm512_setzero_ps(),
                                                0xFFFF, e0, lrow, 4));
@@ -861,9 +1069,66 @@ adcScanInterleavedAvx512(const float *lut, idx_t lut_stride,
     }
     if (i < n)
         // i is block-aligned, so the AVX2 path sees a fresh block.
-        adcScanInterleavedAvx2(lut, lut_stride, subspaces,
+        adcScanInterleavedAvx2(lut, lut_stride, entries, subspaces,
                                blocks + (i / 32) * block_stride, n - i,
                                base, out + i);
+}
+
+/**
+ * flagCountInterleavedAvx2 with sixteen points per step: a flag row of
+ * up to 16 words sits in one register for vpermd, longer rows are
+ * gathered; the tail block's counts are stored under a mask.
+ */
+JUNO_TARGET_AVX512 void
+flagCountInterleavedAvx512(const std::uint32_t *bits, idx_t word_stride,
+                           idx_t entries, int subspaces,
+                           const entry_t *blocks, std::size_t n,
+                           std::int32_t *out)
+{
+    const auto stride = static_cast<std::size_t>(word_stride);
+    const auto words = static_cast<std::size_t>((entries + 31) / 32);
+    const bool in_register = words <= 16;
+    const __mmask16 row_mask = firstLanes(words);
+    // The maskz forms with every lane set: GCC 12's unmasked forms
+    // read an undefined source and trip -Wmaybe-uninitialized.
+    const auto all = static_cast<__mmask16>(-1);
+    const __m512i low5 = _mm512_set1_epi32(31);
+    const __m512i one = _mm512_set1_epi32(1);
+    const std::size_t block_stride =
+        32u * static_cast<std::size_t>(subspaces);
+    for (std::size_t i = 0; i < n; i += 32) {
+        const entry_t *blk = blocks + (i / 32) * block_stride;
+        __m512i acc[2] = {_mm512_setzero_si512(), _mm512_setzero_si512()};
+        for (int s = 0; s < subspaces; ++s) {
+            const std::uint32_t *row =
+                bits + static_cast<std::size_t>(s) * stride;
+            const __m512i rowv = in_register
+                ? _mm512_maskz_loadu_epi32(row_mask, row)
+                : _mm512_setzero_si512();
+            const entry_t *codes = blk + static_cast<std::size_t>(s) * 32;
+            for (int g = 0; g < 2; ++g) {
+                const __m512i code = loadCodes16(codes + 16 * g);
+                const __m512i word_index =
+                    _mm512_maskz_srli_epi32(all, code, 5);
+                const __m512i word = in_register
+                    ? _mm512_maskz_permutexvar_epi32(all, word_index, rowv)
+                    : _mm512_mask_i32gather_epi32(_mm512_setzero_si512(),
+                                                  all, word_index, row, 4);
+                acc[g] = _mm512_add_epi32(
+                    acc[g],
+                    _mm512_and_si512(
+                        _mm512_maskz_srlv_epi32(
+                            all, word, _mm512_and_si512(code, low5)),
+                        one));
+            }
+        }
+        for (int g = 0; g < 2; ++g) {
+            const std::size_t first = i + 16 * static_cast<std::size_t>(g);
+            if (first < n)
+                _mm512_mask_storeu_epi32(out + first, firstLanes(n - first),
+                                         acc[g]);
+        }
+    }
 }
 
 /**
@@ -977,10 +1242,11 @@ lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
             _mm512_set1_ps(row.qnorm_scaled_sqr - radius_sqr);
         const __m512 tmax_inner = _mm512_set1_ps(row.tmax_inner);
         std::uint32_t count = 0;
+        // Sixteen flag bits per step: the compare masks themselves; a
+        // word is stored when full or at the row's end.
+        std::uint32_t selected = 0, inner = 0;
         for (std::size_t e = 0; e < entries; e += 16) {
-            const auto valid = static_cast<__mmask16>(
-                entries - e >= 16 ? 0xFFFFu
-                                  : (1u << (entries - e)) - 1u);
+            const __mmask16 valid = firstLanes(entries - e);
             const __m512 t = lanes == 1
                 ? _mm512_maskz_loadu_ps(valid, col + e)
                 : _mm512_mask_i32gather_ps(_mm512_setzero_ps(), valid,
@@ -997,14 +1263,18 @@ lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
             _mm512_mask_storeu_ps(
                 row.delta + e, valid,
                 _mm512_maskz_sub_ps(hit, value, miss));
-            _mm512_mask_storeu_ps(row.selected + e, valid,
-                                  _mm512_maskz_mov_ps(hit, one));
+            const std::size_t shift = e % 32;
+            selected |= static_cast<std::uint32_t>(hit) << shift;
             if (row.inner != nullptr)
-                _mm512_mask_storeu_ps(
-                    row.inner + e, valid,
-                    _mm512_maskz_mov_ps(
-                        _mm512_cmp_ps_mask(t, tmax_inner, _CMP_LE_OQ),
-                        one));
+                inner |= static_cast<std::uint32_t>(_mm512_mask_cmp_ps_mask(
+                             valid, t, tmax_inner, _CMP_LE_OQ))
+                         << shift;
+            if (shift == 16 || e + 16 >= entries) {
+                row.selected[e / 32] = selected;
+                if (row.inner != nullptr)
+                    row.inner[e / 32] = inner;
+                selected = inner = 0;
+            }
             count += static_cast<std::uint32_t>(__builtin_popcount(hit));
         }
         hits[i] = count;
@@ -1012,9 +1282,9 @@ lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
 }
 
 /**
- * AVX2 table with the wider interleaved and fast scan kernels, the
- * sixteen-lane ray-packet kernels and the sixteen-cell LUT finish
- * swapped in.
+ * AVX2 table with the wider interleaved scan, flag count and fast scan
+ * kernels, the sixteen-lane ray-packet kernels and the sixteen-cell
+ * LUT finish swapped in.
  */
 const Kernels kAvx512Table = {
     "avx512",
@@ -1025,6 +1295,7 @@ const Kernels kAvx512Table = {
     &innerProductBatchAvx2,
     &gemmAvx2,
     &adcScanInterleavedAvx512,
+    &flagCountInterleavedAvx512,
     &fastScanPq4Avx512,
     &compactCandidatesAvx2,
     &rayBoxLanesAvx512,

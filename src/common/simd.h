@@ -8,8 +8,8 @@
  * startup from CPUID (AVX2+FMA when available, a scalar reference
  * otherwise) and every hot kernel — single-pair reductions, batched
  * row scoring, the register-blocked GEMM tile, the interleaved ADC
- * scan, the 4-bit fast scan and the sparse candidate compaction —
- * calls through it.
+ * scan and flag count, the 4-bit fast scan and the sparse candidate
+ * compaction — calls through it.
  *
  * Contracts:
  *  - The scalar table is the bit-exact reference: its results never
@@ -20,7 +20,8 @@
  *    FP reassociation tolerance (tests allow 1e-4 relative).
  *  - The interleaved ADC scan is bitwise identical across tables:
  *    each point's accumulation order over subspaces is the same in
- *    every path.
+ *    every path. The interleaved flag count is integer arithmetic, so
+ *    it is identical too.
  *  - Candidate compaction emits the same candidates in the same
  *    (ascending ordinal) order in every path.
  *  - The ray-packet box and sphere kernels return the same hit masks
@@ -59,6 +60,15 @@ constexpr int kRayLanes = 16;
 constexpr int kRayHalfLanes = 8;
 
 /**
+ * Longest LUT row (entries) the AVX-512 interleaved ADC scan holds in
+ * registers and reads by permutes; longer rows are gathered. Past 128
+ * entries the permutes and blends per code cost more than one gather
+ * lane (on a 4-vCPU AVX-512 Xeon the permute scan ran 0.7-0.9x the
+ * gather scan at 192 and 256 entries, 1.1-1.4x at 128).
+ */
+constexpr idx_t kAdcPermuteMaxEntries = 128;
+
+/**
  * Structure-of-arrays ray packet for the packet BVH walk
  * (rtcore/packet_walk.cc): lane i is the ray origin o[i], direction
  * d[i], inv[i] = 1 / d[i] per axis, valid interval [tmin[i], tmax[i]].
@@ -72,15 +82,16 @@ struct alignas(64) RayLanes {
 };
 
 /**
- * One ray's LUT row for Kernels::lut_finish: where its cells go (each
- * `entries` floats) and the ray's constants of the thit-to-score
- * conversion.
+ * One ray's LUT row for Kernels::lut_finish: where its cells go
+ * (`entries` floats of delta, ceil(entries / 32) words of each flag
+ * row, cell e at bit e % 32 of word e / 32) and the ray's constants of
+ * the thit-to-score conversion.
  */
 struct LutRow {
     float *delta = nullptr;
-    float *selected = nullptr;
+    std::uint32_t *selected = nullptr;
     /** Null: the row has no inner-gate flags (JUNO-M only). */
-    float *inner = nullptr;
+    std::uint32_t *inner = nullptr;
     /** Score charged to a miss; selected cells store value - miss. */
     float miss = 0.0f;
     /** kappa_s^2 of the row's subspace. */
@@ -95,7 +106,7 @@ struct LutRow {
 enum class Level {
     kScalar = 0, ///< portable reference, bit-exact contract
     kAvx2 = 1,   ///< AVX2 + FMA (x86-64)
-    kAvx512 = 2, ///< AVX-512 F/BW/VL: 16-wide ADC gather and ray lanes
+    kAvx512 = 2, ///< AVX-512 F/BW/VL: in-register ADC lookup, ray lanes
 };
 
 /**
@@ -142,11 +153,30 @@ struct Kernels {
      * order per point is one add per subspace in subspace order, so
      * results are bitwise identical in every table (and to an id-gather
      * loop that starts from base and adds the same terms in the same
-     * order). Tail blocks are zero-padded by the layout builder.
+     * order). Tail blocks are zero-padded by the layout builder. Every
+     * code is below @p entries, the row length (<= lut_stride): the
+     * AVX-512 table holds rows of up to kAdcPermuteMaxEntries entries
+     * in registers and looks codes up with permutes, and gathers from
+     * longer rows.
      */
     void (*adc_scan_interleaved)(const float *lut, idx_t lut_stride,
-                                 int subspaces, const entry_t *blocks,
-                                 std::size_t n, float base, float *out);
+                                 idx_t entries, int subspaces,
+                                 const entry_t *blocks, std::size_t n,
+                                 float base, float *out);
+
+    /**
+     * Flag count over the same interleaved layout and bit rows of
+     * @p entries cells (ceil(entries / 32) words, cell e at bit e % 32
+     * of word e / 32; row s at bits + s * word_stride):
+     * out[i] = sum_s bit(row s, code(i, s)) for i < n. Integer sums, so
+     * every table returns the same counts; the AVX tables keep a row of
+     * up to 16 (AVX-512) or 8 (AVX2) words in one register and pick
+     * each code's word with a permute, and gather from longer rows.
+     */
+    void (*flag_count_interleaved)(const std::uint32_t *bits,
+                                   idx_t word_stride, idx_t entries,
+                                   int subspaces, const entry_t *blocks,
+                                   std::size_t n, std::int32_t *out);
 
     /**
      * 4-bit fast scan (FAISS-style): nibble-packed interleaved codes
@@ -206,13 +236,15 @@ struct Kernels {
      * packet's tile of hit times into the LUT rows of its @p lanes
      * rays. tile[e * lanes + i] is lane i's hit time on entry e, NaN
      * where its ray missed; for e < entries, rows[i] receives
-     *   delta[e]    = value(t) - miss on a hit, 0 otherwise,
-     *   selected[e] = 1 on a hit, 0 otherwise,
-     *   inner[e]    = 1 where t <= tmax_inner, 0 otherwise (when
-     *                 inner is non-null),
+     *   delta[e]       = value(t) - miss on a hit, 0 otherwise,
+     *   selected bit e = 1 on a hit, 0 otherwise,
+     *   inner bit e    = 1 where t <= tmax_inner, 0 otherwise (when
+     *                    inner is non-null),
      * with value(t) JunoScene::lutValueL2 / lutValueIp's float
      * operations for @p metric (radius_sqr = R * R), and hits[i] is
-     * lane i's hit count. The AVX paths gather each lane's column.
+     * lane i's hit count. Every flag word is written whole (bits past
+     * entries are 0). The AVX paths gather each lane's column and store
+     * their compare masks as the flag bits.
      */
     void (*lut_finish)(Metric metric, float radius_sqr, const float *tile,
                        int lanes, std::size_t entries, const LutRow *rows,
@@ -294,12 +326,21 @@ scoreBatch(Metric metric, const float *q, const float *rows, idx_t n,
 }
 
 inline void
-adcScanInterleaved(const float *lut, idx_t lut_stride, int subspaces,
-                   const entry_t *blocks, std::size_t n, float base,
-                   float *out)
+adcScanInterleaved(const float *lut, idx_t lut_stride, idx_t entries,
+                   int subspaces, const entry_t *blocks, std::size_t n,
+                   float base, float *out)
 {
-    active().adc_scan_interleaved(lut, lut_stride, subspaces, blocks, n,
-                                  base, out);
+    active().adc_scan_interleaved(lut, lut_stride, entries, subspaces,
+                                  blocks, n, base, out);
+}
+
+inline void
+flagCountInterleaved(const std::uint32_t *bits, idx_t word_stride,
+                     idx_t entries, int subspaces, const entry_t *blocks,
+                     std::size_t n, std::int32_t *out)
+{
+    active().flag_count_interleaved(bits, word_stride, entries, subspaces,
+                                    blocks, n, out);
 }
 
 inline void

@@ -40,8 +40,6 @@ DistanceCalculator::DistanceCalculator(const InvertedFileIndex &ivf,
     hit_count_.assign(scratch, 0);
     if (interleaved_ != nullptr && !interleaved_->built())
         interleaved_ = nullptr;
-    if (interleaved_ != nullptr)
-        flag_acc_.assign(scratch, 0.0f);
 }
 
 void
@@ -56,13 +54,15 @@ DistanceCalculator::accumulateList(SearchMode mode, cluster_t c,
     const int subspaces = interest_.numSubspaces();
     const int entries = interest_.entries();
     const std::size_t n = list.size();
+    // The probe's subspace-0 rows; subspace s is s * stride (delta) or
+    // s * word_stride (flag bits) further.
     const std::size_t stride = lut.rowStride();
-    // The probe's subspace-0 rows; subspace s is s * stride further.
-    const std::size_t column = lut.cell(probe, 0, 0);
-    const float *delta = lut.delta.data() + column;
-    const float *selected = lut.selected.data() + column;
-    const float *inner =
-        lut.inner.empty() ? nullptr : lut.inner.data() + column;
+    const std::size_t word_stride = lut.wordStride();
+    const float *delta = lut.delta.data() + lut.cell(probe, 0, 0);
+    const std::uint32_t *selected =
+        lut.selected.data() + lut.wordRow(probe, 0);
+    const std::uint32_t *inner =
+        lut.inner.empty() ? nullptr : lut.inner.data() + lut.wordRow(probe, 0);
 
     const bool exact = mode == SearchMode::kExactDistance;
     // Reward/penalty: +1 inner, 0 outer-only, -1 miss, encoded as
@@ -81,27 +81,34 @@ DistanceCalculator::accumulateList(SearchMode mode, cluster_t c,
                 static_cast<double>(entries);
 
     if (dense) {
-        // Per point this performs one add per subspace in subspace
-        // order — bitwise identical to the sparse walk (unselected
-        // cells contribute an exact 0.0f, which cannot change any
-        // partial sum). JUNO-H streams the delta rows, JUNO-L the
-        // selected rows, JUNO-M inner + selected (exact small
-        // integers, equal to the walk's sum of inner ? 2 : 1).
+        // JUNO-H streams the delta rows: per point one add per subspace
+        // in subspace order, bitwise identical to the sparse walk
+        // (unselected cells contribute an exact 0.0f, which cannot
+        // change any partial sum). Hit counts come from the selected
+        // bits; JUNO-L scores float(hits) and JUNO-M
+        // float(inner) + float(hits), exact small integers equal to
+        // the walk's sums of 1 and of inner ? 2 : 1.
         const entry_t *blocks = interleaved_->listBlocks(c);
-        const auto scan = [&](const float *rows, float *dst) {
-            simd::adcScanInterleaved(rows, static_cast<idx_t>(stride),
-                                     subspaces, blocks, n, 0.0f, dst);
+        const auto count = [&](const std::uint32_t *bits) {
+            simd::flagCountInterleaved(bits, static_cast<idx_t>(word_stride),
+                                       entries, subspaces, blocks, n,
+                                       hit_count_.data());
         };
-        scan(selected, flag_acc_.data());
         if (exact)
-            scan(delta, acc_.data());
-        else if (reward)
-            scan(inner, acc_.data());
-        for (std::size_t i = 0; i < n; ++i) {
-            hit_count_[i] = static_cast<std::int32_t>(flag_acc_[i]);
-            if (!exact)
-                acc_[i] = reward ? acc_[i] + flag_acc_[i] : flag_acc_[i];
+            simd::adcScanInterleaved(delta, static_cast<idx_t>(stride),
+                                     entries, subspaces, blocks, n, 0.0f,
+                                     acc_.data());
+        if (reward) {
+            count(inner);
+            for (std::size_t i = 0; i < n; ++i)
+                acc_[i] = static_cast<float>(hit_count_[i]);
         }
+        count(selected);
+        if (!exact)
+            for (std::size_t i = 0; i < n; ++i)
+                acc_[i] = reward
+                    ? acc_[i] + static_cast<float>(hit_count_[i])
+                    : static_cast<float>(hit_count_[i]);
     } else {
         // Reset the per-ordinal scratch for this cluster; the dense
         // clear keeps the inner accumulation loop down to two
@@ -114,23 +121,34 @@ DistanceCalculator::accumulateList(SearchMode mode, cluster_t c,
         // accumulate into the scratch (paper: "access the inverted
         // index to retrieve the search points whose entry is
         // matched"). Each point holds one entry per subspace, so the
-        // entry order within a subspace cannot change any sum.
+        // entry order within a subspace cannot change any sum; the
+        // walk visits each flag word's set bits in ascending order.
+        const std::size_t words = lut.rowWords();
         for (int s = 0; s < subspaces; ++s) {
-            const std::size_t row = static_cast<std::size_t>(s) * stride;
-            for (int e = 0; e < entries; ++e) {
-                const std::size_t cell = row + static_cast<std::size_t>(e);
-                if (selected[cell] == 0.0f)
-                    continue;
-                const float d = exact    ? delta[cell]
-                                : reward ? 1.0f + inner[cell]
-                                         : 1.0f;
-                const auto range =
-                    interest_.lookup(c, s, static_cast<entry_t>(e));
-                for (const std::uint32_t *it = range.begin;
-                     it != range.end; ++it) {
-                    const std::uint32_t ord = *it;
-                    ++hit_count_[ord];
-                    acc_[ord] += d;
+            const float *delta_row =
+                delta + static_cast<std::size_t>(s) * stride;
+            const std::uint32_t *selected_row =
+                selected + static_cast<std::size_t>(s) * word_stride;
+            const std::uint32_t *inner_row =
+                reward ? inner + static_cast<std::size_t>(s) * word_stride
+                       : nullptr;
+            for (std::size_t w = 0; w < words; ++w) {
+                for (std::uint32_t live = selected_row[w]; live != 0;
+                     live &= live - 1) {
+                    const auto bit =
+                        static_cast<unsigned>(__builtin_ctz(live));
+                    const auto e = static_cast<entry_t>(w * 32 + bit);
+                    const float d = exact ? delta_row[e]
+                        : reward          ? 1.0f + static_cast<float>(
+                                              (inner_row[w] >> bit) & 1u)
+                                          : 1.0f;
+                    const auto range = interest_.lookup(c, s, e);
+                    for (const std::uint32_t *it = range.begin;
+                         it != range.end; ++it) {
+                        const std::uint32_t ord = *it;
+                        ++hit_count_[ord];
+                        acc_[ord] += d;
+                    }
                 }
             }
         }

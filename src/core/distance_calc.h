@@ -56,7 +56,8 @@ class DistanceCalculator {
      * selected entries point by scattered point. Both paths produce
      * bitwise-identical accumulators (one add per selected subspace,
      * in subspace order; unselected cells add an exact 0.0f in the
-     * dense path).
+     * dense JUNO-H scan, and the hit-count modes' scores are exact
+     * small integers either way).
      */
     DistanceCalculator(const InvertedFileIndex &ivf,
                        const InterestIndex &interest,
@@ -104,8 +105,6 @@ class DistanceCalculator {
     // Scratch sized to the largest cluster; densely reset per cluster.
     std::vector<float> acc_;
     std::vector<std::int32_t> hit_count_;
-    // Dense-path hit counts (float sums of 0/1 flags are exact).
-    std::vector<float> flag_acc_;
 };
 
 } // namespace juno

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/logging.h"
 
@@ -88,63 +87,6 @@ JunoScene::build(Metric metric, const ProductQuantizer &pq,
     }
 
     scene_.build(params.bvh);
-}
-
-float
-JunoScene::coordScale(int s) const
-{
-    JUNO_REQUIRE(s >= 0 && s < num_subspaces_, "subspace " << s);
-    return coord_scale_[static_cast<std::size_t>(s)];
-}
-
-float
-JunoScene::rayTmin(int s) const
-{
-    JUNO_REQUIRE(s >= 0 && s < num_subspaces_, "subspace " << s);
-    return tmin_[static_cast<std::size_t>(s)];
-}
-
-float
-JunoScene::gateTmax(int s, float x, float y, double threshold) const
-{
-    const float k = coordScale(s);
-    const float r2 = radius_ * radius_;
-    if (metric_ == Metric::kL2) {
-        if (threshold <= 0.0)
-            return -std::numeric_limits<float>::infinity();
-        // Clamp the scaled radius under R so tmax stays real; the
-        // clamp only binds when the user asks for a looser gate than
-        // the scene was sized for.
-        double r = std::min(threshold * k,
-                            static_cast<double>(radius_ *
-                                                max_gate_fraction_));
-        return static_cast<float>(1.0 - std::sqrt(r2 - r * r));
-    }
-    // IP floor tau: thit <= tmax <=> IP >= tau (see header derivation).
-    const double qn2 = static_cast<double>(x) * x * k * k +
-                       static_cast<double>(y) * y * k * k;
-    const double arg = r2 - qn2 + 2.0 * threshold * k * k;
-    if (arg <= 0.0) {
-        // Floor so low that every hit on the inflated spheres passes.
-        return 1.0f;
-    }
-    return static_cast<float>(1.0 - std::sqrt(arg));
-}
-
-bool
-JunoScene::makeRay(int s, float x, float y, double threshold,
-                   rt::Ray &out) const
-{
-    JUNO_REQUIRE(built(), "scene not built");
-    const float k = coordScale(s);
-    const float tmax = gateTmax(s, x, y, threshold);
-    if (std::isinf(tmax) && tmax < 0.0f)
-        return false;
-    out.origin = {x * k, y * k, kZSpacing * static_cast<float>(s)};
-    out.dir = {0.0f, 0.0f, 1.0f};
-    out.tmin = rayTmin(s);
-    out.tmax = tmax;
-    return true;
 }
 
 } // namespace juno

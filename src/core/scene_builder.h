@@ -27,9 +27,13 @@
 #ifndef JUNO_CORE_SCENE_BUILDER_H
 #define JUNO_CORE_SCENE_BUILDER_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/threshold_policy.h"
 #include "quant/product_quantizer.h"
 #include "rtcore/scene.h"
@@ -75,10 +79,12 @@ class JunoScene {
     const rt::Scene &scene() const { return scene_; }
 
     /** Coordinate scale kappa of subspace @p s. */
-    float coordScale(int s) const;
-
-    /** Ray tmin for subspace @p s (negative in IP mode). */
-    float rayTmin(int s) const;
+    float
+    coordScale(int s) const
+    {
+        JUNO_REQUIRE(s >= 0 && s < num_subspaces_, "subspace " << s);
+        return coord_scale_[static_cast<std::size_t>(s)];
+    }
 
     /** Packs (subspace, entry) into a sphere user id. */
     static std::uint64_t
@@ -114,16 +120,58 @@ class JunoScene {
      * Builds the ray for a query projection (x, y) in *original* units
      * in subspace @p s, gated by @p threshold (L2 radius or IP floor,
      * original units). Returns false when the gate admits no hits.
+     * Per-ray set-up, so inline and unchecked: the scene must be built
+     * and @p s a valid subspace (checked in debug builds; coordScale()
+     * checks it in every build).
      */
-    bool makeRay(int s, float x, float y, double threshold,
-                 rt::Ray &out) const;
+    bool
+    makeRay(int s, float x, float y, double threshold, rt::Ray &out) const
+    {
+        JUNO_DCHECK(built(), "scene not built");
+        const float tmax = gateTmax(s, x, y, threshold);
+        if (std::isinf(tmax) && tmax < 0.0f)
+            return false;
+        const float k = coord_scale_[static_cast<std::size_t>(s)];
+        out.origin = {x * k, y * k, kZSpacing * static_cast<float>(s)};
+        out.dir = {0.0f, 0.0f, 1.0f};
+        out.tmin = tmin_[static_cast<std::size_t>(s)];
+        out.tmax = tmax;
+        return true;
+    }
 
     /**
      * tmax value corresponding to @p threshold for a ray already made
      * by makeRay (used for the reward/penalty inner gate). Returns
-     * -inf when the gate is empty.
+     * -inf when the gate is empty. Unchecked like makeRay().
      */
-    float gateTmax(int s, float x, float y, double threshold) const;
+    float
+    gateTmax(int s, float x, float y, double threshold) const
+    {
+        JUNO_DCHECK(s >= 0 && s < num_subspaces_, "subspace " << s);
+        const float k = coord_scale_[static_cast<std::size_t>(s)];
+        const float r2 = radius_ * radius_;
+        if (metric_ == Metric::kL2) {
+            if (threshold <= 0.0)
+                return -std::numeric_limits<float>::infinity();
+            // Clamp the scaled radius under R so tmax stays real; the
+            // clamp only binds when the user asks for a looser gate
+            // than the scene was sized for.
+            double r = std::min(threshold * k,
+                                static_cast<double>(radius_ *
+                                                    max_gate_fraction_));
+            return static_cast<float>(1.0 - std::sqrt(r2 - r * r));
+        }
+        // IP floor tau: thit <= tmax <=> IP >= tau (see file comment).
+        const double qn2 = static_cast<double>(x) * x * k * k +
+                           static_cast<double>(y) * y * k * k;
+        const double arg = r2 - qn2 + 2.0 * threshold * k * k;
+        if (arg <= 0.0) {
+            // Floor so low that every hit on the inflated spheres
+            // passes.
+            return 1.0f;
+        }
+        return static_cast<float>(1.0 - std::sqrt(arg));
+    }
 
     /**
      * L2^2(entry, projection) in original units from a hit time;
@@ -160,6 +208,7 @@ class JunoScene {
     float radius_ = 1.0f;
     float max_gate_fraction_ = 0.95f;
     std::vector<float> coord_scale_;
+    /** Ray tmin per subspace (negative in IP mode). */
     std::vector<float> tmin_;
     rt::Scene scene_;
 };

@@ -18,6 +18,8 @@ SelectiveLutBuilder::SelectiveLutBuilder(const JunoScene &scene,
 {
     JUNO_REQUIRE(scene.built(), "scene not built");
     JUNO_REQUIRE(policy.trained(), "policy not trained");
+    JUNO_REQUIRE(policy.numSubspaces() == scene.numSubspaces(),
+                 "policy/scene subspace count mismatch");
 }
 
 SelectiveLut
@@ -73,12 +75,11 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
         lut.blocks = lut.shared_across_probes ? 1 : nprobs;
         const std::size_t rows =
             static_cast<std::size_t>(subspaces) * lut.blocks;
-        const std::size_t cells = rows * lut.entries;
         JUNO_REQUIRE(rows <= 0xFFFFFFFFu,
                      "LUT of " << rows << " rows overflows a row index");
-        lut.delta.resize(cells);
-        lut.selected.resize(cells);
-        lut.inner.resize(params.inner_gate ? cells : 0);
+        lut.delta.resize(rows * lut.entries);
+        lut.selected.resize(rows * lut.rowWords());
+        lut.inner.resize(params.inner_gate ? rows * lut.rowWords() : 0);
         lut.miss.resize(rows);
         lut.selected_count.assign(lut.blocks, 0);
         lut.base.assign(nprobs, 0.0f);
@@ -101,6 +102,8 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
     // Subspace-major across the whole group, so each subspace's rays
     // of every member (same direction, same origin plane) form one run,
     // traced below as packets of up to simd::kRayLanes lanes.
+    // The ray set-up below is inline and unchecked per ray: coordScale()
+    // and thresholds() check the subspace once per subspace.
     rays_.clear();
     rows_.clear();
     counts_.clear();
@@ -130,6 +133,7 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
         for (std::size_t g = 0; g < count; ++g) {
             SelectiveLut &lut = *group[g].out;
             const std::size_t entries = lut.entries;
+            const std::size_t words = lut.rowWords();
             for (std::size_t p = 0; p < lut.blocks; ++p, ++i) {
                 const float x = proj_[2 * i];
                 const float y = proj_[2 * i + 1];
@@ -154,22 +158,24 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
                 rt::Ray ray;
                 if (!scene_.makeRay(s, x, y, thr, ray)) {
                     // Empty gate: every entry misses.
-                    const std::size_t cell0 = row * entries;
-                    std::fill_n(lut.delta.data() + cell0, entries, 0.0f);
-                    std::fill_n(lut.selected.data() + cell0, entries, 0.0f);
+                    std::fill_n(lut.delta.data() + row * entries, entries,
+                                0.0f);
+                    std::fill_n(lut.selected.data() + row * words, words,
+                                0u);
                     if (params.inner_gate)
-                        std::fill_n(lut.inner.data() + cell0, entries, 0.0f);
+                        std::fill_n(lut.inner.data() + row * words, words,
+                                    0u);
                     continue;
                 }
                 simd::LutRow out;
                 out.delta = lut.delta.data() + row * entries;
-                out.selected = lut.selected.data() + row * entries;
+                out.selected = lut.selected.data() + row * words;
                 out.miss = miss;
                 out.kappa_sqr = k * k;
                 out.qnorm_scaled_sqr =
                     (x * k) * (x * k) + (y * k) * (y * k);
                 if (params.inner_gate) {
-                    out.inner = lut.inner.data() + row * entries;
+                    out.inner = lut.inner.data() + row * words;
                     // Inner gate at half scale: the reward sphere of the
                     // JUNO-M reward/penalty scheme (paper Sec. 5.4).
                     const double thr_inner = policy_.scaled(
@@ -211,8 +217,8 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
     // [e][lane] tile, which starts as NaN (no hit); it never stops a
     // ray, since JUNO wants every in-gate entry, not the closest hit.
     // The finish kernel then turns each lane's tile column into its
-    // LUT row: value - miss, the selected flag and the inner flag,
-    // exact zeros where the ray missed.
+    // LUT row: value - miss (an exact zero where the ray missed) and
+    // the selected and inner flag bits.
     const auto entries = static_cast<std::size_t>(scene_.entries());
     const float radius_sqr = scene_.radius() * scene_.radius();
     const simd::Kernels &kernels = simd::active();

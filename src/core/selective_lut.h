@@ -31,12 +31,15 @@ namespace juno {
  * Per-query selective LUT produced by the RT pass: one dense block the
  * any-hit shader writes in place and the distance stage streams.
  *
- * Cell (p, s, e) sits at (s * blocks + blockOf(p)) * entries + e:
- * the rows are subspace-major [s][p][e], so the rows of one subspace's
- * probe packet are adjacent and probe p's rows repeat at stride
- * rowStride(). Unselected cells hold an exact 0 in every row. In
- * inner-product mode the LUT does not depend on the probed cluster:
- * one block is stored and every probe reads it.
+ * Rows are subspace-major [s][p], so the rows of one subspace's probe
+ * packet are adjacent. The delta cell (p, s, e) sits at
+ * (s * blocks + blockOf(p)) * entries + e, and probe p's delta rows
+ * repeat at stride rowStride(). The flags are bit rows in the same row
+ * order, rowWords() words each (cell e at bit e % 32 of word e / 32,
+ * bits past entries 0), repeating at wordStride(); read them with
+ * selectedAt() and innerAt(). Unselected cells hold an exact 0 delta
+ * and clear flag bits. In inner-product mode the LUT does not depend
+ * on the probed cluster: one block is stored and every probe reads it.
  */
 struct SelectiveLut {
     std::size_t entries = 0; ///< cells per row (the codebook size E)
@@ -45,13 +48,13 @@ struct SelectiveLut {
     bool shared_across_probes = false;
     /** value - miss on selected cells (JUNO-H rows). */
     std::vector<float> delta;
-    /** 1 on selected cells (JUNO-L rows; hit counts of every mode). */
-    std::vector<float> selected;
+    /** Bit rows, set on selected cells (JUNO-L; every mode's hits). */
+    std::vector<std::uint32_t> selected;
     /**
-     * 1 where the hit also passes the inner (half) gate (JUNO-M rows);
-     * empty when built without SelectiveLutParams::inner_gate.
+     * Bit rows, set where the hit also passes the inner (half) gate
+     * (JUNO-M); empty when built without SelectiveLutParams::inner_gate.
      */
-    std::vector<float> inner;
+    std::vector<std::uint32_t> inner;
     /** miss[s * blocks + b]: score charged to a subspace with no hit. */
     std::vector<float> miss;
     /** selected_count[b]: selected cells of block b. */
@@ -75,6 +78,41 @@ struct SelectiveLut {
     {
         return (static_cast<std::size_t>(s) * blocks + blockOf(p)) * entries +
                e;
+    }
+
+    /** Words of one flag row: ceil(entries / 32). */
+    std::size_t rowWords() const { return (entries + 31) / 32; }
+
+    /** Distance in words between consecutive flag rows of one probe. */
+    std::size_t wordStride() const { return blocks * rowWords(); }
+
+    /** First flag word of probe @p p's subspace-@p s row. */
+    std::size_t
+    wordRow(std::size_t p, int s) const
+    {
+        return (static_cast<std::size_t>(s) * blocks + blockOf(p)) *
+               rowWords();
+    }
+
+    /** Whether the RT gate selected cell (p, s, e). */
+    bool
+    selectedAt(std::size_t p, int s, entry_t e) const
+    {
+        return flagAt(selected, p, s, e);
+    }
+
+    /** Whether cell (p, s, e) passed the inner gate (needs inner rows). */
+    bool
+    innerAt(std::size_t p, int s, entry_t e) const
+    {
+        return flagAt(inner, p, s, e);
+    }
+
+    bool
+    flagAt(const std::vector<std::uint32_t> &bits, std::size_t p, int s,
+           entry_t e) const
+    {
+        return ((bits[wordRow(p, s) + e / 32] >> (e % 32)) & 1u) != 0;
     }
 
     float

@@ -188,19 +188,6 @@ ThresholdPolicy::thresholdForCount(int s, idx_t count) const
 }
 
 double
-ThresholdPolicy::scaled(int s, double threshold, double scale) const
-{
-    checkSubspace(s);
-    scale = std::clamp(scale, 0.0, 1.0);
-    if (metric_ == Metric::kL2)
-        return threshold * scale;
-    // IP: scale 1 keeps the predicted floor; smaller scale raises it
-    // towards the training maximum, pruning more entries.
-    const double hi = max_thr_[static_cast<std::size_t>(s)];
-    return threshold + (1.0 - scale) * std::max(0.0, hi - threshold);
-}
-
-double
 ThresholdPolicy::minThreshold(int s) const
 {
     checkSubspace(s);

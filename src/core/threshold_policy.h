@@ -19,8 +19,10 @@
 #ifndef JUNO_CORE_THRESHOLD_POLICY_H
 #define JUNO_CORE_THRESHOLD_POLICY_H
 
+#include <algorithm>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/types.h"
@@ -95,9 +97,22 @@ class ThresholdPolicy {
     /**
      * Applies the user scaling factor in [0, 1]: for L2, radius*scale;
      * for IP, interpolates the floor towards the training maximum so
-     * smaller scale always prunes more.
+     * smaller scale always prunes more. Per-ray set-up, so inline and
+     * unchecked: @p s must be a valid subspace (checked in debug
+     * builds; thresholds() checks it in every build).
      */
-    double scaled(int s, double threshold, double scale) const;
+    double
+    scaled(int s, double threshold, double scale) const
+    {
+        JUNO_DCHECK(s >= 0 && s < numSubspaces(), "subspace " << s);
+        scale = std::clamp(scale, 0.0, 1.0);
+        if (metric_ == Metric::kL2)
+            return threshold * scale;
+        // IP: scale 1 keeps the predicted floor; smaller scale raises it
+        // towards the training maximum, pruning more entries.
+        const double hi = max_thr_[static_cast<std::size_t>(s)];
+        return threshold + (1.0 - scale) * std::max(0.0, hi - threshold);
+    }
 
     /** Smallest / largest threshold observed at training (per subspace). */
     double minThreshold(int s) const;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/distance.h"
 #include "common/simd.h"
@@ -27,7 +28,8 @@ struct Fixture {
     std::unique_ptr<SelectiveLutBuilder> builder;
     std::unique_ptr<DistanceCalculator> calc;
 
-    Fixture()
+    /** @p entries: codebook size E (flag rows of ceil(E / 32) words). */
+    explicit Fixture(int entries = 16)
     {
         SyntheticSpec spec;
         spec.kind = DatasetKind::kDeepLike;
@@ -47,10 +49,10 @@ struct Fixture {
             ivf.residual(ds.base.row(p), ivf.label(p), residuals.row(p));
         PQParams pq_params;
         pq_params.num_subspaces = 4;
-        pq_params.entries = 16;
+        pq_params.entries = entries;
         pq.train(residuals.view(), pq_params);
         codes = pq.encode(residuals.view());
-        interest.build(ivf, codes, 16);
+        interest.build(ivf, codes, entries);
 
         density.build(residuals.view(), 4, 30);
         ThresholdPolicy::Params tp;
@@ -61,7 +63,7 @@ struct Fixture {
         scene.build(Metric::kL2, pq, policy);
         builder = std::make_unique<SelectiveLutBuilder>(scene, policy, ivf,
                                                         device);
-        interleaved.build(ivf.lists(), codes, 16);
+        interleaved.build(ivf.lists(), codes, entries);
         calc = std::make_unique<DistanceCalculator>(ivf, interest,
                                                     &interleaved);
     }
@@ -98,7 +100,7 @@ TEST(DistanceCalc, ExactModeScoresMatchSparseAccumulation)
         const entry_t code = fx.codes.at(pid, s);
         // A selected cell holds value - miss; a miss is charged miss.
         expect += lut.missFor(probe_ord, s);
-        if (lut.selected[lut.cell(probe_ord, s, code)] != 0.0f)
+        if (lut.selectedAt(probe_ord, s, code))
             expect += lut.delta[lut.cell(probe_ord, s, code)];
     }
     EXPECT_NEAR(result[0].score, expect, 1e-3f * (1.0f + expect));
@@ -202,13 +204,15 @@ TEST(DistanceCalc, AccumulateListExposesPerClusterScores)
         EXPECT_EQ(fx.ivf.label(nb.id), c);
 }
 
-TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
+/**
+ * The dense path streams the interleaved codes against the LUT rows;
+ * it must reproduce the sparse interest-index walk bit for bit (same
+ * candidates, same scores, same order) in every mode, at every
+ * dispatch level and at the default threshold between them.
+ */
+void
+expectDenseEqualsSparse(Fixture &fx)
 {
-    // The dense path streams the interleaved codes against the LUT
-    // rows; it must reproduce the sparse interest-index walk bit for
-    // bit (same candidates, same scores, same order) in every mode, at
-    // every dispatch level and at the default threshold between them.
-    Fixture fx;
     struct LevelGuard {
         simd::Level saved = simd::level();
         ~LevelGuard() { simd::setLevel(saved); }
@@ -250,6 +254,24 @@ TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
             }
             fx.calc->setDenseThreshold(0.5);
         }
+    }
+}
+
+TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
+{
+    Fixture fx;
+    expectDenseEqualsSparse(fx);
+}
+
+TEST(DistanceCalc, DenseEqualsSparseOverMultiWordFlagRows)
+{
+    // E = 64: two flag words and two register pairs of the AVX-512
+    // permute scan; E = 200: seven words and the eight-pair permute
+    // with a partial last register.
+    for (int entries : {64, 200}) {
+        SCOPED_TRACE("entries " + std::to_string(entries));
+        Fixture fx(entries);
+        expectDenseEqualsSparse(fx);
     }
 }
 

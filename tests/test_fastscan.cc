@@ -6,7 +6,11 @@
  *  - PQ4 (entries == 16) train/encode/decode round-trip;
  *  - the interleaved layout reproduces the row-major codes (both
  *    planes) and the interleaved scan is bitwise equal to a
- *    test-local id-gather scan in every dispatch table;
+ *    test-local id-gather scan in every dispatch table, over row
+ *    lengths on both sides of the AVX-512 permute limit (256), list
+ *    lengths around the 16- and 32-point steps and padded rows;
+ *  - the interleaved flag count equals a test-local bit lookup in
+ *    every table over the same shapes;
  *  - the fast-scan kernel's quantised sums match a naive nibble
  *    reference bit for bit in every table, and the reconstructed
  *    scores respect the documented error bound;
@@ -216,7 +220,8 @@ TEST(FastScan, InterleavedScanBitwiseEqualsLegacyGatherEverywhere)
             for (simd::Level level : supportedLevels()) {
                 std::vector<float> got(list.size(), -1.0f);
                 simd::table(level).adc_scan_interleaved(
-                    fx.lut.data(), fx.lut.cols(), fx.subspaces,
+                    fx.lut.data(), fx.lut.cols(), fx.lut.cols(),
+                    fx.subspaces,
                     fx.interleaved.listBlocks(
                         static_cast<cluster_t>(c)),
                     list.size(), base, got.data());
@@ -225,6 +230,106 @@ TEST(FastScan, InterleavedScanBitwiseEqualsLegacyGatherEverywhere)
                         << "entries=" << entries << " level="
                         << simd::levelName(level) << " list=" << c
                         << " i=" << i;
+            }
+        }
+    }
+}
+
+/**
+ * One list of @p n points with random codes below @p entries, laid out
+ * interleaved, plus @p subspaces LUT rows of @p entries cells at a
+ * padded stride and their flag bit rows, also padded.
+ */
+struct ShapeFixture {
+    PQCodes codes;
+    InterleavedLists interleaved;
+    std::size_t stride;
+    std::size_t word_stride;
+    std::vector<float> lut;
+    std::vector<std::uint32_t> bits;
+
+    ShapeFixture(int subspaces, int entries, idx_t n, std::uint64_t seed)
+        : stride(static_cast<std::size_t>(entries) + 5),
+          word_stride((static_cast<std::size_t>(entries) + 31) / 32 + 3)
+    {
+        Rng rng(seed);
+        codes.num_points = n;
+        codes.num_subspaces = subspaces;
+        codes.codes.resize(static_cast<std::size_t>(n) *
+                           static_cast<std::size_t>(subspaces));
+        for (auto &c : codes.codes)
+            c = static_cast<entry_t>(rng.below(
+                static_cast<std::uint64_t>(entries)));
+        std::vector<std::vector<idx_t>> lists(1);
+        for (idx_t p = 0; p < n; ++p)
+            lists[0].push_back(p);
+        interleaved.build(lists, codes, entries);
+        // Padding cells and words hold values no code may read.
+        lut.assign(static_cast<std::size_t>(subspaces) * stride, 1e30f);
+        bits.assign(static_cast<std::size_t>(subspaces) * word_stride,
+                    0xFFFFFFFFu);
+        for (int s = 0; s < subspaces; ++s) {
+            const std::size_t ss = static_cast<std::size_t>(s);
+            for (int e = 0; e < entries; ++e)
+                lut[ss * stride + static_cast<std::size_t>(e)] =
+                    rng.uniform(-2.0f, 2.0f);
+            for (std::size_t w = 0; w < (static_cast<std::size_t>(entries) +
+                                         31) / 32;
+                 ++w)
+                bits[ss * word_stride + w] =
+                    static_cast<std::uint32_t>(rng.below(1ull << 32));
+        }
+    }
+};
+
+TEST(FastScan, InterleavedScanAndFlagCountBitwiseAcrossShapes)
+{
+    const int subspaces = 7;
+    const float base = -0.625f;
+    for (int entries : {16, 40, 128, 200, 256, 300}) {
+        for (idx_t n : {1, 15, 31, 32, 33, 100}) {
+            const ShapeFixture fx(subspaces, entries, n,
+                                  static_cast<std::uint64_t>(entries * n));
+            const auto nn = static_cast<std::size_t>(n);
+            std::vector<float> want(nn);
+            std::vector<std::int32_t> want_count(nn);
+            for (std::size_t i = 0; i < nn; ++i) {
+                const entry_t *row = fx.codes.row(static_cast<idx_t>(i));
+                float acc = base;
+                std::int32_t count = 0;
+                for (int s = 0; s < subspaces; ++s) {
+                    const std::size_t ss = static_cast<std::size_t>(s);
+                    acc += fx.lut[ss * fx.stride + row[s]];
+                    count += static_cast<std::int32_t>(
+                        (fx.bits[ss * fx.word_stride + row[s] / 32] >>
+                         (row[s] % 32)) &
+                        1u);
+                }
+                want[i] = acc;
+                want_count[i] = count;
+            }
+            const entry_t *blocks = fx.interleaved.listBlocks(0);
+            for (simd::Level level : supportedLevels()) {
+                const simd::Kernels &k = simd::table(level);
+                // One guard slot past n: no table may store beyond it.
+                std::vector<float> got(nn + 1, 7.0f);
+                std::vector<std::int32_t> got_count(nn + 1, -7);
+                k.adc_scan_interleaved(
+                    fx.lut.data(), static_cast<idx_t>(fx.stride), entries,
+                    subspaces, blocks, nn, base, got.data());
+                k.flag_count_interleaved(
+                    fx.bits.data(), static_cast<idx_t>(fx.word_stride),
+                    entries, subspaces, blocks, nn, got_count.data());
+                for (std::size_t i = 0; i < nn; ++i) {
+                    ASSERT_EQ(want[i], got[i])
+                        << simd::levelName(level) << " entries=" << entries
+                        << " n=" << n << " i=" << i;
+                    ASSERT_EQ(want_count[i], got_count[i])
+                        << simd::levelName(level) << " entries=" << entries
+                        << " n=" << n << " i=" << i;
+                }
+                EXPECT_EQ(got[nn], 7.0f) << simd::levelName(level);
+                EXPECT_EQ(got_count[nn], -7) << simd::levelName(level);
             }
         }
     }

@@ -298,6 +298,15 @@ TEST(JunoDifferential, InnerGateDoesNotChangeHitCountScores)
                               without);
             ASSERT_FALSE(with_inner.inner.empty());
             ASSERT_TRUE(without.inner.empty());
+            // Same selected cells; an inner flag only on a selected one.
+            for (std::size_t p = 0; p < with_inner.blocks; ++p)
+                for (int s = 0; s < index.junoScene().numSubspaces(); ++s)
+                    for (entry_t e = 0; e < with_inner.entries; ++e) {
+                        EXPECT_EQ(with_inner.selectedAt(p, s, e),
+                                  without.selectedAt(p, s, e));
+                        EXPECT_TRUE(!with_inner.innerAt(p, s, e) ||
+                                    with_inner.selectedAt(p, s, e));
+                    }
             for (double threshold : {0.0, 2.0}) {
                 index.calculator().setDenseThreshold(threshold);
                 const auto a = index.calculator().run(

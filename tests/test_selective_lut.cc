@@ -95,7 +95,7 @@ TEST(SelectiveLut, L2HitsMatchBruteForceSelection)
             }
             std::set<entry_t> got;
             for (entry_t e = 0; e < 16; ++e)
-                if (lut.selected[lut.cell(p, s, e)] != 0.0f)
+                if (lut.selectedAt(p, s, e))
                     got.insert(e);
             // All strictly-inside entries must appear; boundary entries
             // may differ by FP rounding.
@@ -119,7 +119,7 @@ TEST(SelectiveLut, L2ValuesAreSquaredSubspaceDistances)
                         residual.data());
         for (int s = 0; s < 4; ++s) {
             for (entry_t e = 0; e < 16; ++e) {
-                if (lut.selected[lut.cell(p, s, e)] == 0.0f)
+                if (!lut.selectedAt(p, s, e))
                     continue;
                 const float value =
                     lut.delta[lut.cell(p, s, e)] + lut.missFor(p, s);
@@ -162,7 +162,7 @@ TEST(SelectiveLut, IpValuesAreSubspaceInnerProducts)
     const auto lut = fx.builder->build(q, probes, {});
     for (int s = 0; s < 4; ++s) {
         for (entry_t e = 0; e < 16; ++e) {
-            if (lut.selected[lut.cell(0, s, e)] == 0.0f)
+            if (!lut.selectedAt(0, s, e))
                 continue;
             const float value =
                 lut.delta[lut.cell(0, s, e)] + lut.missFor(0, s);
@@ -187,9 +187,9 @@ TEST(SelectiveLut, SmallerScaleNeverAddsHits)
         for (int s = 0; s < 4; ++s) {
             std::set<entry_t> full_set, half_set;
             for (entry_t e = 0; e < 16; ++e) {
-                if (lut_full.selected[lut_full.cell(p, s, e)] != 0.0f)
+                if (lut_full.selectedAt(p, s, e))
                     full_set.insert(e);
-                if (lut_half.selected[lut_half.cell(p, s, e)] != 0.0f)
+                if (lut_half.selectedAt(p, s, e))
                     half_set.insert(e);
             }
             for (entry_t e : half_set)
@@ -212,13 +212,13 @@ TEST(SelectiveLut, InnerFlagImpliesTighterDistance)
             float max_inner = -1.0f, min_outer = 1e30f;
             for (entry_t e = 0; e < 16; ++e) {
                 const std::size_t cell = lut.cell(p, s, e);
-                if (lut.selected[lut.cell(p, s, e)] == 0.0f) {
+                if (!lut.selectedAt(p, s, e)) {
                     // The inner gate lies inside the outer one.
-                    EXPECT_EQ(lut.inner[cell], 0.0f);
+                    EXPECT_FALSE(lut.innerAt(p, s, e));
                     continue;
                 }
                 const float value = lut.delta[cell] + lut.missFor(p, s);
-                if (lut.inner[cell] != 0.0f)
+                if (lut.innerAt(p, s, e))
                     max_inner = std::max(max_inner, value);
                 else
                     min_outer = std::min(min_outer, value);
@@ -265,7 +265,7 @@ TEST(SelectiveLut, SparsitySavesWorkVsDenseLut)
         std::size_t flags = 0;
         for (int s = 0; s < 4; ++s) {
             for (entry_t e = 0; e < 16; ++e)
-                flags += lut.selected[lut.cell(p, s, e)] != 0.0f ? 1 : 0;
+                flags += lut.selectedAt(p, s, e) ? 1 : 0;
             cells += 16;
         }
         EXPECT_EQ(lut.selected_count[p], flags);
@@ -315,8 +315,8 @@ expectSingleRayLut(Fixture &fx, const float *q,
                 s, x, y,
                 fx.policy.scaled(s, thr_raw, params.threshold_scale * 0.5));
             const float k = fx.scene.coordScale(s);
-            std::vector<float> delta(16, 0.0f), flag(16, 0.0f),
-                inner(16, 0.0f);
+            std::vector<float> delta(16, 0.0f);
+            std::vector<bool> flag(16, false), inner(16, false);
             rt::Ray ray;
             const auto si = static_cast<std::size_t>(s);
             if (fx.scene.makeRay(s, x, y, thr, ray)) {
@@ -329,9 +329,8 @@ expectSingleRayLut(Fixture &fx, const float *q,
                     if (hs != s)
                         return true;
                     delta[e] = fx.scene.lutValueL2(k * k, hit.thit) - miss;
-                    flag[e] = 1.0f;
-                    if (hit.thit <= tmax_inner)
-                        inner[e] = 1.0f;
+                    flag[e] = true;
+                    inner[e] = hit.thit <= tmax_inner;
                     ++selected;
                     return true;
                 });
@@ -344,8 +343,8 @@ expectSingleRayLut(Fixture &fx, const float *q,
                 EXPECT_EQ(bitsOf(delta[e]), bitsOf(lut.delta[cell]))
                     << where << " probe " << p << " subspace " << s
                     << " entry " << e;
-                EXPECT_EQ(bitsOf(flag[e]), bitsOf(lut.selected[cell]));
-                EXPECT_EQ(bitsOf(inner[e]), bitsOf(lut.inner[cell]));
+                EXPECT_EQ(flag[e], lut.selectedAt(p, s, e));
+                EXPECT_EQ(inner[e], lut.innerAt(p, s, e));
             }
         }
         EXPECT_EQ(selected, lut.selected_count[p]);
@@ -487,8 +486,8 @@ expectSameLut(const SelectiveLut &want, const SelectiveLut &got,
     EXPECT_EQ(want.blocks, got.blocks) << where;
     EXPECT_EQ(want.shared_across_probes, got.shared_across_probes) << where;
     expectSameBits(want.delta, got.delta, where + " delta");
-    expectSameBits(want.selected, got.selected, where + " selected");
-    expectSameBits(want.inner, got.inner, where + " inner");
+    EXPECT_EQ(want.selected, got.selected) << where << " selected";
+    EXPECT_EQ(want.inner, got.inner) << where << " inner";
     expectSameBits(want.miss, got.miss, where + " miss");
     EXPECT_EQ(want.selected_count, got.selected_count) << where;
     expectSameBits(want.base, got.base, where + " base");

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "baseline/flat_index.h"
@@ -363,21 +364,25 @@ TEST(Simd, RayKernelsRandomLanesMatchGeometry)
 /**
  * The LUT finish writes bitwise identical rows and hit counts in every
  * table: packets of 1..kRayLanes lanes, entry counts around the vector
- * widths, tiles mixing NaN (no hit) with hit times around the inner
- * gate, both metrics, with and without inner flags. Per cell the
- * scalar table matches JunoScene's conversion written out here, and no
- * table writes past a row's entries.
+ * widths and the 32-cell flag words, tiles mixing NaN (no hit) with hit
+ * times around the inner gate, both metrics, with and without inner
+ * flags. Per cell the scalar table matches JunoScene's conversion
+ * written out here, every flag word is written whole (bits past the
+ * entries clear), and no table writes past a row.
  */
 TEST(Simd, LutFinishBitwiseIdenticalAcrossTables)
 {
     Rng rng(91);
     const float radius_sqr = 0.81f;
     const float guard = -7.0f;
+    const std::uint32_t guard_word = 0xA5A5A5A5u;
     for (Metric metric : {Metric::kL2, Metric::kInnerProduct})
-        for (std::size_t entries : {1, 7, 8, 15, 16, 17, 33, 128})
+        for (std::size_t entries :
+             {1, 7, 8, 15, 16, 17, 24, 31, 32, 33, 40, 100, 128})
             for (int lanes : {1, 2, 5, 8, 11, 16})
                 for (bool inner : {false, true}) {
                     const auto n = static_cast<std::size_t>(lanes);
+                    const std::size_t words = (entries + 31) / 32;
                     std::vector<float> tile(entries * n);
                     for (float &t : tile)
                         t = rng.uniform() < 0.4
@@ -390,31 +395,39 @@ TEST(Simd, LutFinishBitwiseIdenticalAcrossTables)
                         row.qnorm_scaled_sqr = rng.uniform(0.0f, 1.5f);
                         row.tmax_inner = rng.uniform(0.0f, 0.4f);
                     }
-                    // Per table: delta, selected, inner rows of each lane
-                    // plus one guard cell per row; and the hit counts.
-                    auto run = [&](const simd::Kernels &k,
-                                   std::vector<float> &out,
-                                   std::vector<std::uint32_t> &hits) {
-                        const std::size_t stride = entries + 1;
-                        out.assign(3 * n * stride, guard);
-                        hits.assign(n, 0);
+                    // Per table: each lane's delta row plus a guard cell,
+                    // its selected and inner words plus a guard word
+                    // (flag words start as the guard too, so a word left
+                    // unwritten shows); and the hit counts.
+                    struct Out {
+                        std::vector<float> delta;
+                        std::vector<std::uint32_t> selected, inner;
+                        std::vector<std::uint32_t> hits;
+                    };
+                    auto run = [&](const simd::Kernels &k, Out &out) {
+                        out.delta.assign(n * (entries + 1), guard);
+                        out.selected.assign(n * (words + 1), guard_word);
+                        out.inner.assign(n * (words + 1), guard_word);
+                        out.hits.assign(n, 0);
                         std::vector<simd::LutRow> r = rows;
                         for (std::size_t i = 0; i < n; ++i) {
-                            r[i].delta = out.data() + (3 * i) * stride;
-                            r[i].selected = r[i].delta + stride;
-                            r[i].inner =
-                                inner ? r[i].selected + stride : nullptr;
+                            r[i].delta = out.delta.data() + i * (entries + 1);
+                            r[i].selected =
+                                out.selected.data() + i * (words + 1);
+                            r[i].inner = inner ? out.inner.data() +
+                                                     i * (words + 1)
+                                               : nullptr;
                         }
                         k.lut_finish(metric, radius_sqr, tile.data(), lanes,
-                                     entries, r.data(), hits.data());
+                                     entries, r.data(), out.hits.data());
                     };
-                    std::vector<float> want;
-                    std::vector<std::uint32_t> want_hits;
-                    run(simd::table(simd::Level::kScalar), want, want_hits);
-                    const std::size_t stride = entries + 1;
+                    Out want;
+                    run(simd::table(simd::Level::kScalar), want);
                     for (std::size_t i = 0; i < n; ++i) {
                         std::uint32_t count = 0;
                         const simd::LutRow &row = rows[i];
+                        const float *d = want.delta.data() + i * (entries + 1);
+                        std::vector<std::uint32_t> sel(words, 0), inn(words, 0);
                         for (std::size_t e = 0; e < entries; ++e) {
                             const float t = tile[e * n + i];
                             const float om = 1.0f - t;
@@ -426,31 +439,40 @@ TEST(Simd, LutFinishBitwiseIdenticalAcrossTables)
                                       row.kappa_sqr;
                             const bool hit = !std::isnan(t);
                             count += hit ? 1u : 0u;
-                            const float *d = want.data() + 3 * i * stride;
                             EXPECT_EQ(bitsOf(d[e]),
                                       bitsOf(hit ? value - row.miss : 0.0f));
-                            EXPECT_EQ(d[stride + e], hit ? 1.0f : 0.0f);
-                            EXPECT_EQ(d[2 * stride + e],
-                                      inner && t <= row.tmax_inner ? 1.0f
-                                      : inner                     ? 0.0f
-                                                                  : guard);
+                            sel[e / 32] |= hit ? 1u << (e % 32) : 0u;
+                            inn[e / 32] |=
+                                t <= row.tmax_inner ? 1u << (e % 32) : 0u;
                         }
-                        EXPECT_EQ(want_hits[i], count);
+                        EXPECT_EQ(bitsOf(d[entries]), bitsOf(guard));
+                        for (std::size_t w = 0; w <= words; ++w) {
+                            const std::size_t at = i * (words + 1) + w;
+                            EXPECT_EQ(want.selected[at],
+                                      w < words ? sel[w] : guard_word);
+                            EXPECT_EQ(want.inner[at], inner && w < words
+                                                          ? inn[w]
+                                                          : guard_word);
+                        }
+                        EXPECT_EQ(want.hits[i], count);
                     }
                     for (simd::Level level :
                          {simd::Level::kAvx2, simd::Level::kAvx512}) {
                         if (!simd::supported(level))
                             continue;
-                        std::vector<float> got;
-                        std::vector<std::uint32_t> got_hits;
-                        run(simd::table(level), got, got_hits);
-                        EXPECT_EQ(want_hits, got_hits)
-                            << simd::levelName(level);
-                        for (std::size_t c = 0; c < want.size(); ++c)
-                            EXPECT_EQ(bitsOf(want[c]), bitsOf(got[c]))
-                                << simd::levelName(level) << " cell " << c
-                                << " entries " << entries << " lanes "
-                                << lanes;
+                        Out got;
+                        run(simd::table(level), got);
+                        const std::string where =
+                            std::string(simd::levelName(level)) +
+                            " entries " + std::to_string(entries) +
+                            " lanes " + std::to_string(lanes);
+                        EXPECT_EQ(want.hits, got.hits) << where;
+                        for (std::size_t c = 0; c < want.delta.size(); ++c)
+                            EXPECT_EQ(bitsOf(want.delta[c]),
+                                      bitsOf(got.delta[c]))
+                                << where << " cell " << c;
+                        EXPECT_EQ(want.selected, got.selected) << where;
+                        EXPECT_EQ(want.inner, got.inner) << where;
                     }
                 }
 }
