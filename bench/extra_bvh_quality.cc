@@ -37,7 +37,6 @@ main()
                 static_cast<float>(rng.gaussian(0.0, spread)),
                 4.0f * static_cast<float>(s) + 1.0f};
             sphere.radius = 1.0f;
-            sphere.user_id = static_cast<std::uint64_t>(s * entries + e);
             spheres.push_back(sphere);
         }
     }
@@ -67,9 +66,10 @@ main()
         const double build_ms = build_timer.millis();
 
         TraversalStats stats;
+        // Lone rays (one-ray packets) that record no sphere: only the
+        // counters are read.
         for (const auto &ray : rays)
-            bvh.traverse(ray, spheres, stats,
-                         [](const Hit &) { return true; });
+            bvh.traceTile(&ray, 1, spheres, {}, nullptr, stats);
         const double per_ray = 1.0 / static_cast<double>(rays.size());
         table.addRow(
             {policy == SplitPolicy::kBinnedSah ? "binned SAH" : "median",

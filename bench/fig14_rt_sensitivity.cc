@@ -1,13 +1,14 @@
 /**
  * @file
  * Reproduces paper Fig. 14:
- *  (a) JUNO with the RT traversal replaced by the linear CUDA-core
- *      fallback (the A100 situation) against the FAISS-style baseline:
- *      the algorithmic enhancement alone still wins at low quality but
- *      loses at high quality, where simulating traversal in software
- *      costs more than the sparsity saves;
+ *  (a) JUNO without RT acceleration (the A100 situation: each ray
+ *      tested against its own subspace's E entries on CUDA cores, no
+ *      BVH; ExecMode::kCudaFallback) against the FAISS-style baseline.
+ *      The paper finds that the algorithmic enhancement alone still
+ *      wins at low quality but loses at high quality;
  *  (b) sensitivity to RT-core throughput via the traversal cost model
- *      (RTX 4090 Gen-3 = 2x A40 Gen-2; A100 = software fallback).
+ *      (RTX 4090 Gen-3 = 2x A40 Gen-2; A100 = CUDA-core subspace
+ *      scan).
  */
 #include <cstdio>
 
@@ -67,7 +68,7 @@ main()
                 const auto p =
                     evaluate(workload, index, bench::searchOptions(100));
                 std::string name = std::string(searchModeName(mode)) +
-                                   (rt ? "(BVH)" : "(linear fallback)");
+                                   (rt ? "(BVH)" : "(no RT: subspace scan)");
                 table.addRow({name, std::to_string(np),
                               TablePrinter::recall(p.recall1_at_k,
                                                    p.recall1_ci),
@@ -122,6 +123,6 @@ main()
     model_table.print();
     std::printf("\npaper: Ada's Gen-3 RT cores (2x Gen-2 throughput) "
                 "give RTX 4090 ~1.5x higher\nimprovement than A40; "
-                "the A100 fallback pays a software-traversal tax.\n");
+                "the A100 pays a software-traversal tax.\n");
     return 0;
 }

@@ -498,20 +498,26 @@ benchFastScan(const simd::Kernels &scalar, const simd::Kernels &best)
     const std::string shape = "S=" + std::to_string(subspaces) +
                               ",E=16,n=" + std::to_string(num_points);
 
-    const double inter_float = opsPerSecond(ops, [&] {
-        best.adc_scan_interleaved(lut_flat.data(), entries, entries,
-                                  subspaces, inter.listBlocks(0),
-                                  out.size(), 0.0f, out.data());
-    });
     const double s = opsPerSecond(ops, [&] {
         scalar.fastscan_pq4(inter.listPacked(0), subspaces,
                             qlut.table.data(), qsums.size(),
                             qsums.data());
     });
-    const double v = opsPerSecond(ops, [&] {
-        best.fastscan_pq4(inter.listPacked(0), subspaces,
-                          qlut.table.data(), qsums.size(), qsums.data());
-    });
+    // Best of three alternating windows per side: the ratio is a CI
+    // gate, and one window on a shared host swings by tens of percent.
+    double inter_float = 0.0, v = 0.0;
+    for (int round = 0; round < 3; ++round) {
+        inter_float = std::max(inter_float, opsPerSecond(ops, [&] {
+            best.adc_scan_interleaved(lut_flat.data(), entries, entries,
+                                      subspaces, inter.listBlocks(0),
+                                      out.size(), 0.0f, out.data());
+        }));
+        v = std::max(v, opsPerSecond(ops, [&] {
+            best.fastscan_pq4(inter.listPacked(0), subspaces,
+                              qlut.table.data(), qsums.size(),
+                              qsums.data());
+        }));
+    }
     printRow("fastscanPq4", shape, s, v, "Gop/s");
     printRow("fastscanPq4/inter", shape, inter_float, v, "Gop/s");
     g_fastscan_vs_inter = v / inter_float;
@@ -568,11 +574,10 @@ benchTopKAndBvh()
                 "n=10000,k=100", topk_ops * 1e-9, "Gop/s");
 
     std::vector<rt::Sphere> spheres(4096);
-    for (std::size_t i = 0; i < spheres.size(); ++i) {
-        spheres[i].center = {rng.uniform(-1.0f, 1.0f),
-                             rng.uniform(-1.0f, 1.0f), 1.0f};
-        spheres[i].radius = 1.0f;
-        spheres[i].user_id = i;
+    for (auto &sphere : spheres) {
+        sphere.center = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f),
+                         1.0f};
+        sphere.radius = 1.0f;
     }
     rt::Bvh bvh;
     bvh.build(spheres);
@@ -581,14 +586,11 @@ benchTopKAndBvh()
     ray.dir = {0, 0, 1};
     ray.tmax = 0.3f;
     rt::TraversalStats stats;
+    // A one-ray packet (the lone-ray walk) recording every sphere.
+    std::vector<float> tile(spheres.size());
+    const rt::RecordRange record{0, static_cast<std::uint32_t>(tile.size())};
     const double trav_ops = opsPerSecond(1, [&] {
-        int hits = 0;
-        bvh.traverse(ray, spheres, stats, [&](const rt::Hit &) {
-            ++hits;
-            return true;
-        });
-        volatile int sink = hits;
-        (void)sink;
+        bvh.traceTile(&ray, 1, spheres, record, tile.data(), stats);
     });
     std::printf("%-18s %-20s %9.2f %-6s\n", "bvhTraverse",
                 "spheres=4096", trav_ops * 1e-6, "Mray/s");
@@ -622,9 +624,9 @@ tracePackets(const rt::Bvh &bvh, const std::vector<rt::Sphere> &spheres,
  * The selective-LUT access pattern: a JUNO-shaped scene (S planes of E
  * radius-1 spheres at z = 4s + 1) and groups of kRayLanes +z probe
  * rays from one plane, each with its own tmax gate. The single-ray
- * walk stores each hit's thit in its ray's row of E cells; the
- * packet-walk kernel stores each hit sphere's lanes into the packet's
- * [e][lane] tile with one masked store.
+ * walk (a one-ray packet) stores each hit's thit in its ray's row of E
+ * cells; the packet-walk kernel stores each hit sphere's lanes into the
+ * packet's [e][lane] tile with one masked store.
  * Two packings of the same rays: one query's 8 probe rays per packet,
  * and two queries' rays in one kRayLanes packet (the cross-query
  * group). Rays per second of each against the same rays walked one at
@@ -647,7 +649,6 @@ benchBvhPacket()
                              rng.uniform(-0.8f, 0.8f),
                              4.0f * static_cast<float>(s) + 1.0f};
             sphere.radius = 1.0f;
-            sphere.user_id = spheres.size();
             spheres.push_back(sphere);
         }
     rt::Bvh bvh;
@@ -667,16 +668,21 @@ benchBvhPacket()
     std::vector<float> cells(rays.size() * row, nan);
 
     rt::TraversalStats stats;
+    // Each ray alone (a one-ray packet takes the lone-ray walk) into its
+    // own row of E cells.
     const auto traceSingle = [&] {
-        for (std::size_t i = 0; i < rays.size(); ++i)
-            bvh.traverse(rays[i], spheres, stats, [&](const rt::Hit &hit) {
-                cells[i * row + hit.user_id % row] = hit.thit;
-                return true;
-            });
+        for (std::size_t i = 0; i < rays.size(); ++i) {
+            const std::size_t s =
+                i / static_cast<std::size_t>(lanes) %
+                static_cast<std::size_t>(subspaces);
+            const rt::RecordRange record{static_cast<std::uint32_t>(s * row),
+                                         static_cast<std::uint32_t>(row)};
+            bvh.traceTile(&rays[i], 1, spheres, record, cells.data() + i * row,
+                          stats);
+        }
     };
     traceSingle();
     const std::vector<float> want = cells;
-    const double single = opsPerSecond(rays.size(), traceSingle);
 
     const simd::Level saved = simd::level();
     if (saved == simd::Level::kScalar)
@@ -698,10 +704,17 @@ benchBvhPacket()
                     ++g_packet_mismatches;
             }
         }
-        const double packet = opsPerSecond(rays.size(), [&] {
-            tracePackets(bvh, spheres, rays, width, row, subspaces, stats,
-                         cells.data());
-        });
+        // Best of three alternating windows per side: the 16-lane ratio
+        // is a CI gate, and one window on a shared host swings by tens
+        // of percent.
+        double single = 0.0, packet = 0.0;
+        for (int round = 0; round < 3; ++round) {
+            single = std::max(single, opsPerSecond(rays.size(), traceSingle));
+            packet = std::max(packet, opsPerSecond(rays.size(), [&] {
+                tracePackets(bvh, spheres, rays, width, row, subspaces,
+                             stats, cells.data());
+            }));
+        }
         const std::string shape = "S=" + std::to_string(subspaces) +
                                   ",E=" + std::to_string(entries) +
                                   ",lanes=" + std::to_string(width);

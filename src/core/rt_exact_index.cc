@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/logging.h"
@@ -62,10 +63,8 @@ RtExactIndex::buildScene()
             sphere.center = {points.at(p, 2 * s) * kappa,
                              points.at(p, 2 * s + 1) * kappa, z};
             sphere.radius = kRadius;
-            sphere.user_id =
-                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s))
-                 << 32) |
-                static_cast<std::uint32_t>(p);
+            // Point p of subspace s is prim s * N + p (searchChunk's
+            // record ranges).
             scene_.addSphere(sphere);
         }
     }
@@ -74,7 +73,8 @@ RtExactIndex::buildScene()
 
 /** Per-worker accumulators; persist across chunks via the context. */
 struct RtExactIndex::Worker {
-    std::vector<rt::Ray> rays;
+    /** One subspace's hit times, one cell per point (NaN = miss). */
+    std::vector<float> tile;
     std::vector<float> acc;
     std::vector<std::int32_t> seen;
     rt::RtDevice device;
@@ -127,40 +127,47 @@ RtExactIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
 {
     auto &w = ctx.scratch<Worker>(
         [] { return std::make_unique<Worker>(); });
-    w.rays.resize(static_cast<std::size_t>(subspaces_));
-    w.acc.resize(static_cast<std::size_t>(num_points_));
-    w.seen.resize(static_cast<std::size_t>(num_points_));
+    const auto n = static_cast<std::size_t>(num_points_);
+    w.tile.resize(n);
+    w.acc.resize(n);
+    w.seen.resize(n);
     w.device.setMode(device_.mode());
 
     StageScope timer(ctx, Stage::kRtExact);
     for (idx_t qi = chunk.begin; qi < chunk.end; ++qi) {
         const float *q = chunk.queries.row(qi);
+        std::fill(w.acc.begin(), w.acc.end(), 0.0f);
+        std::fill(w.seen.begin(), w.seen.end(), 0);
+        // One lone ray per subspace, recording that subspace's points;
+        // each point sums its subspaces in order s = 0..S-1.
         for (int s = 0; s < subspaces_; ++s) {
             const float kappa = coord_scale_[static_cast<std::size_t>(s)];
-            auto &ray = w.rays[static_cast<std::size_t>(s)];
+            rt::Ray ray;
             ray.origin = {q[2 * s] * kappa, q[2 * s + 1] * kappa,
                           kZSpacing * static_cast<float>(s)};
             ray.dir = {0, 0, 1};
             ray.tmin = 0.0f;
             ray.tmax = 1.0f; // hit everything in the subspace plane
-            ray.payload = static_cast<std::uint64_t>(s);
+            std::fill(w.tile.begin(), w.tile.end(),
+                      std::numeric_limits<float>::quiet_NaN());
+            w.device.traceTile(
+                scene_, &ray, 1,
+                {static_cast<std::uint32_t>(s) *
+                     static_cast<std::uint32_t>(n),
+                 static_cast<std::uint32_t>(n)},
+                w.tile.data());
+            for (std::size_t p = 0; p < n; ++p) {
+                const float thit = w.tile[p];
+                if (std::isnan(thit))
+                    continue;
+                const float one_minus = 1.0f - thit;
+                // Exact subspace distance from the hit time (Fig. 9
+                // left).
+                w.acc[p] += (kRadius * kRadius - one_minus * one_minus) /
+                            (kappa * kappa);
+                ++w.seen[p];
+            }
         }
-
-        std::fill(w.acc.begin(), w.acc.end(), 0.0f);
-        std::fill(w.seen.begin(), w.seen.end(), 0);
-        w.device.launch(scene_, w.rays, [&](std::size_t,
-                                            const rt::Hit &hit) {
-            const int s = static_cast<int>(hit.user_id >> 32);
-            const auto p =
-                static_cast<std::uint32_t>(hit.user_id & 0xFFFFFFFFu);
-            const float kappa = coord_scale_[static_cast<std::size_t>(s)];
-            const float one_minus = 1.0f - hit.thit;
-            // Exact subspace distance from the hit time (Fig. 9 left).
-            w.acc[p] += (kRadius * kRadius - one_minus * one_minus) /
-                        (kappa * kappa);
-            ++w.seen[p];
-            return true;
-        });
 
         TopK top(std::min(chunk.k, num_points_), Metric::kL2);
         for (idx_t p = 0; p < num_points_; ++p) {

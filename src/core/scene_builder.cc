@@ -73,7 +73,6 @@ JunoScene::build(Metric metric, const ProductQuantizer &pq,
                 sphere.radius = std::sqrt(radius_ * radius_ + norm2);
             }
             max_radius = std::max(max_radius, sphere.radius);
-            sphere.user_id = packId(s, static_cast<entry_t>(e));
             // recordRange() relies on this prim numbering.
             const std::uint32_t prim = scene_.addSphere(sphere);
             JUNO_ASSERT(prim == static_cast<std::uint32_t>(

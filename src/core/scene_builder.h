@@ -86,22 +86,6 @@ class JunoScene {
         return coord_scale_[static_cast<std::size_t>(s)];
     }
 
-    /** Packs (subspace, entry) into a sphere user id. */
-    static std::uint64_t
-    packId(int s, entry_t e)
-    {
-        return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s))
-                << 32) |
-               e;
-    }
-
-    static void
-    unpackId(std::uint64_t id, int &s, entry_t &e)
-    {
-        s = static_cast<int>(id >> 32);
-        e = static_cast<entry_t>(id & 0xFFFFu);
-    }
-
     /**
      * The spheres a subspace-@p s packet records (the LUT any-hit
      * program): subspace s's entries, whose prim ids are

@@ -9,13 +9,13 @@
  * experiments can reason about traversal cost the way the paper
  * reasons about RT-core throughput (Fig. 14(b)).
  *
- * Two walks share one tree: traverse() traces one ray and runs a
- * caller's any-hit program per hit; traceTile(), the packet-walk
- * kernel (rtcore/packet_walk.cc), traces up to simd::kRayLanes
- * coherent rays in lockstep (the way an RT core keeps a warp's rays
- * together) and runs JUNO's any-hit program itself: it records each
- * hit's thit into a tile and never terminates a ray. Per ray, both
- * find the same hits with the same thit bits and the same counters.
+ * The one walk is traceTile() (rtcore/packet_walk.cc): it traces up to
+ * simd::kRayLanes coherent rays in lockstep (the way an RT core keeps a
+ * warp's rays together) and runs JUNO's any-hit program itself: it
+ * records each hit's thit into a tile and never terminates a ray. A
+ * lone ray takes a scalar single-ray walk in the same node order; per
+ * ray, both find the same hits with the same thit bits and the same
+ * counters.
  */
 #ifndef JUNO_RTCORE_BVH_H
 #define JUNO_RTCORE_BVH_H
@@ -111,98 +111,23 @@ class Bvh {
     double sahCost() const;
 
     /**
-     * Traverses with an any-hit program. @p fn is called as
-     * fn(const Hit&) -> bool for every primitive intersection inside
-     * the ray interval; returning false terminates the traversal early
-     * (OptiX's optixTerminateRay). Hit order is *not* sorted by t, as
-     * with real any-hit shaders.
-     */
-    template <typename AnyHitFn>
-    void
-    traverse(const Ray &ray, const std::vector<Sphere> &spheres,
-             TraversalStats &stats, AnyHitFn &&fn) const
-    {
-        ++stats.rays;
-        if (nodes_.empty())
-            return;
-        const Vec3 inv_dir{1.0f / ray.dir.x, 1.0f / ray.dir.y,
-                           1.0f / ray.dir.z};
-        // Explicit stack; depth 64 covers > 10^9 primitives.
-        std::int32_t stack[64];
-        int top = 0;
-        stack[top++] = 0;
-        while (top > 0) {
-            const Node &node = nodes_[static_cast<std::size_t>(stack[--top])];
-            ++stats.node_visits;
-            ++stats.aabb_tests;
-            if (!node.bounds.hitBy(ray, inv_dir))
-                continue;
-            if (node.isLeaf()) {
-                for (std::int32_t i = 0; i < node.count; ++i) {
-                    const std::uint32_t prim = prim_order_[
-                        static_cast<std::size_t>(node.first + i)];
-                    ++stats.prim_tests;
-                    float thit;
-                    if (intersectSphere(ray, spheres[prim], thit)) {
-                        ++stats.hits;
-                        Hit hit;
-                        hit.prim_id = prim;
-                        hit.user_id = spheres[prim].user_id;
-                        hit.thit = thit;
-                        if (!fn(static_cast<const Hit &>(hit)))
-                            return;
-                    }
-                }
-            } else {
-                stack[top++] = node.left;
-                stack[top++] = node.right;
-            }
-        }
-    }
-
-    /**
      * The packet-walk kernel: traces @p count rays (1..simd::kRayLanes;
      * coherent ones, like one subspace's probe rays, share most nodes)
-     * in one depth-first walk in traverse()'s node order, carrying the
+     * in one depth-first walk (right subtree first), carrying the
      * mask of lanes whose ray reached each node, with the box and
      * sphere tests of common/ray_lanes.h at the active dispatch level
-     * inlined. Every hit of lane i on a recorded
-     * sphere (prim first + e of @p record) stores its thit at
-     * tile[e * count + i] with one masked store per sphere; no other
-     * cell is written, and no lane terminates. Counters per ray equal
-     * traverse()'s, so the tile holds exactly the thit bits traverse()
-     * reports for each ray's recorded hits. A single ray takes
-     * traverse() itself.
+     * inlined. Every hit of lane i on a recorded sphere (prim
+     * first + e of @p record) stores its thit at tile[e * count + i]
+     * with one masked store per sphere; no other cell is written, and
+     * no lane terminates. A single ray takes a scalar walk in the same
+     * node order (Aabb::hitBy, intersectSphere). Counters are per ray:
+     * a ray's node visits, box tests, sphere tests and hits do not
+     * depend on the packet it rides in, and its cells hold the thit
+     * bits intersectSphere() gives for its recorded hits.
      */
     void traceTile(const Ray *rays, int count,
                    const std::vector<Sphere> &spheres, RecordRange record,
                    float *tile, TraversalStats &stats) const;
-
-    /**
-     * Reference traversal: brute-force linear scan over all spheres.
-     * Models OptiX's CUDA-core fallback on GPUs without RT cores
-     * (paper Fig. 14(a)) and serves as the correctness oracle.
-     */
-    template <typename AnyHitFn>
-    static void
-    traverseLinear(const Ray &ray, const std::vector<Sphere> &spheres,
-                   TraversalStats &stats, AnyHitFn &&fn)
-    {
-        ++stats.rays;
-        for (std::uint32_t prim = 0; prim < spheres.size(); ++prim) {
-            ++stats.prim_tests;
-            float thit;
-            if (intersectSphere(ray, spheres[prim], thit)) {
-                ++stats.hits;
-                Hit hit;
-                hit.prim_id = prim;
-                hit.user_id = spheres[prim].user_id;
-                hit.thit = thit;
-                if (!fn(static_cast<const Hit &>(hit)))
-                    return;
-            }
-        }
-    }
 
   private:
     std::int32_t buildRecursive(std::vector<Aabb> &prim_bounds,

@@ -1,5 +1,7 @@
 #include "rtcore/device.h"
 
+#include "common/logging.h"
+
 namespace juno {
 namespace rt {
 
@@ -11,14 +13,24 @@ RtDevice::traceTile(const Scene &scene, const Ray *rays, int count,
     if (mode_ == ExecMode::kRtCore) {
         scene.traceTile(rays, count, record, tile, stats);
     } else {
+        // No RT core: the recorded spheres (one subspace's entries)
+        // are the only ones a ray is tested against.
+        JUNO_DCHECK(record.first + record.count <= scene.sphereCount(),
+                    "record range past the scene");
+        const Sphere *spheres = scene.spheres().data() + record.first;
         const auto lanes = static_cast<std::size_t>(count);
-        for (std::size_t i = 0; i < lanes; ++i)
-            scene.traceLinear(rays[i], stats, [&](const Hit &hit) {
-                const std::uint32_t slot = hit.prim_id - record.first;
-                if (slot < record.count)
-                    tile[slot * lanes + i] = hit.thit;
-                return true;
-            });
+        std::uint64_t hits = 0;
+        for (std::size_t e = 0; e < record.count; ++e)
+            for (std::size_t i = 0; i < lanes; ++i) {
+                float thit;
+                if (intersectSphere(rays[i], spheres[e], thit)) {
+                    tile[e * lanes + i] = thit;
+                    ++hits;
+                }
+            }
+        stats.rays = lanes;
+        stats.prim_tests = lanes * record.count;
+        stats.hits = hits;
     }
     total_.merge(stats);
 }
@@ -47,11 +59,11 @@ costModelA100()
 {
     RtCostModel m;
     m.name = "A100";
-    // No RT cores: traversal runs on CUDA cores. The fallback executes
-    // linear primitive tests, and each software step is slower than a
-    // hardware step; 0.25 reflects the paper's observation that the
-    // A100 loses to RT-core GPUs at high quality despite strong CUDA
-    // throughput.
+    // No RT cores: the ray's subspace is scanned on CUDA cores, one
+    // sphere test per entry and no node visits, and each software step
+    // is slower than a hardware step; 0.25 reflects the paper's
+    // observation that the A100 loses to RT-core GPUs at high quality
+    // despite strong CUDA throughput.
     m.rt_throughput = 0.25;
     return m;
 }

@@ -5,18 +5,15 @@
  * The paper evaluates JUNO on three GPUs (Sec. 6.4): RTX 4090 (Gen-3
  * RT cores), A40 (Gen-2) and A100 (no RT cores; OptiX silently falls
  * back to CUDA-core traversal). RtDevice models exactly that choice:
- * an execution mode (BVH vs. linear fallback) plus a throughput cost
- * model so Fig. 14's sensitivity study can be regenerated from the
- * traversal counters.
+ * an execution mode (BVH walk vs. a scan of the ray's own subspace on
+ * CUDA cores) plus a throughput cost model so Fig. 14's sensitivity
+ * study can be regenerated from the traversal counters.
  */
 #ifndef JUNO_RTCORE_DEVICE_H
 #define JUNO_RTCORE_DEVICE_H
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/timer.h"
 #include "rtcore/scene.h"
 
 namespace juno {
@@ -26,7 +23,10 @@ namespace rt {
 enum class ExecMode {
     /** Hardware-style BVH traversal (RT cores present). */
     kRtCore,
-    /** Linear primitive scan (OptiX CUDA-core fallback, A100). */
+    /**
+     * No RT core (A100): each ray is tested against the recorded
+     * spheres only, on CUDA cores, without a BVH.
+     */
     kCudaFallback,
 };
 
@@ -64,12 +64,6 @@ RtCostModel costModelRtx4090();
 RtCostModel costModelA40();
 RtCostModel costModelA100();
 
-/** Launch outcome: counters plus wall time. */
-struct LaunchResult {
-    TraversalStats stats;
-    double seconds = 0.0;
-};
-
 /**
  * Stateless launcher: binds an execution mode and accumulates global
  * statistics across launches (like a CUDA context would).
@@ -92,41 +86,16 @@ class RtDevice {
     void mergeStats(const TraversalStats &stats) { total_.merge(stats); }
 
     /**
-     * Traces every ray in @p rays against @p scene, one at a time, and
-     * returns per-launch counters and wall time. The any-hit program
-     * runs once per hit as
-     *
-     *     fn(std::size_t ray, const Hit &hit) -> bool
-     *
-     * where @p ray indexes @p rays; false terminates that ray. kRtCore
-     * walks the BVH (Bvh::traverse), kCudaFallback scans every sphere
-     * (Bvh::traverseLinear).
-     */
-    template <typename AnyHitFn>
-    LaunchResult
-    launch(const Scene &scene, const std::vector<Ray> &rays, AnyHitFn &&fn)
-    {
-        Timer timer;
-        LaunchResult result;
-        for (std::size_t i = 0; i < rays.size(); ++i) {
-            const auto deliver = [&](const Hit &hit) { return fn(i, hit); };
-            if (mode_ == ExecMode::kRtCore)
-                scene.trace(rays[i], result.stats, deliver);
-            else
-                scene.traceLinear(rays[i], result.stats, deliver);
-        }
-        result.seconds = timer.seconds();
-        total_.merge(result.stats);
-        return result;
-    }
-
-    /**
      * Traces one packet of @p count rays (1..simd::kRayLanes) and
      * records their hits into @p tile the way Bvh::traceTile does:
      * lane i's thit on prim record.first + e lands in
      * tile[e * count + i], and no other cell is written. kRtCore runs
-     * the packet-walk kernel; kCudaFallback fills the same cells by
-     * scanning every sphere per ray. The counters go to totalStats().
+     * the packet-walk kernel. kCudaFallback fills the same cells by
+     * testing each ray against the record.count recorded spheres
+     * alone: it counts count rays, count * record.count prim tests,
+     * the written cells as hits, and no node visits or box tests. The
+     * counters go to totalStats(). This is the device's one entry
+     * point: every program traces through it.
      */
     void traceTile(const Scene &scene, const Ray *rays, int count,
                    RecordRange record, float *tile);

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 namespace juno {
@@ -34,12 +33,13 @@ struct Vec3 {
     float length() const { return std::sqrt(lengthSqr()); }
 };
 
-/** Sphere primitive; user_id round-trips to the hit shader. */
+/**
+ * Sphere primitive. A hit names it by its prim id, its index in the
+ * scene (JUNO numbers entry e of subspace s as s * E + e).
+ */
 struct Sphere {
     Vec3 center;
     float radius = 0;
-    /** Opaque payload (JUNO packs subspace/entry ids here). */
-    std::uint64_t user_id = 0;
 };
 
 /** A ray with an OptiX-style valid interval. */
@@ -49,18 +49,6 @@ struct Ray {
     Vec3 dir{0, 0, 1};
     float tmin = 0.0f;
     float tmax = std::numeric_limits<float>::max();
-    /** Opaque payload (JUNO packs query/cluster/subspace ids here). */
-    std::uint64_t payload = 0;
-};
-
-/** Hit record delivered to any-hit / closest-hit programs. */
-struct Hit {
-    /** Index of the sphere in the scene. */
-    std::uint32_t prim_id = 0;
-    /** The sphere's user_id. */
-    std::uint64_t user_id = 0;
-    /** Parametric hit time (first root in [tmin, tmax]). */
-    float thit = 0;
 };
 
 /** Axis-aligned bounding box. */

@@ -34,28 +34,12 @@ class Scene {
     const Sphere &sphere(std::uint32_t id) const { return spheres_.at(id); }
     const Bvh &bvh() const { return bvh_; }
 
-    /** Any-hit traversal through the BVH (requires built()). */
-    template <typename AnyHitFn>
-    void
-    trace(const Ray &ray, TraversalStats &stats, AnyHitFn &&fn) const
-    {
-        bvh_.traverse(ray, spheres_, stats, std::forward<AnyHitFn>(fn));
-    }
-
     /** Packet walk into a tile (see Bvh::traceTile). */
     void
     traceTile(const Ray *rays, int count, RecordRange record, float *tile,
               TraversalStats &stats) const
     {
         bvh_.traceTile(rays, count, spheres_, record, tile, stats);
-    }
-
-    /** Linear-scan traversal (the "no RT core" CUDA fallback path). */
-    template <typename AnyHitFn>
-    void
-    traceLinear(const Ray &ray, TraversalStats &stats, AnyHitFn &&fn) const
-    {
-        Bvh::traverseLinear(ray, spheres_, stats, std::forward<AnyHitFn>(fn));
     }
 
   private:

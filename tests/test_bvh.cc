@@ -5,12 +5,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "rt_oracle.h"
 #include "rtcore/bvh.h"
 
 namespace juno {
@@ -27,54 +26,8 @@ randomSpheres(std::size_t n, std::uint64_t seed, float radius = 0.05f)
                              rng.uniform(-1.0f, 1.0f),
                              rng.uniform(0.0f, 4.0f)};
         spheres[i].radius = radius;
-        spheres[i].user_id = i;
     }
     return spheres;
-}
-
-/** Collects hit prim ids of a ray via the given traversal. */
-template <typename TraceFn>
-std::set<std::uint32_t>
-hitSet(TraceFn &&trace)
-{
-    std::set<std::uint32_t> out;
-    trace([&](const Hit &hit) {
-        out.insert(hit.prim_id);
-        return true;
-    });
-    return out;
-}
-
-TEST(Bvh, EmptyBuildIsHarmless)
-{
-    Bvh bvh;
-    bvh.build({});
-    EXPECT_TRUE(bvh.empty());
-    TraversalStats stats;
-    Ray ray;
-    bvh.traverse(ray, {}, stats, [](const Hit &) { return true; });
-    EXPECT_EQ(stats.hits, 0u);
-}
-
-TEST(Bvh, SinglePrimitive)
-{
-    std::vector<Sphere> spheres(1);
-    spheres[0].center = {0, 0, 1};
-    spheres[0].radius = 0.5f;
-    Bvh bvh;
-    bvh.build(spheres);
-    EXPECT_EQ(bvh.nodeCount(), 1u);
-
-    Ray ray;
-    ray.origin = {0, 0, 0};
-    ray.dir = {0, 0, 1};
-    TraversalStats stats;
-    int hits = 0;
-    bvh.traverse(ray, spheres, stats, [&](const Hit &) {
-        ++hits;
-        return true;
-    });
-    EXPECT_EQ(hits, 1);
 }
 
 std::uint32_t
@@ -131,12 +84,38 @@ recordAll(const std::vector<Sphere> &spheres)
 }
 
 /**
- * Traces @p rays (1..kRayLanes) one at a time with traverse() and as
+ * Traces @p ray alone (a one-ray packet: the lone-ray walk), recording
+ * every sphere. Its cells must hold exactly the oracle's hits, bit for
+ * bit, and it must find as many hits as the oracle; returns the walk's
+ * counters.
+ */
+TraversalStats
+expectLoneRayMatchesOracle(const Bvh &bvh, const std::vector<Sphere> &spheres,
+                           const Ray &ray)
+{
+    const RecordRange record = recordAll(spheres);
+    std::vector<float> want(spheres.size(), canary());
+    const OracleTrace oracle = oracleTrace(ray, spheres);
+    recordOracle(oracle, record, 1, 0, want.data());
+    std::vector<float> got(spheres.size(), canary());
+    TraversalStats stats;
+    bvh.traceTile(&ray, 1, spheres, record, got.data(), stats);
+    for (std::size_t c = 0; c < want.size(); ++c)
+        EXPECT_EQ(bitsOf(want[c]), bitsOf(got[c])) << "prim " << c;
+    EXPECT_EQ(stats.rays, 1u);
+    EXPECT_EQ(stats.hits, oracle.stats.hits);
+    return stats;
+}
+
+/**
+ * Traces @p rays (1..kRayLanes) one at a time (one-ray packets) and as
  * one packet with traceTile() at every supported dispatch level,
- * recording @p record. Lane i's cell of each recorded sphere must hold
- * the thit bits traverse() reports for ray i, every other cell and a
+ * recording @p record. Each lone ray must equal the oracle
+ * (expectLoneRayMatchesOracle). Lane i's cell of each recorded sphere
+ * must hold the oracle's thit bits for ray i, every other cell and a
  * guard of kRayLanes cells on each side of the tile the canary, and
- * the counters must equal traverse()'s. Returns the recorded hits.
+ * the packet's counters must equal the lone rays' sum. Returns the
+ * recorded hits.
  */
 std::size_t
 expectTileMatchesSingle(const Bvh &bvh, const std::vector<Sphere> &spheres,
@@ -150,15 +129,11 @@ expectTileMatchesSingle(const Bvh &bvh, const std::vector<Sphere> &spheres,
     std::vector<float> want(cells, canary());
     TraversalStats want_stats;
     std::size_t recorded = 0;
-    for (std::size_t i = 0; i < lanes; ++i)
-        bvh.traverse(rays[i], spheres, want_stats, [&](const Hit &hit) {
-            const std::uint32_t slot = hit.prim_id - record.first;
-            if (slot < record.count) {
-                want[guard + slot * lanes + i] = hit.thit;
-                ++recorded;
-            }
-            return true;
-        });
+    for (std::size_t i = 0; i < lanes; ++i) {
+        recorded += recordOracle(oracleTrace(rays[i], spheres), record,
+                                 lanes, i, want.data() + guard);
+        want_stats.merge(expectLoneRayMatchesOracle(bvh, spheres, rays[i]));
+    }
 
     LevelGuard level_guard;
     for (simd::Level level : supportedLevels()) {
@@ -227,6 +202,33 @@ adversarialRay(Rng &rng, const Bvh &bvh)
     return ray;
 }
 
+TEST(Bvh, EmptyBuildIsHarmless)
+{
+    Bvh bvh;
+    bvh.build({});
+    EXPECT_TRUE(bvh.empty());
+    TraversalStats stats;
+    Ray ray;
+    bvh.traceTile(&ray, 1, {}, {}, nullptr, stats);
+    EXPECT_EQ(stats.rays, 1u);
+    EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST(Bvh, SinglePrimitive)
+{
+    std::vector<Sphere> spheres(1);
+    spheres[0].center = {0, 0, 1};
+    spheres[0].radius = 0.5f;
+    Bvh bvh;
+    bvh.build(spheres);
+    EXPECT_EQ(bvh.nodeCount(), 1u);
+
+    Ray ray;
+    ray.origin = {0, 0, 0};
+    ray.dir = {0, 0, 1};
+    EXPECT_EQ(expectLoneRayMatchesOracle(bvh, spheres, ray).hits, 1u);
+}
+
 /** Core property: BVH traversal finds exactly the brute-force hit set. */
 class BvhEquivalence
     : public ::testing::TestWithParam<std::tuple<int, SplitPolicy>> {};
@@ -249,15 +251,8 @@ TEST_P(BvhEquivalence, MatchesLinearScan)
                       -0.5f};
         ray.dir = {0, 0, 1};
         ray.tmax = rng.uniform(0.5f, 6.0f);
-
-        TraversalStats s1, s2;
-        const auto bvh_hits = hitSet([&](auto &&fn) {
-            bvh.traverse(ray, spheres, s1, fn);
-        });
-        const auto lin_hits = hitSet([&](auto &&fn) {
-            Bvh::traverseLinear(ray, spheres, s2, fn);
-        });
-        EXPECT_EQ(bvh_hits, lin_hits) << "trial " << trial;
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectLoneRayMatchesOracle(bvh, spheres, ray);
     }
 }
 
@@ -362,7 +357,6 @@ TEST(BvhPacket, ForeignSpheresAreCountedNotRecorded)
                              rng.uniform(-0.8f, 0.8f),
                              4.0f * static_cast<float>(s) + 1.0f};
             sphere.radius = 1.0f;
-            sphere.user_id = spheres.size();
             spheres.push_back(sphere);
         }
     Bvh bvh;
@@ -382,12 +376,11 @@ TEST(BvhPacket, ForeignSpheresAreCountedNotRecorded)
                 static_cast<std::uint32_t>(entries)};
             const std::size_t recorded =
                 expectTileMatchesSingle(bvh, spheres, rays, record);
-            TraversalStats stats;
+            std::size_t hits = 0;
             for (const Ray &ray : rays)
-                bvh.traverse(ray, spheres, stats,
-                             [](const Hit &) { return true; });
+                hits += oracleTrace(ray, spheres).hits.size();
             if (s + 1 < subspaces && count == simd::kRayLanes) {
-                EXPECT_GT(stats.hits, recorded)
+                EXPECT_GT(hits, recorded)
                     << "subspace " << s << ": no foreign hit to drop";
             }
         }
@@ -453,37 +446,7 @@ TEST(Bvh, ThitValuesMatchLinear)
     Ray ray;
     ray.origin = {0.1f, -0.2f, -1.0f};
     ray.dir = {0, 0, 1};
-
-    std::map<std::uint32_t, float> bvh_t, lin_t;
-    TraversalStats stats;
-    bvh.traverse(ray, spheres, stats, [&](const Hit &hit) {
-        bvh_t[hit.prim_id] = hit.thit;
-        return true;
-    });
-    Bvh::traverseLinear(ray, spheres, stats, [&](const Hit &hit) {
-        lin_t[hit.prim_id] = hit.thit;
-        return true;
-    });
-    ASSERT_EQ(bvh_t.size(), lin_t.size());
-    for (const auto &[prim, t] : bvh_t)
-        EXPECT_FLOAT_EQ(t, lin_t.at(prim));
-}
-
-TEST(Bvh, EarlyTerminationStopsTraversal)
-{
-    const auto spheres = randomSpheres(500, 13, 0.3f);
-    Bvh bvh;
-    bvh.build(spheres);
-    Ray ray;
-    ray.origin = {0, 0, -1};
-    ray.dir = {0, 0, 1};
-    int hits = 0;
-    TraversalStats stats;
-    bvh.traverse(ray, spheres, stats, [&](const Hit &) {
-        ++hits;
-        return false; // terminate on first hit
-    });
-    EXPECT_LE(hits, 1);
+    EXPECT_GT(expectLoneRayMatchesOracle(bvh, spheres, ray).hits, 0u);
 }
 
 TEST(Bvh, LogarithmicDepthOnUniformData)
@@ -517,14 +480,12 @@ TEST(Bvh, TraversalVisitsFewNodesComparedToLinear)
     Ray ray;
     ray.origin = {0.0f, 0.0f, -1.0f};
     ray.dir = {0, 0, 1};
-    TraversalStats bvh_stats, lin_stats;
-    bvh.traverse(ray, spheres, bvh_stats,
-                 [](const Hit &) { return true; });
-    Bvh::traverseLinear(ray, spheres, lin_stats,
-                        [](const Hit &) { return true; });
+    const TraversalStats bvh_stats =
+        expectLoneRayMatchesOracle(bvh, spheres, ray);
     // The tree should test far fewer primitives than the linear scan
     // (this is the log-vs-linear claim behind the RT mapping).
-    EXPECT_LT(bvh_stats.prim_tests, lin_stats.prim_tests / 4);
+    EXPECT_LT(bvh_stats.prim_tests,
+              oracleTrace(ray, spheres).stats.prim_tests / 4);
 }
 
 TEST(Bvh, StatsAccumulateAcrossRays)
@@ -536,8 +497,9 @@ TEST(Bvh, StatsAccumulateAcrossRays)
     Ray ray;
     ray.origin = {0, 0, -1};
     ray.dir = {0, 0, 1};
-    bvh.traverse(ray, spheres, stats, [](const Hit &) { return true; });
-    bvh.traverse(ray, spheres, stats, [](const Hit &) { return true; });
+    std::vector<float> tile(spheres.size());
+    bvh.traceTile(&ray, 1, spheres, recordAll(spheres), tile.data(), stats);
+    bvh.traceTile(&ray, 1, spheres, recordAll(spheres), tile.data(), stats);
     EXPECT_EQ(stats.rays, 2u);
 }
 
@@ -548,20 +510,13 @@ TEST(Bvh, IdenticalCentersStillBuild)
     for (std::size_t i = 0; i < spheres.size(); ++i) {
         spheres[i].center = {1, 1, 1};
         spheres[i].radius = 0.1f;
-        spheres[i].user_id = i;
     }
     Bvh bvh;
     bvh.build(spheres);
     Ray ray;
     ray.origin = {1, 1, -1};
     ray.dir = {0, 0, 1};
-    TraversalStats stats;
-    int hits = 0;
-    bvh.traverse(ray, spheres, stats, [&](const Hit &) {
-        ++hits;
-        return true;
-    });
-    EXPECT_EQ(hits, 64);
+    EXPECT_EQ(expectLoneRayMatchesOracle(bvh, spheres, ray).hits, 64u);
 }
 
 TEST(BvhPacket, EmptyBvhCountsRaysOnly)
@@ -588,7 +543,6 @@ TEST(BvhPacket, IdenticalCentresOversizedLeaf)
                                    : Vec3{0.1f * static_cast<float>(i - 64),
                                           0.3f, 2.0f};
         spheres[i].radius = 0.25f;
-        spheres[i].user_id = i;
     }
     Bvh bvh;
     bvh.build(spheres);

@@ -1,14 +1,16 @@
 /**
  * @file Differential test of JunoIndex::search against an in-test
- * reference scorer. The reference traces every ray alone with
- * Bvh::traverse (Scene::trace), keeps each selected entry's recovered
- * score, and sums every point's per-subspace scores in subspace order
- * with the miss and offset rules of the selective LUT. Search results
- * must match it bit for bit in every mode, metric, dense threshold,
- * thread count and pipelining setting.
+ * reference scorer. The reference traces every ray alone (a one-ray
+ * packet of Scene::traceTile over its subspace), keeps each selected
+ * entry's recovered score, and sums every point's per-subspace scores
+ * in subspace order with the miss and offset rules of the selective
+ * LUT. Search results must match it bit for bit in every mode, metric,
+ * codebook size, dense threshold, thread count and pipelining setting,
+ * with and without the RT core (rt=0 scans each subspace instead).
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -82,22 +84,22 @@ referenceSearch(const JunoIndex &index, const float *q, idx_t k)
                                      policy.scaled(s, thr_raw,
                                                    jp.threshold_scale * 0.5))
                     : -std::numeric_limits<float>::infinity();
-            scene.scene().trace(ray, stats, [&](const rt::Hit &hit) {
-                int hs;
-                entry_t e;
-                JunoScene::unpackId(hit.user_id, hs, e);
-                if (hs != s)
-                    return true;
+            std::vector<float> tile(entries,
+                                    std::numeric_limits<float>::quiet_NaN());
+            scene.scene().traceTile(&ray, 1, scene.recordRange(s),
+                                    tile.data(), stats);
+            for (std::size_t e = 0; e < entries; ++e) {
+                const float thit = tile[e];
+                if (std::isnan(thit))
+                    continue;
                 const std::size_t cell =
                     static_cast<std::size_t>(s) * entries + e;
                 selected[cell] = true;
-                inner[cell] = hit.thit <= tmax_inner;
+                inner[cell] = thit <= tmax_inner;
                 value[cell] = metric == Metric::kL2
-                                  ? scene.lutValueL2(kappa_sqr, hit.thit)
-                                  : scene.lutValueIp(kappa_sqr, qn2,
-                                                     hit.thit);
-                return true;
-            });
+                                  ? scene.lutValueL2(kappa_sqr, thit)
+                                  : scene.lutValueIp(kappa_sqr, qn2, thit);
+            }
         }
 
         float offset = 0.0f;
@@ -153,11 +155,11 @@ makeData(Metric metric)
 }
 
 JunoParams
-smallParams()
+smallParams(int entries = 32)
 {
     JunoParams params;
     params.clusters = 16;
-    params.pq_entries = 32;
+    params.pq_entries = entries;
     params.nprobs = 5;
     params.density_grid = 30;
     params.policy.train_samples = 80;
@@ -167,45 +169,58 @@ smallParams()
 }
 
 /**
- * Runs every (mode, dense threshold, pipelining, threads) setting of
- * @p index over @p queries and compares each result list with the
- * reference, id and score bits.
+ * Codebook sizes: 32, and 40 and 200, which cross the LUT's 32-bit
+ * flag words and the 128-entry limit of the permute scan.
+ */
+constexpr int kEntries[] = {32, 40, 200};
+
+/**
+ * Runs every (RT core, mode, dense threshold, pipelining, threads)
+ * setting of @p index over @p queries and compares each result list
+ * with the reference, id and score bits.
  */
 void
 expectMatchesReference(JunoIndex &index, FloatMatrixView queries, idx_t k)
 {
-    for (SearchMode mode : {SearchMode::kExactDistance,
-                            SearchMode::kRewardPenalty,
-                            SearchMode::kHitCount}) {
-        index.setSearchMode(mode);
-        std::vector<std::vector<Neighbor>> want;
-        for (idx_t qi = 0; qi < queries.rows(); ++qi)
-            want.push_back(referenceSearch(index, queries.row(qi), k));
-        for (double threshold : {0.0, 0.5, 2.0}) {
-            index.calculator().setDenseThreshold(threshold);
-            for (bool pipelined : {false, true}) {
-                index.setPipelined(pipelined);
-                for (int threads : {1, 3}) {
-                    SearchOptions opts;
-                    opts.k = k;
-                    opts.threads = threads;
-                    const auto got =
-                        index.search(SearchRequest(queries, opts));
-                    ASSERT_EQ(got.size(), want.size());
-                    for (std::size_t qi = 0; qi < want.size(); ++qi) {
-                        const std::string where =
-                            std::string(searchModeName(mode)) +
-                            " threshold=" + std::to_string(threshold) +
-                            " pipelined=" + std::to_string(pipelined) +
-                            " threads=" + std::to_string(threads) +
-                            " query=" + std::to_string(qi);
-                        ASSERT_EQ(got[qi].size(), want[qi].size()) << where;
-                        for (std::size_t i = 0; i < want[qi].size(); ++i) {
-                            EXPECT_EQ(got[qi][i].id, want[qi][i].id)
-                                << where << " rank " << i;
-                            EXPECT_EQ(bitsOf(got[qi][i].score),
-                                      bitsOf(want[qi][i].score))
-                                << where << " rank " << i;
+    for (bool rt : {true, false}) {
+        index.setUseRtCore(rt);
+        for (SearchMode mode : {SearchMode::kExactDistance,
+                                SearchMode::kRewardPenalty,
+                                SearchMode::kHitCount}) {
+            index.setSearchMode(mode);
+            std::vector<std::vector<Neighbor>> want;
+            for (idx_t qi = 0; qi < queries.rows(); ++qi)
+                want.push_back(referenceSearch(index, queries.row(qi), k));
+            for (double threshold : {0.0, 0.5, 2.0}) {
+                index.calculator().setDenseThreshold(threshold);
+                for (bool pipelined : {false, true}) {
+                    index.setPipelined(pipelined);
+                    for (int threads : {1, 3}) {
+                        SearchOptions opts;
+                        opts.k = k;
+                        opts.threads = threads;
+                        const auto got =
+                            index.search(SearchRequest(queries, opts));
+                        ASSERT_EQ(got.size(), want.size());
+                        for (std::size_t qi = 0; qi < want.size(); ++qi) {
+                            const std::string where =
+                                std::string(rt ? "rt=1 " : "rt=0 ") +
+                                searchModeName(mode) +
+                                " threshold=" +
+                                std::to_string(threshold) + " pipelined=" +
+                                std::to_string(pipelined) +
+                                " threads=" + std::to_string(threads) +
+                                " query=" + std::to_string(qi);
+                            ASSERT_EQ(got[qi].size(), want[qi].size())
+                                << where;
+                            for (std::size_t i = 0; i < want[qi].size();
+                                 ++i) {
+                                EXPECT_EQ(got[qi][i].id, want[qi][i].id)
+                                    << where << " rank " << i;
+                                EXPECT_EQ(bitsOf(got[qi][i].score),
+                                          bitsOf(want[qi][i].score))
+                                    << where << " rank " << i;
+                            }
                         }
                     }
                 }
@@ -214,20 +229,28 @@ expectMatchesReference(JunoIndex &index, FloatMatrixView queries, idx_t k)
     }
     index.calculator().setDenseThreshold(0.5);
     index.setPipelined(false);
+    index.setUseRtCore(true);
 }
 
 TEST(JunoDifferential, L2SearchMatchesSingleRayReference)
 {
     const Dataset ds = makeData(Metric::kL2);
-    JunoIndex index(Metric::kL2, ds.base.view(), smallParams());
-    expectMatchesReference(index, ds.queries.view(), 10);
+    for (int entries : kEntries) {
+        SCOPED_TRACE("E=" + std::to_string(entries));
+        JunoIndex index(Metric::kL2, ds.base.view(), smallParams(entries));
+        expectMatchesReference(index, ds.queries.view(), 10);
+    }
 }
 
 TEST(JunoDifferential, IpSearchMatchesSingleRayReference)
 {
     const Dataset ds = makeData(Metric::kInnerProduct);
-    JunoIndex index(Metric::kInnerProduct, ds.base.view(), smallParams());
-    expectMatchesReference(index, ds.queries.view(), 10);
+    for (int entries : kEntries) {
+        SCOPED_TRACE("E=" + std::to_string(entries));
+        JunoIndex index(Metric::kInnerProduct, ds.base.view(),
+                        smallParams(entries));
+        expectMatchesReference(index, ds.queries.view(), 10);
+    }
 }
 
 TEST(JunoDifferential, KBeyondCandidatesReturnsEveryCandidate)

@@ -1,6 +1,9 @@
 /** @file Tests for the end-to-end JunoIndex. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/logging.h"
 #include "core/juno_index.h"
 #include "dataset/ground_truth.h"
@@ -160,8 +163,13 @@ TEST(JunoIndex, RtAndFallbackGiveSameResults)
     const auto fb_results = index.search(ds.queries.view(), 20);
     for (std::size_t q = 0; q < rt_results.size(); ++q) {
         ASSERT_EQ(rt_results[q].size(), fb_results[q].size());
-        for (std::size_t i = 0; i < rt_results[q].size(); ++i)
+        for (std::size_t i = 0; i < rt_results[q].size(); ++i) {
             EXPECT_EQ(rt_results[q][i].id, fb_results[q][i].id);
+            std::uint32_t rt_bits, fb_bits;
+            std::memcpy(&rt_bits, &rt_results[q][i].score, sizeof rt_bits);
+            std::memcpy(&fb_bits, &fb_results[q][i].score, sizeof fb_bits);
+            EXPECT_EQ(rt_bits, fb_bits) << "query " << q << " rank " << i;
+        }
     }
 }
 

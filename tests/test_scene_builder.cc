@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
 
 #include "common/distance.h"
@@ -44,6 +46,25 @@ struct SceneFixture {
     }
 };
 
+/**
+ * Subspace @p s's entries that @p ray hits, with their hit times: one
+ * one-ray packet recording the subspace's spheres.
+ */
+std::map<entry_t, float>
+hitEntries(const JunoScene &scene, int s, const rt::Ray &ray)
+{
+    rt::RtDevice device;
+    std::vector<float> tile(static_cast<std::size_t>(scene.entries()),
+                            std::numeric_limits<float>::quiet_NaN());
+    device.traceTile(scene.scene(), &ray, 1, scene.recordRange(s),
+                     tile.data());
+    std::map<entry_t, float> out;
+    for (std::size_t e = 0; e < tile.size(); ++e)
+        if (!std::isnan(tile[e]))
+            out[static_cast<entry_t>(e)] = tile[e];
+    return out;
+}
+
 TEST(JunoScene, PlacesOneSpherePerEntry)
 {
     SceneFixture fx(Metric::kL2);
@@ -54,13 +75,12 @@ TEST(JunoScene, PlacesOneSpherePerEntry)
 TEST(JunoScene, SpheresSitAtSubspacePlanes)
 {
     SceneFixture fx(Metric::kL2);
-    for (const auto &sphere : fx.scene.scene().spheres()) {
-        int s;
-        entry_t e;
-        JunoScene::unpackId(sphere.user_id, s, e);
-        EXPECT_FLOAT_EQ(sphere.center.z,
+    const auto &spheres = fx.scene.scene().spheres();
+    for (std::size_t prim = 0; prim < spheres.size(); ++prim) {
+        // Entry e of subspace s is prim s * E + e (recordRange()).
+        const std::size_t s = prim / 32;
+        EXPECT_FLOAT_EQ(spheres[prim].center.z,
                         JunoScene::kZSpacing * static_cast<float>(s) + 1.0f);
-        EXPECT_LT(e, 32);
     }
 }
 
@@ -80,18 +100,6 @@ TEST(JunoScene, IpRadiiAreInflatedByEntryNorm)
                             sphere.center.y * sphere.center.y;
         EXPECT_NEAR(sphere.radius, std::sqrt(r2 + norm2), 1e-5f);
     }
-}
-
-TEST(JunoScene, PackUnpackRoundTrip)
-{
-    for (int s : {0, 1, 17, 99})
-        for (entry_t e : {entry_t(0), entry_t(7), entry_t(255)}) {
-            int s2;
-            entry_t e2;
-            JunoScene::unpackId(JunoScene::packId(s, e), s2, e2);
-            EXPECT_EQ(s2, s);
-            EXPECT_EQ(e2, e);
-        }
 }
 
 TEST(JunoScene, MakeRayGatesTmaxByThreshold)
@@ -119,7 +127,6 @@ TEST(JunoScene, ThitGateEquivalentToDistanceCheckL2)
     // claim of the RT mapping.
     SceneFixture fx(Metric::kL2);
     Rng rng(91);
-    rt::RtDevice device;
     for (int trial = 0; trial < 40; ++trial) {
         const int s = static_cast<int>(rng.below(4));
         const float qx = rng.uniform(-2.0f, 2.0f);
@@ -129,16 +136,7 @@ TEST(JunoScene, ThitGateEquivalentToDistanceCheckL2)
         rt::Ray ray;
         if (!fx.scene.makeRay(s, qx, qy, thr, ray))
             continue;
-        std::set<entry_t> hit_entries;
-        device.launch(fx.scene.scene(), {ray},
-                      [&](std::size_t, const rt::Hit &hit) {
-                          int hs;
-                          entry_t he;
-                          JunoScene::unpackId(hit.user_id, hs, he);
-                          if (hs == s)
-                              hit_entries.insert(he);
-                          return true;
-                      });
+        const auto hit_entries = hitEntries(fx.scene, s, ray);
         for (entry_t e = 0; e < 32; ++e) {
             const float *ec = fx.pq.entry(s, e);
             const double dx = ec[0] - qx, dy = ec[1] - qy;
@@ -161,35 +159,25 @@ TEST(JunoScene, ThitGateEquivalentToDistanceCheckL2)
 TEST(JunoScene, LutValueRecoversL2)
 {
     SceneFixture fx(Metric::kL2);
-    rt::RtDevice device;
     const int s = 1;
     const float qx = 0.3f, qy = -0.6f;
     const double thr = fx.policy.maxThreshold(s);
     rt::Ray ray;
     ASSERT_TRUE(fx.scene.makeRay(s, qx, qy, thr, ray));
     const float k = fx.scene.coordScale(s);
-    int checked = 0;
-    device.launch(fx.scene.scene(), {ray},
-                  [&](std::size_t, const rt::Hit &hit) {
-                      int hs;
-                      entry_t he;
-                      JunoScene::unpackId(hit.user_id, hs, he);
-                      if (hs != s)
-                          return true;
-                      const float *ec = fx.pq.entry(s, he);
-                      const float dx = ec[0] - qx, dy = ec[1] - qy;
-                      EXPECT_NEAR(fx.scene.lutValueL2(k * k, hit.thit),
-                                  dx * dx + dy * dy, 2e-3f);
-                      ++checked;
-                      return true;
-                  });
-    EXPECT_GT(checked, 0);
+    const auto hits = hitEntries(fx.scene, s, ray);
+    for (const auto &[e, thit] : hits) {
+        const float *ec = fx.pq.entry(s, e);
+        const float dx = ec[0] - qx, dy = ec[1] - qy;
+        EXPECT_NEAR(fx.scene.lutValueL2(k * k, thit), dx * dx + dy * dy,
+                    2e-3f);
+    }
+    EXPECT_FALSE(hits.empty());
 }
 
 TEST(JunoScene, LutValueRecoversIp)
 {
     SceneFixture fx(Metric::kInnerProduct);
-    rt::RtDevice device;
     const int s = 2;
     const float qx = 0.8f, qy = 0.4f;
     // A permissive floor so several entries hit.
@@ -198,28 +186,18 @@ TEST(JunoScene, LutValueRecoversIp)
     ASSERT_TRUE(fx.scene.makeRay(s, qx, qy, floor, ray));
     const float k = fx.scene.coordScale(s);
     const float qn2 = (qx * k) * (qx * k) + (qy * k) * (qy * k);
-    int checked = 0;
-    device.launch(fx.scene.scene(), {ray},
-                  [&](std::size_t, const rt::Hit &hit) {
-                      int hs;
-                      entry_t he;
-                      JunoScene::unpackId(hit.user_id, hs, he);
-                      if (hs != s)
-                          return true;
-                      const float *ec = fx.pq.entry(s, he);
-                      const float ip = ec[0] * qx + ec[1] * qy;
-                      EXPECT_NEAR(fx.scene.lutValueIp(k * k, qn2, hit.thit),
-                                  ip, 5e-3f);
-                      ++checked;
-                      return true;
-                  });
-    EXPECT_GT(checked, 0);
+    const auto hits = hitEntries(fx.scene, s, ray);
+    for (const auto &[e, thit] : hits) {
+        const float *ec = fx.pq.entry(s, e);
+        const float ip = ec[0] * qx + ec[1] * qy;
+        EXPECT_NEAR(fx.scene.lutValueIp(k * k, qn2, thit), ip, 5e-3f);
+    }
+    EXPECT_FALSE(hits.empty());
 }
 
 TEST(JunoScene, TmaxMonotoneInThresholdNeverAddsHitsWhenShrunk)
 {
     SceneFixture fx(Metric::kL2);
-    rt::RtDevice device;
     const int s = 0;
     const float qx = 0.2f, qy = 0.1f;
     auto hits_for = [&](double thr) {
@@ -227,15 +205,8 @@ TEST(JunoScene, TmaxMonotoneInThresholdNeverAddsHitsWhenShrunk)
         if (!fx.scene.makeRay(s, qx, qy, thr, ray))
             return std::set<entry_t>{};
         std::set<entry_t> out;
-        device.launch(fx.scene.scene(), {ray},
-                      [&](std::size_t, const rt::Hit &hit) {
-                          int hs;
-                          entry_t he;
-                          JunoScene::unpackId(hit.user_id, hs, he);
-                          if (hs == s)
-                              out.insert(he);
-                          return true;
-                      });
+        for (const auto &hit : hitEntries(fx.scene, s, ray))
+            out.insert(hit.first);
         return out;
     };
     const double full = fx.policy.maxThreshold(s);

@@ -1,15 +1,16 @@
 /** @file Tests for Scene and the OptiX-like RtDevice facade. */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
-#include <set>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "rt_oracle.h"
 #include "rtcore/device.h"
 
 namespace juno {
@@ -25,12 +26,51 @@ gridScene(int side, float radius = 0.2f)
             Sphere s;
             s.center = {static_cast<float>(i), static_cast<float>(j), 1.0f};
             s.radius = radius;
-            s.user_id =
-                static_cast<std::uint64_t>(i * side + j);
             scene.addSphere(s);
         }
     scene.build();
     return scene;
+}
+
+std::uint32_t
+bits(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
+/** Every sphere of @p scene recorded, slot = prim id. */
+RecordRange
+recordAll(const Scene &scene)
+{
+    return {0, static_cast<std::uint32_t>(scene.sphereCount())};
+}
+
+void
+expectSameStats(const TraversalStats &want, const TraversalStats &got,
+                const std::string &where)
+{
+    EXPECT_EQ(want.rays, got.rays) << where;
+    EXPECT_EQ(want.node_visits, got.node_visits) << where;
+    EXPECT_EQ(want.aabb_tests, got.aabb_tests) << where;
+    EXPECT_EQ(want.prim_tests, got.prim_tests) << where;
+    EXPECT_EQ(want.hits, got.hits) << where;
+}
+
+/**
+ * What kCudaFallback must count for a packet of @p count rays over
+ * @p record that wrote @p recorded cells: one prim test per recorded
+ * sphere per ray, no node visits or box tests.
+ */
+TraversalStats
+fallbackStats(int count, RecordRange record, std::size_t recorded)
+{
+    TraversalStats stats;
+    stats.rays = static_cast<std::uint64_t>(count);
+    stats.prim_tests = static_cast<std::uint64_t>(count) * record.count;
+    stats.hits = recorded;
+    return stats;
 }
 
 TEST(Scene, AddAndBuild)
@@ -38,7 +78,8 @@ TEST(Scene, AddAndBuild)
     const auto scene = gridScene(4);
     EXPECT_TRUE(scene.built());
     EXPECT_EQ(scene.sphereCount(), 16u);
-    EXPECT_EQ(scene.sphere(5).user_id, 5u);
+    EXPECT_EQ(scene.sphere(6).center.x, 1.0f);
+    EXPECT_EQ(scene.sphere(6).center.y, 2.0f);
 }
 
 TEST(Scene, RejectsNonPositiveRadius)
@@ -49,52 +90,49 @@ TEST(Scene, RejectsNonPositiveRadius)
     EXPECT_THROW(scene.addSphere(s), ConfigError);
 }
 
-TEST(RtDevice, LaunchHitsExpectedSphere)
+TEST(RtDevice, TraceTileHitsExpectedSphere)
 {
     const auto scene = gridScene(4);
-    RtDevice device;
-    std::vector<Ray> rays(1);
-    rays[0].origin = {2.0f, 3.0f, 0.0f};
-    rays[0].dir = {0, 0, 1};
-
-    std::vector<std::uint64_t> hit_ids;
-    device.launch(scene, rays, [&](std::size_t, const Hit &hit) {
-        hit_ids.push_back(hit.user_id);
-        return true;
-    });
-    ASSERT_EQ(hit_ids.size(), 1u);
-    EXPECT_EQ(hit_ids[0], 2u * 4 + 3);
+    for (ExecMode mode : {ExecMode::kRtCore, ExecMode::kCudaFallback}) {
+        RtDevice device(mode);
+        Ray ray;
+        ray.origin = {2.0f, 3.0f, 0.0f};
+        ray.dir = {0, 0, 1};
+        const float nan = std::numeric_limits<float>::quiet_NaN();
+        std::vector<float> tile(scene.sphereCount(), nan);
+        device.traceTile(scene, &ray, 1, recordAll(scene), tile.data());
+        for (std::size_t prim = 0; prim < tile.size(); ++prim)
+            EXPECT_EQ(prim == 2u * 4 + 3, !std::isnan(tile[prim]))
+                << "prim " << prim;
+        EXPECT_EQ(device.totalStats().hits, 1u);
+    }
 }
 
 TEST(RtDevice, FallbackModeMatchesRtMode)
 {
     const auto scene = gridScene(8, 0.45f);
-    std::vector<Ray> rays;
     Rng rng(3);
     for (int i = 0; i < 40; ++i) {
         Ray ray;
         ray.origin = {rng.uniform(-0.5f, 7.5f), rng.uniform(-0.5f, 7.5f),
                       0.0f};
         ray.dir = {0, 0, 1};
-        ray.payload = static_cast<std::uint64_t>(i);
-        rays.push_back(ray);
+        auto trace = [&](ExecMode mode) {
+            RtDevice device(mode);
+            std::vector<float> tile(scene.sphereCount(),
+                                    std::numeric_limits<float>::quiet_NaN());
+            device.traceTile(scene, &ray, 1, recordAll(scene), tile.data());
+            std::vector<std::uint32_t> out(tile.size());
+            for (std::size_t c = 0; c < tile.size(); ++c)
+                out[c] = bits(tile[c]);
+            return out;
+        };
+        EXPECT_EQ(trace(ExecMode::kRtCore), trace(ExecMode::kCudaFallback))
+            << "ray " << i;
     }
-
-    auto collect = [&](ExecMode mode) {
-        RtDevice device(mode);
-        std::set<std::pair<std::uint64_t, std::uint64_t>> hits;
-        device.launch(scene, rays,
-                      [&](std::size_t ray, const Hit &hit) {
-                          hits.insert({rays[ray].payload, hit.user_id});
-                          return true;
-                      });
-        return hits;
-    };
-    EXPECT_EQ(collect(ExecMode::kRtCore),
-              collect(ExecMode::kCudaFallback));
 }
 
-TEST(RtDevice, StatsAccumulateAcrossLaunches)
+TEST(RtDevice, StatsAccumulateAcrossTiles)
 {
     const auto scene = gridScene(4);
     RtDevice device;
@@ -103,48 +141,27 @@ TEST(RtDevice, StatsAccumulateAcrossLaunches)
         r.origin = {0, 0, 0};
         r.dir = {0, 0, 1};
     }
-    auto all = [](std::size_t, const Hit &) { return true; };
-    device.launch(scene, rays, all);
-    device.launch(scene, rays, all);
+    std::vector<float> tile(scene.sphereCount() * rays.size());
+    device.traceTile(scene, rays.data(), 3, recordAll(scene), tile.data());
+    device.traceTile(scene, rays.data(), 3, recordAll(scene), tile.data());
     EXPECT_EQ(device.totalStats().rays, 6u);
     device.resetStats();
     EXPECT_EQ(device.totalStats().rays, 0u);
 }
 
-TEST(RtDevice, LaunchReturnsPerLaunchStats)
-{
-    const auto scene = gridScene(4);
-    RtDevice device;
-    std::vector<Ray> rays(2);
-    for (auto &r : rays) {
-        r.origin = {1, 1, 0};
-        r.dir = {0, 0, 1};
-    }
-    const auto result = device.launch(
-        scene, rays, [](std::size_t, const Hit &) { return true; });
-    EXPECT_EQ(result.stats.rays, 2u);
-    EXPECT_EQ(result.stats.hits, 2u);
-    EXPECT_GE(result.seconds, 0.0);
-}
-
 /**
  * traceTile() records the same tile in both execution modes: packets of
  * 1, 3, 9 and kRayLanes rays, recording a middle range of the grid's
- * spheres (the others are traced but never recorded). Per lane the
- * cells equal the thit bits Bvh::traverse reports for the recorded
- * spheres, at every SIMD level; kRtCore's counters equal traverse()'s
- * and kCudaFallback's equal traverseLinear()'s.
+ * spheres (the others are traced by the walk but never recorded). Per
+ * lane the cells equal the oracle's thit bits for the recorded
+ * spheres, at every SIMD level. kRtCore's counters equal its rays'
+ * one-ray packets'; kCudaFallback counts only the recorded spheres.
  */
 TEST(RtDevice, TraceTileMatchesSingleRaysInBothModes)
 {
     const auto scene = gridScene(8, 0.8f);
     const RecordRange record{16, 24};
     const float canary = std::numeric_limits<float>::quiet_NaN();
-    auto bits = [](float f) {
-        std::uint32_t u;
-        std::memcpy(&u, &f, sizeof(u));
-        return u;
-    };
     Rng rng(17);
     const simd::Level saved = simd::level();
     for (int count : {1, 3, 9, simd::kRayLanes}) {
@@ -155,22 +172,13 @@ TEST(RtDevice, TraceTileMatchesSingleRaysInBothModes)
         const std::size_t cells =
             static_cast<std::size_t>(record.count) * rays.size();
         std::vector<float> want(cells, canary);
-        TraversalStats want_rt, want_linear;
+        TraversalStats want_rt;
         std::size_t recorded = 0;
         for (std::size_t i = 0; i < rays.size(); ++i) {
-            scene.bvh().traverse(rays[i], scene.spheres(), want_rt,
-                                 [&](const Hit &hit) {
-                                     const std::uint32_t slot =
-                                         hit.prim_id - record.first;
-                                     if (slot < record.count) {
-                                         want[slot * rays.size() + i] =
-                                             hit.thit;
-                                         ++recorded;
-                                     }
-                                     return true;
-                                 });
-            Bvh::traverseLinear(rays[i], scene.spheres(), want_linear,
-                                [](const Hit &) { return true; });
+            recorded += recordOracle(oracleTrace(rays[i], scene.spheres()),
+                                     record, rays.size(), i, want.data());
+            std::vector<float> lone(record.count);
+            scene.traceTile(&rays[i], 1, record, lone.data(), want_rt);
         }
         EXPECT_GT(recorded, 0u) << count << " rays";
 
@@ -184,21 +192,92 @@ TEST(RtDevice, TraceTileMatchesSingleRaysInBothModes)
                 std::vector<float> got(cells, canary);
                 device.traceTile(scene, rays.data(), count, record,
                                  got.data());
-                const TraversalStats &stats = device.totalStats();
+                const std::string where =
+                    std::to_string(count) + " rays, " +
+                    (mode == ExecMode::kRtCore ? "rt" : "fallback") +
+                    " at " + simd::levelName(level);
                 for (std::size_t c = 0; c < cells; ++c)
                     EXPECT_EQ(bits(want[c]), bits(got[c]))
-                        << "cell " << c << " of " << count << " rays, "
-                        << (mode == ExecMode::kRtCore ? "rt" : "linear")
-                        << " at " << simd::levelName(level);
-                const TraversalStats &ref =
-                    mode == ExecMode::kRtCore ? want_rt : want_linear;
-                EXPECT_EQ(ref.rays, stats.rays);
-                EXPECT_EQ(ref.node_visits, stats.node_visits);
-                EXPECT_EQ(ref.aabb_tests, stats.aabb_tests);
-                EXPECT_EQ(ref.prim_tests, stats.prim_tests);
-                EXPECT_EQ(ref.hits, stats.hits);
+                        << "cell " << c << " of " << where;
+                expectSameStats(mode == ExecMode::kRtCore
+                                    ? want_rt
+                                    : fallbackStats(count, record, recorded),
+                                device.totalStats(), where);
             }
     }
+    simd::setLevel(saved);
+}
+
+/**
+ * The no-RT fallback tests a ray against its own subspace's spheres
+ * only. JUNO's scene shape (planes of spheres 4 apart, long rays that
+ * also hit the next planes' spheres): the kCudaFallback tile equals the
+ * kRtCore tile bit for bit at every level, and it counts exactly
+ * count rays, count * E prim tests and the written cells as hits, with
+ * no node visits or box tests, although the rays hit other subspaces'
+ * spheres too.
+ */
+TEST(RtDevice, FallbackScansOnlyItsSubspace)
+{
+    const int subspaces = 4, entries = 40;
+    Rng rng(83);
+    Scene scene;
+    for (int s = 0; s < subspaces; ++s)
+        for (int e = 0; e < entries; ++e) {
+            Sphere sphere;
+            sphere.center = {rng.uniform(-0.8f, 0.8f),
+                             rng.uniform(-0.8f, 0.8f),
+                             4.0f * static_cast<float>(s) + 1.0f};
+            sphere.radius = 1.0f;
+            scene.addSphere(sphere);
+        }
+    scene.build();
+    const float canary = std::numeric_limits<float>::quiet_NaN();
+    const simd::Level saved = simd::level();
+    for (int s = 0; s + 1 < subspaces; ++s)
+        for (int count : {1, 5, simd::kRayLanes}) {
+            std::vector<Ray> rays(static_cast<std::size_t>(count));
+            std::size_t all_hits = 0;
+            for (auto &ray : rays) {
+                ray.origin = {rng.uniform(-0.8f, 0.8f),
+                              rng.uniform(-0.8f, 0.8f),
+                              4.0f * static_cast<float>(s)};
+                ray.tmin = -1e-4f;
+                ray.tmax = 12.0f;
+                all_hits += oracleTrace(ray, scene.spheres()).hits.size();
+            }
+            const RecordRange record{static_cast<std::uint32_t>(s * entries),
+                                     static_cast<std::uint32_t>(entries)};
+            const std::size_t cells =
+                static_cast<std::size_t>(entries) * rays.size();
+            for (simd::Level level : {simd::Level::kScalar,
+                                      simd::Level::kAvx2,
+                                      simd::Level::kAvx512}) {
+                if (!simd::setLevel(level))
+                    continue;
+                RtDevice walk(ExecMode::kRtCore);
+                RtDevice scan(ExecMode::kCudaFallback);
+                std::vector<float> want(cells, canary), got(cells, canary);
+                walk.traceTile(scene, rays.data(), count, record,
+                               want.data());
+                scan.traceTile(scene, rays.data(), count, record,
+                               got.data());
+                std::size_t recorded = 0;
+                for (std::size_t c = 0; c < cells; ++c) {
+                    EXPECT_EQ(bits(want[c]), bits(got[c])) << "cell " << c;
+                    recorded += std::isnan(got[c]) ? 0 : 1;
+                }
+                const std::string where =
+                    "subspace " + std::to_string(s) + ", " +
+                    std::to_string(count) + " rays at " +
+                    simd::levelName(level);
+                EXPECT_GT(recorded, 0u) << where;
+                EXPECT_GT(all_hits, recorded)
+                    << where << ": no foreign hit to skip";
+                expectSameStats(fallbackStats(count, record, recorded),
+                                scan.totalStats(), where);
+            }
+        }
     simd::setLevel(saved);
 }
 

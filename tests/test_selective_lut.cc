@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -322,18 +323,20 @@ expectSingleRayLut(Fixture &fx, const float *q,
             if (fx.scene.makeRay(s, x, y, thr, ray)) {
                 if (refused_before[si])
                     shifted[si] = true;
-                fx.scene.scene().trace(ray, single, [&](const rt::Hit &hit) {
-                    int hs;
-                    entry_t e;
-                    JunoScene::unpackId(hit.user_id, hs, e);
-                    if (hs != s)
-                        return true;
-                    delta[e] = fx.scene.lutValueL2(k * k, hit.thit) - miss;
+                // The ray alone: a one-ray packet over its subspace.
+                const float nan = std::numeric_limits<float>::quiet_NaN();
+                std::vector<float> tile(16, nan);
+                fx.scene.scene().traceTile(&ray, 1, fx.scene.recordRange(s),
+                                           tile.data(), single);
+                for (entry_t e = 0; e < 16; ++e) {
+                    const float thit = tile[e];
+                    if (std::isnan(thit))
+                        continue;
+                    delta[e] = fx.scene.lutValueL2(k * k, thit) - miss;
                     flag[e] = true;
-                    inner[e] = hit.thit <= tmax_inner;
+                    inner[e] = thit <= tmax_inner;
                     ++selected;
-                    return true;
-                });
+                }
             } else {
                 refused_before[si] = true;
             }
