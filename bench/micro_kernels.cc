@@ -12,9 +12,14 @@
  * calibrated timing loop against both dispatch tables. Also keeps the
  * top-k and BVH traversal spot-checks of the original bench, plus the
  * packet-walk rows (bvhPacket: one query's 8-ray packets and two
- * queries' kRayLanes-ray packets vs the same rays walked one by one).
+ * queries' kRayLanes-ray packets vs the same rays walked one by one)
+ * and the dense-gate rows (sphereGate: a lone ray on the gate vs the
+ * one-lane walk, at L2 and inner-product geometry; gateOccupancy: the
+ * walk vs the gate per ray for packets of 1..kRayLanes rays, and the
+ * occupancy where the walk starts to win).
  *
- *   --json <path>     dump the kernel and bvhPacket rows (BENCH_adc.json)
+ *   --json <path>     dump the kernel, bvhPacket and gate rows
+ *                     (BENCH_adc.json)
  *   --check-fastscan  exit 1 unless fast scan beats the float
  *                     interleaved scan
  *   --check-packet    exit 1 unless the kRayLanes packet walk beats
@@ -25,6 +30,12 @@
  *                     reference bit for bit at every level, and, on an
  *                     AVX-512 host, the permute scan is not slower than
  *                     the gather scan at E=128
+ *   --check-gate      exit 1 unless, at every level, RtDevice's dense
+ *                     gate (lone rays under kRtCore, packets of
+ *                     1..kRayLanes under kCudaFallback) writes the walk's
+ *                     tile bit for bit and counts exactly count rays,
+ *                     count * E prim tests, its written cells as hits
+ *                     and no node visits or box tests
  */
 #include <algorithm>
 #include <cmath>
@@ -42,7 +53,7 @@
 #include "common/timer.h"
 #include "common/topk.h"
 #include "quant/interleaved_codes.h"
-#include "rtcore/bvh.h"
+#include "rtcore/device.h"
 
 namespace juno {
 namespace {
@@ -91,6 +102,30 @@ struct PacketRecord {
 
 std::vector<PacketRecord> g_packet_rows;
 
+/** One sphereGate row: lone rays on the gate vs the one-lane walk. */
+struct GateRecord {
+    std::string shape;
+    std::string level;
+    double walk_rays = 0.0; ///< rays/s, one-ray packets on the walk
+    double gate_rays = 0.0; ///< rays/s, lone rays on the dense gate
+    double hits_per_test = 0.0;
+};
+
+std::vector<GateRecord> g_gate_rows;
+
+/** One gateOccupancy point: packets of `count` rays, walk vs gate. */
+struct OccupancyRecord {
+    std::string geometry;
+    int count = 0;
+    double walk_rays = 0.0;
+    double gate_rays = 0.0;
+};
+
+std::vector<OccupancyRecord> g_occupancy_rows;
+
+/** Tile cells or counters of the gate that differ from the walk's. */
+std::size_t g_gate_mismatches = 0;
+
 /** Dispatched fast scan vs dispatched float interleaved scan (CI gate). */
 double g_fastscan_vs_inter = 0.0;
 
@@ -125,8 +160,10 @@ printRow(const std::string &kernel, const std::string &shape,
  * cross-kernel row fastscanPq4/inter, whose baseline is the dispatched
  * float interleaved scan, and the adcScanInter/gather rows, whose
  * baseline is the dispatched table's gather path on the same lists.
- * The bvhPacket rows go to their own array:
- * packet-walk vs single-ray Mray/s and their ratio.
+ * The bvhPacket rows go to their own array: packet-walk vs single-ray
+ * Mray/s and their ratio; so do the sphereGate rows (one-lane walk vs
+ * lone-ray gate, rays/s) and the gateOccupancy sweep (walk vs gate
+ * rays/s per packet occupancy).
  */
 void
 writeSnapshot(const std::string &path)
@@ -159,6 +196,25 @@ writeSnapshot(const std::string &path)
             << ", \"packet_mrays\": " << r.packet_rays * 1e-6
             << ", \"ratio\": " << r.packet_rays / r.single_rays << "}"
             << (i + 1 < g_packet_rows.size() ? "," : "") << "\n";
+    }
+    out << "  ],\n  \"sphere_gate\": [\n";
+    for (std::size_t i = 0; i < g_gate_rows.size(); ++i) {
+        const auto &r = g_gate_rows[i];
+        out << "    {\"shape\": \"" << r.shape << "\", \"level\": \""
+            << r.level << "\", \"walk_rays\": " << r.walk_rays
+            << ", \"gate_rays\": " << r.gate_rays
+            << ", \"ratio\": " << r.gate_rays / r.walk_rays
+            << ", \"hits_per_test\": " << r.hits_per_test << "}"
+            << (i + 1 < g_gate_rows.size() ? "," : "") << "\n";
+    }
+    out << "  ],\n  \"gate_occupancy\": [\n";
+    for (std::size_t i = 0; i < g_occupancy_rows.size(); ++i) {
+        const auto &r = g_occupancy_rows[i];
+        out << "    {\"geometry\": \"" << r.geometry
+            << "\", \"count\": " << r.count
+            << ", \"walk_rays\": " << r.walk_rays
+            << ", \"gate_rays\": " << r.gate_rays << "}"
+            << (i + 1 < g_occupancy_rows.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("snapshot written to %s\n", path.c_str());
@@ -586,14 +642,14 @@ benchTopKAndBvh()
     ray.dir = {0, 0, 1};
     ray.tmax = 0.3f;
     rt::TraversalStats stats;
-    // A one-ray packet (the lone-ray walk) recording every sphere.
+    // A one-ray packet (the one-lane walk) recording every sphere.
     std::vector<float> tile(spheres.size());
     const rt::RecordRange record{0, static_cast<std::uint32_t>(tile.size())};
     const double trav_ops = opsPerSecond(1, [&] {
         bvh.traceTile(&ray, 1, spheres, record, tile.data(), stats);
     });
-    std::printf("%-18s %-20s %9.2f %-6s\n", "bvhTraverse",
-                "spheres=4096", trav_ops * 1e-6, "Mray/s");
+    std::printf("%-18s %-20s %9.0f %-6s\n", "bvhTraverse",
+                "spheres=4096", trav_ops, "ray/s");
 }
 
 /**
@@ -668,7 +724,7 @@ benchBvhPacket()
     std::vector<float> cells(rays.size() * row, nan);
 
     rt::TraversalStats stats;
-    // Each ray alone (a one-ray packet takes the lone-ray walk) into its
+    // Each ray alone (a one-ray packet takes the one-lane walk) into its
     // own row of E cells.
     const auto traceSingle = [&] {
         for (std::size_t i = 0; i < rays.size(); ++i) {
@@ -729,6 +785,256 @@ benchBvhPacket()
     simd::setLevel(saved);
 }
 
+/** Probe rays per subspace in the gate rows' pool. */
+constexpr int kGatePool = 48;
+
+/**
+ * A JUNO-shaped scene for the gate rows: S planes of E = 128 spheres
+ * at z = 4s + 1 (prim s * E + e), and kGatePool +z probe rays per
+ * subspace from its plane, subspace-major.
+ *  - L2 (DEEP-like, D = 96 so S = 48): radius-1 spheres, gate radius
+ *    0.2-0.5, as JunoScene::makeRay sets tmax for a kappa-scaled L2
+ *    threshold;
+ *  - IP (TTI-like, D = 200 so S = 100): centres in the unit disc,
+ *    radii inflated to sqrt(1 + |c|^2) (JunoScene's inner-product
+ *    spheres), tmin = 1 - max radius, and a low similarity floor
+ *    (tmax 0.7-1.0), so nearly every sphere in the plane is hit and
+ *    the BVH culls little.
+ */
+struct GateGeometry {
+    std::string name;
+    int subspaces = 0;
+    int entries = 128;
+    rt::Scene scene;
+    std::vector<rt::Ray> rays;
+
+    rt::RecordRange
+    record(int s) const
+    {
+        return {static_cast<std::uint32_t>(s * entries),
+                static_cast<std::uint32_t>(entries)};
+    }
+};
+
+GateGeometry
+gateGeometry(Metric metric)
+{
+    const bool l2 = metric == Metric::kL2;
+    Rng rng(l2 ? 31 : 37);
+    GateGeometry g;
+    g.subspaces = l2 ? 48 : 100;
+    g.name = std::string(l2 ? "L2" : "IP") + ",S=" +
+             std::to_string(g.subspaces) + ",E=" +
+             std::to_string(g.entries);
+    const auto inDisc = [&rng](float &x, float &y) {
+        do {
+            x = rng.uniform(-1.0f, 1.0f);
+            y = rng.uniform(-1.0f, 1.0f);
+        } while (x * x + y * y > 1.0f);
+    };
+    float max_radius = 1.0f;
+    for (int s = 0; s < g.subspaces; ++s)
+        for (int e = 0; e < g.entries; ++e) {
+            rt::Sphere sphere;
+            sphere.center.z = 4.0f * static_cast<float>(s) + 1.0f;
+            sphere.radius = 1.0f;
+            if (l2) {
+                sphere.center.x = rng.uniform(-0.8f, 0.8f);
+                sphere.center.y = rng.uniform(-0.8f, 0.8f);
+            } else {
+                inDisc(sphere.center.x, sphere.center.y);
+                sphere.radius = std::sqrt(
+                    1.0f + sphere.center.x * sphere.center.x +
+                    sphere.center.y * sphere.center.y);
+            }
+            max_radius = std::max(max_radius, sphere.radius);
+            g.scene.addSphere(sphere);
+        }
+    g.scene.build();
+    for (int s = 0; s < g.subspaces; ++s)
+        for (int i = 0; i < kGatePool; ++i) {
+            rt::Ray ray;
+            ray.origin.z = 4.0f * static_cast<float>(s);
+            if (l2) {
+                ray.origin.x = rng.uniform(-0.8f, 0.8f);
+                ray.origin.y = rng.uniform(-0.8f, 0.8f);
+                const float r = rng.uniform(0.2f, 0.5f);
+                ray.tmin = -1e-4f;
+                ray.tmax = 1.0f - std::sqrt(1.0f - r * r);
+            } else {
+                inDisc(ray.origin.x, ray.origin.y);
+                ray.tmin = 1.0f - max_radius - 1e-4f;
+                ray.tmax = rng.uniform(0.7f, 1.0f);
+            }
+            g.rays.push_back(ray);
+        }
+    return g;
+}
+
+/**
+ * Traces @p g's pool as packets of @p count rays from one subspace
+ * (kGatePool / count packets per subspace), through @p device (the
+ * dense gate under kCudaFallback; the walk under kRtCore when count
+ * > 1) or, with a null device, through the packet walk itself
+ * (Scene::traceTile, one lane for count 1). Returns the rays traced.
+ */
+std::size_t
+traceGatePackets(const GateGeometry &g, int count, rt::RtDevice *device,
+                 float *tile, rt::TraversalStats &stats)
+{
+    const int packets = kGatePool / count;
+    for (int s = 0; s < g.subspaces; ++s)
+        for (int p = 0; p < packets; ++p) {
+            const rt::Ray *rays =
+                g.rays.data() + static_cast<std::size_t>(s * kGatePool +
+                                                         p * count);
+            if (device != nullptr)
+                device->traceTile(g.scene, rays, count, g.record(s), tile);
+            else
+                g.scene.traceTile(rays, count, g.record(s), tile, stats);
+        }
+    return static_cast<std::size_t>(g.subspaces * packets * count);
+}
+
+/**
+ * The --check-gate pass over @p g at the active level: every lone ray
+ * under kRtCore and every packet of 1..kRayLanes rays under
+ * kCudaFallback must write the packet walk's tile bit for bit (from a
+ * NaN tile) and count exactly count rays, count * E prim tests, its
+ * written cells as hits and no node visits or box tests. Adds each
+ * differing cell or counter to g_gate_mismatches.
+ */
+void
+checkGate(const GateGeometry &g)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto entries = static_cast<std::size_t>(g.entries);
+    std::vector<float> want(entries * simd::kRayLanes);
+    std::vector<float> got(want.size());
+    for (int count = 1; count <= simd::kRayLanes; ++count) {
+        const auto cells = entries * static_cast<std::size_t>(count);
+        for (rt::ExecMode mode :
+             {rt::ExecMode::kRtCore, rt::ExecMode::kCudaFallback}) {
+            if (mode == rt::ExecMode::kRtCore && count > 1)
+                continue; // the walk itself
+            for (int s = 0; s < g.subspaces; ++s)
+                for (int first = 0; first + count <= kGatePool;
+                     first += count) {
+                    const rt::Ray *rays = g.rays.data() +
+                        static_cast<std::size_t>(s * kGatePool + first);
+                    std::fill(want.begin(), want.end(), nan);
+                    std::fill(got.begin(), got.end(), nan);
+                    rt::TraversalStats walked;
+                    g.scene.traceTile(rays, count, g.record(s), want.data(),
+                                      walked);
+                    rt::RtDevice device(mode);
+                    device.traceTile(g.scene, rays, count, g.record(s),
+                                     got.data());
+                    std::uint64_t written = 0;
+                    for (std::size_t c = 0; c < cells; ++c) {
+                        if (std::memcmp(&want[c], &got[c], sizeof(float)))
+                            ++g_gate_mismatches;
+                        written += std::isnan(got[c]) ? 0 : 1;
+                    }
+                    const rt::TraversalStats &st = device.totalStats();
+                    const auto n = static_cast<std::uint64_t>(count);
+                    g_gate_mismatches +=
+                        (st.rays != n) + (st.prim_tests != n * entries) +
+                        (st.hits != written) + (st.node_visits != 0) +
+                        (st.aabb_tests != 0);
+                }
+        }
+    }
+}
+
+/**
+ * The dense-gate rows at L2 and inner-product geometry (gateGeometry),
+ * at the active level, or at the best one when that is scalar:
+ *  - sphereGate: lone rays on the gate (RtDevice, kRtCore) vs the same
+ *    rays as one-ray packets on the walk (Scene::traceTile), rays/s,
+ *    best of three alternating windows per side, with the gate's hits
+ *    per sphere test;
+ *  - gateOccupancy: packets of 1..kRayLanes rays from one subspace,
+ *    the walk (Scene::traceTile) vs the gate (RtDevice, kCudaFallback)
+ *    per ray, one window per side, and the crossover: the smallest
+ *    occupancy at which the walk is faster. RtDevice::traceTile's rule
+ *    (lone rays on the gate, packets of two or more on the walk) rests
+ *    on it.
+ * With @p check, first runs checkGate at every supported level.
+ */
+void
+benchSphereGate(bool check)
+{
+    const GateGeometry geometries[] = {gateGeometry(Metric::kL2),
+                                       gateGeometry(Metric::kInnerProduct)};
+    const simd::Level saved = simd::level();
+    if (check)
+        for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                                  simd::Level::kAvx512})
+            if (simd::setLevel(level))
+                for (const GateGeometry &g : geometries)
+                    checkGate(g);
+    simd::setLevel(saved);
+    if (saved == simd::Level::kScalar)
+        simd::setLevel(simd::bestSupported());
+    const char *level = simd::active().name;
+    std::vector<float> tile(static_cast<std::size_t>(geometries[0].entries) *
+                            simd::kRayLanes);
+    for (const GateGeometry &g : geometries) {
+        rt::TraversalStats stats;
+        rt::RtDevice gate(rt::ExecMode::kRtCore);
+        double walk = 0.0, dense = 0.0;
+        for (int round = 0; round < 3; ++round) {
+            walk = std::max(walk, opsPerSecond(g.rays.size(), [&] {
+                traceGatePackets(g, 1, nullptr, tile.data(), stats);
+            }));
+            dense = std::max(dense, opsPerSecond(g.rays.size(), [&] {
+                traceGatePackets(g, 1, &gate, tile.data(), stats);
+            }));
+        }
+        const rt::TraversalStats &gs = gate.totalStats();
+        const double hits_per_test = static_cast<double>(gs.hits) /
+                                     static_cast<double>(gs.prim_tests);
+        std::printf("%-18s %-20s %9.0f %-6s %9.0f %-6s %6.2fx (%s, "
+                    "hits/test %.2f)\n",
+                    "sphereGate", g.name.c_str(), walk, "ray/s", dense,
+                    "ray/s", dense / walk, level, hits_per_test);
+        g_gate_rows.push_back({g.name, level, walk, dense, hits_per_test});
+    }
+    for (const GateGeometry &g : geometries) {
+        const std::string geometry = g.name + "," + level;
+        int crossover = 0;
+        std::printf("%-18s %-20s %5s %12s %12s %7s\n", "gateOccupancy",
+                    geometry.c_str(), "count", "walk ray/s", "gate ray/s",
+                    "gate/walk");
+        for (int count = 1; count <= simd::kRayLanes; ++count) {
+            rt::TraversalStats stats;
+            rt::RtDevice gate(rt::ExecMode::kCudaFallback);
+            const std::size_t rays = traceGatePackets(g, count, nullptr,
+                                                tile.data(), stats);
+            const double walk = opsPerSecond(rays, [&] {
+                traceGatePackets(g, count, nullptr, tile.data(), stats);
+            });
+            const double dense = opsPerSecond(rays, [&] {
+                traceGatePackets(g, count, &gate, tile.data(), stats);
+            });
+            std::printf("%-18s %-20s %5d %12.0f %12.0f %6.2fx\n", "", "",
+                        count, walk, dense, dense / walk);
+            g_occupancy_rows.push_back({geometry, count, walk, dense});
+            if (crossover == 0 && walk > dense)
+                crossover = count;
+        }
+        if (crossover == 0)
+            std::printf("%-18s %-20s the gate wins at every occupancy\n",
+                        "", "");
+        else
+            std::printf("%-18s %-20s the walk wins from %d rays per "
+                        "packet\n",
+                        "", "", crossover);
+    }
+    simd::setLevel(saved);
+}
+
 } // namespace
 } // namespace juno
 
@@ -747,10 +1053,14 @@ main(int argc, char **argv)
     // flag count differs from the scalar table's bits, or if an AVX-512
     // host's permute scan is slower than its gather scan at E=128 (CI
     // gate).
+    // --check-gate: exit nonzero if the dense gate's tile or counters
+    // differ from the walk's tile and the exact gate counts at any
+    // level (CI gate).
     std::string json_path;
     bool check_fastscan = false;
     bool check_packet = false;
     bool check_permscan = false;
+    bool check_gate = false;
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
         if (arg == "--json" && a + 1 < argc)
@@ -761,6 +1071,8 @@ main(int argc, char **argv)
             check_packet = true;
         else if (arg == "--check-permscan")
             check_permscan = true;
+        else if (arg == "--check-gate")
+            check_gate = true;
     }
 
     const auto &scalar = simd::table(simd::Level::kScalar);
@@ -782,6 +1094,7 @@ main(int argc, char **argv)
     std::printf("\n");
     benchTopKAndBvh();
     benchBvhPacket();
+    benchSphereGate(check_gate);
 
     if (!json_path.empty())
         writeSnapshot(json_path);
@@ -795,6 +1108,19 @@ main(int argc, char **argv)
                          "FAIL: %zu packet tile cells differ from the "
                          "single-ray cells\n",
                          g_packet_mismatches);
+            status = 1;
+        }
+    }
+    if (check_gate) {
+        // Bit-for-bit and exact counters on every host.
+        std::printf("dense gate vs walk tiles and exact counters: %zu "
+                    "cells or counters differ\n",
+                    g_gate_mismatches);
+        if (g_gate_mismatches != 0) {
+            std::fprintf(stderr,
+                         "FAIL: %zu dense-gate cells or counters differ "
+                         "from the walk's tile or the exact counts\n",
+                         g_gate_mismatches);
             status = 1;
         }
     }

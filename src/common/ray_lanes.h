@@ -1,10 +1,10 @@
 /**
  * @file
- * Per-level ray-packet lane operations, shared by the dispatch table's
- * ray kernels (common/simd.cc) and the packet-walk kernel
+ * Per-level ray-packet lane operations of the packet-walk kernel
  * (rtcore/packet_walk.cc), which inlines them into one BVH walk per
- * dispatch level. Library-internal: only those two files and the
- * kernel tests include it.
+ * dispatch level, plus the target macros the dispatch table's SIMD
+ * kernels (common/simd.cc) are compiled with. Library-internal: only
+ * those two files and the kernel tests include it.
  *
  * Each level type loads a simd::RayLanes packet once and offers
  *  - box(active, lo, hi): the active lanes whose ray interval overlaps

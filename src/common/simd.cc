@@ -193,24 +193,59 @@ compactCandidatesScalar(const float *acc, const std::int32_t *hits,
     }
 }
 
-std::uint32_t
-rayBoxLanesScalar(const RayLanes &r, std::uint32_t active, float lo_x,
-                  float lo_y, float lo_z, float hi_x, float hi_y,
-                  float hi_z)
+/**
+ * rt::intersectSphere for sphere @p e of @p sp, verbatim (same
+ * operations in the same order); @p a is |d|^2 of @p ray.
+ */
+inline bool
+gateOne(const GateRay &ray, float a, const SpherePlanes &sp, std::size_t e,
+        float &thit)
 {
-    return ScalarRayLanes(r).box(active, lo_x, lo_y, lo_z, hi_x, hi_y,
-                                 hi_z);
+    const float ocx = ray.ox - sp.cx[e], ocy = ray.oy - sp.cy[e],
+                ocz = ray.oz - sp.cz[e];
+    const float half_b = ocx * ray.dx + ocy * ray.dy + ocz * ray.dz;
+    const float c = ocx * ocx + ocy * ocy + ocz * ocz - sp.r2[e];
+    const float disc = half_b * half_b - a * c;
+    if (disc < 0.0f)
+        return false;
+    const float sqrt_disc = std::sqrt(disc);
+    float t = (-half_b - sqrt_disc) / a;
+    if (t < ray.tmin)
+        t = (-half_b + sqrt_disc) / a;
+    if (t < ray.tmin || t > ray.tmax)
+        return false;
+    thit = t;
+    return true;
+}
+
+inline float
+gateDirSqr(const GateRay &ray)
+{
+    return ray.dx * ray.dx + ray.dy * ray.dy + ray.dz * ray.dz;
+}
+
+/** Spheres [e0, count) one at a time: the scalar table, the AVX2 tail. */
+std::uint32_t
+sphereGateCells(const GateRay &ray, const SpherePlanes &sp, std::size_t e0,
+                std::size_t count, float *out, std::size_t stride)
+{
+    const float a = gateDirSqr(ray);
+    std::uint32_t hits = 0;
+    for (std::size_t e = e0; e < count; ++e) {
+        float t;
+        if (gateOne(ray, a, sp, e, t)) {
+            out[e * stride] = t;
+            ++hits;
+        }
+    }
+    return hits;
 }
 
 std::uint32_t
-raySphereLanesScalar(const RayLanes &r, std::uint32_t active, float cx,
-                     float cy, float cz, float radius, float *thit)
+sphereGateScalar(const GateRay &ray, const SpherePlanes &sp,
+                 std::size_t count, float *out, std::size_t stride)
 {
-    ScalarRayLanes::Times t;
-    const std::uint32_t hit =
-        ScalarRayLanes(r).sphere(active, cx, cy, cz, radius, t);
-    ScalarRayLanes::store(t, hit, thit);
-    return hit;
+    return sphereGateCells(ray, sp, 0, count, out, stride);
 }
 
 /**
@@ -285,8 +320,7 @@ const Kernels kScalarTable = {
     &flagCountInterleavedScalar,
     &fastScanPq4Scalar,
     &compactCandidatesScalar,
-    &rayBoxLanesScalar,
-    &raySphereLanesScalar,
+    &sphereGateScalar,
     &lutFinishScalar,
 };
 
@@ -823,22 +857,77 @@ compactCandidatesAvx2(const float *acc, const std::int32_t *hits,
     }
 }
 
+/**
+ * Eight spheres per step (the planes' next eight entries in the
+ * lanes): gateOne's operations as separate multiplies, adds and
+ * divides, with Avx2RayLanes::sphereHalf's two skips (the divisions
+ * by a unit |d|^2, and the exit root when no sphere's entry root lies
+ * before tmin). Hit lanes are stored with one masked store at stride
+ * 1 and one by one otherwise; the tail goes through the scalar cells.
+ */
 JUNO_TARGET_AVX2 std::uint32_t
-rayBoxLanesAvx2(const RayLanes &r, std::uint32_t active, float lo_x,
-                float lo_y, float lo_z, float hi_x, float hi_y, float hi_z)
+sphereGateAvx2(const GateRay &ray, const SpherePlanes &sp,
+               std::size_t count, float *out, std::size_t stride)
 {
-    return Avx2RayLanes(r).box(active, lo_x, lo_y, lo_z, hi_x, hi_y, hi_z);
-}
-
-JUNO_TARGET_AVX2 std::uint32_t
-raySphereLanesAvx2(const RayLanes &r, std::uint32_t active, float cx,
-                   float cy, float cz, float radius, float *thit)
-{
-    Avx2RayLanes::Times t;
-    const std::uint32_t hit =
-        Avx2RayLanes(r).sphere(active, cx, cy, cz, radius, t);
-    Avx2RayLanes::store(t, hit, thit);
-    return hit;
+    const float a_scalar = gateDirSqr(ray);
+    const bool unit = a_scalar == 1.0f;
+    const __m256 ox = _mm256_set1_ps(ray.ox), oy = _mm256_set1_ps(ray.oy),
+                 oz = _mm256_set1_ps(ray.oz);
+    const __m256 dx = _mm256_set1_ps(ray.dx), dy = _mm256_set1_ps(ray.dy),
+                 dz = _mm256_set1_ps(ray.dz);
+    const __m256 a = _mm256_set1_ps(a_scalar);
+    const __m256 tmin = _mm256_set1_ps(ray.tmin);
+    const __m256 tmax = _mm256_set1_ps(ray.tmax);
+    const __m256 sign = _mm256_set1_ps(-0.0f);
+    std::uint32_t hits = 0;
+    const std::size_t full = count / 8 * 8;
+    for (std::size_t e = 0; e < full; e += 8) {
+        const __m256 ocx = _mm256_sub_ps(ox, _mm256_loadu_ps(sp.cx + e));
+        const __m256 ocy = _mm256_sub_ps(oy, _mm256_loadu_ps(sp.cy + e));
+        const __m256 ocz = _mm256_sub_ps(oz, _mm256_loadu_ps(sp.cz + e));
+        const __m256 half_b = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(ocx, dx), _mm256_mul_ps(ocy, dy)),
+            _mm256_mul_ps(ocz, dz));
+        const __m256 c = _mm256_sub_ps(
+            _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(ocx, ocx),
+                                        _mm256_mul_ps(ocy, ocy)),
+                          _mm256_mul_ps(ocz, ocz)),
+            _mm256_loadu_ps(sp.r2 + e));
+        const __m256 disc = _mm256_sub_ps(_mm256_mul_ps(half_b, half_b),
+                                          _mm256_mul_ps(a, c));
+        const __m256 sqrt_disc = _mm256_sqrt_ps(disc);
+        const __m256 neg_half_b = _mm256_xor_ps(half_b, sign);
+        __m256 t = _mm256_sub_ps(neg_half_b, sqrt_disc);
+        if (!unit)
+            t = _mm256_div_ps(t, a);
+        const __m256 exit_lanes = _mm256_cmp_ps(t, tmin, _CMP_LT_OQ);
+        if (!_mm256_testz_ps(exit_lanes, exit_lanes)) {
+            __m256 t_exit = _mm256_add_ps(neg_half_b, sqrt_disc);
+            if (!unit)
+                t_exit = _mm256_div_ps(t_exit, a);
+            t = _mm256_blendv_ps(t, t_exit, exit_lanes);
+        }
+        const __m256 miss = _mm256_or_ps(
+            _mm256_cmp_ps(disc, _mm256_setzero_ps(), _CMP_LT_OQ),
+            _mm256_or_ps(_mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
+                         _mm256_cmp_ps(t, tmax, _CMP_GT_OQ)));
+        auto hit = static_cast<std::uint32_t>(~_mm256_movemask_ps(miss) &
+                                              0xFF);
+        if (hit == 0)
+            continue;
+        hits += static_cast<std::uint32_t>(__builtin_popcount(hit));
+        if (stride == 1) {
+            _mm256_maskstore_ps(out + e, laneMaskAvx2(hit), t);
+            continue;
+        }
+        alignas(32) float lanes[8];
+        _mm256_store_ps(lanes, t);
+        for (; hit != 0; hit &= hit - 1u) {
+            const unsigned i = static_cast<unsigned>(__builtin_ctz(hit));
+            out[(e + i) * stride] = lanes[i];
+        }
+    }
+    return hits + sphereGateCells(ray, sp, full, count, out, stride);
 }
 
 /**
@@ -919,8 +1008,7 @@ const Kernels kAvx2Table = {
     &flagCountInterleavedAvx2,
     &fastScanPq4Avx2,
     &compactCandidatesAvx2,
-    &rayBoxLanesAvx2,
-    &raySphereLanesAvx2,
+    &sphereGateAvx2,
     &lutFinishAvx2,
 };
 
@@ -1196,24 +1284,74 @@ fastScanPq4Avx512(const std::uint8_t *packed, int subspaces,
                         n - i, qsums + i);
 }
 
+/**
+ * sphereGateAvx2 sixteen spheres per step, with the tail as one masked
+ * step (masked-off spheres are neither loaded nor stored); hit lanes at
+ * stride > 1 are scattered.
+ */
 JUNO_TARGET_AVX512 std::uint32_t
-rayBoxLanesAvx512(const RayLanes &r, std::uint32_t active, float lo_x,
-                  float lo_y, float lo_z, float hi_x, float hi_y,
-                  float hi_z)
+sphereGateAvx512(const GateRay &ray, const SpherePlanes &sp,
+                 std::size_t count, float *out, std::size_t stride)
 {
-    return Avx512RayLanes(r).box(active, lo_x, lo_y, lo_z, hi_x, hi_y,
-                                 hi_z);
-}
-
-JUNO_TARGET_AVX512 std::uint32_t
-raySphereLanesAvx512(const RayLanes &r, std::uint32_t active, float cx,
-                     float cy, float cz, float radius, float *thit)
-{
-    Avx512RayLanes::Times t;
-    const std::uint32_t hit =
-        Avx512RayLanes(r).sphere(active, cx, cy, cz, radius, t);
-    Avx512RayLanes::store(t, hit, thit);
-    return hit;
+    const float a_scalar = gateDirSqr(ray);
+    const bool unit = a_scalar == 1.0f;
+    const __m512 ox = _mm512_set1_ps(ray.ox), oy = _mm512_set1_ps(ray.oy),
+                 oz = _mm512_set1_ps(ray.oz);
+    const __m512 dx = _mm512_set1_ps(ray.dx), dy = _mm512_set1_ps(ray.dy),
+                 dz = _mm512_set1_ps(ray.dz);
+    const __m512 a = _mm512_set1_ps(a_scalar);
+    const __m512 tmin = _mm512_set1_ps(ray.tmin);
+    const __m512 tmax = _mm512_set1_ps(ray.tmax);
+    const __m512i index = _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                          15),
+        _mm512_set1_epi32(static_cast<int>(stride)));
+    std::uint32_t hits = 0;
+    for (std::size_t e = 0; e < count; e += 16) {
+        const __mmask16 valid = firstLanes(count - e);
+        const __m512 ocx =
+            _mm512_sub_ps(ox, _mm512_maskz_loadu_ps(valid, sp.cx + e));
+        const __m512 ocy =
+            _mm512_sub_ps(oy, _mm512_maskz_loadu_ps(valid, sp.cy + e));
+        const __m512 ocz =
+            _mm512_sub_ps(oz, _mm512_maskz_loadu_ps(valid, sp.cz + e));
+        const __m512 half_b = _mm512_add_ps(
+            _mm512_add_ps(_mm512_mul_ps(ocx, dx), _mm512_mul_ps(ocy, dy)),
+            _mm512_mul_ps(ocz, dz));
+        const __m512 c = _mm512_sub_ps(
+            _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(ocx, ocx),
+                                        _mm512_mul_ps(ocy, ocy)),
+                          _mm512_mul_ps(ocz, ocz)),
+            _mm512_maskz_loadu_ps(valid, sp.r2 + e));
+        const __m512 disc = _mm512_sub_ps(_mm512_mul_ps(half_b, half_b),
+                                          _mm512_mul_ps(a, c));
+        const __m512 sqrt_disc = _mm512_maskz_sqrt_ps(kAllLanes16, disc);
+        // Sign flip by integer xor: vxorps on zmm needs AVX512DQ.
+        const __m512 neg_half_b = _mm512_castsi512_ps(_mm512_xor_si512(
+            _mm512_castps_si512(half_b), _mm512_set1_epi32(INT32_MIN)));
+        __m512 t = _mm512_sub_ps(neg_half_b, sqrt_disc);
+        if (!unit)
+            t = _mm512_div_ps(t, a);
+        const __mmask16 exit_lanes =
+            _mm512_mask_cmp_ps_mask(valid, t, tmin, _CMP_LT_OQ);
+        if (exit_lanes != 0) {
+            __m512 t_exit = _mm512_add_ps(neg_half_b, sqrt_disc);
+            if (!unit)
+                t_exit = _mm512_div_ps(t_exit, a);
+            t = _mm512_mask_blend_ps(exit_lanes, t, t_exit);
+        }
+        const __mmask16 miss =
+            _mm512_cmp_ps_mask(disc, _mm512_setzero_ps(), _CMP_LT_OQ) |
+            _mm512_cmp_ps_mask(t, tmin, _CMP_LT_OQ) |
+            _mm512_cmp_ps_mask(t, tmax, _CMP_GT_OQ);
+        const auto hit = static_cast<__mmask16>(valid & ~miss);
+        if (stride == 1)
+            _mm512_mask_storeu_ps(out + e, hit, t);
+        else
+            _mm512_mask_i32scatter_ps(out + e * stride, hit, index, t, 4);
+        hits += static_cast<std::uint32_t>(__builtin_popcount(hit));
+    }
+    return hits;
 }
 
 /**
@@ -1283,8 +1421,8 @@ lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
 
 /**
  * AVX2 table with the wider interleaved scan, flag count and fast scan
- * kernels, the sixteen-lane ray-packet kernels and the sixteen-cell
- * LUT finish swapped in.
+ * kernels, the sixteen-sphere gate and the sixteen-cell LUT finish
+ * swapped in.
  */
 const Kernels kAvx512Table = {
     "avx512",
@@ -1298,8 +1436,7 @@ const Kernels kAvx512Table = {
     &flagCountInterleavedAvx512,
     &fastScanPq4Avx512,
     &compactCandidatesAvx2,
-    &rayBoxLanesAvx512,
-    &raySphereLanesAvx512,
+    &sphereGateAvx512,
     &lutFinishAvx512,
 };
 #endif // JUNO_SIMD_X86

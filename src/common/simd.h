@@ -24,11 +24,9 @@
  *    it is identical too.
  *  - Candidate compaction emits the same candidates in the same
  *    (ascending ordinal) order in every path.
- *  - The ray-packet box and sphere kernels return the same hit masks
- *    and hit-time bits in every table, and per lane they equal the
- *    single-ray rt::Aabb::hitBy / rt::intersectSphere math. They are
- *    the per-level lane operations of common/ray_lanes.h, which the
- *    packet-walk kernel (rtcore/packet_walk.cc) inlines.
+ *  - The dense sphere gate writes the same cells with the same
+ *    hit-time bits and returns the same hit count in every table;
+ *    per sphere it equals the single-ray rt::intersectSphere math.
  *  - The selective-LUT finish writes bitwise identical rows and hit
  *    counts in every table.
  *
@@ -79,6 +77,26 @@ struct alignas(64) RayLanes {
     float dx[kRayLanes], dy[kRayLanes], dz[kRayLanes];
     float ix[kRayLanes], iy[kRayLanes], iz[kRayLanes];
     float tmin[kRayLanes], tmax[kRayLanes];
+};
+
+/**
+ * One ray for Kernels::sphere_gate: origin o, direction d and valid
+ * interval [tmin, tmax], as rt::Ray holds them.
+ */
+struct GateRay {
+    float ox, oy, oz, dx, dy, dz, tmin, tmax;
+};
+
+/**
+ * Structure-of-arrays spheres for Kernels::sphere_gate: sphere j has
+ * centre (cx[j], cy[j], cz[j]) and squared radius r2[j] (the float
+ * product radius * radius, as rt::intersectSphere rounds it).
+ */
+struct SpherePlanes {
+    const float *cx = nullptr;
+    const float *cy = nullptr;
+    const float *cz = nullptr;
+    const float *r2 = nullptr;
 };
 
 /**
@@ -206,30 +224,20 @@ struct Kernels {
                                float offset, std::vector<Neighbor> &out);
 
     /**
-     * Ray/box slab test for every lane of @p rays set in @p active
-     * against the box [lo, hi]; returns the mask of lanes that hit.
-     * Per lane this is exactly rt::Aabb::hitBy (same operations in the
-     * same order, NaN slabs suppressed the same way), so every table
-     * returns the same mask.
+     * Dense sphere gate (rt::RtDevice::traceTile's lone rays and its
+     * no-RT path): tests @p ray against spheres [0, count) of
+     * @p spheres, with the spheres in the lanes (16 per step at
+     * AVX-512, 8 at AVX2), and stores the hit time of every sphere e it
+     * hits at out[e * stride]; no other cell is written. Returns the
+     * hits. Per sphere this is exactly rt::intersectSphere (entry root,
+     * exit root when the entry is before tmin, no fused multiply-adds),
+     * so cells and counts agree across tables. A @p stride of n fills
+     * lane i of an [e][lane] tile of n lanes from out = tile + i.
      */
-    std::uint32_t (*ray_box_lanes)(const RayLanes &rays,
-                                   std::uint32_t active, float lo_x,
-                                   float lo_y, float lo_z, float hi_x,
-                                   float hi_y, float hi_z);
-
-    /**
-     * Ray/sphere test for every lane set in @p active against the
-     * sphere (cx, cy, cz, radius); returns the mask of lanes that hit
-     * and writes their hit times to thit[lane] (@p thit holds
-     * kRayLanes floats; other lanes' slots are unspecified). Per lane
-     * this is exactly rt::intersectSphere (entry root, exit root when
-     * the entry is before tmin, no fused multiply-adds), so hit masks
-     * and thit bits agree across tables.
-     */
-    std::uint32_t (*ray_sphere_lanes)(const RayLanes &rays,
-                                      std::uint32_t active, float cx,
-                                      float cy, float cz, float radius,
-                                      float *thit);
+    std::uint32_t (*sphere_gate)(const GateRay &ray,
+                                 const SpherePlanes &spheres,
+                                 std::size_t count, float *out,
+                                 std::size_t stride);
 
     /**
      * Selective-LUT finish (SelectiveLutBuilder): converts one

@@ -12,10 +12,10 @@
  * The one walk is traceTile() (rtcore/packet_walk.cc): it traces up to
  * simd::kRayLanes coherent rays in lockstep (the way an RT core keeps a
  * warp's rays together) and runs JUNO's any-hit program itself: it
- * records each hit's thit into a tile and never terminates a ray. A
- * lone ray takes a scalar single-ray walk in the same node order; per
- * ray, both find the same hits with the same thit bits and the same
- * counters.
+ * records each hit's thit into a tile and never terminates a ray. Per
+ * ray, it finds the same hits with the same thit bits and the same
+ * counters whatever packet the ray rides in, a packet of one included.
+ * (rt::RtDevice::traceTile gives lone rays to the dense gate instead.)
  */
 #ifndef JUNO_RTCORE_BVH_H
 #define JUNO_RTCORE_BVH_H
@@ -110,6 +110,9 @@ class Bvh {
     /** Sum of leaf SAH cost, for build-quality comparisons. */
     double sahCost() const;
 
+    /** Leaf order: leaf n holds prims primOrder()[first .. first+count). */
+    const std::vector<std::uint32_t> &primOrder() const { return prim_order_; }
+
     /**
      * The packet-walk kernel: traces @p count rays (1..simd::kRayLanes;
      * coherent ones, like one subspace's probe rays, share most nodes)
@@ -119,8 +122,8 @@ class Bvh {
      * inlined. Every hit of lane i on a recorded sphere (prim
      * first + e of @p record) stores its thit at tile[e * count + i]
      * with one masked store per sphere; no other cell is written, and
-     * no lane terminates. A single ray takes a scalar walk in the same
-     * node order (Aabb::hitBy, intersectSphere). Counters are per ray:
+     * no lane terminates. Per lane the tests are Aabb::hitBy and
+     * intersectSphere, in the same node order. Counters are per ray:
      * a ray's node visits, box tests, sphere tests and hits do not
      * depend on the packet it rides in, and its cells hold the thit
      * bits intersectSphere() gives for its recorded hits.

@@ -1,6 +1,7 @@
 #include "rtcore/device.h"
 
 #include "common/logging.h"
+#include "common/simd.h"
 
 namespace juno {
 namespace rt {
@@ -10,27 +11,31 @@ RtDevice::traceTile(const Scene &scene, const Ray *rays, int count,
                     RecordRange record, float *tile)
 {
     TraversalStats stats;
-    if (mode_ == ExecMode::kRtCore) {
+    if (mode_ == ExecMode::kRtCore && count > 1) {
         scene.traceTile(rays, count, record, tile, stats);
     } else {
-        // No RT core: the recorded spheres (one subspace's entries)
-        // are the only ones a ray is tested against.
+        // The dense gate: a lone ray, or any ray without an RT core, is
+        // tested against the recorded spheres (one subspace's entries)
+        // alone, sixteen spheres per step at AVX-512. For a lone ray
+        // this beats the walk wherever the BVH culls little (DESIGN.md,
+        // "Walk or gate: the measured crossover").
+        JUNO_DCHECK(scene.built(), "scene not built");
         JUNO_DCHECK(record.first + record.count <= scene.sphereCount(),
                     "record range past the scene");
-        const Sphere *spheres = scene.spheres().data() + record.first;
+        const simd::SpherePlanes planes = scene.planes(record.first);
+        const simd::Kernels &kernels = simd::active();
         const auto lanes = static_cast<std::size_t>(count);
-        std::uint64_t hits = 0;
-        for (std::size_t e = 0; e < record.count; ++e)
-            for (std::size_t i = 0; i < lanes; ++i) {
-                float thit;
-                if (intersectSphere(rays[i], spheres[e], thit)) {
-                    tile[e * lanes + i] = thit;
-                    ++hits;
-                }
-            }
+        for (std::size_t i = 0; i < lanes; ++i) {
+            const Ray &ray = rays[i];
+            const simd::GateRay gate{ray.origin.x, ray.origin.y,
+                                     ray.origin.z, ray.dir.x,
+                                     ray.dir.y,    ray.dir.z,
+                                     ray.tmin,     ray.tmax};
+            stats.hits += kernels.sphere_gate(gate, planes, record.count,
+                                              tile + i, lanes);
+        }
         stats.rays = lanes;
         stats.prim_tests = lanes * record.count;
-        stats.hits = hits;
     }
     total_.merge(stats);
 }

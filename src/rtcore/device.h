@@ -21,11 +21,14 @@ namespace rt {
 
 /** Where "traversal" executes. */
 enum class ExecMode {
-    /** Hardware-style BVH traversal (RT cores present). */
+    /**
+     * Hardware-style BVH traversal (RT cores present) for packets of
+     * two or more rays; a lone ray takes the dense gate.
+     */
     kRtCore,
     /**
      * No RT core (A100): each ray is tested against the recorded
-     * spheres only, on CUDA cores, without a BVH.
+     * spheres only, on CUDA cores, without a BVH (the dense gate).
      */
     kCudaFallback,
 };
@@ -89,13 +92,17 @@ class RtDevice {
      * Traces one packet of @p count rays (1..simd::kRayLanes) and
      * records their hits into @p tile the way Bvh::traceTile does:
      * lane i's thit on prim record.first + e lands in
-     * tile[e * count + i], and no other cell is written. kRtCore runs
-     * the packet-walk kernel. kCudaFallback fills the same cells by
-     * testing each ray against the record.count recorded spheres
-     * alone: it counts count rays, count * record.count prim tests,
-     * the written cells as hits, and no node visits or box tests. The
-     * counters go to totalStats(). This is the device's one entry
-     * point: every program traces through it.
+     * tile[e * count + i], and no other cell is written. This is the
+     * one place that picks how a packet is traced:
+     *  - kRtCore, 2..kRayLanes rays: the packet-walk kernel;
+     *  - a lone ray, and every ray under kCudaFallback: the dense gate
+     *    (simd::Kernels::sphere_gate), which tests each ray against
+     *    the record.count recorded spheres alone. It counts count
+     *    rays, count * record.count prim tests, the written cells as
+     *    hits, and no node visits or box tests.
+     * Both fill the same cells with the same bits. The counters go to
+     * totalStats(). This is the device's one entry point: every
+     * program traces through it.
      */
     void traceTile(const Scene &scene, const Ray *rays, int count,
                    RecordRange record, float *tile);

@@ -3,7 +3,7 @@
  * The packet-walk kernel (Bvh::traceTile): one BVH walk per dispatch
  * level, each with that level's lane operations (common/ray_lanes.h)
  * inlined, so a packet costs one call rather than one per node, sphere
- * and hit; and the scalar walk a lone ray takes instead.
+ * and hit.
  */
 #include "common/logging.h"
 #include "common/ray_lanes.h"
@@ -15,7 +15,7 @@ namespace {
 
 /**
  * Loads @p count (1..simd::kRayLanes) rays into packet lanes, with
- * inv = 1 / dir as walkOne() computes it. Unused lanes repeat ray 0.
+ * inv = 1 / dir per axis. Unused lanes repeat ray 0.
  */
 void
 loadLanes(const Ray *rays, int count, simd::RayLanes &lanes)
@@ -63,7 +63,7 @@ walk(const WalkInput &in, TraversalStats &stats)
         std::int32_t node;
         std::uint32_t mask;
     };
-    // Depth 64 covers > 10^9 primitives, as in walkOne().
+    // Explicit stack; depth 64 covers > 10^9 primitives.
     Entry stack[64];
     int top = 0;
     stack[top++] = {0, (1u << in.count) - 1u};
@@ -98,50 +98,6 @@ walk(const WalkInput &in, TraversalStats &stats)
             const std::uint32_t slot = prim - in.record.first;
             if (slot < in.record.count)
                 Lanes::store(thit, hit, in.tile + slot * lane_count);
-        }
-    }
-    stats.node_visits += node_visits;
-    stats.aabb_tests += node_visits;
-    stats.prim_tests += prim_tests;
-    stats.hits += hits;
-}
-
-/**
- * The walk of Bvh::traceTile for a lone ray: the packet walk's node
- * order with the scalar Aabb::hitBy (which leaves at the first slab
- * that empties the interval) and intersectSphere, recording into the
- * one-lane tile. @p in's packet and count are not read.
- */
-void
-walkOne(const WalkInput &in, const Ray &ray, TraversalStats &stats)
-{
-    const Vec3 inv_dir{1.0f / ray.dir.x, 1.0f / ray.dir.y,
-                       1.0f / ray.dir.z};
-    std::uint64_t node_visits = 0, prim_tests = 0, hits = 0;
-    // Explicit stack; depth 64 covers > 10^9 primitives.
-    std::int32_t stack[64];
-    int top = 0;
-    stack[top++] = 0;
-    while (top > 0) {
-        const Bvh::Node &node = in.nodes[stack[--top]];
-        ++node_visits;
-        if (!node.bounds.hitBy(ray, inv_dir))
-            continue;
-        if (!node.isLeaf()) {
-            stack[top++] = node.left;
-            stack[top++] = node.right;
-            continue;
-        }
-        for (std::int32_t i = 0; i < node.count; ++i) {
-            const std::uint32_t prim = in.prim_order[node.first + i];
-            ++prim_tests;
-            float thit;
-            if (!intersectSphere(ray, in.spheres[prim], thit))
-                continue;
-            ++hits;
-            const std::uint32_t slot = prim - in.record.first;
-            if (slot < in.record.count)
-                in.tile[slot] = thit;
         }
     }
     stats.node_visits += node_visits;
@@ -185,13 +141,6 @@ Bvh::traceTile(const Ray *rays, int count,
     simd::RayLanes packet;
     const WalkInput in{nodes_.data(), prim_order_.data(), spheres.data(),
                        &packet, count, record, tile};
-    if (count == 1) {
-        // A lone ray (a one-query inner-product batch, say): the
-        // scalar tests and early exits beat one active lane of a
-        // vector body.
-        walkOne(in, rays[0], stats);
-        return;
-    }
     loadLanes(rays, count, packet);
     switch (simd::level()) {
 #if JUNO_SIMD_X86

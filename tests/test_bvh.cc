@@ -84,9 +84,11 @@ recordAll(const std::vector<Sphere> &spheres)
 }
 
 /**
- * Traces @p ray alone (a one-ray packet: the lone-ray walk), recording
- * every sphere. Its cells must hold exactly the oracle's hits, bit for
- * bit, and it must find as many hits as the oracle; returns the walk's
+ * Walks @p ray alone with the scalar oracle walk, recording every
+ * sphere: its cells must hold exactly the oracle's hits, bit for bit,
+ * and it must find as many hits as the oracle. A one-ray packet
+ * traced with traceTile() at every supported dispatch level must write
+ * the same cells and count the same. Returns the oracle walk's
  * counters.
  */
 TraversalStats
@@ -97,24 +99,36 @@ expectLoneRayMatchesOracle(const Bvh &bvh, const std::vector<Sphere> &spheres,
     std::vector<float> want(spheres.size(), canary());
     const OracleTrace oracle = oracleTrace(ray, spheres);
     recordOracle(oracle, record, 1, 0, want.data());
-    std::vector<float> got(spheres.size(), canary());
+    std::vector<float> walked(spheres.size(), canary());
     TraversalStats stats;
-    bvh.traceTile(&ray, 1, spheres, record, got.data(), stats);
+    oracleWalk(bvh, spheres, ray, record, walked.data(), stats);
     for (std::size_t c = 0; c < want.size(); ++c)
-        EXPECT_EQ(bitsOf(want[c]), bitsOf(got[c])) << "prim " << c;
+        EXPECT_EQ(bitsOf(want[c]), bitsOf(walked[c])) << "prim " << c;
     EXPECT_EQ(stats.rays, 1u);
     EXPECT_EQ(stats.hits, oracle.stats.hits);
+
+    LevelGuard level_guard;
+    for (simd::Level level : supportedLevels()) {
+        EXPECT_TRUE(simd::setLevel(level));
+        std::vector<float> got(spheres.size(), canary());
+        TraversalStats got_stats;
+        bvh.traceTile(&ray, 1, spheres, record, got.data(), got_stats);
+        for (std::size_t c = 0; c < want.size(); ++c)
+            EXPECT_EQ(bitsOf(want[c]), bitsOf(got[c]))
+                << "prim " << c << " at " << simd::levelName(level);
+        expectSameStats(stats, got_stats);
+    }
     return stats;
 }
 
 /**
- * Traces @p rays (1..kRayLanes) one at a time (one-ray packets) and as
- * one packet with traceTile() at every supported dispatch level,
- * recording @p record. Each lone ray must equal the oracle
- * (expectLoneRayMatchesOracle). Lane i's cell of each recorded sphere
- * must hold the oracle's thit bits for ray i, every other cell and a
- * guard of kRayLanes cells on each side of the tile the canary, and
- * the packet's counters must equal the lone rays' sum. Returns the
+ * Walks @p rays (1..kRayLanes) one at a time (the scalar oracle walk,
+ * checked by expectLoneRayMatchesOracle) and traces them as one packet
+ * with traceTile() at every supported dispatch level, recording
+ * @p record. Lane i's cell of each recorded sphere must hold the
+ * oracle's thit bits for ray i, every other cell and a guard of
+ * kRayLanes cells on each side of the tile the canary, and the
+ * packet's counters must equal the lone walks' sum. Returns the
  * recorded hits.
  */
 std::size_t

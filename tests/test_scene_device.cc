@@ -59,12 +59,13 @@ expectSameStats(const TraversalStats &want, const TraversalStats &got,
 }
 
 /**
- * What kCudaFallback must count for a packet of @p count rays over
- * @p record that wrote @p recorded cells: one prim test per recorded
- * sphere per ray, no node visits or box tests.
+ * What the dense gate (every kCudaFallback packet, and a lone ray in
+ * either mode) must count for a packet of @p count rays over @p record
+ * that wrote @p recorded cells: one prim test per recorded sphere per
+ * ray, no node visits or box tests.
  */
 TraversalStats
-fallbackStats(int count, RecordRange record, std::size_t recorded)
+gateStats(int count, RecordRange record, std::size_t recorded)
 {
     TraversalStats stats;
     stats.rays = static_cast<std::uint64_t>(count);
@@ -154,8 +155,10 @@ TEST(RtDevice, StatsAccumulateAcrossTiles)
  * 1, 3, 9 and kRayLanes rays, recording a middle range of the grid's
  * spheres (the others are traced by the walk but never recorded). Per
  * lane the cells equal the oracle's thit bits for the recorded
- * spheres, at every SIMD level. kRtCore's counters equal its rays'
- * one-ray packets'; kCudaFallback counts only the recorded spheres.
+ * spheres, at every SIMD level. kRtCore's counters for a packet of
+ * two or more equal its rays' one-ray packet walks'; a lone ray (in
+ * either mode) and kCudaFallback take the dense gate and count only the
+ * recorded spheres.
  */
 TEST(RtDevice, TraceTileMatchesSingleRaysInBothModes)
 {
@@ -199,9 +202,9 @@ TEST(RtDevice, TraceTileMatchesSingleRaysInBothModes)
                 for (std::size_t c = 0; c < cells; ++c)
                     EXPECT_EQ(bits(want[c]), bits(got[c]))
                         << "cell " << c << " of " << where;
-                expectSameStats(mode == ExecMode::kRtCore
+                expectSameStats(mode == ExecMode::kRtCore && count > 1
                                     ? want_rt
-                                    : fallbackStats(count, record, recorded),
+                                    : gateStats(count, record, recorded),
                                 device.totalStats(), where);
             }
     }
@@ -209,18 +212,12 @@ TEST(RtDevice, TraceTileMatchesSingleRaysInBothModes)
 }
 
 /**
- * The no-RT fallback tests a ray against its own subspace's spheres
- * only. JUNO's scene shape (planes of spheres 4 apart, long rays that
- * also hit the next planes' spheres): the kCudaFallback tile equals the
- * kRtCore tile bit for bit at every level, and it counts exactly
- * count rays, count * E prim tests and the written cells as hits, with
- * no node visits or box tests, although the rays hit other subspaces'
- * spheres too.
+ * JUNO's scene shape: @p subspaces planes of @p entries radius-1
+ * spheres 4 apart (subspace s at z = 4s + 1), prim s * entries + e.
  */
-TEST(RtDevice, FallbackScansOnlyItsSubspace)
+Scene
+junoShapedScene(int subspaces, int entries, Rng &rng)
 {
-    const int subspaces = 4, entries = 40;
-    Rng rng(83);
     Scene scene;
     for (int s = 0; s < subspaces; ++s)
         for (int e = 0; e < entries; ++e) {
@@ -232,6 +229,37 @@ TEST(RtDevice, FallbackScansOnlyItsSubspace)
             scene.addSphere(sphere);
         }
     scene.build();
+    return scene;
+}
+
+/**
+ * A +z probe ray from subspace @p s's plane whose interval reaches the
+ * next planes' spheres too.
+ */
+Ray
+longProbeRay(int s, Rng &rng)
+{
+    Ray ray;
+    ray.origin = {rng.uniform(-0.8f, 0.8f), rng.uniform(-0.8f, 0.8f),
+                  4.0f * static_cast<float>(s)};
+    ray.tmin = -1e-4f;
+    ray.tmax = 12.0f;
+    return ray;
+}
+
+/**
+ * The no-RT fallback tests a ray against its own subspace's spheres
+ * only. On JUNO's scene shape, with long rays that also hit the next
+ * planes' spheres, the kCudaFallback tile equals the packet walk's
+ * (Scene::traceTile) bit for bit at every level, and it counts exactly
+ * count rays, count * E prim tests and the written cells as hits, with
+ * no node visits or box tests.
+ */
+TEST(RtDevice, FallbackScansOnlyItsSubspace)
+{
+    const int subspaces = 4, entries = 40;
+    Rng rng(83);
+    const Scene scene = junoShapedScene(subspaces, entries, rng);
     const float canary = std::numeric_limits<float>::quiet_NaN();
     const simd::Level saved = simd::level();
     for (int s = 0; s + 1 < subspaces; ++s)
@@ -239,11 +267,7 @@ TEST(RtDevice, FallbackScansOnlyItsSubspace)
             std::vector<Ray> rays(static_cast<std::size_t>(count));
             std::size_t all_hits = 0;
             for (auto &ray : rays) {
-                ray.origin = {rng.uniform(-0.8f, 0.8f),
-                              rng.uniform(-0.8f, 0.8f),
-                              4.0f * static_cast<float>(s)};
-                ray.tmin = -1e-4f;
-                ray.tmax = 12.0f;
+                ray = longProbeRay(s, rng);
                 all_hits += oracleTrace(ray, scene.spheres()).hits.size();
             }
             const RecordRange record{static_cast<std::uint32_t>(s * entries),
@@ -255,11 +279,11 @@ TEST(RtDevice, FallbackScansOnlyItsSubspace)
                                       simd::Level::kAvx512}) {
                 if (!simd::setLevel(level))
                     continue;
-                RtDevice walk(ExecMode::kRtCore);
                 RtDevice scan(ExecMode::kCudaFallback);
                 std::vector<float> want(cells, canary), got(cells, canary);
-                walk.traceTile(scene, rays.data(), count, record,
-                               want.data());
+                TraversalStats walked;
+                scene.traceTile(rays.data(), count, record, want.data(),
+                                walked);
                 scan.traceTile(scene, rays.data(), count, record,
                                got.data());
                 std::size_t recorded = 0;
@@ -274,10 +298,64 @@ TEST(RtDevice, FallbackScansOnlyItsSubspace)
                 EXPECT_GT(recorded, 0u) << where;
                 EXPECT_GT(all_hits, recorded)
                     << where << ": no foreign hit to skip";
-                expectSameStats(fallbackStats(count, record, recorded),
+                expectSameStats(gateStats(count, record, recorded),
                                 scan.totalStats(), where);
             }
         }
+    simd::setLevel(saved);
+}
+
+/**
+ * Under kRtCore a lone ray takes the dense gate, not the walk: at
+ * every level its tile equals the packet walk's (a one-ray
+ * Scene::traceTile) bit for bit, with a guard of canary cells on each
+ * side left untouched, and it counts exactly 1 ray, E prim tests, the
+ * written cells as hits and no node visits or box tests, although the
+ * walk also hits other subspaces' spheres (which neither records).
+ */
+TEST(RtDevice, LoneRayTakesDenseGate)
+{
+    const int subspaces = 5, entries = 37;
+    Rng rng(91);
+    const Scene scene = junoShapedScene(subspaces, entries, rng);
+    const float canary = std::numeric_limits<float>::quiet_NaN();
+    const std::size_t guard = simd::kRayLanes;
+    const std::size_t cells = static_cast<std::size_t>(entries) + 2 * guard;
+    const simd::Level saved = simd::level();
+    for (int trial = 0; trial < 24; ++trial) {
+        const int s = trial % (subspaces - 1);
+        const Ray ray = longProbeRay(s, rng);
+        const RecordRange record{static_cast<std::uint32_t>(s * entries),
+                                 static_cast<std::uint32_t>(entries)};
+        std::vector<float> want(cells, canary);
+        TraversalStats walked;
+        scene.traceTile(&ray, 1, record, want.data() + guard, walked);
+        std::size_t recorded = 0;
+        for (float t : want)
+            recorded += std::isnan(t) ? 0 : 1;
+        EXPECT_GT(walked.hits, recorded)
+            << "trial " << trial << ": no foreign hit to skip";
+        EXPECT_GT(walked.node_visits, 0u);
+        for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                                  simd::Level::kAvx512}) {
+            if (!simd::setLevel(level))
+                continue;
+            RtDevice device(ExecMode::kRtCore);
+            std::vector<float> got(cells, canary);
+            device.traceTile(scene, &ray, 1, record, got.data() + guard);
+            const std::string where = "trial " + std::to_string(trial) +
+                                      " at " + simd::levelName(level);
+            for (std::size_t c = 0; c < cells; ++c)
+                EXPECT_EQ(bits(want[c]), bits(got[c]))
+                    << "cell " << c << " (guard " << guard << ") of "
+                    << where;
+            TraversalStats exact;
+            exact.rays = 1;
+            exact.prim_tests = static_cast<std::uint64_t>(entries);
+            exact.hits = recorded;
+            expectSameStats(exact, device.totalStats(), where);
+        }
+    }
     simd::setLevel(saved);
 }
 

@@ -499,9 +499,13 @@ expectSameLut(const SelectiveLut &want, const SelectiveLut &got,
 
 /**
  * Builds kRayLanes queries' LUTs one at a time, then in groups of 2, 3
- * and kRayLanes, at every SIMD level: every LUT field must be bitwise
- * equal and the summed traversal counters identical. Probe counts mix
- * 8-probe queries with 1-probe ones (a plan-time deadline cut) and
+ * and kRayLanes, at every SIMD level and in both execution modes:
+ * every LUT field must be bitwise equal and the rays traced identical.
+ * Under kCudaFallback every ray takes the dense gate, so all summed
+ * traversal counters must be identical too; under kRtCore a ray that
+ * is alone in its packet takes the gate and the others the walk, so
+ * the other counters depend on the grouping by design. Probe counts
+ * mix 8-probe queries with 1-probe ones (a plan-time deadline cut) and
  * others, so packets span queries at every offset. Returns the rays
  * traced per pass.
  */
@@ -525,37 +529,50 @@ expectGroupInvariant(Fixture &fx, Metric metric)
 
     std::uint64_t rays = 0;
     const simd::Level saved = simd::level();
-    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
-                              simd::Level::kAvx512}) {
-        if (!simd::setLevel(level))
-            continue;
-        const std::string at = simd::levelName(level);
-        std::vector<SelectiveLut> alone(n);
-        fx.device.resetStats();
-        for (std::size_t i = 0; i < n; ++i)
-            fx.builder->buildInto(queries[i], probes[i], params, alone[i]);
-        const rt::TraversalStats alone_stats = fx.device.totalStats();
-        rays = alone_stats.rays;
-
-        for (std::size_t group : {std::size_t{2}, std::size_t{3}, n}) {
-            std::vector<SelectiveLut> grouped(n);
+    for (rt::ExecMode mode :
+         {rt::ExecMode::kRtCore, rt::ExecMode::kCudaFallback}) {
+        for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                                  simd::Level::kAvx512}) {
+            if (!simd::setLevel(level))
+                continue;
+            fx.device.setMode(mode);
+            const std::string at =
+                std::string(simd::levelName(level)) +
+                (mode == rt::ExecMode::kRtCore ? " rt" : " no-rt");
+            std::vector<SelectiveLut> alone(n);
             fx.device.resetStats();
-            for (std::size_t i0 = 0; i0 < n; i0 += group) {
-                std::vector<LutRequest> requests;
-                for (std::size_t i = i0; i < std::min(n, i0 + group); ++i)
-                    requests.push_back({queries[i], &probes[i], &grouped[i]});
-                fx.builder->buildGroup(requests.data(), requests.size(),
-                                       params);
-            }
-            const std::string where =
-                at + " groups of " + std::to_string(group);
-            expectSameStats(alone_stats, fx.device.totalStats(), where);
             for (std::size_t i = 0; i < n; ++i)
-                expectSameLut(alone[i], grouped[i],
-                              where + " query " + std::to_string(i));
+                fx.builder->buildInto(queries[i], probes[i], params,
+                                      alone[i]);
+            const rt::TraversalStats alone_stats = fx.device.totalStats();
+            rays = alone_stats.rays;
+
+            for (std::size_t group : {std::size_t{2}, std::size_t{3}, n}) {
+                std::vector<SelectiveLut> grouped(n);
+                fx.device.resetStats();
+                for (std::size_t i0 = 0; i0 < n; i0 += group) {
+                    std::vector<LutRequest> requests;
+                    for (std::size_t i = i0; i < std::min(n, i0 + group); ++i)
+                        requests.push_back(
+                            {queries[i], &probes[i], &grouped[i]});
+                    fx.builder->buildGroup(requests.data(), requests.size(),
+                                           params);
+                }
+                const std::string where =
+                    at + " groups of " + std::to_string(group);
+                if (mode == rt::ExecMode::kCudaFallback)
+                    expectSameStats(alone_stats, fx.device.totalStats(), where);
+                else
+                    EXPECT_EQ(alone_stats.rays, fx.device.totalStats().rays)
+                        << where;
+                for (std::size_t i = 0; i < n; ++i)
+                    expectSameLut(alone[i], grouped[i],
+                                  where + " query " + std::to_string(i));
+            }
         }
     }
     simd::setLevel(saved);
+    fx.device.setMode(rt::ExecMode::kRtCore);
     return rays;
 }
 

@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests of the SIMD kernel layer: every dispatched kernel must match
- * the scalar reference (bitwise for candidate compaction, the ray-lane
- * kernels and the LUT finish, 1e-4 relative for float reductions)
- * across odd dimensions, and flipping the dispatch level must not
- * change the top-k ids an index returns. The interleaved ADC scan and
- * the 4-bit fast scan are checked in test_fastscan.
+ * the scalar reference (bitwise for candidate compaction, the sphere
+ * gate and the LUT finish, 1e-4 relative for float reductions) across
+ * odd dimensions, and flipping the dispatch level must not change the
+ * top-k ids an index returns. The packet walk's per-level lane
+ * operations (common/ray_lanes.h) are checked against the single-ray
+ * geometry here too. The interleaved ADC scan and the 4-bit fast scan
+ * are checked in test_fastscan.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 
 #include "baseline/flat_index.h"
 #include "baseline/ivfpq_index.h"
+#include "common/ray_lanes.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "dataset/synthetic.h"
@@ -208,7 +211,93 @@ lanesOf(const rt::Ray (&rays)[simd::kRayLanes])
 }
 
 /**
- * Checks both ray-packet kernels of every table against the
+ * One level's packet lane operations (common/ray_lanes.h, which the
+ * packet walk inlines) behind plain calls: box() returns the hit mask,
+ * sphere() the hit mask with the hit lanes' times stored to thit.
+ */
+struct LaneOps {
+    const char *name;
+    std::uint32_t (*box)(const simd::RayLanes &rays, std::uint32_t active,
+                         const rt::Aabb &box);
+    std::uint32_t (*sphere)(const simd::RayLanes &rays,
+                            std::uint32_t active, const rt::Sphere &sphere,
+                            float *thit);
+};
+
+template <typename Lanes>
+std::uint32_t
+laneSphere(const simd::RayLanes &rays, std::uint32_t active,
+           const rt::Sphere &s, float *thit)
+{
+    typename Lanes::Times t;
+    const std::uint32_t hit = Lanes(rays).sphere(
+        active, s.center.x, s.center.y, s.center.z, s.radius, t);
+    Lanes::store(t, hit, thit);
+    return hit;
+}
+
+std::uint32_t
+boxScalar(const simd::RayLanes &r, std::uint32_t active, const rt::Aabb &b)
+{
+    return simd::ScalarRayLanes(r).box(active, b.lo.x, b.lo.y, b.lo.z,
+                                       b.hi.x, b.hi.y, b.hi.z);
+}
+
+std::uint32_t
+sphereScalar(const simd::RayLanes &r, std::uint32_t active,
+             const rt::Sphere &s, float *thit)
+{
+    return laneSphere<simd::ScalarRayLanes>(r, active, s, thit);
+}
+
+#if JUNO_SIMD_X86
+JUNO_TARGET_AVX2 std::uint32_t
+boxAvx2(const simd::RayLanes &r, std::uint32_t active, const rt::Aabb &b)
+{
+    return simd::Avx2RayLanes(r).box(active, b.lo.x, b.lo.y, b.lo.z, b.hi.x,
+                                     b.hi.y, b.hi.z);
+}
+
+JUNO_TARGET_AVX2 std::uint32_t
+sphereAvx2(const simd::RayLanes &r, std::uint32_t active,
+           const rt::Sphere &s, float *thit)
+{
+    return laneSphere<simd::Avx2RayLanes>(r, active, s, thit);
+}
+
+JUNO_TARGET_AVX512 std::uint32_t
+boxAvx512(const simd::RayLanes &r, std::uint32_t active, const rt::Aabb &b)
+{
+    return simd::Avx512RayLanes(r).box(active, b.lo.x, b.lo.y, b.lo.z,
+                                       b.hi.x, b.hi.y, b.hi.z);
+}
+
+JUNO_TARGET_AVX512 std::uint32_t
+sphereAvx512(const simd::RayLanes &r, std::uint32_t active,
+             const rt::Sphere &s, float *thit)
+{
+    return laneSphere<simd::Avx512RayLanes>(r, active, s, thit);
+}
+#endif
+
+const LaneOps kScalarLanes = {"scalar", &boxScalar, &sphereScalar};
+
+/** The lane operations of every level this host can run. */
+std::vector<LaneOps>
+runnableLaneOps()
+{
+    std::vector<LaneOps> out{kScalarLanes};
+#if JUNO_SIMD_X86
+    if (simd::supported(simd::Level::kAvx2))
+        out.push_back({"avx2", &boxAvx2, &sphereAvx2});
+    if (simd::supported(simd::Level::kAvx512))
+        out.push_back({"avx512", &boxAvx512, &sphereAvx512});
+#endif
+    return out;
+}
+
+/**
+ * Checks the box and sphere lane operations of every level against the
  * single-ray geometry (Aabb::hitBy, intersectSphere) lane by lane:
  * same masks, same thit bits, inactive lanes never reported.
  */
@@ -229,22 +318,16 @@ expectRayKernelsMatchGeometry(const rt::Ray (&rays)[simd::kRayLanes],
         if (rt::intersectSphere(rays[i], sphere, want_t[i]))
             want_sphere |= 1u << i;
     }
-    for (const simd::Kernels *k : runnableTables()) {
-        EXPECT_EQ(want_box,
-                  k->ray_box_lanes(lanes, active, box.lo.x, box.lo.y,
-                                   box.lo.z, box.hi.x, box.hi.y, box.hi.z))
-            << k->name;
+    for (const LaneOps &ops : runnableLaneOps()) {
+        EXPECT_EQ(want_box, ops.box(lanes, active, box)) << ops.name;
         float got_t[simd::kRayLanes];
-        EXPECT_EQ(want_sphere,
-                  k->ray_sphere_lanes(lanes, active, sphere.center.x,
-                                      sphere.center.y, sphere.center.z,
-                                      sphere.radius, got_t))
-            << k->name;
+        EXPECT_EQ(want_sphere, ops.sphere(lanes, active, sphere, got_t))
+            << ops.name;
         for (int i = 0; i < simd::kRayLanes; ++i) {
             if ((want_sphere >> i & 1u) == 0)
                 continue;
             EXPECT_EQ(bitsOf(want_t[i]), bitsOf(got_t[i]))
-                << k->name << " lane " << i;
+                << ops.name << " lane " << i;
         }
     }
 }
@@ -311,17 +394,13 @@ TEST(Simd, RayKernelsAdversarialLanes)
     slab[7].tmin = 3.0f; // box behind the interval
     for (std::uint32_t active : {0xFFu, 0x0Fu})
         expectRayKernelsMatchGeometry(slab, box, sphere, active);
-    const std::uint32_t in_box =
-        simd::table(simd::Level::kScalar)
-            .ray_box_lanes(lanesOf(slab), 0xFFu, box.lo.x, box.lo.y,
-                           box.lo.z, box.hi.x, box.hi.y, box.hi.z);
+    const std::uint32_t in_box = kScalarLanes.box(lanesOf(slab), 0xFFu, box);
     EXPECT_EQ(in_box, 0x7Fu);
 
     // The adversarial outcomes are what the comments claim.
-    const simd::Kernels &scalar = simd::table(simd::Level::kScalar);
     float t[simd::kRayLanes];
-    const std::uint32_t hit = scalar.ray_sphere_lanes(
-        lanesOf(rays), 0xFFFFu, 0.0f, 0.0f, 1.0f, 0.5f, t);
+    const std::uint32_t hit =
+        kScalarLanes.sphere(lanesOf(rays), 0xFFFFu, sphere, t);
     EXPECT_EQ(hit, 0x4D4Du); // lanes 0, 2, 3, 6 of both halves
     EXPECT_TRUE(std::isnan(t[2]));
     EXPECT_TRUE(std::isnan(t[10]));
@@ -359,6 +438,147 @@ TEST(Simd, RayKernelsRandomLanesMatchGeometry)
                 static_cast<std::uint32_t>(
                     rng.below(1u << simd::kRayLanes)) & half);
     }
+}
+
+/** The canary no gate may write over except at a hit sphere's cell. */
+float
+gateCanary()
+{
+    const std::uint32_t u = 0x7FC5A5A5u;
+    float f;
+    std::memcpy(&f, &u, sizeof(f));
+    return f;
+}
+
+/**
+ * Checks sphere_gate of every table against rt::intersectSphere on the
+ * AoS spheres: for each stride, lane i = stride - 1 of an [e][lane]
+ * tile must hold exactly the hit spheres' thit bits, every other cell
+ * (other lanes, missed spheres, a guard of 32 cells past the tile) the
+ * canary, and every table must return the hit count. Returns the hits.
+ */
+std::size_t
+expectGateMatchesGeometry(const rt::Ray &ray,
+                          const std::vector<rt::Sphere> &spheres)
+{
+    const std::size_t count = spheres.size();
+    std::vector<float> cx(count), cy(count), cz(count), r2(count);
+    for (std::size_t e = 0; e < count; ++e) {
+        cx[e] = spheres[e].center.x;
+        cy[e] = spheres[e].center.y;
+        cz[e] = spheres[e].center.z;
+        r2[e] = spheres[e].radius * spheres[e].radius;
+    }
+    const simd::SpherePlanes planes{cx.data(), cy.data(), cz.data(),
+                                    r2.data()};
+    const simd::GateRay gate{ray.origin.x, ray.origin.y, ray.origin.z,
+                             ray.dir.x,    ray.dir.y,    ray.dir.z,
+                             ray.tmin,     ray.tmax};
+    const std::size_t guard = 32;
+    std::size_t hits = 0;
+    for (std::size_t stride : {std::size_t{1}, std::size_t{3},
+                               std::size_t{simd::kRayLanes}}) {
+        const std::size_t lane = stride - 1;
+        std::vector<float> want(count * stride + guard, gateCanary());
+        hits = 0;
+        for (std::size_t e = 0; e < count; ++e) {
+            float t;
+            if (rt::intersectSphere(ray, spheres[e], t)) {
+                want[e * stride + lane] = t;
+                ++hits;
+            }
+        }
+        for (const simd::Kernels *k : runnableTables()) {
+            std::vector<float> got(want.size(), gateCanary());
+            EXPECT_EQ(hits, k->sphere_gate(gate, planes, count,
+                                           got.data() + lane, stride))
+                << k->name << " E=" << count << " stride " << stride;
+            for (std::size_t c = 0; c < want.size(); ++c)
+                EXPECT_EQ(bitsOf(want[c]), bitsOf(got[c]))
+                    << k->name << " E=" << count << " stride " << stride
+                    << " cell " << c;
+        }
+    }
+    return hits;
+}
+
+/**
+ * JUNO-shaped spheres (one plane at z = 1, radii around 1) and +z rays
+ * from z = 0, for every entry count around the vector widths: origins
+ * inside spheres (entry root before tmin, so the exit root), spheres
+ * beside the ray (disc < 0), a tmax that cuts some entry roots, and a
+ * non-unit oblique direction.
+ */
+TEST(Simd, SphereGateBitwiseAcrossTablesAndShapes)
+{
+    Rng rng(27);
+    for (std::size_t entries : {1, 15, 16, 17, 40, 128, 200}) {
+        std::vector<rt::Sphere> spheres(entries);
+        for (auto &s : spheres) {
+            s.center = {rng.uniform(-1.5f, 1.5f), rng.uniform(-1.5f, 1.5f),
+                        1.0f};
+            s.radius = rng.uniform(0.3f, 1.3f);
+        }
+        std::size_t hits = 0, misses = 0;
+        for (int trial = 0; trial < 12; ++trial) {
+            rt::Ray ray;
+            ray.origin = {rng.uniform(-1.0f, 1.0f), rng.uniform(-1.0f, 1.0f),
+                          0.0f};
+            ray.tmin = -1e-4f;
+            ray.tmax = rng.uniform(0.2f, 2.0f);
+            switch (trial % 4) {
+              case 1: // origin inside spheres: exit roots
+                ray.origin.z = 1.0f;
+                ray.tmin = 0.0f;
+                break;
+              case 2: // non-unit oblique direction
+                ray.dir = {rng.uniform(-0.3f, 0.3f), rng.uniform(-0.3f, 0.3f),
+                           rng.uniform(0.5f, 2.0f)};
+                break;
+              case 3: // tight tmax: cuts entry roots
+                ray.tmax = rng.uniform(0.0f, 0.3f);
+                break;
+              default:
+                break;
+            }
+            const std::size_t h = expectGateMatchesGeometry(ray, spheres);
+            hits += h;
+            misses += entries - h;
+        }
+        EXPECT_GT(hits, 0u) << "E=" << entries;
+        EXPECT_GT(misses, 0u) << "E=" << entries;
+    }
+}
+
+/**
+ * The adversarial single-sphere outcomes of RayKernelsAdversarialLanes,
+ * in the gate's layout: beside the sphere (disc < 0), entry root before
+ * tmin (exit root), beyond tmax, both roots before tmin, an infinite
+ * origin (NaN disc, passed through with a NaN thit as intersectSphere
+ * does), and an empty interval.
+ */
+TEST(Simd, SphereGateAdversarialRays)
+{
+    std::vector<rt::Sphere> spheres(17);
+    for (std::size_t e = 0; e < spheres.size(); ++e) {
+        spheres[e].center = {0.05f * static_cast<float>(e), 0.0f, 1.0f};
+        spheres[e].radius = 0.5f;
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<rt::Ray> rays(6);
+    rays[0].origin = {2.0f, 0.0f, 0.0f};
+    rays[1].origin = {0.0f, 0.2f, 0.0f};
+    rays[1].tmin = 0.8f;
+    rays[1].tmax = 10.0f;
+    rays[2].tmax = 0.3f;
+    rays[3].tmin = 2.0f;
+    rays[4].origin = {inf, 0.0f, 0.0f};
+    rays[5].tmin = 1.0f;
+    rays[5].tmax = 0.5f;
+    const std::size_t want_hits[] = {0, 10, 0, 0, 17, 0};
+    for (std::size_t r = 0; r < rays.size(); ++r)
+        EXPECT_EQ(expectGateMatchesGeometry(rays[r], spheres), want_hits[r])
+            << "ray " << r;
 }
 
 /**
