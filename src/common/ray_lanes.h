@@ -20,6 +20,11 @@
  * kRayHalfLanes halves and skips a half with no active lane, and the
  * AVX-512 type holds all kRayLanes lanes of every ray component in
  * registers.
+ *
+ * The SIMD sphere tests go through one helper per tier,
+ * sphereLanesAvx2 / sphereLanesAvx512, which the dense gate
+ * (simd::Kernels::sphere_gate) calls too with the ray broadcast and
+ * the spheres in the lanes.
  */
 #ifndef JUNO_COMMON_RAY_LANES_H
 #define JUNO_COMMON_RAY_LANES_H
@@ -29,6 +34,7 @@
 #include <utility>
 
 #include "common/simd.h"
+#include "rtcore/geometry.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define JUNO_SIMD_X86 1
@@ -62,7 +68,10 @@ laneCountScalar(std::uint32_t mask)
     return static_cast<int>((mask * 0x01010101u) >> 24);
 }
 
-/** Scalar lanes: rt::Aabb::hitBy and rt::intersectSphere per lane. */
+/**
+ * Scalar lanes: rt::Aabb::hitBy (written out) and rt::intersectSphere
+ * (called) per lane.
+ */
 class ScalarRayLanes {
   public:
     struct Times {
@@ -91,28 +100,19 @@ class ScalarRayLanes {
     sphere(std::uint32_t active, float cx, float cy, float cz,
            float radius, Times &thit) const
     {
+        rt::Sphere sphere;
+        sphere.center = {cx, cy, cz};
+        sphere.radius = radius;
         std::uint32_t hit = 0;
         for (std::uint32_t m = active; m != 0; m &= m - 1u) {
             const int i = __builtin_ctz(m);
-            const float ocx = r_.ox[i] - cx, ocy = r_.oy[i] - cy,
-                        ocz = r_.oz[i] - cz;
-            const float a = r_.dx[i] * r_.dx[i] + r_.dy[i] * r_.dy[i] +
-                            r_.dz[i] * r_.dz[i];
-            const float half_b =
-                ocx * r_.dx[i] + ocy * r_.dy[i] + ocz * r_.dz[i];
-            const float c =
-                ocx * ocx + ocy * ocy + ocz * ocz - radius * radius;
-            const float disc = half_b * half_b - a * c;
-            if (disc < 0.0f)
-                continue;
-            const float sqrt_disc = std::sqrt(disc);
-            float t = (-half_b - sqrt_disc) / a;
-            if (t < r_.tmin[i])
-                t = (-half_b + sqrt_disc) / a;
-            if (t < r_.tmin[i] || t > r_.tmax[i])
-                continue;
-            thit.t[i] = t;
-            hit |= 1u << i;
+            rt::Ray ray;
+            ray.origin = {r_.ox[i], r_.oy[i], r_.oz[i]};
+            ray.dir = {r_.dx[i], r_.dy[i], r_.dz[i]};
+            ray.tmin = r_.tmin[i];
+            ray.tmax = r_.tmax[i];
+            if (rt::intersectSphere(ray, sphere, thit.t[i]))
+                hit |= 1u << i;
         }
         return hit;
     }
@@ -159,6 +159,58 @@ laneMaskAvx2(std::uint32_t mask)
     return _mm256_cmpeq_epi32(
         _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(mask)), bit),
         bit);
+}
+
+/**
+ * rt::intersectSphere on eight ray/sphere pairs, one per lane, with
+ * separate multiplies and adds (no FMA) in the scalar evaluation
+ * order: oc = origin - centre, d the direction, a = |d|^2, r2 the
+ * squared radius (the float product radius * radius) and [tmin, tmax]
+ * the interval. The packet walk broadcasts the sphere and the dense
+ * gate broadcasts the ray; both call this. Ordered compares are false
+ * on NaN, so a NaN discriminant passes as it does in the scalar code.
+ * Two skips keep every counted lane's bits: x / 1.0f is x exactly (a
+ * quiet NaN passes through unchanged), so with @p unit (a is 1 in
+ * every lane of @p act) the divisions are skipped, as for JUNO's unit
+ * +z rays; and the exit root is computed only when a lane of @p act
+ * (all-ones lanes) has its entry root before tmin. Returns the hit
+ * mask of the eight lanes, their hit times in @p thit; lanes outside
+ * @p act are unspecified.
+ */
+JUNO_TARGET_AVX2 inline std::uint32_t
+sphereLanesAvx2(__m256 act, bool unit, __m256 ocx, __m256 ocy, __m256 ocz,
+                __m256 dx, __m256 dy, __m256 dz, __m256 a, __m256 r2,
+                __m256 tmin, __m256 tmax, __m256 &thit)
+{
+    const __m256 half_b = _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(ocx, dx), _mm256_mul_ps(ocy, dy)),
+        _mm256_mul_ps(ocz, dz));
+    const __m256 c = _mm256_sub_ps(
+        _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(ocx, ocx),
+                                    _mm256_mul_ps(ocy, ocy)),
+                      _mm256_mul_ps(ocz, ocz)),
+        r2);
+    const __m256 disc =
+        _mm256_sub_ps(_mm256_mul_ps(half_b, half_b), _mm256_mul_ps(a, c));
+    const __m256 sqrt_disc = _mm256_sqrt_ps(disc);
+    const __m256 neg_half_b = _mm256_xor_ps(half_b, _mm256_set1_ps(-0.0f));
+    __m256 t = _mm256_sub_ps(neg_half_b, sqrt_disc);
+    if (!unit)
+        t = _mm256_div_ps(t, a);
+    const __m256 exit_lanes =
+        _mm256_and_ps(act, _mm256_cmp_ps(t, tmin, _CMP_LT_OQ));
+    if (!_mm256_testz_ps(exit_lanes, exit_lanes)) {
+        __m256 t_exit = _mm256_add_ps(neg_half_b, sqrt_disc);
+        if (!unit)
+            t_exit = _mm256_div_ps(t_exit, a);
+        t = _mm256_blendv_ps(t, t_exit, exit_lanes);
+    }
+    const __m256 miss = _mm256_or_ps(
+        _mm256_cmp_ps(disc, _mm256_setzero_ps(), _CMP_LT_OQ),
+        _mm256_or_ps(_mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
+                     _mm256_cmp_ps(t, tmax, _CMP_GT_OQ)));
+    thit = t;
+    return static_cast<std::uint32_t>(~_mm256_movemask_ps(miss) & 0xFF);
 }
 
 /** Two eight-lane halves; a half with no active lane is skipped. */
@@ -257,11 +309,9 @@ class Avx2RayLanes {
     }
 
     /**
-     * rt::intersectSphere on the eight lanes from @p lane0 (@p active:
-     * the half's lane mask) with separate multiplies and adds (no FMA)
-     * in the scalar evaluation order. Ordered compares are false on
-     * NaN, so a NaN discriminant passes as it does in the scalar code.
-     * Returns the hit mask of the eight lanes.
+     * sphereLanesAvx2 on the eight lanes from @p lane0 (@p active: the
+     * half's lane mask) against one sphere. Returns the hit mask of
+     * the eight lanes.
      */
     JUNO_TARGET_AVX2 std::uint32_t
     sphereHalf(int lane0, std::uint32_t active, float cx, float cy,
@@ -270,56 +320,20 @@ class Avx2RayLanes {
         const __m256 dx = _mm256_load_ps(r_.dx + lane0);
         const __m256 dy = _mm256_load_ps(r_.dy + lane0);
         const __m256 dz = _mm256_load_ps(r_.dz + lane0);
-        const __m256 ocx = _mm256_sub_ps(_mm256_load_ps(r_.ox + lane0),
-                                         _mm256_set1_ps(cx));
-        const __m256 ocy = _mm256_sub_ps(_mm256_load_ps(r_.oy + lane0),
-                                         _mm256_set1_ps(cy));
-        const __m256 ocz = _mm256_sub_ps(_mm256_load_ps(r_.oz + lane0),
-                                         _mm256_set1_ps(cz));
         const __m256 a = _mm256_add_ps(
             _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
             _mm256_mul_ps(dz, dz));
-        const __m256 half_b = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(ocx, dx), _mm256_mul_ps(ocy, dy)),
-            _mm256_mul_ps(ocz, dz));
-        const __m256 c = _mm256_sub_ps(
-            _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(ocx, ocx),
-                                        _mm256_mul_ps(ocy, ocy)),
-                          _mm256_mul_ps(ocz, ocz)),
-            _mm256_set1_ps(radius * radius));
-        const __m256 disc = _mm256_sub_ps(_mm256_mul_ps(half_b, half_b),
-                                          _mm256_mul_ps(a, c));
-        const __m256 sqrt_disc = _mm256_sqrt_ps(disc);
-        const __m256 neg_half_b =
-            _mm256_xor_ps(half_b, _mm256_set1_ps(-0.0f));
-        const __m256 tmin = _mm256_load_ps(r_.tmin + lane0);
-        // Two skips that keep every active lane's bits. x / 1.0f is x
-        // exactly (a quiet NaN passes through unchanged), so the
-        // divisions by |d|^2 are skipped when every active lane's is 1,
-        // as for JUNO's unit +z rays; and the exit root is computed
-        // only when an active lane's entry root lies before tmin.
-        // Inactive lanes' thit is unspecified.
         const __m256 act = _mm256_castsi256_ps(laneMaskAvx2(active));
         const bool unit = _mm256_testz_ps(
             act, _mm256_cmp_ps(a, _mm256_set1_ps(1.0f), _CMP_NEQ_UQ));
-        __m256 t = _mm256_sub_ps(neg_half_b, sqrt_disc);
-        if (!unit)
-            t = _mm256_div_ps(t, a);
-        const __m256 exit_lanes =
-            _mm256_and_ps(act, _mm256_cmp_ps(t, tmin, _CMP_LT_OQ));
-        if (!_mm256_testz_ps(exit_lanes, exit_lanes)) {
-            __m256 t_exit = _mm256_add_ps(neg_half_b, sqrt_disc);
-            if (!unit)
-                t_exit = _mm256_div_ps(t_exit, a);
-            t = _mm256_blendv_ps(t, t_exit, exit_lanes);
-        }
-        const __m256 miss = _mm256_or_ps(
-            _mm256_cmp_ps(disc, _mm256_setzero_ps(), _CMP_LT_OQ),
-            _mm256_or_ps(_mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
-                         _mm256_cmp_ps(t, _mm256_load_ps(r_.tmax + lane0),
-                                       _CMP_GT_OQ)));
-        thit = t;
-        return static_cast<std::uint32_t>(~_mm256_movemask_ps(miss) & 0xFF);
+        return sphereLanesAvx2(
+            act, unit,
+            _mm256_sub_ps(_mm256_load_ps(r_.ox + lane0), _mm256_set1_ps(cx)),
+            _mm256_sub_ps(_mm256_load_ps(r_.oy + lane0), _mm256_set1_ps(cy)),
+            _mm256_sub_ps(_mm256_load_ps(r_.oz + lane0), _mm256_set1_ps(cz)),
+            dx, dy, dz, a, _mm256_set1_ps(radius * radius),
+            _mm256_load_ps(r_.tmin + lane0), _mm256_load_ps(r_.tmax + lane0),
+            thit);
     }
 
     const RayLanes &r_;
@@ -329,6 +343,49 @@ class Avx2RayLanes {
  * simd.cc) avoid GCC 12's -Wuninitialized false positive on the
  * unmasked 512-bit min/max/sqrt intrinsics. */
 constexpr __mmask16 kAllLanes16 = 0xFFFF;
+
+/**
+ * sphereLanesAvx2 on sixteen lanes, the compares producing k-masks:
+ * the same operations in the same order, so the same bits. Returns the
+ * lanes of @p act that hit.
+ */
+JUNO_TARGET_AVX512 inline __mmask16
+sphereLanesAvx512(__mmask16 act, bool unit, __m512 ocx, __m512 ocy,
+                  __m512 ocz, __m512 dx, __m512 dy, __m512 dz, __m512 a,
+                  __m512 r2, __m512 tmin, __m512 tmax, __m512 &thit)
+{
+    const __m512 half_b = _mm512_add_ps(
+        _mm512_add_ps(_mm512_mul_ps(ocx, dx), _mm512_mul_ps(ocy, dy)),
+        _mm512_mul_ps(ocz, dz));
+    const __m512 c = _mm512_sub_ps(
+        _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(ocx, ocx),
+                                    _mm512_mul_ps(ocy, ocy)),
+                      _mm512_mul_ps(ocz, ocz)),
+        r2);
+    const __m512 disc =
+        _mm512_sub_ps(_mm512_mul_ps(half_b, half_b), _mm512_mul_ps(a, c));
+    const __m512 sqrt_disc = _mm512_maskz_sqrt_ps(kAllLanes16, disc);
+    // Sign flip by integer xor: vxorps on zmm needs AVX512DQ.
+    const __m512 neg_half_b = _mm512_castsi512_ps(_mm512_xor_si512(
+        _mm512_castps_si512(half_b), _mm512_set1_epi32(INT32_MIN)));
+    __m512 t = _mm512_sub_ps(neg_half_b, sqrt_disc);
+    if (!unit)
+        t = _mm512_div_ps(t, a);
+    const __mmask16 exit_lanes =
+        _mm512_mask_cmp_ps_mask(act, t, tmin, _CMP_LT_OQ);
+    if (exit_lanes != 0) {
+        __m512 t_exit = _mm512_add_ps(neg_half_b, sqrt_disc);
+        if (!unit)
+            t_exit = _mm512_div_ps(t_exit, a);
+        t = _mm512_mask_blend_ps(exit_lanes, t, t_exit);
+    }
+    const __mmask16 miss =
+        _mm512_cmp_ps_mask(disc, _mm512_setzero_ps(), _CMP_LT_OQ) |
+        _mm512_cmp_ps_mask(t, tmin, _CMP_LT_OQ) |
+        _mm512_cmp_ps_mask(t, tmax, _CMP_GT_OQ);
+    thit = t;
+    return static_cast<__mmask16>(act & ~miss);
+}
 
 /**
  * All sixteen lanes of every ray component in zmm registers, loaded
@@ -373,45 +430,13 @@ class Avx512RayLanes {
     sphere(std::uint32_t active, float cx, float cy, float cz,
            float radius, Times &thit) const
     {
-        const __m512 ocx = _mm512_sub_ps(ox_, _mm512_set1_ps(cx));
-        const __m512 ocy = _mm512_sub_ps(oy_, _mm512_set1_ps(cy));
-        const __m512 ocz = _mm512_sub_ps(oz_, _mm512_set1_ps(cz));
-        const __m512 half_b = _mm512_add_ps(
-            _mm512_add_ps(_mm512_mul_ps(ocx, dx_), _mm512_mul_ps(ocy, dy_)),
-            _mm512_mul_ps(ocz, dz_));
-        const __m512 c = _mm512_sub_ps(
-            _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(ocx, ocx),
-                                        _mm512_mul_ps(ocy, ocy)),
-                          _mm512_mul_ps(ocz, ocz)),
-            _mm512_set1_ps(radius * radius));
-        const __m512 disc = _mm512_sub_ps(_mm512_mul_ps(half_b, half_b),
-                                          _mm512_mul_ps(a_, c));
-        const __m512 sqrt_disc = _mm512_maskz_sqrt_ps(kAllLanes16, disc);
-        // Sign flip by integer xor: vxorps on zmm needs AVX512DQ.
-        const __m512 neg_half_b = _mm512_castsi512_ps(_mm512_xor_si512(
-            _mm512_castps_si512(half_b), _mm512_set1_epi32(INT32_MIN)));
         const auto act = static_cast<__mmask16>(active);
-        // Skips (see Avx2RayLanes::sphereHalf): the divisions by a unit
-        // |d|^2 and the exit root no active lane takes.
-        const bool unit = (act & non_unit_) == 0;
-        __m512 t = _mm512_sub_ps(neg_half_b, sqrt_disc);
-        if (!unit)
-            t = _mm512_div_ps(t, a_);
-        const __mmask16 exit_lanes =
-            _mm512_mask_cmp_ps_mask(act, t, tmin_, _CMP_LT_OQ);
-        if (exit_lanes != 0) {
-            __m512 t_exit = _mm512_add_ps(neg_half_b, sqrt_disc);
-            if (!unit)
-                t_exit = _mm512_div_ps(t_exit, a_);
-            t = _mm512_mask_blend_ps(exit_lanes, t, t_exit);
-        }
-        const __mmask16 miss =
-            _mm512_cmp_ps_mask(disc, _mm512_setzero_ps(), _CMP_LT_OQ) |
-            _mm512_cmp_ps_mask(t, tmin_, _CMP_LT_OQ) |
-            _mm512_cmp_ps_mask(t, tmax_, _CMP_GT_OQ);
-        thit = t;
-        return static_cast<std::uint32_t>(static_cast<__mmask16>(~miss)) &
-               active;
+        return sphereLanesAvx512(
+            act, (act & non_unit_) == 0,
+            _mm512_sub_ps(ox_, _mm512_set1_ps(cx)),
+            _mm512_sub_ps(oy_, _mm512_set1_ps(cy)),
+            _mm512_sub_ps(oz_, _mm512_set1_ps(cz)), dx_, dy_, dz_, a_,
+            _mm512_set1_ps(radius * radius), tmin_, tmax_, thit);
     }
 
     /** Masked store straight from the mask register (k-mask). */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -10,6 +11,7 @@
 
 #include "common/logging.h"
 #include "common/ray_lanes.h"
+#include "rtcore/geometry.h"
 
 namespace juno {
 namespace simd {
@@ -193,47 +195,16 @@ compactCandidatesScalar(const float *acc, const std::int32_t *hits,
     }
 }
 
-/**
- * rt::intersectSphere for sphere @p e of @p sp, verbatim (same
- * operations in the same order); @p a is |d|^2 of @p ray.
- */
-inline bool
-gateOne(const GateRay &ray, float a, const SpherePlanes &sp, std::size_t e,
-        float &thit)
-{
-    const float ocx = ray.ox - sp.cx[e], ocy = ray.oy - sp.cy[e],
-                ocz = ray.oz - sp.cz[e];
-    const float half_b = ocx * ray.dx + ocy * ray.dy + ocz * ray.dz;
-    const float c = ocx * ocx + ocy * ocy + ocz * ocz - sp.r2[e];
-    const float disc = half_b * half_b - a * c;
-    if (disc < 0.0f)
-        return false;
-    const float sqrt_disc = std::sqrt(disc);
-    float t = (-half_b - sqrt_disc) / a;
-    if (t < ray.tmin)
-        t = (-half_b + sqrt_disc) / a;
-    if (t < ray.tmin || t > ray.tmax)
-        return false;
-    thit = t;
-    return true;
-}
-
-inline float
-gateDirSqr(const GateRay &ray)
-{
-    return ray.dx * ray.dx + ray.dy * ray.dy + ray.dz * ray.dz;
-}
-
 /** Spheres [e0, count) one at a time: the scalar table, the AVX2 tail. */
 std::uint32_t
-sphereGateCells(const GateRay &ray, const SpherePlanes &sp, std::size_t e0,
-                std::size_t count, float *out, std::size_t stride)
+sphereGateCells(const rt::Ray &ray, const rt::Sphere *spheres,
+                std::size_t e0, std::size_t count, float *out,
+                std::size_t stride)
 {
-    const float a = gateDirSqr(ray);
     std::uint32_t hits = 0;
     for (std::size_t e = e0; e < count; ++e) {
         float t;
-        if (gateOne(ray, a, sp, e, t)) {
+        if (rt::intersectSphere(ray, spheres[e], t)) {
             out[e * stride] = t;
             ++hits;
         }
@@ -241,11 +212,16 @@ sphereGateCells(const GateRay &ray, const SpherePlanes &sp, std::size_t e0,
     return hits;
 }
 
+// The vector gates load spheres as four floats: centre x, y, z, radius.
+static_assert(sizeof(rt::Sphere) == 4 * sizeof(float) &&
+                  offsetof(rt::Sphere, radius) == 3 * sizeof(float),
+              "rt::Sphere is not four packed floats");
+
 std::uint32_t
-sphereGateScalar(const GateRay &ray, const SpherePlanes &sp,
+sphereGateScalar(const rt::Ray &ray, const rt::Sphere *spheres,
                  std::size_t count, float *out, std::size_t stride)
 {
-    return sphereGateCells(ray, sp, 0, count, out, stride);
+    return sphereGateCells(ray, spheres, 0, count, out, stride);
 }
 
 /**
@@ -858,61 +834,61 @@ compactCandidatesAvx2(const float *acc, const std::int32_t *hits,
 }
 
 /**
- * Eight spheres per step (the planes' next eight entries in the
- * lanes): gateOne's operations as separate multiplies, adds and
- * divides, with Avx2RayLanes::sphereHalf's two skips (the divisions
- * by a unit |d|^2, and the exit root when no sphere's entry root lies
- * before tmin). Hit lanes are stored with one masked store at stride
- * 1 and one by one otherwise; the tail goes through the scalar cells.
+ * The eight spheres from @p s as centre and radius planes: four loads
+ * of two spheres each, then a 4x8 transpose in registers.
+ */
+JUNO_TARGET_AVX2 inline void
+loadSpheresAvx2(const rt::Sphere *s, __m256 &cx, __m256 &cy, __m256 &cz,
+                __m256 &r)
+{
+    const auto *f = reinterpret_cast<const float *>(s);
+    const __m256 s01 = _mm256_loadu_ps(f), s23 = _mm256_loadu_ps(f + 8),
+                 s45 = _mm256_loadu_ps(f + 16), s67 = _mm256_loadu_ps(f + 24);
+    // Spheres j (low half) and j + 4 (high half) of each 128-bit lane.
+    const __m256 s04 = _mm256_permute2f128_ps(s01, s45, 0x20);
+    const __m256 s15 = _mm256_permute2f128_ps(s01, s45, 0x31);
+    const __m256 s26 = _mm256_permute2f128_ps(s23, s67, 0x20);
+    const __m256 s37 = _mm256_permute2f128_ps(s23, s67, 0x31);
+    const __m256 xy01 = _mm256_unpacklo_ps(s04, s15); // x0 x1 y0 y1
+    const __m256 zr01 = _mm256_unpackhi_ps(s04, s15); // z0 z1 r0 r1
+    const __m256 xy23 = _mm256_unpacklo_ps(s26, s37);
+    const __m256 zr23 = _mm256_unpackhi_ps(s26, s37);
+    cx = _mm256_shuffle_ps(xy01, xy23, 0x44);
+    cy = _mm256_shuffle_ps(xy01, xy23, 0xEE);
+    cz = _mm256_shuffle_ps(zr01, zr23, 0x44);
+    r = _mm256_shuffle_ps(zr01, zr23, 0xEE);
+}
+
+/**
+ * Eight spheres per step in the lanes, the ray broadcast, through
+ * sphereLanesAvx2 (the packet walk's sphere test). Hit lanes are
+ * stored with one masked store at stride 1 and one by one otherwise;
+ * the tail goes through the scalar cells.
  */
 JUNO_TARGET_AVX2 std::uint32_t
-sphereGateAvx2(const GateRay &ray, const SpherePlanes &sp,
+sphereGateAvx2(const rt::Ray &ray, const rt::Sphere *spheres,
                std::size_t count, float *out, std::size_t stride)
 {
-    const float a_scalar = gateDirSqr(ray);
+    const float a_scalar = ray.dir.lengthSqr();
     const bool unit = a_scalar == 1.0f;
-    const __m256 ox = _mm256_set1_ps(ray.ox), oy = _mm256_set1_ps(ray.oy),
-                 oz = _mm256_set1_ps(ray.oz);
-    const __m256 dx = _mm256_set1_ps(ray.dx), dy = _mm256_set1_ps(ray.dy),
-                 dz = _mm256_set1_ps(ray.dz);
+    const __m256 all = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+    const __m256 ox = _mm256_set1_ps(ray.origin.x),
+                 oy = _mm256_set1_ps(ray.origin.y),
+                 oz = _mm256_set1_ps(ray.origin.z);
+    const __m256 dx = _mm256_set1_ps(ray.dir.x), dy = _mm256_set1_ps(ray.dir.y),
+                 dz = _mm256_set1_ps(ray.dir.z);
     const __m256 a = _mm256_set1_ps(a_scalar);
     const __m256 tmin = _mm256_set1_ps(ray.tmin);
     const __m256 tmax = _mm256_set1_ps(ray.tmax);
-    const __m256 sign = _mm256_set1_ps(-0.0f);
     std::uint32_t hits = 0;
     const std::size_t full = count / 8 * 8;
     for (std::size_t e = 0; e < full; e += 8) {
-        const __m256 ocx = _mm256_sub_ps(ox, _mm256_loadu_ps(sp.cx + e));
-        const __m256 ocy = _mm256_sub_ps(oy, _mm256_loadu_ps(sp.cy + e));
-        const __m256 ocz = _mm256_sub_ps(oz, _mm256_loadu_ps(sp.cz + e));
-        const __m256 half_b = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(ocx, dx), _mm256_mul_ps(ocy, dy)),
-            _mm256_mul_ps(ocz, dz));
-        const __m256 c = _mm256_sub_ps(
-            _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(ocx, ocx),
-                                        _mm256_mul_ps(ocy, ocy)),
-                          _mm256_mul_ps(ocz, ocz)),
-            _mm256_loadu_ps(sp.r2 + e));
-        const __m256 disc = _mm256_sub_ps(_mm256_mul_ps(half_b, half_b),
-                                          _mm256_mul_ps(a, c));
-        const __m256 sqrt_disc = _mm256_sqrt_ps(disc);
-        const __m256 neg_half_b = _mm256_xor_ps(half_b, sign);
-        __m256 t = _mm256_sub_ps(neg_half_b, sqrt_disc);
-        if (!unit)
-            t = _mm256_div_ps(t, a);
-        const __m256 exit_lanes = _mm256_cmp_ps(t, tmin, _CMP_LT_OQ);
-        if (!_mm256_testz_ps(exit_lanes, exit_lanes)) {
-            __m256 t_exit = _mm256_add_ps(neg_half_b, sqrt_disc);
-            if (!unit)
-                t_exit = _mm256_div_ps(t_exit, a);
-            t = _mm256_blendv_ps(t, t_exit, exit_lanes);
-        }
-        const __m256 miss = _mm256_or_ps(
-            _mm256_cmp_ps(disc, _mm256_setzero_ps(), _CMP_LT_OQ),
-            _mm256_or_ps(_mm256_cmp_ps(t, tmin, _CMP_LT_OQ),
-                         _mm256_cmp_ps(t, tmax, _CMP_GT_OQ)));
-        auto hit = static_cast<std::uint32_t>(~_mm256_movemask_ps(miss) &
-                                              0xFF);
+        __m256 cx, cy, cz, r, t;
+        loadSpheresAvx2(spheres + e, cx, cy, cz, r);
+        std::uint32_t hit = sphereLanesAvx2(
+            all, unit, _mm256_sub_ps(ox, cx), _mm256_sub_ps(oy, cy),
+            _mm256_sub_ps(oz, cz), dx, dy, dz, a, _mm256_mul_ps(r, r), tmin,
+            tmax, t);
         if (hit == 0)
             continue;
         hits += static_cast<std::uint32_t>(__builtin_popcount(hit));
@@ -927,7 +903,7 @@ sphereGateAvx2(const GateRay &ray, const SpherePlanes &sp,
             out[(e + i) * stride] = lanes[i];
         }
     }
-    return hits + sphereGateCells(ray, sp, full, count, out, stride);
+    return hits + sphereGateCells(ray, spheres, full, count, out, stride);
 }
 
 /**
@@ -1285,20 +1261,55 @@ fastScanPq4Avx512(const std::uint8_t *packed, int subspaces,
 }
 
 /**
- * sphereGateAvx2 sixteen spheres per step, with the tail as one masked
- * step (masked-off spheres are neither loaded nor stored); hit lanes at
- * stride > 1 are scattered.
+ * The first @p n (at most 16) spheres from @p s as centre and radius
+ * planes: four masked loads of four spheres each (spheres past @p n
+ * are not read and read as 0), then a 4x16 transpose in registers.
+ */
+JUNO_TARGET_AVX512 inline void
+loadSpheresAvx512(const rt::Sphere *s, std::size_t n, __m512 &cx,
+                  __m512 &cy, __m512 &cz, __m512 &r)
+{
+    const auto *f = reinterpret_cast<const float *>(s);
+    const std::size_t floats = 4 * std::min<std::size_t>(n, 16);
+    __m512 quad[4];
+    for (std::size_t q = 0; q < 4; ++q)
+        quad[q] = _mm512_maskz_loadu_ps(
+            firstLanes(floats > 16 * q ? floats - 16 * q : 0), f + 16 * q);
+    // Components x, y of spheres 0-7 (8-15), then z, r.
+    const __m512i xy = _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 1, 5,
+                                         9, 13, 17, 21, 25, 29);
+    const __m512i zr = _mm512_setr_epi32(2, 6, 10, 14, 18, 22, 26, 30, 3, 7,
+                                         11, 15, 19, 23, 27, 31);
+    const __m512 xy_lo = _mm512_permutex2var_ps(quad[0], xy, quad[1]);
+    const __m512 zr_lo = _mm512_permutex2var_ps(quad[0], zr, quad[1]);
+    const __m512 xy_hi = _mm512_permutex2var_ps(quad[2], xy, quad[3]);
+    const __m512 zr_hi = _mm512_permutex2var_ps(quad[2], zr, quad[3]);
+    const __m512i first = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 16, 17,
+                                            18, 19, 20, 21, 22, 23);
+    const __m512i second = _mm512_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15,
+                                             24, 25, 26, 27, 28, 29, 30, 31);
+    cx = _mm512_permutex2var_ps(xy_lo, first, xy_hi);
+    cy = _mm512_permutex2var_ps(xy_lo, second, xy_hi);
+    cz = _mm512_permutex2var_ps(zr_lo, first, zr_hi);
+    r = _mm512_permutex2var_ps(zr_lo, second, zr_hi);
+}
+
+/**
+ * sphereGateAvx2 sixteen spheres per step through sphereLanesAvx512,
+ * with the tail as one masked step (masked-off spheres are neither
+ * loaded nor stored); hit lanes at stride > 1 are scattered.
  */
 JUNO_TARGET_AVX512 std::uint32_t
-sphereGateAvx512(const GateRay &ray, const SpherePlanes &sp,
+sphereGateAvx512(const rt::Ray &ray, const rt::Sphere *spheres,
                  std::size_t count, float *out, std::size_t stride)
 {
-    const float a_scalar = gateDirSqr(ray);
+    const float a_scalar = ray.dir.lengthSqr();
     const bool unit = a_scalar == 1.0f;
-    const __m512 ox = _mm512_set1_ps(ray.ox), oy = _mm512_set1_ps(ray.oy),
-                 oz = _mm512_set1_ps(ray.oz);
-    const __m512 dx = _mm512_set1_ps(ray.dx), dy = _mm512_set1_ps(ray.dy),
-                 dz = _mm512_set1_ps(ray.dz);
+    const __m512 ox = _mm512_set1_ps(ray.origin.x),
+                 oy = _mm512_set1_ps(ray.origin.y),
+                 oz = _mm512_set1_ps(ray.origin.z);
+    const __m512 dx = _mm512_set1_ps(ray.dir.x), dy = _mm512_set1_ps(ray.dir.y),
+                 dz = _mm512_set1_ps(ray.dir.z);
     const __m512 a = _mm512_set1_ps(a_scalar);
     const __m512 tmin = _mm512_set1_ps(ray.tmin);
     const __m512 tmax = _mm512_set1_ps(ray.tmax);
@@ -1308,43 +1319,12 @@ sphereGateAvx512(const GateRay &ray, const SpherePlanes &sp,
         _mm512_set1_epi32(static_cast<int>(stride)));
     std::uint32_t hits = 0;
     for (std::size_t e = 0; e < count; e += 16) {
-        const __mmask16 valid = firstLanes(count - e);
-        const __m512 ocx =
-            _mm512_sub_ps(ox, _mm512_maskz_loadu_ps(valid, sp.cx + e));
-        const __m512 ocy =
-            _mm512_sub_ps(oy, _mm512_maskz_loadu_ps(valid, sp.cy + e));
-        const __m512 ocz =
-            _mm512_sub_ps(oz, _mm512_maskz_loadu_ps(valid, sp.cz + e));
-        const __m512 half_b = _mm512_add_ps(
-            _mm512_add_ps(_mm512_mul_ps(ocx, dx), _mm512_mul_ps(ocy, dy)),
-            _mm512_mul_ps(ocz, dz));
-        const __m512 c = _mm512_sub_ps(
-            _mm512_add_ps(_mm512_add_ps(_mm512_mul_ps(ocx, ocx),
-                                        _mm512_mul_ps(ocy, ocy)),
-                          _mm512_mul_ps(ocz, ocz)),
-            _mm512_maskz_loadu_ps(valid, sp.r2 + e));
-        const __m512 disc = _mm512_sub_ps(_mm512_mul_ps(half_b, half_b),
-                                          _mm512_mul_ps(a, c));
-        const __m512 sqrt_disc = _mm512_maskz_sqrt_ps(kAllLanes16, disc);
-        // Sign flip by integer xor: vxorps on zmm needs AVX512DQ.
-        const __m512 neg_half_b = _mm512_castsi512_ps(_mm512_xor_si512(
-            _mm512_castps_si512(half_b), _mm512_set1_epi32(INT32_MIN)));
-        __m512 t = _mm512_sub_ps(neg_half_b, sqrt_disc);
-        if (!unit)
-            t = _mm512_div_ps(t, a);
-        const __mmask16 exit_lanes =
-            _mm512_mask_cmp_ps_mask(valid, t, tmin, _CMP_LT_OQ);
-        if (exit_lanes != 0) {
-            __m512 t_exit = _mm512_add_ps(neg_half_b, sqrt_disc);
-            if (!unit)
-                t_exit = _mm512_div_ps(t_exit, a);
-            t = _mm512_mask_blend_ps(exit_lanes, t, t_exit);
-        }
-        const __mmask16 miss =
-            _mm512_cmp_ps_mask(disc, _mm512_setzero_ps(), _CMP_LT_OQ) |
-            _mm512_cmp_ps_mask(t, tmin, _CMP_LT_OQ) |
-            _mm512_cmp_ps_mask(t, tmax, _CMP_GT_OQ);
-        const auto hit = static_cast<__mmask16>(valid & ~miss);
+        __m512 cx, cy, cz, r, t;
+        loadSpheresAvx512(spheres + e, count - e, cx, cy, cz, r);
+        const __mmask16 hit = sphereLanesAvx512(
+            firstLanes(count - e), unit, _mm512_sub_ps(ox, cx),
+            _mm512_sub_ps(oy, cy), _mm512_sub_ps(oz, cz), dx, dy, dz, a,
+            _mm512_mul_ps(r, r), tmin, tmax, t);
         if (stride == 1)
             _mm512_mask_storeu_ps(out + e, hit, t);
         else

@@ -45,6 +45,11 @@
 #include "common/types.h"
 
 namespace juno {
+namespace rt {
+struct Ray;
+struct Sphere;
+} // namespace rt
+
 namespace simd {
 
 /**
@@ -77,26 +82,6 @@ struct alignas(64) RayLanes {
     float dx[kRayLanes], dy[kRayLanes], dz[kRayLanes];
     float ix[kRayLanes], iy[kRayLanes], iz[kRayLanes];
     float tmin[kRayLanes], tmax[kRayLanes];
-};
-
-/**
- * One ray for Kernels::sphere_gate: origin o, direction d and valid
- * interval [tmin, tmax], as rt::Ray holds them.
- */
-struct GateRay {
-    float ox, oy, oz, dx, dy, dz, tmin, tmax;
-};
-
-/**
- * Structure-of-arrays spheres for Kernels::sphere_gate: sphere j has
- * centre (cx[j], cy[j], cz[j]) and squared radius r2[j] (the float
- * product radius * radius, as rt::intersectSphere rounds it).
- */
-struct SpherePlanes {
-    const float *cx = nullptr;
-    const float *cy = nullptr;
-    const float *cz = nullptr;
-    const float *r2 = nullptr;
 };
 
 /**
@@ -226,16 +211,18 @@ struct Kernels {
     /**
      * Dense sphere gate (rt::RtDevice::traceTile's lone rays and its
      * no-RT path): tests @p ray against spheres [0, count) of
-     * @p spheres, with the spheres in the lanes (16 per step at
-     * AVX-512, 8 at AVX2), and stores the hit time of every sphere e it
-     * hits at out[e * stride]; no other cell is written. Returns the
-     * hits. Per sphere this is exactly rt::intersectSphere (entry root,
-     * exit root when the entry is before tmin, no fused multiply-adds),
-     * so cells and counts agree across tables. A @p stride of n fills
-     * lane i of an [e][lane] tile of n lanes from out = tile + i.
+     * @p spheres (the scene's own array, from the record's first prim
+     * on), with the spheres in the lanes (16 per step at AVX-512, 8 at
+     * AVX2, transposed from the array in registers), and stores the
+     * hit time of every sphere e it hits at out[e * stride]; no other
+     * cell is written. Returns the hits. Per sphere this is exactly
+     * rt::intersectSphere (entry root, exit root when the entry is
+     * before tmin, no fused multiply-adds), so cells and counts agree
+     * across tables. A @p stride of n fills lane i of an [e][lane]
+     * tile of n lanes from out = tile + i.
      */
-    std::uint32_t (*sphere_gate)(const GateRay &ray,
-                                 const SpherePlanes &spheres,
+    std::uint32_t (*sphere_gate)(const rt::Ray &ray,
+                                 const rt::Sphere *spheres,
                                  std::size_t count, float *out,
                                  std::size_t stride);
 

@@ -16,24 +16,19 @@ RtDevice::traceTile(const Scene &scene, const Ray *rays, int count,
     } else {
         // The dense gate: a lone ray, or any ray without an RT core, is
         // tested against the recorded spheres (one subspace's entries)
-        // alone, sixteen spheres per step at AVX-512. For a lone ray
-        // this beats the walk wherever the BVH culls little (DESIGN.md,
-        // "Walk or gate: the measured crossover").
+        // alone, sixteen spheres per step at AVX-512. Packets under
+        // kRtCore stay on the walk because its counters model the RT
+        // core's work, not because it is faster: on the CPU the gate
+        // wins at every occupancy measured (DESIGN.md, "Walk or gate").
         JUNO_DCHECK(scene.built(), "scene not built");
         JUNO_DCHECK(record.first + record.count <= scene.sphereCount(),
                     "record range past the scene");
-        const simd::SpherePlanes planes = scene.planes(record.first);
+        const Sphere *spheres = scene.spheres().data() + record.first;
         const simd::Kernels &kernels = simd::active();
         const auto lanes = static_cast<std::size_t>(count);
-        for (std::size_t i = 0; i < lanes; ++i) {
-            const Ray &ray = rays[i];
-            const simd::GateRay gate{ray.origin.x, ray.origin.y,
-                                     ray.origin.z, ray.dir.x,
-                                     ray.dir.y,    ray.dir.z,
-                                     ray.tmin,     ray.tmax};
-            stats.hits += kernels.sphere_gate(gate, planes, record.count,
+        for (std::size_t i = 0; i < lanes; ++i)
+            stats.hits += kernels.sphere_gate(rays[i], spheres, record.count,
                                               tile + i, lanes);
-        }
         stats.rays = lanes;
         stats.prim_tests = lanes * record.count;
     }

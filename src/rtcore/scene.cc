@@ -25,17 +25,6 @@ void
 Scene::build(const BvhBuildParams &params)
 {
     bvh_.build(spheres_, params);
-    const std::size_t n = spheres_.size();
-    cx_.resize(n);
-    cy_.resize(n);
-    cz_.resize(n);
-    r2_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        cx_[i] = spheres_[i].center.x;
-        cy_[i] = spheres_[i].center.y;
-        cz_[i] = spheres_[i].center.z;
-        r2_[i] = spheres_[i].radius * spheres_[i].radius;
-    }
     built_ = true;
 }
 

@@ -16,11 +16,7 @@
 namespace juno {
 namespace rt {
 
-/**
- * Sphere geometry + BVH, and the same spheres as structure-of-arrays
- * planes for the dense gate (simd::Kernels::sphere_gate); build once,
- * trace many.
- */
+/** Sphere geometry + BVH; build once, trace many. */
 class Scene {
   public:
     /** Adds a sphere before build(). Returns its prim id. */
@@ -29,10 +25,7 @@ class Scene {
     /** Bulk-add. */
     void addSpheres(const std::vector<Sphere> &spheres);
 
-    /**
-     * Builds the acceleration structure and the gate's planes;
-     * invalidates prior builds.
-     */
+    /** Builds the acceleration structure; invalidates prior builds. */
     void build(const BvhBuildParams &params = {});
 
     bool built() const { return built_; }
@@ -49,22 +42,9 @@ class Scene {
         bvh_.traceTile(rays, count, spheres_, record, tile, stats);
     }
 
-    /**
-     * The built scene's spheres from prim id @p first on, as the dense
-     * gate reads them.
-     */
-    simd::SpherePlanes
-    planes(std::uint32_t first) const
-    {
-        return {cx_.data() + first, cy_.data() + first, cz_.data() + first,
-                r2_.data() + first};
-    }
-
   private:
     std::vector<Sphere> spheres_;
     Bvh bvh_;
-    /** Centres and squared radii of spheres_, one plane each. */
-    std::vector<float> cx_, cy_, cz_, r2_;
     bool built_ = false;
 };
 

@@ -452,7 +452,7 @@ gateCanary()
 
 /**
  * Checks sphere_gate of every table against rt::intersectSphere on the
- * AoS spheres: for each stride, lane i = stride - 1 of an [e][lane]
+ * same spheres: for each stride, lane i = stride - 1 of an [e][lane]
  * tile must hold exactly the hit spheres' thit bits, every other cell
  * (other lanes, missed spheres, a guard of 32 cells past the tile) the
  * canary, and every table must return the hit count. Returns the hits.
@@ -462,18 +462,6 @@ expectGateMatchesGeometry(const rt::Ray &ray,
                           const std::vector<rt::Sphere> &spheres)
 {
     const std::size_t count = spheres.size();
-    std::vector<float> cx(count), cy(count), cz(count), r2(count);
-    for (std::size_t e = 0; e < count; ++e) {
-        cx[e] = spheres[e].center.x;
-        cy[e] = spheres[e].center.y;
-        cz[e] = spheres[e].center.z;
-        r2[e] = spheres[e].radius * spheres[e].radius;
-    }
-    const simd::SpherePlanes planes{cx.data(), cy.data(), cz.data(),
-                                    r2.data()};
-    const simd::GateRay gate{ray.origin.x, ray.origin.y, ray.origin.z,
-                             ray.dir.x,    ray.dir.y,    ray.dir.z,
-                             ray.tmin,     ray.tmax};
     const std::size_t guard = 32;
     std::size_t hits = 0;
     for (std::size_t stride : {std::size_t{1}, std::size_t{3},
@@ -490,7 +478,7 @@ expectGateMatchesGeometry(const rt::Ray &ray,
         }
         for (const simd::Kernels *k : runnableTables()) {
             std::vector<float> got(want.size(), gateCanary());
-            EXPECT_EQ(hits, k->sphere_gate(gate, planes, count,
+            EXPECT_EQ(hits, k->sphere_gate(ray, spheres.data(), count,
                                            got.data() + lane, stride))
                 << k->name << " E=" << count << " stride " << stride;
             for (std::size_t c = 0; c < want.size(); ++c)
