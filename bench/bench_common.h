@@ -18,6 +18,7 @@
 
 #include "dataset/synthetic.h"
 #include "engine/search_request.h"
+#include "rtcore/device.h"
 
 namespace juno {
 namespace bench {
@@ -133,6 +134,23 @@ clustersFor(idx_t n)
     if (n >= 50000)
         return 512;
     return 256;
+}
+
+/**
+ * QPS with the RT-LUT stage re-priced under the RTX 4090 cost model:
+ * @p rt_seconds of the measured wall time (@p queries at @p qps) run
+ * at the 4090's traversal throughput over the software fallback's
+ * (rt_throughput 2.0 vs 0.25, see rtcore/device.h); the other stages
+ * keep their measured times. A modelled column, not a measured CPU
+ * speed-up.
+ */
+inline double
+qpsRt4090(double queries, double qps, double rt_seconds)
+{
+    const double accel = rt::costModelRtx4090().rt_throughput /
+                         rt::costModelA100().rt_throughput;
+    const double total = queries / qps;
+    return queries / (total - rt_seconds + rt_seconds / accel);
 }
 
 } // namespace bench

@@ -32,19 +32,10 @@
 #include "harness/reporter.h"
 #include "harness/sweep.h"
 #include "harness/workload.h"
-#include "rtcore/device.h"
 
 using namespace juno;
 
 namespace {
-
-/** Hardware acceleration of the RT stage under the 4090 cost model. */
-double
-rtAccel4090()
-{
-    return rt::costModelRtx4090().rt_throughput /
-           rt::costModelA100().rt_throughput;
-}
 
 struct NamedPoint {
     std::string config;
@@ -151,10 +142,8 @@ sweepIndex(Workload &workload, IndexT &index, const std::string &prefix,
         // Re-price the RT stage (zero for the baselines, whose LUT
         // stage runs on CUDA/Tensor cores in the paper and stays at
         // measured cost here).
-        const double rt = point.timers.seconds("rt_lut");
-        const double total = q_count / point.qps;
-        const double repriced = total - rt + rt / rtAccel4090();
-        named.qps_rt = q_count / repriced;
+        named.qps_rt = bench::qpsRt4090(q_count, point.qps,
+                                        point.timers.seconds("rt_lut"));
         out.push_back(named);
         if (pareto != nullptr)
             pareto->push_back({named.recall1, named.qps_rt, named.config});

@@ -591,7 +591,8 @@ benchCompact(const simd::Kernels &scalar, const simd::Kernels &best)
     std::vector<idx_t> list(n);
     for (std::size_t i = 0; i < n; ++i) {
         acc[i] = rng.uniform(-1.0f, 1.0f);
-        // ~5% touched: the sparse regime JUNO's selective LUT creates.
+        // ~5% of the points are candidates (some subspace selected),
+        // as under a tight gate; at juno-batch's gates most points are.
         hits[i] = rng.uniform() < 0.05 ? 1 : 0;
         list[i] = static_cast<idx_t>(i);
     }

@@ -246,15 +246,14 @@ lutDelta(Metric metric, float radius_sqr, float ip_base, const LutRow &row,
  * stride @p lanes: the whole row in the scalar table, the tail past the
  * last full vector in the others. A cell that starts a flag word clears
  * it; a tail that starts mid-word ORs into the word the vector steps
- * stored. Returns the hits among the cells.
+ * stored.
  */
-std::uint32_t
+void
 lutFinishCells(Metric metric, float radius_sqr, const float *col,
                std::size_t lanes, std::size_t e0, std::size_t entries,
                const LutRow &row)
 {
     const float ip_base = row.qnorm_scaled_sqr - radius_sqr;
-    std::uint32_t hits = 0;
     for (std::size_t e = e0; e < entries; ++e) {
         const float t = col[e * lanes];
         // Converted unconditionally: the loop stays branch-free.
@@ -268,20 +267,16 @@ lutFinishCells(Metric metric, float radius_sqr, const float *col,
         if (row.inner != nullptr)
             row.inner[w] = (row.inner[w] & keep) |
                            (t <= row.tmax_inner ? bit : 0u);
-        hits += hit ? 1u : 0u;
     }
-    return hits;
 }
 
 void
 lutFinishScalar(Metric metric, float radius_sqr, const float *tile,
-                int lanes, std::size_t entries, const LutRow *rows,
-                std::uint32_t *hits)
+                int lanes, std::size_t entries, const LutRow *rows)
 {
     for (int i = 0; i < lanes; ++i)
-        hits[i] = lutFinishCells(metric, radius_sqr, tile + i,
-                                 static_cast<std::size_t>(lanes), 0,
-                                 entries, rows[i]);
+        lutFinishCells(metric, radius_sqr, tile + i,
+                       static_cast<std::size_t>(lanes), 0, entries, rows[i]);
 }
 
 const Kernels kScalarTable = {
@@ -914,8 +909,7 @@ sphereGateAvx2(const rt::Ray &ray, const rt::Sphere *spheres,
  */
 JUNO_TARGET_AVX2 void
 lutFinishAvx2(Metric metric, float radius_sqr, const float *tile,
-              int lanes, std::size_t entries, const LutRow *rows,
-              std::uint32_t *hits)
+              int lanes, std::size_t entries, const LutRow *rows)
 {
     const auto stride = static_cast<std::size_t>(lanes);
     const __m256i index = _mm256_mullo_epi32(
@@ -932,7 +926,6 @@ lutFinishAvx2(Metric metric, float radius_sqr, const float *tile,
         const __m256 ip_base =
             _mm256_set1_ps(row.qnorm_scaled_sqr - radius_sqr);
         const __m256 tmax_inner = _mm256_set1_ps(row.tmax_inner);
-        std::uint32_t count = 0;
         // Flag words fill eight bits per step; a word is stored when
         // full or when the vector steps end (the scalar tail ORs the
         // rest of it).
@@ -951,10 +944,9 @@ lutFinishAvx2(Metric metric, float radius_sqr, const float *tile,
             const __m256 hit = _mm256_cmp_ps(t, t, _CMP_ORD_Q);
             _mm256_storeu_ps(row.delta + e,
                              _mm256_and_ps(hit, _mm256_sub_ps(value, miss)));
-            const auto hit_bits =
-                static_cast<std::uint32_t>(_mm256_movemask_ps(hit));
             const std::size_t shift = e % 32;
-            selected |= hit_bits << shift;
+            selected |= static_cast<std::uint32_t>(_mm256_movemask_ps(hit))
+                        << shift;
             if (row.inner != nullptr)
                 inner |= static_cast<std::uint32_t>(_mm256_movemask_ps(
                              _mm256_cmp_ps(t, tmax_inner, _CMP_LE_OQ)))
@@ -965,10 +957,8 @@ lutFinishAvx2(Metric metric, float radius_sqr, const float *tile,
                     row.inner[e / 32] = inner;
                 selected = inner = 0;
             }
-            count += static_cast<std::uint32_t>(__builtin_popcount(hit_bits));
         }
-        hits[i] = count + lutFinishCells(metric, radius_sqr, col, stride,
-                                         full, entries, row);
+        lutFinishCells(metric, radius_sqr, col, stride, full, entries, row);
     }
 }
 
@@ -1340,8 +1330,7 @@ sphereGateAvx512(const rt::Ray &ray, const rt::Sphere *spheres,
  */
 JUNO_TARGET_AVX512 void
 lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
-                int lanes, std::size_t entries, const LutRow *rows,
-                std::uint32_t *hits)
+                int lanes, std::size_t entries, const LutRow *rows)
 {
     const __m512i index = _mm512_mullo_epi32(
         _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
@@ -1359,7 +1348,6 @@ lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
         const __m512 ip_base =
             _mm512_set1_ps(row.qnorm_scaled_sqr - radius_sqr);
         const __m512 tmax_inner = _mm512_set1_ps(row.tmax_inner);
-        std::uint32_t count = 0;
         // Sixteen flag bits per step: the compare masks themselves; a
         // word is stored when full or at the row's end.
         std::uint32_t selected = 0, inner = 0;
@@ -1393,9 +1381,7 @@ lutFinishAvx512(Metric metric, float radius_sqr, const float *tile,
                     row.inner[e / 32] = inner;
                 selected = inner = 0;
             }
-            count += static_cast<std::uint32_t>(__builtin_popcount(hit));
         }
-        hits[i] = count;
     }
 }
 

@@ -236,14 +236,13 @@ struct Kernels {
      *   inner bit e    = 1 where t <= tmax_inner, 0 otherwise (when
      *                    inner is non-null),
      * with value(t) JunoScene::lutValueL2 / lutValueIp's float
-     * operations for @p metric (radius_sqr = R * R), and hits[i] is
-     * lane i's hit count. Every flag word is written whole (bits past
-     * entries are 0). The AVX paths gather each lane's column and store
-     * their compare masks as the flag bits.
+     * operations for @p metric (radius_sqr = R * R). Every flag word
+     * is written whole (bits past entries are 0). The AVX paths gather
+     * each lane's column and store their compare masks as the flag
+     * bits.
      */
     void (*lut_finish)(Metric metric, float radius_sqr, const float *tile,
-                       int lanes, std::size_t entries, const LutRow *rows,
-                       std::uint32_t *hits);
+                       int lanes, std::size_t entries, const LutRow *rows);
 };
 
 /** True when this host can execute the @p level table natively. */

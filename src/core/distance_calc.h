@@ -2,10 +2,12 @@
  * @file
  * Distance-calculation stage over the selective LUT (paper Sec. 5.3-5.4).
  *
- * Given the entries the RT pass selected, the calculator walks the
- * subspace-level inverted index and accumulates scores only for the
- * *interested* points. Three scoring modes implement the paper's
- * quality presets:
+ * Given the entries the RT pass selected, the calculator streams each
+ * probed list's interleaved codes against the LUT rows: every point
+ * gets one add per subspace, an exact 0.0f where its entry was not
+ * selected, and only points with at least one selected entry become
+ * candidates. Three scoring modes implement the paper's quality
+ * presets:
  *
  *  - kExactDistance (JUNO-H): accumulate the recovered per-subspace
  *    scores; subspaces where a point's entry was not selected are
@@ -21,7 +23,6 @@
 #include <vector>
 
 #include "common/topk.h"
-#include "core/interest_index.h"
 #include "core/selective_lut.h"
 #include "quant/interleaved_codes.h"
 
@@ -48,32 +49,14 @@ Metric rankingMetric(Metric metric, SearchMode mode);
 class DistanceCalculator {
   public:
     /**
-     * @p ivf and @p interest must outlive the calculator. When an
-     * @p interleaved layout is supplied (and built), clusters whose
-     * selected-entry fraction exceeds the dense threshold are scored
-     * by streaming the list-resident interleaved codes against the
-     * LUT's rows, instead of walking the interest-index ranges of the
-     * selected entries point by scattered point. Both paths produce
-     * bitwise-identical accumulators (one add per selected subspace,
-     * in subspace order; unselected cells add an exact 0.0f in the
-     * dense JUNO-H scan, and the hit-count modes' scores are exact
-     * small integers either way).
+     * @p ivf and @p interleaved (the list-resident copy of the codes)
+     * must outlive the calculator. Per probed list, JUNO-H streams the
+     * codes against the LUT's delta rows and every mode counts the
+     * selected flag bits (JUNO-M also the inner ones); the scratch is
+     * sized to the longest list.
      */
     DistanceCalculator(const InvertedFileIndex &ivf,
-                       const InterestIndex &interest,
-                       const InterleavedLists *interleaved = nullptr);
-
-    /**
-     * Selected-entry fraction above which a cluster switches to the
-     * dense interleaved scan: the sparse walk touches ~fraction * S
-     * scattered ordinals per point, the dense scan S sequential
-     * lookups. 0 forces dense (tests), > 1 disables it.
-     */
-    void setDenseThreshold(double fraction)
-    {
-        dense_threshold_ = fraction;
-    }
-    double denseThreshold() const { return dense_threshold_; }
+                       const InterleavedLists &interleaved);
 
     /**
      * Scores one probed list (the per-list step of JUNO's probe
@@ -96,13 +79,10 @@ class DistanceCalculator {
                               const SelectiveLut &lut, idx_t k);
 
   private:
-
     const InvertedFileIndex &ivf_;
-    const InterestIndex &interest_;
-    const InterleavedLists *interleaved_ = nullptr;
-    double dense_threshold_ = 0.5;
+    const InterleavedLists &interleaved_;
 
-    // Scratch sized to the largest cluster; densely reset per cluster.
+    // Scratch sized to the longest list; overwritten per list.
     std::vector<float> acc_;
     std::vector<std::int32_t> hit_count_;
 };

@@ -146,8 +146,8 @@ JunoIndex::JunoIndex(Metric metric, FloatMatrixView points,
                   policy_params);
     policy_.setMode(params.threshold_mode);
 
-    // Float-scan plane only: JUNO's dense regime never runs the 4-bit
-    // fast scan, so the nibble plane would be dead weight. open()
+    // Float-scan plane only: JUNO's scan never runs the 4-bit fast
+    // scan, so the nibble plane would be dead weight. open()
     // restores the plane instead of re-laying it out.
     interleaved_.build(ivf_.lists(), codes_, params.pq_entries,
                        /*with_packed4=*/false);
@@ -158,15 +158,13 @@ JunoIndex::JunoIndex(Metric metric, FloatMatrixView points,
 void
 JunoIndex::finishConstruction()
 {
-    // Subspace-level inverted index (Alg. 1, 12-14) and the traversable
-    // scene (Alg. 1, 10-11); both derive deterministically from the
-    // trained state, so load() rebuilds them instead of storing them.
-    interest_.build(ivf_, codes_, params_.pq_entries);
+    // The traversable scene (Alg. 1, 10-11) derives deterministically
+    // from the trained state, so load() rebuilds it instead of storing
+    // it.
     scene_.build(metric_, pq_, policy_, params_.scene);
     device_.setMode(params_.use_rt_core ? rt::ExecMode::kRtCore
                                         : rt::ExecMode::kCudaFallback);
-    calc_ = std::make_unique<DistanceCalculator>(ivf_, interest_,
-                                                 &interleaved_);
+    calc_ = std::make_unique<DistanceCalculator>(ivf_, interleaved_);
 }
 
 JunoParams
@@ -313,6 +311,18 @@ JunoIndex::open(SnapshotReader &reader)
                      index->interleaved_.subspaces() ==
                          index->codes_.num_subspaces,
                  what << ": interleaved layout shape mismatch");
+    // The scan indexes LUT rows of E cells by these codes.
+    const InterleavedLists &plane = index->interleaved_;
+    for (cluster_t c = 0; c < plane.numLists(); ++c) {
+        const entry_t *first = plane.listBlocks(c);
+        const entry_t *last =
+            first + plane.listBlocksBytes(c) / sizeof(entry_t);
+        JUNO_REQUIRE(std::all_of(first, last,
+                                 [&](entry_t e) {
+                                     return e < index->params_.pq_entries;
+                                 }),
+                     what << ": code out of range (corrupt file)");
+    }
 
     index->finishConstruction();
     return index;
@@ -395,7 +405,7 @@ struct JunoIndex::Worker {
     explicit Worker(JunoIndex &owner)
         : device(owner.device_.mode()),
           builder(owner.scene_, owner.policy_, owner.ivf_, device),
-          calc(owner.ivf_, owner.interest_, &owner.interleaved_)
+          calc(owner.ivf_, owner.interleaved_)
     {
     }
 
@@ -427,7 +437,6 @@ JunoIndex::searchChunk(const SearchChunk &chunk, SearchContext &ctx)
         [this] { return std::make_unique<Worker>(*this); });
     // Search-time knobs may have flipped since the worker was created.
     w.device.setMode(device_.mode());
-    w.calc.setDenseThreshold(calc_->denseThreshold());
     const idx_t k = std::min(chunk.k, num_points_);
     const Metric ranking = rankingMetric(metric_, params_.mode);
     ProbeLoop loop(ctx);

@@ -4,17 +4,18 @@
  *
  * Offline (constructor):
  *  1. coarse k-means -> IVF (identical to the baseline);
- *  2. per-subspace codebooks on residuals (PQ with M = 2);
- *  3. subspace-level inverted index entry -> points;
- *  4. density map + per-subspace threshold regressors;
- *  5. traversable RT scene of entry spheres.
+ *  2. per-subspace codebooks on residuals (PQ with M = 2), laid out
+ *     list-resident and interleaved for the scan;
+ *  3. density map + per-subspace threshold regressors;
+ *  4. traversable RT scene of entry spheres.
  *
  * Online (search):
  *  A. filtering identical to IVFPQ;
  *  B. threshold-based selective LUT construction on the RT device
  *     (rays with dynamic tmax; thit -> score recovery);
- *  C. distance calculation over interested points only, in one of the
- *     three quality presets (JUNO-H / -M / -L).
+ *  C. distance calculation over the selected entries, streaming each
+ *     probed list's codes, in one of the three quality presets
+ *     (JUNO-H / -M / -L).
  *
  * The stage pair (B, C) optionally runs as a two-stage pipeline across
  * query batches, modelling the paper's RT/Tensor core co-run.
@@ -28,7 +29,6 @@
 #include "common/thread_annotations.h"
 #include "core/density_map.h"
 #include "core/distance_calc.h"
-#include "core/interest_index.h"
 #include "core/pipeline.h"
 #include "core/scene_builder.h"
 #include "core/selective_lut.h"
@@ -93,8 +93,8 @@ class JunoIndex : public AnnIndex {
     /**
      * Loader for openIndex(): restores IVF, codebooks, codes, density
      * maps, regressors and the interleaved plane; the knobs come from
-     * the snapshot's spec section (fromSpec). The RT scene and
-     * interest index rebuild deterministically.
+     * the snapshot's spec section (fromSpec). The RT scene rebuilds
+     * deterministically.
      */
     static std::unique_ptr<JunoIndex> open(SnapshotReader &reader);
 
@@ -122,14 +122,13 @@ class JunoIndex : public AnnIndex {
     const DensityMap &densityMap() const { return density_; }
     const ThresholdPolicy &thresholdPolicy() const { return policy_; }
     const JunoScene &junoScene() const { return scene_; }
-    const InterestIndex &interestIndex() const { return interest_; }
     rt::RtDevice &device() { return device_; }
     const rt::TraversalStats &rtStats() const { return device_.totalStats(); }
 
     /** Filtering stage (stage A) for one query. */
     std::vector<Neighbor> probe(const float *query) const;
 
-    /** Scoring stage (stage C); its dense threshold rules search(). */
+    /** Scoring stage (stage C). */
     DistanceCalculator &calculator() { return *calc_; }
 
   protected:
@@ -152,7 +151,7 @@ class JunoIndex : public AnnIndex {
     /** For load(): members are filled by the loader. */
     JunoIndex() : metric_(Metric::kL2) {}
 
-    /** Rebuilds the derived structures (interest index, scene, ...). */
+    /** Rebuilds the derived structures (RT scene, calculator). */
     void finishConstruction();
 
     Metric metric_;
@@ -163,14 +162,8 @@ class JunoIndex : public AnnIndex {
     InvertedFileIndex ivf_;
     ProductQuantizer pq_;
     PQCodes codes_;
-    /**
-     * List-resident interleaved copy of codes_; the distance
-     * calculator streams it for clusters whose selected-entry
-     * fraction makes the sparse interest-index walk slower than a
-     * dense sequential scan.
-     */
+    /** List-resident interleaved copy of codes_: what stage C streams. */
     InterleavedLists interleaved_;
-    InterestIndex interest_;
     DensityMap density_;
     ThresholdPolicy policy_;
     JunoScene scene_;

@@ -81,7 +81,6 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
         lut.selected.resize(rows * lut.rowWords());
         lut.inner.resize(params.inner_gate ? rows * lut.rowWords() : 0);
         lut.miss.resize(rows);
-        lut.selected_count.assign(lut.blocks, 0);
         lut.base.assign(nprobs, 0.0f);
         if (metric == Metric::kL2)
             residual_rows += lut.blocks;
@@ -106,7 +105,6 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
     // and thresholds() check the subspace once per subspace.
     rays_.clear();
     rows_.clear();
-    counts_.clear();
     subspace_rays_.assign(1, 0);
     for (int s = 0; s < subspaces; ++s) {
         const float k = scene_.coordScale(s);
@@ -184,7 +182,6 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
                 }
                 rays_.push_back(ray);
                 rows_.push_back(out);
-                counts_.push_back(&lut.selected_count[p]);
             }
         }
         subspace_rays_.push_back(rays_.size());
@@ -223,7 +220,6 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
     const float radius_sqr = scene_.radius() * scene_.radius();
     const simd::Kernels &kernels = simd::active();
     tile_.resize(static_cast<std::size_t>(simd::kRayLanes) * entries);
-    std::uint32_t hits[simd::kRayLanes];
     for (int s = 0; s < subspaces; ++s) {
         const std::size_t end = subspace_rays_[static_cast<std::size_t>(s) + 1];
         for (std::size_t first = subspace_rays_[static_cast<std::size_t>(s)];
@@ -235,9 +231,7 @@ SelectiveLutBuilder::buildGroup(const LutRequest *group, std::size_t count,
             device_.traceTile(scene_.scene(), rays_.data() + first, n,
                               scene_.recordRange(s), tile_.data());
             kernels.lut_finish(metric, radius_sqr, tile_.data(), n, entries,
-                               rows_.data() + first, hits);
-            for (int i = 0; i < n; ++i)
-                *counts_[first + static_cast<std::size_t>(i)] += hits[i];
+                               rows_.data() + first);
         }
     }
 }

@@ -57,8 +57,6 @@ struct SelectiveLut {
     std::vector<std::uint32_t> inner;
     /** miss[s * blocks + b]: score charged to a subspace with no hit. */
     std::vector<float> miss;
-    /** selected_count[b]: selected cells of block b. */
-    std::vector<std::size_t> selected_count;
     /** base[p]: cluster-level score offset (IP centroid term). */
     std::vector<float> base;
     /** offset[p]: base[p] plus missFor(p, s) summed in subspace order. */
@@ -197,8 +195,6 @@ class SelectiveLutBuilder {
     mutable std::vector<rt::Ray> rays_;
     /** rows_[i]: the LUT row rays_[i] fills. */
     mutable std::vector<simd::LutRow> rows_;
-    /** counts_[i]: the selected_count cell of rays_[i]'s row. */
-    mutable std::vector<std::size_t *> counts_;
     /** Subspace s's rays are rays_[subspace_rays_[s], [s + 1]). */
     mutable std::vector<std::size_t> subspace_rays_;
     /** L2 residuals of every member's probes, member-major. */

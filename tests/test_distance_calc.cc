@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "common/distance.h"
@@ -19,7 +20,6 @@ struct Fixture {
     InvertedFileIndex ivf;
     ProductQuantizer pq;
     PQCodes codes;
-    InterestIndex interest;
     DensityMap density;
     ThresholdPolicy policy;
     JunoScene scene;
@@ -52,7 +52,6 @@ struct Fixture {
         pq_params.entries = entries;
         pq.train(residuals.view(), pq_params);
         codes = pq.encode(residuals.view());
-        interest.build(ivf, codes, entries);
 
         density.build(residuals.view(), 4, 30);
         ThresholdPolicy::Params tp;
@@ -64,8 +63,7 @@ struct Fixture {
         builder = std::make_unique<SelectiveLutBuilder>(scene, policy, ivf,
                                                         device);
         interleaved.build(ivf.lists(), codes, entries);
-        calc = std::make_unique<DistanceCalculator>(ivf, interest,
-                                                    &interleaved);
+        calc = std::make_unique<DistanceCalculator>(ivf, interleaved);
     }
 };
 
@@ -204,14 +202,86 @@ TEST(DistanceCalc, AccumulateListExposesPerClusterScores)
         EXPECT_EQ(fx.ivf.label(nb.id), c);
 }
 
+std::uint32_t
+bitsOf(float f)
+{
+    std::uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+}
+
 /**
- * The dense path streams the interleaved codes against the LUT rows;
- * it must reproduce the sparse interest-index walk bit for bit (same
- * candidates, same scores, same order) in every mode, at every
- * dispatch level and at the default threshold between them.
+ * The scan's reference for probe @p p of @p lut over list @p c: per
+ * point, one add per selected subspace in subspace order (JUNO-H's
+ * delta cells), counting the selected and the inner-gated subspaces;
+ * a point with no selected subspace is no candidate. Candidates come
+ * in list order, as DistanceCalculator::accumulateList appends them.
+ */
+std::vector<Neighbor>
+referenceList(const Fixture &fx, SearchMode mode, cluster_t c,
+              std::size_t p, const SelectiveLut &lut)
+{
+    const int subspaces = fx.codes.num_subspaces;
+    std::vector<Neighbor> out;
+    for (idx_t pid : fx.ivf.list(c)) {
+        float acc = 0.0f;
+        int hits = 0, inner = 0;
+        for (int s = 0; s < subspaces; ++s) {
+            const entry_t e = fx.codes.at(pid, s);
+            if (!lut.selectedAt(p, s, e))
+                continue;
+            ++hits;
+            if (!lut.inner.empty() && lut.innerAt(p, s, e))
+                ++inner;
+            acc += lut.delta[lut.cell(p, s, e)];
+        }
+        if (hits == 0)
+            continue;
+        float score = 0.0f;
+        switch (mode) {
+          case SearchMode::kExactDistance:
+            score = acc + lut.offset[p];
+            break;
+          case SearchMode::kHitCount:
+            score = static_cast<float>(hits);
+            break;
+          case SearchMode::kRewardPenalty:
+            // +1 inner, 0 outer-only, -1 miss.
+            score = static_cast<float>(inner + hits - subspaces);
+            break;
+        }
+        out.push_back({pid, score});
+    }
+    return out;
+}
+
+/** Sets (@p on) or clears every flag of probe @p p's rows. */
+void
+fillProbe(SelectiveLut &lut, std::size_t p, int subspaces, bool on)
+{
+    for (int s = 0; s < subspaces; ++s)
+        for (entry_t e = 0; e < lut.entries; ++e) {
+            const std::size_t w = lut.wordRow(p, s) + e / 32;
+            const std::uint32_t bit = 1u << (e % 32);
+            lut.selected[w] = on ? lut.selected[w] | bit
+                                 : lut.selected[w] & ~bit;
+            // Inner on every other entry of a full row.
+            lut.inner[w] = on && e % 2 == 0 ? lut.inner[w] | bit
+                                            : lut.inner[w] & ~bit;
+            if (!on)
+                lut.delta[lut.cell(p, s, e)] = 0.0f;
+        }
+}
+
+/**
+ * Every probed list of four queries, in every mode and at every
+ * dispatch level, equals the reference scorer id for id and score bit
+ * for bit. Each query's LUT also gets a probe with no selected cell,
+ * which must yield no candidates, and one with every cell selected,
+ * where every point of the list is a candidate.
  */
 void
-expectDenseEqualsSparse(Fixture &fx)
+expectScanMatchesReference(Fixture &fx)
 {
     struct LevelGuard {
         simd::Level saved = simd::level();
@@ -223,47 +293,57 @@ expectDenseEqualsSparse(Fixture &fx)
     if (simd::supported(simd::Level::kAvx512))
         levels.push_back(simd::Level::kAvx512);
 
+    const int subspaces = fx.codes.num_subspaces;
     for (idx_t qi = 0; qi < 4; ++qi) {
         const float *q = fx.ds.queries.row(qi);
-        const auto probes = fx.ivf.probe(Metric::kL2, q, 4);
+        const auto probes = fx.ivf.probe(Metric::kL2, q, 6);
         SelectiveLutParams lp;
         lp.inner_gate = true;
-        const auto lut = fx.builder->build(q, probes, lp);
+        auto lut = fx.builder->build(q, probes, lp);
+        const std::size_t none = 4, all = 5;
+        fillProbe(lut, none, subspaces, false);
+        fillProbe(lut, all, subspaces, true);
         for (SearchMode mode :
              {SearchMode::kExactDistance, SearchMode::kHitCount,
-              SearchMode::kRewardPenalty}) {
-            fx.calc->setDenseThreshold(2.0); // never dense
-            const auto sparse =
-                fx.calc->run(Metric::kL2, mode, probes, lut, 40);
+              SearchMode::kRewardPenalty})
             for (simd::Level level : levels) {
                 ASSERT_TRUE(simd::setLevel(level));
-                for (double threshold : {0.0 /* always dense */, 0.5}) {
-                    fx.calc->setDenseThreshold(threshold);
-                    const auto dense =
-                        fx.calc->run(Metric::kL2, mode, probes, lut, 40);
-                    ASSERT_EQ(sparse.size(), dense.size())
-                        << "mode=" << searchModeName(mode) << " level="
-                        << simd::levelName(level)
-                        << " threshold=" << threshold;
-                    for (std::size_t i = 0; i < sparse.size(); ++i)
-                        EXPECT_EQ(sparse[i], dense[i])
-                            << "mode=" << searchModeName(mode)
-                            << " level=" << simd::levelName(level)
-                            << " threshold=" << threshold << " i=" << i;
+                for (std::size_t p = 0; p < probes.size(); ++p) {
+                    const auto c = static_cast<cluster_t>(probes[p].id);
+                    const auto want = referenceList(fx, mode, c, p, lut);
+                    std::vector<Neighbor> got;
+                    fx.calc->accumulateList(mode, c, p, lut, got);
+                    const std::string where =
+                        std::string("mode=") + searchModeName(mode) +
+                        " level=" + simd::levelName(level) +
+                        " query=" + std::to_string(qi) +
+                        " probe=" + std::to_string(p);
+                    if (p == none) {
+                        EXPECT_TRUE(got.empty()) << where;
+                    }
+                    if (p == all) {
+                        EXPECT_EQ(got.size(), fx.ivf.list(c).size())
+                            << where;
+                    }
+                    ASSERT_EQ(want.size(), got.size()) << where;
+                    for (std::size_t i = 0; i < want.size(); ++i) {
+                        EXPECT_EQ(want[i].id, got[i].id) << where;
+                        EXPECT_EQ(bitsOf(want[i].score),
+                                  bitsOf(got[i].score))
+                            << where << " i=" << i;
+                    }
                 }
             }
-            fx.calc->setDenseThreshold(0.5);
-        }
     }
 }
 
-TEST(DistanceCalc, DenseInterleavedPathBitwiseEqualsSparseWalk)
+TEST(DistanceCalc, ScanMatchesReferenceScorer)
 {
     Fixture fx;
-    expectDenseEqualsSparse(fx);
+    expectScanMatchesReference(fx);
 }
 
-TEST(DistanceCalc, DenseEqualsSparseOverMultiWordFlagRows)
+TEST(DistanceCalc, ScanMatchesReferenceOverMultiWordFlagRows)
 {
     // E = 64: two flag words and two register pairs of the AVX-512
     // permute scan; E = 200: seven words and the eight-pair permute
@@ -271,7 +351,7 @@ TEST(DistanceCalc, DenseEqualsSparseOverMultiWordFlagRows)
     for (int entries : {64, 200}) {
         SCOPED_TRACE("entries " + std::to_string(entries));
         Fixture fx(entries);
-        expectDenseEqualsSparse(fx);
+        expectScanMatchesReference(fx);
     }
 }
 

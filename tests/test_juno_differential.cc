@@ -5,8 +5,8 @@
  * entry's recovered score, and sums every point's per-subspace scores
  * in subspace order with the miss and offset rules of the selective
  * LUT. Search results must match it bit for bit in every mode, metric,
- * codebook size, dense threshold, thread count and pipelining setting,
- * with and without the RT core (rt=0 scans each subspace instead).
+ * codebook size, thread count and pipelining setting, with and without
+ * the RT core (rt=0 scans each subspace instead).
  */
 #include <gtest/gtest.h>
 
@@ -175,9 +175,9 @@ smallParams(int entries = 32)
 constexpr int kEntries[] = {32, 40, 200};
 
 /**
- * Runs every (RT core, mode, dense threshold, pipelining, threads)
- * setting of @p index over @p queries and compares each result list
- * with the reference, id and score bits.
+ * Runs every (RT core, mode, pipelining, threads) setting of @p index
+ * over @p queries and compares each result list with the reference, id
+ * and score bits.
  */
 void
 expectMatchesReference(JunoIndex &index, FloatMatrixView queries, idx_t k)
@@ -191,43 +191,36 @@ expectMatchesReference(JunoIndex &index, FloatMatrixView queries, idx_t k)
             std::vector<std::vector<Neighbor>> want;
             for (idx_t qi = 0; qi < queries.rows(); ++qi)
                 want.push_back(referenceSearch(index, queries.row(qi), k));
-            for (double threshold : {0.0, 0.5, 2.0}) {
-                index.calculator().setDenseThreshold(threshold);
-                for (bool pipelined : {false, true}) {
-                    index.setPipelined(pipelined);
-                    for (int threads : {1, 3}) {
-                        SearchOptions opts;
-                        opts.k = k;
-                        opts.threads = threads;
-                        const auto got =
-                            index.search(SearchRequest(queries, opts));
-                        ASSERT_EQ(got.size(), want.size());
-                        for (std::size_t qi = 0; qi < want.size(); ++qi) {
-                            const std::string where =
-                                std::string(rt ? "rt=1 " : "rt=0 ") +
-                                searchModeName(mode) +
-                                " threshold=" +
-                                std::to_string(threshold) + " pipelined=" +
-                                std::to_string(pipelined) +
-                                " threads=" + std::to_string(threads) +
-                                " query=" + std::to_string(qi);
-                            ASSERT_EQ(got[qi].size(), want[qi].size())
-                                << where;
-                            for (std::size_t i = 0; i < want[qi].size();
-                                 ++i) {
-                                EXPECT_EQ(got[qi][i].id, want[qi][i].id)
-                                    << where << " rank " << i;
-                                EXPECT_EQ(bitsOf(got[qi][i].score),
-                                          bitsOf(want[qi][i].score))
-                                    << where << " rank " << i;
-                            }
+            for (bool pipelined : {false, true}) {
+                index.setPipelined(pipelined);
+                for (int threads : {1, 3}) {
+                    SearchOptions opts;
+                    opts.k = k;
+                    opts.threads = threads;
+                    const auto got =
+                        index.search(SearchRequest(queries, opts));
+                    ASSERT_EQ(got.size(), want.size());
+                    for (std::size_t qi = 0; qi < want.size(); ++qi) {
+                        const std::string where =
+                            std::string(rt ? "rt=1 " : "rt=0 ") +
+                            searchModeName(mode) + " pipelined=" +
+                            std::to_string(pipelined) +
+                            " threads=" + std::to_string(threads) +
+                            " query=" + std::to_string(qi);
+                        ASSERT_EQ(got[qi].size(), want[qi].size())
+                            << where;
+                        for (std::size_t i = 0; i < want[qi].size(); ++i) {
+                            EXPECT_EQ(got[qi][i].id, want[qi][i].id)
+                                << where << " rank " << i;
+                            EXPECT_EQ(bitsOf(got[qi][i].score),
+                                      bitsOf(want[qi][i].score))
+                                << where << " rank " << i;
                         }
                     }
                 }
             }
         }
     }
-    index.calculator().setDenseThreshold(0.5);
     index.setPipelined(false);
     index.setUseRtCore(true);
 }
@@ -298,7 +291,7 @@ TEST(JunoDifferential, InnerGateDoesNotChangeHitCountScores)
 {
     // JunoParams::lutParams() records the inner gate only for JUNO-M;
     // scoring JUNO-L from a LUT with the inner rows must equal scoring
-    // it from one without them, on both scan paths.
+    // it from one without them.
     for (Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
         const Dataset ds = makeData(metric);
         JunoIndex index(metric, ds.base.view(), smallParams());
@@ -330,17 +323,14 @@ TEST(JunoDifferential, InnerGateDoesNotChangeHitCountScores)
                         EXPECT_TRUE(!with_inner.innerAt(p, s, e) ||
                                     with_inner.selectedAt(p, s, e));
                     }
-            for (double threshold : {0.0, 2.0}) {
-                index.calculator().setDenseThreshold(threshold);
-                const auto a = index.calculator().run(
-                    metric, SearchMode::kHitCount, probes, with_inner, 20);
-                const auto b = index.calculator().run(
-                    metric, SearchMode::kHitCount, probes, without, 20);
-                ASSERT_EQ(a.size(), b.size());
-                for (std::size_t i = 0; i < a.size(); ++i) {
-                    EXPECT_EQ(a[i].id, b[i].id);
-                    EXPECT_EQ(bitsOf(a[i].score), bitsOf(b[i].score));
-                }
+            const auto a = index.calculator().run(
+                metric, SearchMode::kHitCount, probes, with_inner, 20);
+            const auto b = index.calculator().run(
+                metric, SearchMode::kHitCount, probes, without, 20);
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_EQ(a[i].id, b[i].id);
+                EXPECT_EQ(bitsOf(a[i].score), bitsOf(b[i].score));
             }
         }
     }

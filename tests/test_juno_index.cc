@@ -48,7 +48,6 @@ TEST(JunoIndex, BuildsAllComponents)
     EXPECT_EQ(index.size(), 2000);
     EXPECT_TRUE(index.ivf().built());
     EXPECT_TRUE(index.pq().trained());
-    EXPECT_TRUE(index.interestIndex().built());
     EXPECT_TRUE(index.densityMap().built());
     EXPECT_TRUE(index.thresholdPolicy().trained());
     EXPECT_TRUE(index.junoScene().built());

@@ -263,6 +263,45 @@ TEST(Persistence, TamperedDensityCountIsAConfigError)
     std::remove(tampered.c_str());
 }
 
+/**
+ * The scan indexes LUT rows of E cells by the interleaved codes, so a
+ * code of E or more must fail open() as a ConfigError.
+ */
+TEST(Persistence, TamperedInterleavedCodeIsAConfigError)
+{
+    const auto ds = makeData(Metric::kL2);
+    const auto original = tempPath("ileav_untampered.juno");
+    const auto tampered = tempPath("ileav_tampered.juno");
+    buildIndex(Metric::kL2, ds.base.view(),
+               "juno:nlist=16,entries=32,nprobe=6,grid=30,psamples=60,"
+               "prefs=800,ptopk=40")
+        ->save(original);
+    {
+        SnapshotReader reader(original);
+        SnapshotWriter writer(tampered, reader.spec());
+        for (const auto &name : reader.sections()) {
+            if (name == "spec")
+                continue;
+            const auto blob = reader.blob(name);
+            std::vector<std::uint8_t> bytes(blob.data,
+                                            blob.data + blob.bytes);
+            if (name == "ileav.blocks") {
+                const entry_t forged = 32;
+                std::memcpy(bytes.data(), &forged, sizeof forged);
+            }
+            writer.addBlob(name, bytes.data(), bytes.size());
+        }
+        writer.finish();
+    }
+    for (const bool use_mmap : {false, true}) {
+        SnapshotOptions options;
+        options.use_mmap = use_mmap;
+        EXPECT_THROW(openIndex(tampered, options), ConfigError) << use_mmap;
+    }
+    std::remove(original.c_str());
+    std::remove(tampered.c_str());
+}
+
 TEST(Persistence, TamperedSpecIsAConfigError)
 {
     // The spec section is the only stored copy of the knobs and is

@@ -262,16 +262,12 @@ TEST(SelectiveLut, SparsitySavesWorkVsDenseLut)
     const auto probes = fx.ivf.probe(Metric::kL2, q, 4);
     const auto lut = fx.builder->build(q, probes, {});
     std::size_t selected = 0, cells = 0;
-    for (std::size_t p = 0; p < lut.blocks; ++p) {
-        std::size_t flags = 0;
+    for (std::size_t p = 0; p < lut.blocks; ++p)
         for (int s = 0; s < 4; ++s) {
             for (entry_t e = 0; e < 16; ++e)
-                flags += lut.selectedAt(p, s, e) ? 1 : 0;
+                selected += lut.selectedAt(p, s, e) ? 1 : 0;
             cells += 16;
         }
-        EXPECT_EQ(lut.selected_count[p], flags);
-        selected += flags;
-    }
     EXPECT_LT(static_cast<double>(selected) / static_cast<double>(cells),
               0.8);
 }
@@ -303,7 +299,6 @@ expectSingleRayLut(Fixture &fx, const float *q,
     for (std::size_t p = 0; p < probes.size(); ++p) {
         fx.ivf.residual(q, static_cast<cluster_t>(probes[p].id),
                         residual.data());
-        std::size_t selected = 0;
         for (int s = 0; s < 4; ++s) {
             const float x = residual[static_cast<std::size_t>(2 * s)];
             const float y = residual[static_cast<std::size_t>(2 * s + 1)];
@@ -335,7 +330,6 @@ expectSingleRayLut(Fixture &fx, const float *q,
                     delta[e] = fx.scene.lutValueL2(k * k, thit) - miss;
                     flag[e] = true;
                     inner[e] = thit <= tmax_inner;
-                    ++selected;
                 }
             } else {
                 refused_before[si] = true;
@@ -350,7 +344,6 @@ expectSingleRayLut(Fixture &fx, const float *q,
                 EXPECT_EQ(inner[e], lut.innerAt(p, s, e));
             }
         }
-        EXPECT_EQ(selected, lut.selected_count[p]);
     }
     int shifted_runs = 0;
     for (bool b : shifted)
@@ -492,7 +485,6 @@ expectSameLut(const SelectiveLut &want, const SelectiveLut &got,
     EXPECT_EQ(want.selected, got.selected) << where << " selected";
     EXPECT_EQ(want.inner, got.inner) << where << " inner";
     expectSameBits(want.miss, got.miss, where + " miss");
-    EXPECT_EQ(want.selected_count, got.selected_count) << where;
     expectSameBits(want.base, got.base, where + " base");
     expectSameBits(want.offset, got.offset, where + " offset");
 }
